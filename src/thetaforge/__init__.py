@@ -9,6 +9,7 @@ from .errors import (
     ConductorTooLarge,
     DistributionViolation,
     EmptyDomain,
+    InvariantViolation,
     MissingEigenvalue,
     NotDivisible,
     NotOrdinary,

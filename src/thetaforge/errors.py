@@ -50,3 +50,7 @@ class DistributionViolation(ThetaForgeError):
 
 class ConductorTooLarge(ThetaForgeError):
     """A character's conductor exceeds the layer of the element being specialized."""
+
+
+class InvariantViolation(ThetaForgeError):
+    """An identity that a result depends on failed to hold; the result would be wrong."""

@@ -5,6 +5,13 @@ cyclotomic products that organize the plus/minus decomposition.
 
 The polynomial view identifies the generator of each cyclic factor with
 T_i + 1, so the layer-n ring in one variable is (Z/p^k)[T]/((T+1)^(p^n)-1).
+
+Division by Omega~ works in the group-element basis, where the factor
+Sigma_{p^j}(gamma) = sum_{b<p} gamma^(b p^(j-1)) is monic with p unit
+coefficients: an element, read as a polynomial in gamma of degree < p^n, is
+long-divided by one factor at a time.  Every factor divides gamma^(p^n) - 1
+and a monic polynomial is not a zero divisor over Z/p^k, so a zero remainder
+is exactly membership in the ideal the factors generate in the layer ring.
 """
 
 from __future__ import annotations
@@ -12,9 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-import numpy as np
-
-from . import linalg
 from .errors import NotDivisible, UnsupportedDelta
 from .padic import IntPolynomial, T_POLY, cyclotomic_sigma
 from .util import capped_val
@@ -137,18 +141,20 @@ def delta_element(p: int, k: int, n: int, tup) -> GroupRingElement:
     return GroupRingElement(p, k, n, len(tup), tuple(coeffs))
 
 
+def _pack(coeffs, width: int) -> int:
+    return int.from_bytes(b"".join(c.to_bytes(width, "little") for c in coeffs), "little")
+
+
 def _convolve(x: GroupRingElement, y: GroupRingElement) -> GroupRingElement:
     mod = x.p**x.k
     q = x.order
     if x.delta == 1:
-        a = np.array(x.coeffs, dtype=object if mod >= 2**31 else np.int64)
-        b = np.array(y.coeffs, dtype=a.dtype)
-        if q == 1:
-            return GroupRingElement(x.p, x.k, x.n, 1, (int(a[0]) * int(b[0]),))
-        full = np.convolve(a, b)
-        out = full[:q].copy()
-        out[: q - 1] += full[q:]
-        return GroupRingElement(x.p, x.k, x.n, 1, tuple(int(v) % mod for v in out))
+        # Kronecker substitution: each slot holds a full product coefficient
+        # (< q * mod^2), so one big-int product carries them all exactly.
+        width = (q * mod * mod).bit_length() // 8 + 1
+        raw = (_pack(x.coeffs, width) * _pack(y.coeffs, width)).to_bytes(2 * q * width, "little")
+        full = [int.from_bytes(raw[i:i + width], "little") for i in range(0, len(raw), width)]
+        return GroupRingElement(x.p, x.k, x.n, 1, tuple(full[i] + full[i + q] for i in range(q)))
     out = [0] * x.group_size
     for i, ci in enumerate(x.coeffs):
         if ci == 0:
@@ -283,20 +289,16 @@ def from_poly_view(p: int, k: int, n: int, poly) -> GroupRingElement:
 def reduce_poly(poly: IntPolynomial, p: int, k: int, n: int) -> GroupRingElement:
     """Image of an exact integer polynomial in the layer-n ring (delta = 1).
 
-    High powers of T fold automatically by substituting T -> generator - 1
-    degree by degree inside the group ring, where (T+1)^(p^n) = 1.
+    Horner's rule with T -> generator - 1: acc <- acc * (gamma - 1) + c, where
+    multiplying by gamma - 1 is a cyclic rotate-and-subtract, so high powers
+    of T fold by themselves because gamma^(p^n) = 1.
     """
-    acc = zero(p, k, n, 1)
-    if poly.degree < 0:
-        return acc
-    gamma_minus_1 = delta_element(p, k, n, (1,)) - one(p, k, n, 1)
-    power = one(p, k, n, 1)
-    for j, c in enumerate(poly.coefficients):
-        if c % p**k:
-            acc = acc + power * int(c)
-        if j < poly.degree:
-            power = power * gamma_minus_1
-    return acc
+    mod = p**k
+    acc = [0] * p**n
+    for c in reversed(poly.coefficients):
+        acc = [(a - b) % mod for a, b in zip(acc[-1:] + acc[:-1], acc)]
+        acc[0] += c
+    return GroupRingElement(p, k, n, 1, tuple(acc))
 
 
 # ---------------------------------------------------------------------------
@@ -322,12 +324,16 @@ def omega_poly(p: int, n: int) -> IntPolynomial:
     return acc
 
 
+def _parity_levels(n: int, sign: int) -> range:
+    """The levels j <= n of the given parity (+1: even j, -1: odd j)."""
+    return range(2 if sign > 0 else 1, n + 1, 2)
+
+
 def omega_tilde_poly(p: int, n: int, sign: int) -> IntPolynomial:
     """Product of Sigma_{p^j}(T+1) over j <= n of the given parity
     (+1: even j, -1: odd j)."""
     acc = IntPolynomial((1,))
-    start = 2 if sign > 0 else 1
-    for j in range(start, n + 1, 2):
+    for j in _parity_levels(n, sign):
         acc = acc * cyclotomic_sigma(p, j)
     return acc
 
@@ -339,8 +345,8 @@ def omega_pm_poly(p: int, n: int, sign: int) -> IntPolynomial:
 def omega_family(p: int, n: int, delta: int = 1):
     """The full family Omega_n, Omega~_n^{+/-}, Omega_n^{+/-}.
 
-    The parity-split members are single-variable objects; requesting them
-    with delta > 1 raises UnsupportedDelta.
+    The parity-split members are single-variable objects, so for delta > 1
+    only Omega_n is returned.
     """
     omega = OmegaElement("omega", p, n, delta, tuple(omega_poly(p, n) for _ in range(delta)))
     if delta != 1:
@@ -354,79 +360,89 @@ def omega_family(p: int, n: int, delta: int = 1):
     }
 
 
-def omega_family_checked(p: int, n: int, delta: int):
-    if delta != 1:
-        raise UnsupportedDelta("the parity-split family is defined for delta = 1")
-    return omega_family(p, n, 1)
-
-
 # ---------------------------------------------------------------------------
-# exact division by omega-tilde in a layer ring (delta = 1)
+# exact division by the omega products in a layer ring (delta = 1)
 
 
-def _circulant_columns(g: GroupRingElement):
-    """Columns of the multiplication-by-g matrix on the layer ring."""
-    size = g.group_size
-    cols = []
-    base = list(g.coeffs)
-    for shift in range(size):
-        cols.append([base[(i - shift) % size] for i in range(size)])
-    # matrix rows from columns
-    return [[cols[c][r] for c in range(size)] for r in range(size)]
+def _divide_monic(a, degree: int, lower: tuple, mod: int) -> list | None:
+    """Long division of a (coefficients in gamma, constant first) by the
+    monic gamma^degree + sum c gamma^e over (e, c) in lower, over Z/mod.
+
+    Returns the quotient, or None when the remainder is nonzero.
+    """
+    a = list(a)
+    quot = [0] * max(len(a) - degree, 0)
+    for i in range(len(a) - 1, degree - 1, -1):
+        c = a[i] % mod
+        if c:
+            quot[i - degree] = c
+            for e, ce in lower:
+                a[i - degree + e] -= ce * c
+    if any(r % mod for r in a[:degree]):
+        return None
+    return quot
 
 
-def multiplication_matrix(g: GroupRingElement):
-    if g.delta != 1:
-        raise UnsupportedDelta("multiplication matrices are built for delta = 1")
-    return _circulant_columns(g)
+def _divide_sigmas(a, p: int, mod: int, levels) -> list | None:
+    """Divide by Sigma_{p^j}(gamma) for each j in levels; None if any
+    remainder is nonzero."""
+    for j in levels:
+        step = p ** (j - 1)
+        a = _divide_monic(a, (p - 1) * step, tuple((b * step, 1) for b in range(p - 1)), mod)
+        if a is None:
+            return None
+    return a
 
 
 @dataclass(frozen=True)
 class QuotientClass:
-    """An element of the layer ring modulo the ideal generated by a tagged
-    polynomial (the p-power cyclotomic product of one parity)."""
+    """An element of the layer ring modulo the ideal generated by Omega_n^eps
+    = (gamma - 1) * prod Sigma_{p^j}(gamma) over j <= n of parity eps."""
 
     rep: GroupRingElement
-    ideal_tag: str
-    ideal_poly: IntPolynomial
+    eps: int
 
     @property
     def layer(self) -> int:
         return self.rep.n
 
-    def ideal_generator(self) -> GroupRingElement:
-        return reduce_poly(self.ideal_poly, self.rep.p, self.rep.k, self.rep.n)
+    @property
+    def ideal_tag(self) -> str:
+        return "omega_plus" if self.eps > 0 else "omega_minus"
+
+    @property
+    def ideal_poly(self) -> IntPolynomial:
+        return omega_pm_poly(self.rep.p, self.layer, self.eps)
 
     def same_class(self, other: "QuotientClass") -> bool:
-        if self.ideal_tag != other.ideal_tag or self.layer != other.layer:
+        if self.eps != other.eps or self.layer != other.layer:
             return False
         return self.contains(other.rep)
 
     def contains(self, elt: GroupRingElement) -> bool:
-        diff = self.rep - elt
-        gen = self.ideal_generator()
-        m = multiplication_matrix(gen)
-        return linalg.solve(m, list(diff.coeffs), self.rep.p, self.rep.k) is not None
+        """Whether rep - elt lies in the ideal: a zero remainder on division
+        by gamma - 1 and then by each Sigma of parity eps."""
+        p, mod = self.rep.p, self.rep.p**self.rep.k
+        quot = _divide_monic((self.rep - elt).coeffs, 1, ((0, -1),), mod)
+        if quot is None:
+            return False
+        return _divide_sigmas(quot, p, mod, _parity_levels(self.layer, self.eps)) is not None
 
 
 def divide_omega_tilde(lam: GroupRingElement, eps: int) -> QuotientClass:
     """Solve Omega~_n^{-eps} * Theta = lam in the layer-n ring; the result is
     a class modulo Omega_n^eps (kernel of the multiplication map).
 
-    Requires Omega_n^eps * lam = 0; raises NotDivisible when no solution
-    exists at working precision.
+    Omega~_n^{-eps} * Omega_n^eps = gamma^(p^n) - 1, so lam is divisible
+    exactly when Omega_n^eps * lam = 0; otherwise NotDivisible is raised.
+    The representative is the quotient of the long division, which has
+    degree < deg Omega_n^eps: the canonical remainder modulo Omega_n^eps.
     """
     if lam.delta != 1:
         raise UnsupportedDelta("division is defined for delta = 1")
     p, k, n = lam.p, lam.k, lam.n
-    annihilator = reduce_poly(omega_pm_poly(p, n, eps), p, k, n)
-    if not (annihilator * lam).is_zero():
+    quot = _divide_sigmas(lam.coeffs, p, p**k, _parity_levels(n, -eps))
+    if quot is None:
         raise NotDivisible("input is not annihilated by the matching omega")
-    divisor = reduce_poly(omega_tilde_poly(p, n, -eps), p, k, n)
-    m = multiplication_matrix(divisor)
-    sol = linalg.solve(m, list(lam.coeffs), p, k)
-    if sol is None:
-        raise NotDivisible("no preimage under multiplication at this precision")
-    theta = GroupRingElement(p, k, n, 1, tuple(sol))
-    tag = "omega_plus" if eps > 0 else "omega_minus"
-    return QuotientClass(theta, tag, omega_pm_poly(p, n, eps))
+    theta = GroupRingElement(p, k, n, 1, tuple(quot) + (0,) * (lam.group_size - len(quot)))
+    return QuotientClass(theta, eps)

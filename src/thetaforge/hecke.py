@@ -12,7 +12,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .errors import EmptyDomain, MissingEigenvalue
+from .errors import EmptyDomain, InvariantViolation, MissingEigenvalue
 from .padic import PrecisionInt, hensel_unit_root
 from .tree import Ball, DirectedEdge, Vertex, ball, origin
 
@@ -133,7 +133,8 @@ def hecke_U(f: EdgeForm) -> EdgeForm:
             for w in neighbors(e.target)
             if w != e.source
         ]
-        assert len(conts) == f.p
+        if len(conts) != f.p:
+            raise InvariantViolation(f"edge {e} has {len(conts)} continuations, expected {f.p}")
         if not all(c in known for c in conts):
             continue
         for i in range(f.h):

@@ -371,7 +371,7 @@ def _pm_extract_at(sys: CompatibleSystem, level: int) -> SignedThetaClass:
     cls = divide_omega_tilde(raw, eps)
     half = layer // 2 if eps > 0 else (layer + 1) // 2
     sign = -1 if half % 2 else 1
-    signed = QuotientClass(cls.rep * sign, cls.ideal_tag, cls.ideal_poly)
+    signed = QuotientClass(cls.rep * sign, eps)
     return SignedThetaClass(level, layer, eps, signed)
 
 
@@ -400,9 +400,7 @@ def pm_project_class(cls: SignedThetaClass, target_layer: int) -> QuotientClass:
     a class modulo the smaller omega ideal."""
     if (cls.layer - target_layer) % 2 != 0 or target_layer > cls.layer:
         raise ValueError("target layer must be lower and of equal parity")
-    rep = groupring.project_to(cls.cls.rep, target_layer)
-    poly = groupring.omega_pm_poly(rep.p, target_layer, cls.eps)
-    return QuotientClass(rep, cls.cls.ideal_tag, poly)
+    return QuotientClass(groupring.project_to(cls.cls.rep, target_layer), cls.eps)
 
 
 def lp(sys: CompatibleSystem, n: int, kind: str = "ordinary") -> PadicLFunction:

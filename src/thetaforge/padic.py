@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .errors import NotOrdinary, PrecisionExhausted
+from .errors import InvariantViolation, NotOrdinary, PrecisionExhausted
 from .util import capped_val
 
 
@@ -204,8 +204,10 @@ def hensel_unit_root(a: PrecisionInt, q: int, k: int) -> PrecisionInt:
         dfx = (2 * x - av) % mod
         x = (x - fx * pow(dfx, -1, mod)) % mod
     root = PrecisionInt(p, k, x)
-    assert (root * root - PrecisionInt(p, k, av) * root + PrecisionInt(p, k, q)).is_zero()
-    assert root.residue % p == av % p
+    if not (root * root - PrecisionInt(p, k, av) * root + PrecisionInt(p, k, q)).is_zero():
+        raise InvariantViolation(f"Newton iteration left {x} short of a root mod {p}^{k}")
+    if root.residue % p != av % p:
+        raise InvariantViolation(f"root {x} is not congruent to {av} mod {p}")
     return root
 
 
@@ -425,10 +427,3 @@ def _reduce_cyclotomic(raw, p, k, m, phi):
                     out[j] = (out[j] + c * row[j]) % mod
     return tuple(c % mod for c in out)
 
-
-def product_of_sigmas(p: int, n: int) -> IntPolynomial:
-    """T * prod_{j<=n} Sigma_{p^j}(T+1); equals (T+1)^(p^n) - 1 exactly."""
-    acc = T_POLY
-    for j in range(1, n + 1):
-        acc = acc * cyclotomic_sigma(p, j)
-    return acc

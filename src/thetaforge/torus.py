@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import TransitivityViolation
+from .errors import InvariantViolation, TransitivityViolation
 from .tree import DirectedEdge, Vertex, _normal_form_residues, distance, origin
 from .util import is_nonresidue, pmap
 
@@ -228,7 +228,7 @@ def _element_order(torus, j, a, bound):
         acc = _label_mul(torus, j, acc, a)
         e += 1
         if e > bound:
-            raise AssertionError("order exceeds group size")
+            raise InvariantViolation("order exceeds group size")
     return e
 
 
@@ -288,11 +288,13 @@ def coset_decomposition(torus: QuadraticTorus, j: int) -> CosetDecomposition:
         if _element_order(torus, j, cand, torsion_order + 1) == torsion_order:
             tgen = cand
             break
-    assert tgen is not None, "torsion part of the coset group must be cyclic"
+    if tgen is None:
+        raise InvariantViolation("torsion part of the coset group must be cyclic")
     # free generator: projection of 1 + p*sqrt(d)
     fgen = _label_pow(torus, j, _canonical_pair(p, j, 1, p), alpha_f)
     if free_order > 1:
-        assert _element_order(torus, j, fgen, free_order) == free_order
+        if _element_order(torus, j, fgen, free_order) != free_order:
+            raise InvariantViolation(f"free generator at level {j} does not have order {free_order}")
     else:
         fgen = ident
     tlog, acc = {}, ident

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .errors import PrecisionExhausted
+from .errors import InvariantViolation, PrecisionExhausted
 from .util import val_p
 
 
@@ -143,7 +143,8 @@ def neighbors(v: Vertex) -> list:
         out.append(normal_form_exact(p, pa * p, c * pa + u, 0, pb))
     # g_v * [[1, 0], [0, p]]
     out.append(normal_form_exact(p, pa, p * u, 0, pb * p))
-    assert len(set(out)) == p + 1
+    if len(set(out)) != p + 1:
+        raise InvariantViolation(f"{v} has {len(set(out))} distinct neighbors, expected {p + 1}")
     return out
 
 
@@ -238,7 +239,7 @@ def geodesic_path(v: Vertex, w: Vertex) -> list:
                 d -= 1
                 break
         else:
-            raise AssertionError("no descending neighbor; tree structure broken")
+            raise InvariantViolation("no descending neighbor; tree structure broken")
     return path
 
 

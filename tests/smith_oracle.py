@@ -1,4 +1,5 @@
-"""Exact linear algebra over Z/p^k with valuation pivoting.
+"""Exact linear algebra over Z/p^k with valuation pivoting: a dense Smith
+solver kept as an independent test oracle for exact omega division.
 
 The local ring Z/p^k has zero divisors, so solving relies on a diagonal
 (Smith-style) reduction: unimodular row operations applied to the right-hand
@@ -10,6 +11,8 @@ exact otherwise.
 from __future__ import annotations
 
 import numpy as np
+
+from thetaforge.errors import UnsupportedDelta
 
 
 def _dtype_for(modulus: int):
@@ -130,3 +133,13 @@ def kernel(a_rows, p: int, k: int):
 
 def in_column_span(a_rows, b_vec, p: int, k: int) -> bool:
     return solve(a_rows, b_vec, p, k) is not None
+
+
+def multiplication_matrix(g):
+    """Rows of the matrix of x -> g * x on the layer ring, in the group-element
+    basis (a circulant)."""
+    if g.delta != 1:
+        raise UnsupportedDelta("multiplication matrices are built for delta = 1")
+    size = g.group_size
+    base = list(g.coeffs)
+    return [[base[(r - c) % size] for c in range(size)] for r in range(size)]

@@ -4,7 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from thetaforge import linalg
+import smith_oracle
+from smith_oracle import multiplication_matrix
 from thetaforge.errors import NotDivisible, UnsupportedDelta
 from thetaforge.groupring import (
     GroupRingElement,
@@ -13,9 +14,7 @@ from thetaforge.groupring import (
     from_poly_view,
     lambda_invariant,
     mu_invariant,
-    multiplication_matrix,
     omega_family,
-    omega_family_checked,
     omega_pm_poly,
     omega_poly,
     omega_tilde_poly,
@@ -214,7 +213,7 @@ class TestOmegaFamily:
                             "omega_plus", "omega_minus"}
         assert "omega" in omega_family(3, 2, 2)
         with pytest.raises(UnsupportedDelta):
-            omega_family_checked(3, 2, 2)
+            divide_omega_tilde(zero(3, 5, 2, 2), 1)
 
 
 class TestDivision:
@@ -245,7 +244,7 @@ class TestDivision:
             assert cls.contains(theta0)
 
     def test_big_modulus_object_dtype_path(self):
-        # p^k >= 2^31 routes the solver through exact object arrays
+        # p^k >= 2^31 routes the oracle solver through exact object arrays
         p, k, n = 3, 20, 2
         big = GroupRingElement(p, k, n, 1, tuple(range(9)))
         divisor = reduce_poly(omega_tilde_poly(p, n, -1), p, k, n)
@@ -253,6 +252,8 @@ class TestDivision:
         cls = divide_omega_tilde(lam, 1)
         assert divisor * cls.rep == lam
         assert cls.contains(big)
+        sol = smith_oracle.solve(multiplication_matrix(divisor), list(lam.coeffs), p, k)
+        assert cls.contains(GroupRingElement(p, k, n, 1, tuple(sol)))
 
     def test_not_divisible_raises(self):
         # a generic element is not annihilated by the omega of its parity
@@ -269,10 +270,76 @@ class TestDivision:
         gen = reduce_poly(omega_pm_poly(p, n, eps), p, k, n)
         m = multiplication_matrix(divisor)
         ideal = multiplication_matrix(gen)
-        for vec in linalg.kernel(m, p, k):
-            assert linalg.solve(ideal, vec, p, k) is not None
+        for vec in smith_oracle.kernel(m, p, k):
+            assert smith_oracle.solve(ideal, vec, p, k) is not None
         # and conversely the ideal is inside the kernel
         for shift in range(p**n):
             col = [row[shift] for row in ideal]
             elt = GroupRingElement(p, k, n, 1, tuple(col))
             assert (divisor * elt).is_zero()
+
+
+def schoolbook(x, y):
+    """Cyclic product of two delta = 1 elements, coefficient by coefficient."""
+    q, mod = x.order, x.p**x.k
+    out = [0] * q
+    for i, a in enumerate(x.coeffs):
+        for j, b in enumerate(y.coeffs):
+            out[(i + j) % q] += a * b
+    return GroupRingElement(x.p, x.k, x.n, 1, tuple(c % mod for c in out))
+
+
+class TestExactProduct:
+    # p^k just under and just over 2^31, where a fixed-width sum of N
+    # products of residues would wrap
+    @given(st.data(), st.sampled_from([(5, 13), (7, 11), (3, 19), (3, 20), (2, 31), (2, 32)]),
+           st.integers(0, 2))
+    @settings(max_examples=80, deadline=None)
+    def test_product_matches_schoolbook(self, data, pk, n):
+        p, k = pk
+        size, mod = p**n, p**k
+        coeffs = st.lists(st.integers(0, mod - 1), min_size=size, max_size=size)
+        x = GroupRingElement(p, k, n, 1, tuple(data.draw(coeffs)))
+        y = GroupRingElement(p, k, n, 1, tuple(data.draw(coeffs)))
+        assert x * y == schoolbook(x, y)
+
+    def test_product_exact_at_full_layer(self):
+        # N = 729 at k = 18: every coefficient sums 729 products near 2^57
+        rng = random.Random(11)
+        p, k, n = 3, 18, 6
+        x, y = rand_elt(p, k, n, 1, rng), rand_elt(p, k, n, 1, rng)
+        top = GroupRingElement(p, k, n, 1, (p**k - 1,) * p**n)
+        assert x * y == schoolbook(x, y)
+        assert top * top == schoolbook(top, top)
+
+
+def _oracle_cases():
+    for p, n_max in ((2, 6), (3, 4), (5, 3), (7, 2)):       # N <= 125
+        for n in range(n_max + 1):
+            yield p, n
+
+
+class TestMonicDivisionAgainstSmith:
+    @pytest.mark.parametrize("p,n", list(_oracle_cases()))
+    def test_same_class_and_same_divisibility(self, p, n):
+        rng = random.Random(100 * p + n)
+        for k in (n + 2, 20):
+            mod = p**k
+            for eps in (1, -1):
+                divisor = reduce_poly(omega_tilde_poly(p, n, -eps), p, k, n)
+                ideal = multiplication_matrix(reduce_poly(omega_pm_poly(p, n, eps), p, k, n))
+                m = multiplication_matrix(divisor)
+                r = rand_elt(p, k, n, 1, rng)
+                bump = delta_element(p, k, n, (rng.randrange(p**n),)) * p ** (k - 1)
+                for lam in (divisor * r, r, divisor * r + bump, r * p ** (k - 1)):
+                    sol = smith_oracle.solve(m, list(lam.coeffs), p, k)
+                    if sol is None:
+                        with pytest.raises(NotDivisible):
+                            divide_omega_tilde(lam, eps)
+                        continue
+                    cls = divide_omega_tilde(lam, eps)
+                    assert divisor * cls.rep == lam
+                    assert not any(cls.rep.coeffs[omega_pm_poly(p, n, eps).degree:])
+                    assert cls.contains(GroupRingElement(p, k, n, 1, tuple(sol)))
+                    diff = [(a - b) % mod for a, b in zip(cls.rep.coeffs, sol)]
+                    assert smith_oracle.solve(ideal, diff, p, k) is not None
