@@ -41,7 +41,6 @@ from .groupring import (
     GroupRingElement,
     divide_omega_tilde,
     mu_invariant,
-    omega_family,
     project,
     star,
     xi,

@@ -305,17 +305,6 @@ def reduce_poly(poly: IntPolynomial, p: int, k: int, n: int) -> GroupRingElement
 # parity-split cyclotomic products
 
 
-@dataclass(frozen=True)
-class OmegaElement:
-    """One of the cyclotomic-product operations, stored per variable."""
-
-    tag: str
-    p: int
-    n: int
-    delta: int
-    polys: tuple            # one IntPolynomial per variable
-
-
 def omega_poly(p: int, n: int) -> IntPolynomial:
     """T * prod_{1<=j<=n} Sigma_{p^j}(T+1) = (T+1)^(p^n) - 1."""
     acc = T_POLY
@@ -340,24 +329,6 @@ def omega_tilde_poly(p: int, n: int, sign: int) -> IntPolynomial:
 
 def omega_pm_poly(p: int, n: int, sign: int) -> IntPolynomial:
     return T_POLY * omega_tilde_poly(p, n, sign)
-
-
-def omega_family(p: int, n: int, delta: int = 1):
-    """The full family Omega_n, Omega~_n^{+/-}, Omega_n^{+/-}.
-
-    The parity-split members are single-variable objects, so for delta > 1
-    only Omega_n is returned.
-    """
-    omega = OmegaElement("omega", p, n, delta, tuple(omega_poly(p, n) for _ in range(delta)))
-    if delta != 1:
-        return {"omega": omega}
-    return {
-        "omega": omega,
-        "omega_tilde_plus": OmegaElement("omega_tilde_plus", p, n, 1, (omega_tilde_poly(p, n, +1),)),
-        "omega_tilde_minus": OmegaElement("omega_tilde_minus", p, n, 1, (omega_tilde_poly(p, n, -1),)),
-        "omega_plus": OmegaElement("omega_plus", p, n, 1, (omega_pm_poly(p, n, +1),)),
-        "omega_minus": OmegaElement("omega_minus", p, n, 1, (omega_pm_poly(p, n, -1),)),
-    }
 
 
 # ---------------------------------------------------------------------------

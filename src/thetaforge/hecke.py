@@ -4,13 +4,14 @@ vertex eigenfunction to an edge eigenfunction, seeded eigen-extensions, and
 the congruence-to-a-constant invariant.
 
 Forms carry h components evaluated on one stored ball; values are residues
-mod p^k wrapped as PrecisionInt.
+mod p^k wrapped as PrecisionInt.  Adjacency (depth, children, parent) is read
+from the ball's tables, which tree.ball() builds once.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .errors import EmptyDomain, InvariantViolation, MissingEigenvalue
 from .padic import PrecisionInt, hensel_unit_root
@@ -77,11 +78,7 @@ class EdgeForm:
 def _shrunk_ball(b: Ball) -> Ball:
     if b.radius == 0:
         raise EmptyDomain("cannot shrink a radius-0 ball")
-    inner = set()
-    for s in b.spheres[: b.radius]:
-        inner.update(s)
-    parent = {v: w for v, w in b.parent.items() if v in inner}
-    return Ball(b.center, b.radius - 1, b.spheres[: b.radius], parent)
+    return replace(b, radius=b.radius - 1, spheres=b.spheres[: b.radius])
 
 
 def hecke_T(f: VertexForm) -> VertexForm:
@@ -89,14 +86,12 @@ def hecke_T(f: VertexForm) -> VertexForm:
     if f.domain.radius < 1:
         raise EmptyDomain("adjacency sum needs radius >= 1")
     inner = _shrunk_ball(f.domain)
-    from .tree import neighbors
-
     tables = []
     for table in f.tables:
         out = {}
         for v in inner.vertices():
             acc = PrecisionInt(f.p, f.k, 0)
-            for w in neighbors(v):
+            for w in f.domain.adjacent(v):
                 acc = acc + table[w]
             out[v] = acc
         tables.append(out)
@@ -106,12 +101,8 @@ def hecke_T(f: VertexForm) -> VertexForm:
 def interior_edges(b: Ball):
     """Directed edges whose target is at depth <= radius - 1, so that every
     non-backtracking continuation stays inside the ball."""
-    depth = {}
-    for j, s in enumerate(b.spheres):
-        for v in s:
-            depth[v] = j
     for e in b.directed_edges():
-        if depth[e.target] <= b.radius - 1:
+        if b.depth(e.target) <= b.radius - 1:
             yield e
 
 
@@ -119,20 +110,18 @@ def hecke_U(f: EdgeForm) -> EdgeForm:
     """(U f)(e) = sum of f over the p continuations of e (reversal excluded).
 
     Defined on the edges whose p continuations all carry values, so repeated
-    application keeps shrinking the edge set inward.
+    application keeps shrinking the edge set inward.  Edges into the boundary
+    sphere have no continuations inside the ball and are skipped.
     """
-    if f.domain.radius < 1:
+    b = f.domain
+    if b.radius < 1:
         raise EmptyDomain("transfer sum needs radius >= 1")
-    from .tree import neighbors
-
-    known = set(f.tables[0])
+    known = f.tables[0]
     tables = [dict() for _ in range(f.h)]
-    for e in f.tables[0]:
-        conts = [
-            DirectedEdge(e.target, w)
-            for w in neighbors(e.target)
-            if w != e.source
-        ]
+    for e in known:
+        if b.depth(e.target) == b.radius:
+            continue
+        conts = [DirectedEdge(e.target, w) for w in b.adjacent(e.target) if w != e.source]
         if len(conts) != f.p:
             raise InvariantViolation(f"edge {e} has {len(conts)} continuations, expected {f.p}")
         if not all(c in known for c in conts):
@@ -201,17 +190,11 @@ def local_eigen_extend(p: int, k: int, ap: int, radius: int, seed: int,
     for i in range(h):
         rng = random.Random(seed * 1000003 + i)
         vals = {b.center: rng.randrange(mod)}
-        # sphere 1: p+1 children of the center
-        children = list(b.spheres[1])
-        need = a * vals[b.center] % mod
-        for w in children[:-1]:
-            vals[w] = rng.randrange(mod)
-            need = (need - vals[w]) % mod
-        vals[children[-1]] = need
-        for j in range(1, radius):
-            for v in b.spheres[j]:
-                kids = [w for w in b.spheres[j + 1] if b.parent[w] == v]
-                need = (a * vals[v] - vals[b.parent[v]]) % mod
+        for s in b.spheres[:radius]:
+            for v in s:
+                # the center has no parent, which contributes 0
+                need = (a * vals[v] - vals.get(b.parent.get(v), 0)) % mod
+                kids = b.children(v)
                 for w in kids[:-1]:
                     vals[w] = rng.randrange(mod)
                     need = (need - vals[w]) % mod

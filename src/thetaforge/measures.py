@@ -17,6 +17,7 @@ from . import groupring
 from .errors import (
     CompatibilityViolation,
     DistributionViolation,
+    NotDivisible,
     NotOrdinary,
     NotSupersingular,
     PrecisionExhausted,
@@ -361,14 +362,13 @@ def _pm_extract_at(sys: CompatibleSystem, level: int) -> SignedThetaClass:
     layer = sys.level_exp[level]
     eps = 1 if layer % 2 == 0 else -1
     raw = theta_level(sys, level).value
-    annihilator = groupring.reduce_poly(
-        groupring.omega_pm_poly(sys.p, layer, eps), sys.p, sys.k, layer
-    )
-    if not (annihilator * raw).is_zero():
+    # divisibility by Omega~^{-eps} is the annihilation Omega^eps * raw = 0
+    try:
+        cls = divide_omega_tilde(raw, eps)
+    except NotDivisible as exc:
         raise NotSupersingular(
             f"omega annihilation fails at level {level} (layer {layer})"
-        )
-    cls = divide_omega_tilde(raw, eps)
+        ) from exc
     half = layer // 2 if eps > 0 else (layer + 1) // 2
     sign = -1 if half % 2 else 1
     signed = QuotientClass(cls.rep * sign, eps)

@@ -8,11 +8,11 @@ byte-identical files.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import os
 
-from .characters import FiniteOrderCharacter
 from .groupring import GroupRingElement
 from .hecke import EdgeForm, EigenData, VertexForm
 from .measures import CompatibleSystem
@@ -31,6 +31,8 @@ def envelope(kind: str, payload) -> dict:
 
 
 def open_envelope(obj, kind: str | None = None):
+    if not isinstance(obj, dict):
+        raise ValueError(f"artifact must be a JSON object, got {type(obj).__name__}")
     if obj.get("schema") != SCHEMA:
         raise ValueError(f"unknown schema version {obj.get('schema')!r}")
     if kind is not None and obj.get("kind") != kind:
@@ -57,6 +59,21 @@ def read_artifact(path: str, kind: str | None = None):
 # per-type payloads
 
 
+def _payload_reader(read):
+    """Report a payload of the wrong shape (a number where an object or a
+    list belongs, a list too short) as ValueError, like a bad value."""
+
+    @functools.wraps(read)
+    def checked(*args):
+        try:
+            return read(*args)
+        except (AttributeError, IndexError, TypeError) as exc:
+            what = read.__name__.removesuffix("_from_json")
+            raise ValueError(f"malformed {what} payload: {exc}") from exc
+
+    return checked
+
+
 def eigen_to_json(e: EigenData):
     return {
         "ap": e.ap.to_json() if e.ap is not None else None,
@@ -64,6 +81,7 @@ def eigen_to_json(e: EigenData):
     }
 
 
+@_payload_reader
 def eigen_from_json(obj) -> EigenData:
     ap = PrecisionInt.from_json(obj["ap"]) if obj["ap"] else None
     alpha = PrecisionInt.from_json(obj["alpha"]) if obj["alpha"] else None
@@ -93,6 +111,7 @@ def form_to_json(f):
     }
 
 
+@_payload_reader
 def form_from_json(obj):
     from .tree import ball
 
@@ -143,6 +162,7 @@ def system_to_json(s: CompatibleSystem):
     }
 
 
+@_payload_reader
 def system_from_json(obj) -> CompatibleSystem:
     n_max = int(obj["n_max"])
     levels = []
@@ -167,13 +187,6 @@ def system_from_json(obj) -> CompatibleSystem:
     )
 
 
-def groupring_to_json(x: GroupRingElement):
-    return x.to_json()
-
-
+@_payload_reader
 def groupring_from_json(obj) -> GroupRingElement:
     return GroupRingElement.from_json(obj)
-
-
-def character_from_json(p: int, delta: int, obj) -> FiniteOrderCharacter:
-    return FiniteOrderCharacter.from_json(p, delta, obj)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 from .errors import InvariantViolation, TransitivityViolation
 from .tree import DirectedEdge, Vertex, _normal_form_residues, distance, origin
-from .util import is_nonresidue, pmap
+from .util import is_nonresidue
 
 
 @dataclass(frozen=True)
@@ -350,7 +350,7 @@ def orbit_table(torus: QuadraticTorus, j: int, mode: str = "vertex",
         base = verts[j] if mode == "vertex" else edges[j - 1]
     k = j + 2
     labels = tuple(coset_labels(torus, j))
-    acted = pmap(lambda lbl: act(_lift_label(torus, lbl, k), base), labels)
+    acted = [act(_lift_label(torus, lbl, k), base) for lbl in labels]
     images, lookup = {}, {}
     for lbl, w in zip(labels, acted):
         if w in lookup:

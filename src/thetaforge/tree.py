@@ -166,12 +166,19 @@ def distance(v: Vertex, w: Vertex) -> int:
 
 @dataclass(frozen=True)
 class Ball:
-    """Distance-closed ball with its breadth-first tree structure."""
+    """Distance-closed ball with its breadth-first tree structure.
+
+    ball() fills the parent, depth and children tables once; children are in
+    neighbors() order minus the parent.  A smaller ball around the same
+    center may share the tables, so lookups ignore entries beyond the radius.
+    """
 
     center: Vertex
     radius: int
     spheres: tuple          # spheres[j] = tuple of vertices at distance j
-    parent: dict = field(hash=False)
+    parent: dict = field(compare=False)
+    depth_of: dict = field(compare=False)
+    children_of: dict = field(compare=False)
 
     @property
     def p(self) -> int:
@@ -181,40 +188,44 @@ class Ball:
         for s in self.spheres:
             yield from s
 
-    def vertex_set(self) -> frozenset:
-        return frozenset(self.vertices())
-
     def depth(self, v: Vertex) -> int:
-        for j, s in enumerate(self.spheres):
-            if v in s:
-                return j
-        raise KeyError(v)
+        d = self.depth_of[v]
+        if d > self.radius:
+            raise KeyError(v)
+        return d
 
     def directed_edges(self):
         """All oriented adjacent pairs inside the ball (tree edges, both ways)."""
-        for child, par in self.parent.items():
-            yield DirectedEdge(par, child)
-            yield DirectedEdge(child, par)
+        for s in self.spheres[1:]:
+            for child in s:
+                par = self.parent[child]
+                yield DirectedEdge(par, child)
+                yield DirectedEdge(child, par)
 
-    def children(self, v: Vertex) -> list:
-        return [c for c, par in self.parent.items() if par == v]
+    def children(self, v: Vertex) -> tuple:
+        return () if self.depth(v) == self.radius else self.children_of[v]
+
+    def adjacent(self, v: Vertex) -> tuple:
+        """The neighbors of v inside the ball: its children, then its parent."""
+        par = self.parent.get(v)
+        return self.children(v) + (() if par is None else (par,))
 
 
 def ball(v: Vertex, radius: int) -> Ball:
     spheres = [(v,)]
-    parent = {}
-    frontier = [v]
-    for _ in range(radius):
+    parent, depth_of, children_of = {}, {v: 0}, {}
+    for j in range(1, radius + 1):
         nxt = []
-        for x in frontier:
+        for x in spheres[-1]:
             par = parent.get(x)
-            for w in neighbors(x):
-                if w != par:
-                    parent[w] = x
-                    nxt.append(w)
+            kids = tuple(w for w in neighbors(x) if w != par)
+            children_of[x] = kids
+            for w in kids:
+                parent[w] = x
+                depth_of[w] = j
+            nxt.extend(kids)
         spheres.append(tuple(nxt))
-        frontier = nxt
-    return Ball(v, radius, tuple(spheres), parent)
+    return Ball(v, radius, tuple(spheres), parent, depth_of, children_of)
 
 
 def sphere(v: Vertex, r: int) -> list:

@@ -1,9 +1,6 @@
-"""Small shared helpers: valuations, Legendre symbol, bounded thread pool."""
+"""Small shared helpers: valuations and the Legendre symbol."""
 
 from __future__ import annotations
-
-import os
-from concurrent.futures import ThreadPoolExecutor
 
 
 def val_p(x: int, p: int) -> int | None:
@@ -40,24 +37,3 @@ def default_nonresidue(p: int) -> int:
         if is_nonresidue(d, p):
             return d
     raise ValueError(f"no non-residue found mod {p}")
-
-
-def thread_count() -> int:
-    raw = os.environ.get("THETA_FORGE_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
-def pmap(fn, items):
-    """Map fn over items, using threads when THETA_FORGE_THREADS > 1.
-
-    Work items must be independent; result order matches input order.
-    """
-    items = list(items)
-    n = thread_count()
-    if n <= 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=n) as pool:
-        return list(pool.map(fn, items))

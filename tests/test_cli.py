@@ -117,6 +117,24 @@ class TestFormsAndSystems:
         assert err["error"]["type"] == "DistributionViolation"
         assert "layer" in err["error"]["detail"]["violation"]
 
+    @pytest.mark.parametrize("damage", ["envelope-list", "levels-cut", "level-number"])
+    def test_malformed_system_is_a_typed_error(self, tmp_path, capsys, damage):
+        assert run(["synth", "--mode", "vertex", "--ap", "0", "--p", "3", "--k", "6",
+                    "--n-max", "3", "--seed", "1", "--out", str(tmp_path)]) == 0
+        _, sys_path = read_artifact_from_stdout(capsys)
+        obj = json.load(open(sys_path))
+        if damage == "envelope-list":
+            obj = []
+        elif damage == "levels-cut":
+            obj["payload"]["levels"] = obj["payload"]["levels"][:2]
+        else:
+            obj["payload"]["levels"][1] = 5
+        bad_path = os.path.join(str(tmp_path), "bad.json")
+        json.dump(obj, open(bad_path, "w"))
+        assert run(["check-dist", "--system", bad_path, "--out", str(tmp_path)]) == 1
+        err = json.loads(capsys.readouterr().out.strip())
+        assert err["error"]["type"] == "ValueError"
+
     def test_lp_plus_on_ordinary_system_errors(self, tmp_path, capsys):
         assert run(["synth", "--mode", "edge", "--ap", "1", "--p", "3", "--k", "6",
                     "--n-max", "3", "--seed", "4", "--out", str(tmp_path)]) == 0
@@ -216,6 +234,20 @@ class TestConfigAndDeterminism:
         assert f1 == f2
         for name in f1:
             assert (d1 / name).read_bytes() == (d2 / name).read_bytes()
+
+    def test_pinned_form_artifact_names(self, tmp_path, capsys):
+        # content hashes of forms written before the ball indexed its
+        # adjacency; reading adjacency from the ball must not change a byte
+        def emit(*argv):
+            assert run(["forms", *argv, "--out", str(tmp_path)]) == 0
+            return os.path.basename(read_artifact_from_stdout(capsys)[1])
+
+        assert emit("eigen-extend", "--p", "3", "--k", "11", "--ap", "1", "--radius", "5",
+                    "--seed", "7") == "form-e5e4038962f91413.json"
+        assert emit("stabilize", "--ap", "1", "--p", "3", "--k", "11", "--form",
+                    str(tmp_path / "form-e5e4038962f91413.json")) == "form-a8942f87c70380b3.json"
+        assert emit("eigen-extend", "--p", "2", "--k", "6", "--ap", "1", "--radius", "4",
+                    "--seed", "3") == "form-061ea64e88e31ac6.json"
 
 
 class TestSerialization:

@@ -14,7 +14,6 @@ from thetaforge.groupring import (
     from_poly_view,
     lambda_invariant,
     mu_invariant,
-    omega_family,
     omega_pm_poly,
     omega_poly,
     omega_tilde_poly,
@@ -208,10 +207,6 @@ class TestOmegaFamily:
         assert reduce_poly(omega_poly(p, n), p, 5, n).is_zero()
 
     def test_family_dict_and_delta_guard(self):
-        fam = omega_family(3, 2, 1)
-        assert set(fam) == {"omega", "omega_tilde_plus", "omega_tilde_minus",
-                            "omega_plus", "omega_minus"}
-        assert "omega" in omega_family(3, 2, 2)
         with pytest.raises(UnsupportedDelta):
             divide_omega_tilde(zero(3, 5, 2, 2), 1)
 

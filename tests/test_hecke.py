@@ -18,7 +18,7 @@ from thetaforge.hecke import (
     target_form,
 )
 from thetaforge.padic import PrecisionInt
-from thetaforge.tree import ball, origin
+from thetaforge.tree import DirectedEdge, ball, distance, neighbors, origin
 
 
 def constant_vertex_form(p, k, radius, c=1):
@@ -242,3 +242,99 @@ class TestNuInvariant:
         b = ball(origin(3), 2)
         for e in interior_edges(b):
             assert b.depth(e.target) <= 1
+
+
+# Reference operators that derive adjacency from neighbors() on every visit,
+# independently of the tables the ball builds; results are residue dicts.
+
+
+def random_form(cls, p, k, radius, h, seed):
+    rng = random.Random(seed)
+    b = ball(origin(p), radius)
+    keys = list(b.vertices()) if cls is VertexForm else list(b.directed_edges())
+    tables = tuple({w: PrecisionInt(p, k, rng.randrange(p**k)) for w in keys}
+                   for _ in range(h))
+    return cls(p, k, h, b, tables)
+
+
+def residues(f):
+    return [{w: c.residue for w, c in t.items()} for t in f.tables]
+
+
+def reference_T(f):
+    mod = f.p**f.k
+    inner = [v for v in f.tables[0] if distance(f.domain.center, v) < f.domain.radius]
+    return [{v: sum(t[w].residue for w in neighbors(v)) % mod for v in inner}
+            for t in f.tables]
+
+
+def reference_U(tables, p, k):
+    known = tables[0]
+    out = [dict() for _ in tables]
+    for e in known:
+        conts = [DirectedEdge(e.target, w) for w in neighbors(e.target) if w != e.source]
+        if all(c in known for c in conts):
+            for t, o in zip(tables, out):
+                o[e] = sum(t[c] for c in conts) % p**k
+    return out
+
+
+def reference_eigen_extend(p, k, ap, radius, seed, h):
+    mod = p**k
+    center = origin(p)
+    tables = []
+    for i in range(h):
+        rng = random.Random(seed * 1000003 + i)
+        vals = {center: rng.randrange(mod)}
+        frontier = [(center, None)]
+        for _ in range(radius):
+            nxt = []
+            for v, par in frontier:
+                kids = [w for w in neighbors(v) if w != par]
+                need = (ap * vals[v] - (vals[par] if par is not None else 0)) % mod
+                for w in kids[:-1]:
+                    vals[w] = rng.randrange(mod)
+                    need = (need - vals[w]) % mod
+                vals[kids[-1]] = need
+                nxt.extend((w, v) for w in kids)
+            frontier = nxt
+        tables.append(vals)
+    return tables
+
+
+class TestAgainstNeighborsReference:
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    @pytest.mark.parametrize("radius", [1, 2, 3, 4])
+    @pytest.mark.parametrize("h", [1, 2])
+    def test_hecke_T(self, p, radius, h):
+        f = random_form(VertexForm, p, 6, radius, h, seed=radius)
+        tf = hecke_T(f)
+        assert residues(tf) == reference_T(f)
+        # the shrunk domain shares the tables of f's ball but reads as a fresh ball
+        fresh = ball(origin(p), radius - 1)
+        assert tf.domain == fresh
+        assert list(tf.domain.directed_edges()) == list(fresh.directed_edges())
+        for v in fresh.vertices():
+            assert tf.domain.depth(v) == fresh.depth(v)
+            assert tf.domain.adjacent(v) == fresh.adjacent(v)
+        for v in f.domain.spheres[radius]:
+            with pytest.raises(KeyError):
+                tf.domain.depth(v)
+
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    @pytest.mark.parametrize("radius", [1, 2, 3, 4])
+    @pytest.mark.parametrize("h", [1, 2])
+    def test_hecke_U_and_U_squared(self, p, radius, h):
+        k = 6
+        f = random_form(EdgeForm, p, k, radius, h, seed=radius)
+        uf = hecke_U(f)
+        once = reference_U(residues(f), p, k)
+        assert residues(uf) == once
+        if radius >= 2:
+            assert residues(hecke_U(uf)) == reference_U(once, p, k)
+
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    @pytest.mark.parametrize("radius", [1, 2, 3, 4])
+    def test_local_eigen_extend(self, p, radius):
+        f = local_eigen_extend(p, 7, 1, radius, seed=11, h=2)
+        assert residues(f) == reference_eigen_extend(p, 7, 1, radius, 11, 2)

@@ -17,11 +17,13 @@ def test_neighbors_must_be_distinct(monkeypatch):
 
 
 def test_hecke_u_needs_p_continuations(monkeypatch):
+    # hecke reads adjacency from the ball, so the broken neighbors() must be
+    # in place when the ball is built
     p, k = 3, 4
-    b = tree.ball(tree.origin(p), 2)
-    form = EdgeForm(p, k, 1, b, ({e: PrecisionInt(p, k, 1) for e in b.directed_edges()},))
     real = tree.neighbors
     monkeypatch.setattr(tree, "neighbors", lambda v: real(v)[:-1])
+    b = tree.ball(tree.origin(p), 2)
+    form = EdgeForm(p, k, 1, b, ({e: PrecisionInt(p, k, 1) for e in b.directed_edges()},))
     with pytest.raises(InvariantViolation):
         hecke_U(form)
 

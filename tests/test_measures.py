@@ -235,6 +235,16 @@ class TestPmExtract:
         with pytest.raises(NotSupersingular):
             pm_extract(s, 3)
 
+    @pytest.mark.parametrize("level_map", ["local", "full"])
+    def test_non_annihilated_theta_is_not_supersingular(self, level_map):
+        p, k, n = 3, 6, 4
+        s = synth_system(p, k, "vertex", EigenData.supersingular(p, k), n,
+                         level_map=level_map, seed=3)
+        label, c = sorted(s.levels[n].items())[0]
+        bumped = s.with_coefficient(n, label, c + 1)
+        with pytest.raises(NotSupersingular):
+            pm_extract(bumped, n)
+
     def test_requires_delta_one(self):
         s = synth_system(3, 5, "vertex", EigenData.supersingular(3, 5), 2,
                          delta=2, level_map="full", seed=1)

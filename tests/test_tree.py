@@ -210,6 +210,26 @@ class TestEdgesAndBall:
         assert [len(s) for s in b.spheres] == [1, 4, 12, 36]
         assert len(list(b.directed_edges())) == 2 * (4 + 12 + 36)
 
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    @pytest.mark.parametrize("radius", range(5))
+    def test_index_matches_neighbors(self, p, radius):
+        for center in (origin(p), Vertex(p, 1, 1, 1)):
+            b = ball(center, radius)
+            for v in b.vertices():
+                assert b.depth(v) == distance(center, v)
+                par = b.parent.get(v)
+                assert (par is None) == (v == center)
+                if b.depth(v) < radius:
+                    assert b.children(v) == tuple(w for w in neighbors(v) if w != par)
+                    assert len(b.adjacent(v)) == p + 1
+                    assert set(b.adjacent(v)) == set(neighbors(v))
+                else:
+                    assert b.children(v) == ()
+                    assert b.adjacent(v) == (() if par is None else (par,))
+            outside = sphere(center, radius + 1)[0]
+            with pytest.raises(KeyError):
+                b.depth(outside)
+
     def test_dot_output(self):
         text = to_dot(origin(2), 1)
         assert text.startswith("graph")
