@@ -2,9 +2,13 @@
 L-element, interpolation identity, and the mu = 2 nu law.
 
 Usage: python scripts/ordinary_tower.py [--p 3] [--k 8] [--ap 1] [--seed 21]
+
+Exits 1 when any printed check fails: the distribution relations, the
+mu = 2 nu law or a product identity.
 """
 
 import argparse
+import sys
 
 from thetaforge import groupring as gr
 from thetaforge.characters import FiniteOrderCharacter, interpolation_shape
@@ -29,18 +33,25 @@ def main():
     eig = EigenData.ordinary(p, k, args.ap)
     print(f"p = {p}, k = {k}, a_p = {args.ap}, unit root alpha = {eig.alpha.residue}")
 
+    failed = []
     f0 = scale_form(local_eigen_extend(p, k, args.ap, args.depth, args.seed), p**args.nu)
-    print(f"nu invariant of the stabilized input form: {nu_invariant(f0)}")
+    nu = nu_invariant(f0)
+    print(f"nu invariant of the input form: {nu}")
 
     system = from_tree(stabilize(f0, eig), torus, eig, args.depth)
     report = check_distribution(system)
     print(f"distribution relations: {report.relations_checked} checked, ok = {report.ok}")
+    if not report.ok:
+        failed.append("distribution")
 
     theta = theta_ordinary(system, args.depth)
     ell = lp(system, args.depth)
     print(f"theta layer {theta.value.n}: mu = {gr.mu_invariant(theta.value)}, "
           f"lambda = {gr.lambda_invariant(theta.value)}")
-    print(f"L-element: mu = {gr.mu_invariant(ell.value)} (expected {2 * args.nu})")
+    mu = gr.mu_invariant(ell.value)
+    print(f"L-element: mu = {mu} (expected 2 nu = {2 * nu})")
+    if mu != 2 * nu:
+        failed.append("mu = 2 nu")
 
     for m_cond in range(min(args.depth - 1, 2) + 1):
         rho = FiniteOrderCharacter(p, m_cond, 1, (1,))
@@ -49,7 +60,14 @@ def main():
         print(f"conductor p^{m_cond}: product identity ok = {rep.ok}, "
               f"val rho(L) = {rep.lhs_valuation} (units 1/{e}) "
               f"= {rep.factor_valuations[0]} + {rep.factor_valuations[1]}")
+        if not rep.ok:
+            failed.append(f"product identity at conductor p^{m_cond}")
+
+    if failed:
+        print(f"FAILED: {', '.join(failed)}", file=sys.stderr)
+        return 1
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

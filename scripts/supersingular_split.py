@@ -3,9 +3,13 @@ plus/minus extraction with signs, tower compatibility, and mu of the signed
 products.
 
 Usage: python scripts/supersingular_split.py [--p 3] [--k 6] [--depth 5]
+
+Exits 1 when any printed check fails: the distribution relations, an omega
+annihilation or the signed tower compatibility.
 """
 
 import argparse
+import sys
 
 from thetaforge import groupring as gr
 from thetaforge.hecke import EigenData
@@ -29,8 +33,11 @@ def main():
     p, k = args.p, args.k
     system = synth_system(p, k, "vertex", EigenData.supersingular(p, k),
                           args.depth, level_map="full", seed=args.seed)
-    print(f"p = {p}, k = {k}, depth = {args.depth}: "
-          f"distribution ok = {check_distribution(system).ok}")
+    failed = []
+    dist_ok = check_distribution(system).ok
+    print(f"p = {p}, k = {k}, depth = {args.depth}: distribution ok = {dist_ok}")
+    if not dist_ok:
+        failed.append("distribution")
 
     for n in range(2, args.depth + 1):
         layer = system.level_exp[n]
@@ -38,7 +45,10 @@ def main():
         raw = theta_level(system, n).value
         ann = gr.reduce_poly(gr.omega_pm_poly(p, layer, eps), p, k, layer)
         tag = "+" if eps > 0 else "-"
-        print(f"level {n}: omega_{layer}^{tag} * theta = 0 is {(ann * raw).is_zero()}")
+        killed = (ann * raw).is_zero()
+        print(f"level {n}: omega_{layer}^{tag} * theta = 0 is {killed}")
+        if not killed:
+            failed.append(f"annihilation at level {n}")
 
     pair = pm_extract(system, args.depth)
     for name, cls in (("plus", pair.plus), ("minus", pair.minus)):
@@ -52,7 +62,14 @@ def main():
         ok_p = pm_project_class(hi.plus, lo.plus.layer).same_class(lo.plus.cls)
         ok_m = pm_project_class(hi.minus, lo.minus.layer).same_class(lo.minus.cls)
         print(f"signed tower compatibility: plus {ok_p}, minus {ok_m}")
+        if not (ok_p and ok_m):
+            failed.append("compatibility")
+
+    if failed:
+        print(f"FAILED: {', '.join(failed)}", file=sys.stderr)
+        return 1
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

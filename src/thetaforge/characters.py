@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from .errors import ConductorTooLarge, NotOrdinary
 from .groupring import GroupRingElement, mu_invariant, star
 from .measures import CompatibleSystem, lp
-from .padic import CyclotomicValue, IntPolynomial
+from .padic import CyclotomicValue, IntPolynomial, _reduce_cyclotomic, euler_phi_p_power
 from .util import capped_val
 
 
@@ -26,6 +26,8 @@ class FiniteOrderCharacter:
     exponents: tuple
 
     def __post_init__(self):
+        if self.m < 0:
+            raise ValueError("conductor exponent must be nonnegative")
         mod = self.p**self.m
         exps = tuple(int(e) % mod for e in self.exponents)
         if len(exps) != self.delta:
@@ -55,7 +57,17 @@ class FiniteOrderCharacter:
 
     @staticmethod
     def from_json(p: int, delta: int, obj) -> "FiniteOrderCharacter":
-        return FiniteOrderCharacter(p, int(obj["m"]), delta, tuple(obj["exponents"]))
+        """Read {"m": int, "exponents": [int, ...]}; any other shape is a
+        ValueError."""
+        if not isinstance(obj, dict) or not isinstance(obj.get("exponents"), list):
+            raise ValueError(
+                f'a character is a JSON object {{"m": int, "exponents": [int, ...]}}, got {obj!r}'
+            )
+        try:
+            m, exps = int(obj["m"]), tuple(int(e) for e in obj["exponents"])
+        except (KeyError, TypeError) as exc:
+            raise ValueError(f"malformed character {obj!r}") from exc
+        return FiniteOrderCharacter(p, m, delta, exps)
 
 
 def specialize(lam: GroupRingElement, rho: FiniteOrderCharacter) -> CyclotomicValue:
@@ -75,8 +87,6 @@ def specialize(lam: GroupRingElement, rho: FiniteOrderCharacter) -> CyclotomicVa
         if c:
             tup = lam.tuple_of(idx)
             raw[rho.value_exponent(tup)] += c
-    from .padic import _reduce_cyclotomic, euler_phi_p_power
-
     phi = euler_phi_p_power(p, m)
     return CyclotomicValue(p, k, m, _reduce_cyclotomic(raw, p, k, m, phi))
 
@@ -101,7 +111,9 @@ def star_identity_check(lam: GroupRingElement, rho: FiniteOrderCharacter) -> Sta
 def period_sum(sys: CompatibleSystem, rho: FiniteOrderCharacter, m: int) -> CyclotomicValue:
     """alpha^(-m) sum over level-m labels of rho(free image) * coefficient.
 
-    Coincides with specializing the ordinary theta element at rho.
+    Coincides with specializing the ordinary theta element at rho.  The
+    coefficients are accumulated on the p^m raw zeta exponents and reduced
+    modulo the cyclotomic polynomial once, as in specialize.
     """
     if sys.mode != "edge":
         raise NotOrdinary("period sums are defined for ordinary edge systems")
@@ -113,15 +125,16 @@ def period_sum(sys: CompatibleSystem, rho: FiniteOrderCharacter, m: int) -> Cycl
             f"conductor exponent {rho.m} exceeds free exponent {sys.level_exp[m]}"
         )
     p, k = sys.p, sys.k
-    mod = p**k
-    acc = CyclotomicValue.from_int(p, k, rho.m, 0)
-    free_mod = p**rho.m
-    for key, c in sorted(sys.table(m).items()):
+    size = p**rho.m
+    raw = [0] * size
+    free = sys.free[m]
+    for key, c in sys.table(m).items():
         if c:
-            digits = sys.free[m][key]
-            e = sum(ei * (d % free_mod) for ei, d in zip(rho.exponents, digits))
-            acc = acc + CyclotomicValue.zeta_power(p, k, rho.m, e) * c
-    scale = pow(alpha.inverse().residue, m, mod)
+            e = sum(ei * d for ei, d in zip(rho.exponents, free[key]))
+            raw[e % size] += c
+    acc = CyclotomicValue(p, k, rho.m, _reduce_cyclotomic(
+        raw, p, k, rho.m, euler_phi_p_power(p, rho.m)))
+    scale = pow(alpha.inverse().residue, m, p**k)
     return acc * scale
 
 

@@ -252,6 +252,8 @@ def cmd_howard_scan(args) -> int:
     elements = tuple(serialize.groupring_from_json(e) for e in raw["elements"])
     family = HowardFamily(labels, elements)
     if args.prime == "custom":
+        if args.witness is None:
+            raise ValueError("--prime custom needs a --witness coefficient list")
         prime = IntPolynomial.from_json(json.loads(args.witness))
     else:
         prime = args.prime

@@ -111,29 +111,33 @@ def hecke_U(f: EdgeForm) -> EdgeForm:
 
     Defined on the edges whose p continuations all carry values, so repeated
     application keeps shrinking the edge set inward.  Edges into the boundary
-    sphere have no continuations inside the ball and are skipped.
+    sphere have no continuations inside the ball and are skipped.  The
+    continuations are read off an index of the form's own edges by source.
     """
     b = f.domain
     if b.radius < 1:
         raise EmptyDomain("transfer sum needs radius >= 1")
+    p, k = f.p, f.k
     known = f.tables[0]
+    leaving = {}
+    for c in known:
+        leaving.setdefault(c.source, []).append(c)
     tables = [dict() for _ in range(f.h)]
     for e in known:
-        if b.depth(e.target) == b.radius:
+        t = e.target
+        if b.depth(t) == b.radius:
             continue
-        conts = [DirectedEdge(e.target, w) for w in b.adjacent(e.target) if w != e.source]
-        if len(conts) != f.p:
-            raise InvariantViolation(f"edge {e} has {len(conts)} continuations, expected {f.p}")
-        if not all(c in known for c in conts):
+        nbrs = len(b.adjacent(t))
+        if nbrs != p + 1:
+            raise InvariantViolation(f"edge {e} has {nbrs - 1} continuations, expected {p}")
+        conts = [c for c in leaving.get(t, ()) if c.target != e.source]
+        if len(conts) != p:
             continue
-        for i in range(f.h):
-            acc = PrecisionInt(f.p, f.k, 0)
-            for c in conts:
-                acc = acc + f.tables[i][c]
-            tables[i][e] = acc
+        for table, out in zip(f.tables, tables):
+            out[e] = PrecisionInt(p, k, sum(table[c].residue for c in conts))
     if not tables[0]:
         raise EmptyDomain("no edge has all its continuations in the domain")
-    return EdgeForm(f.p, f.k, f.h, f.domain, tuple(tables))
+    return EdgeForm(p, k, f.h, f.domain, tuple(tables))
 
 
 def source_form(f0: VertexForm) -> EdgeForm:

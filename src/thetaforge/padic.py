@@ -158,7 +158,14 @@ class IntPolynomial:
 
     @staticmethod
     def from_json(obj) -> "IntPolynomial":
-        return IntPolynomial(tuple(int(c) for c in obj))
+        """Read a JSON list of integer coefficients; any other shape is a
+        ValueError."""
+        if not isinstance(obj, list):
+            raise ValueError(f"a polynomial is a JSON list of coefficients, got {obj!r}")
+        try:
+            return IntPolynomial(tuple(int(c) for c in obj))
+        except TypeError as exc:
+            raise ValueError(f"malformed polynomial coefficients {obj!r}") from exc
 
 
 ONE_POLY = IntPolynomial((1,))

@@ -234,7 +234,11 @@ def _element_order(torus, j, a, bound):
 
 @dataclass(frozen=True)
 class CosetDecomposition:
-    """Splitting of the level-j coset group as torsion x cyclic p-part."""
+    """Splitting of the level-j coset group as torsion x cyclic p-part.
+
+    parts maps each canonical label tgen^i * fgen^f to (i, f); it is read off
+    one walk over the group, one label multiplication per label.
+    """
 
     torus: QuadraticTorus
     j: int
@@ -242,26 +246,11 @@ class CosetDecomposition:
     free_order: int
     torsion_generator: tuple
     free_generator: tuple
-    torsion_log: dict
-    free_log: dict
+    parts: dict             # label -> (torsion index, free digit)
 
     def split(self, label) -> tuple:
         """(torsion index, free digit) for a canonical label."""
-        torus, j = self.torus, self.j
-        if self.free_order == 1 and self.torsion_order == 1:
-            return (0, 0)
-        t_part = _label_pow(torus, j, label, self._alpha_torsion)
-        f_part = _label_pow(torus, j, label, self._alpha_free)
-        return (self.torsion_log[t_part], self.free_log[f_part])
-
-    @property
-    def _alpha_torsion(self):
-        # projection exponent: 1 mod torsion order, 0 mod free order
-        return _crt_exponent(self.torsion_order, self.free_order)
-
-    @property
-    def _alpha_free(self):
-        return _crt_exponent(self.free_order, self.torsion_order)
+        return self.parts[label]
 
 
 def _crt_exponent(keep: int, kill: int) -> int:
@@ -275,15 +264,16 @@ def coset_decomposition(torus: QuadraticTorus, j: int) -> CosetDecomposition:
     p = torus.p
     if j == 0:
         lbl = (1, 0)
-        return CosetDecomposition(torus, 0, 1, 1, lbl, lbl, {lbl: 0}, {lbl: 0})
+        return CosetDecomposition(torus, 0, 1, 1, lbl, lbl, {lbl: (0, 0)})
     torsion_order = p + 1
     free_order = p ** (j - 1)
     ident = _canonical_pair(p, j, 1, 0)
     alpha_t = _crt_exponent(torsion_order, free_order)
     alpha_f = _crt_exponent(free_order, torsion_order)
+    labels = coset_labels(torus, j)
     # torsion generator: first label whose torsion projection has full order
     tgen = None
-    for lbl in coset_labels(torus, j):
+    for lbl in labels:
         cand = _label_pow(torus, j, lbl, alpha_t)
         if _element_order(torus, j, cand, torsion_order + 1) == torsion_order:
             tgen = cand
@@ -297,15 +287,20 @@ def coset_decomposition(torus: QuadraticTorus, j: int) -> CosetDecomposition:
             raise InvariantViolation(f"free generator at level {j} does not have order {free_order}")
     else:
         fgen = ident
-    tlog, acc = {}, ident
+    parts, row = {}, ident
     for i in range(torsion_order):
-        tlog[acc] = i
-        acc = _label_mul(torus, j, acc, tgen)
-    flog, acc = {}, ident
-    for i in range(free_order):
-        flog[acc] = i
-        acc = _label_mul(torus, j, acc, fgen)
-    return CosetDecomposition(torus, j, torsion_order, free_order, tgen, fgen, tlog, flog)
+        acc = row
+        for f in range(free_order):
+            parts[acc] = (i, f)
+            acc = _label_mul(torus, j, acc, fgen)
+        row = _label_mul(torus, j, row, tgen)
+    # every step is a canonical label and the walk takes as many steps as
+    # there are labels, so it covers them exactly once iff it never repeats
+    if len(parts) != len(labels):
+        raise InvariantViolation(
+            f"torsion x free walk does not cover the level-{j} cosets exactly once"
+        )
+    return CosetDecomposition(torus, j, torsion_order, free_order, tgen, fgen, parts)
 
 
 @dataclass(frozen=True)

@@ -141,6 +141,42 @@ class TestPeriodSum:
         assert ps_inv.ramification == 2
 
 
+def reference_period_sum(sys, rho, m):
+    """The per-label period sum: one zeta power and one cyclotomic addition
+    for every label."""
+    p, k = sys.p, sys.k
+    acc = CyclotomicValue.from_int(p, k, rho.m, 0)
+    free_mod = p**rho.m
+    for key, c in sorted(sys.table(m).items()):
+        if c:
+            digits = sys.free[m][key]
+            e = sum(ei * (d % free_mod) for ei, d in zip(rho.exponents, digits))
+            acc = acc + CyclotomicValue.zeta_power(p, k, rho.m, e) * c
+    return acc * pow(sys.eigen.alpha.inverse().residue, m, p**k)
+
+
+class TestPeriodSumAgainstPerLabelReference:
+    @pytest.mark.parametrize("p", [3, 5])
+    @pytest.mark.parametrize("cond", [0, 1, 2])
+    @pytest.mark.parametrize("delta", [1, 2])
+    @pytest.mark.parametrize("k", [5, 40])
+    def test_synthetic_edge_systems(self, p, cond, delta, k):
+        n_max = 3  # k = 5 is the minimum precision n_max + 2
+        s = synth_system(p, k, "edge", EigenData.ordinary(p, k, 1), n_max,
+                         delta=delta, seed=100 * p + 10 * cond + delta)
+        rng = random.Random(k)
+        chars = [FiniteOrderCharacter(p, cond, delta, (0,) * delta),
+                 FiniteOrderCharacter(p, cond, delta, (1,) + (0,) * (delta - 1)),
+                 FiniteOrderCharacter(p, cond, delta,
+                                      tuple(rng.randrange(p**cond) for _ in range(delta)))]
+        chars.append(chars[-1].inverse())
+        levels = [j for j in range(1, n_max + 1) if s.level_exp[j] >= cond]
+        assert levels
+        for j in levels:
+            for rho in chars:
+                assert period_sum(s, rho, j) == reference_period_sum(s, rho, j)
+
+
 class TestInterpolationShape:
     def test_trivial_character(self):
         s = ordinary_tower(seed=9)

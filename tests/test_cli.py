@@ -58,6 +58,18 @@ class TestTorusCommands:
         # rows carry the [torsion index, free digit] split
         assert all(len(r["h"]) == 2 for r in payload["rows"])
 
+    def test_pinned_orbit_artifact_names(self, tmp_path, capsys):
+        # content hashes of orbit tables written when each label was split by
+        # two CRT powers; reading the split off one group walk must not
+        # change a byte
+        def emit(*argv):
+            assert run(["torus", "orbit", *argv, "--out", str(tmp_path)]) == 0
+            return os.path.basename(read_artifact_from_stdout(capsys)[1])
+
+        assert emit("--p", "3", "--level", "4", "--mode", "edge") == "orbit-e18cc2a652f60b2c.json"
+        assert emit("--p", "5", "--level", "3", "--mode", "vertex") == "orbit-1dca9eb32be04d59.json"
+        assert emit("--p", "7", "--level", "2", "--mode", "edge") == "orbit-7cd7e7f3440ff6f9.json"
+
     def test_base_seq(self, tmp_path, capsys):
         assert run(["torus", "base-seq", "--p", "5", "--d", "2", "--n-max", "3",
                     "--out", str(tmp_path)]) == 0
@@ -160,6 +172,15 @@ class TestFormsAndSystems:
         payload = serialize.read_artifact(sp_path, "specialize")
         assert "valuation_units" in payload
 
+    @pytest.mark.parametrize("character", ['[]', '{"m":1,"exponents":5}',
+                                           '{"exponents":[1]}', '{"m":-1,"exponents":[1]}'])
+    def test_malformed_character_is_a_typed_error(self, tmp_path, capsys, character):
+        th_path = serialize.write_artifact(str(tmp_path), "theta", one(3, 5, 2).to_json())
+        assert run(["specialize", "--element", th_path, "--character", character,
+                    "--out", str(tmp_path)]) == 1
+        err = json.loads(capsys.readouterr().out.strip())
+        assert err["error"]["type"] == "ValueError"
+
 
 class TestHowardScan:
     def _family_artifact(self, tmp_path, elements, labels):
@@ -192,6 +213,15 @@ class TestHowardScan:
                     "--out", str(tmp_path)]) == 0
         out, path = read_artifact_from_stdout(capsys)
         assert serialize.read_artifact(path, "howard")["passed"] is True
+
+    @pytest.mark.parametrize("witness", [["--witness", "5"],
+                                         ["--witness", '[[1]]'], []])
+    def test_malformed_witness_is_a_typed_error(self, tmp_path, capsys, witness):
+        fam_path = self._family_artifact(tmp_path, [one(3, 5, 1)], ["u"])
+        assert run(["howard-scan", "--family", fam_path, "--prime", "custom", *witness,
+                    "--k0", "2", "--out", str(tmp_path)]) == 1
+        err = json.loads(capsys.readouterr().out.strip())
+        assert err["error"]["type"] == "ValueError"
 
 
 class TestConfigAndDeterminism:

@@ -338,3 +338,20 @@ class TestAgainstNeighborsReference:
     def test_local_eigen_extend(self, p, radius):
         f = local_eigen_extend(p, 7, 1, radius, seed=11, h=2)
         assert residues(f) == reference_eigen_extend(p, 7, 1, radius, 11, 2)
+
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    @pytest.mark.parametrize("radius", [1, 2, 3])
+    @pytest.mark.parametrize("h", [1, 2])
+    def test_hecke_U_on_a_partial_domain(self, p, radius, h):
+        # without the value on one edge out of the center, the edges into the
+        # center that continue along it are skipped
+        k = 6
+        f = random_form(EdgeForm, p, k, radius, h, seed=radius + 10)
+        center = f.domain.center
+        gone = DirectedEdge(center, f.domain.children(center)[0])
+        for table in f.tables:
+            del table[gone]
+        uf = hecke_U(f)
+        assert residues(uf) == reference_U(residues(f), p, k)
+        skipped = [DirectedEdge(w, center) for w in f.domain.children(center)[1:]]
+        assert skipped and not any(e in uf.tables[0] for e in skipped)

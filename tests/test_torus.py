@@ -3,6 +3,7 @@ from collections import Counter
 
 import pytest
 
+from thetaforge.errors import InvariantViolation
 from thetaforge.torus import (
     Geodesic,
     QuadraticTorus,
@@ -17,8 +18,11 @@ from thetaforge.torus import (
     orbit_table,
     reduce_label,
     split_norm_exponent,
+    _crt_exponent,
+    _label_pow,
 )
 from thetaforge.tree import Vertex, distance, origin, sphere
+from thetaforge.util import default_nonresidue
 
 
 def inert(p=3, d=2):
@@ -236,3 +240,41 @@ class TestCosetDecomposition:
             tc, fc = dec.split(_label_mul(torus, j, a, b))
             assert tc == (ta + tb) % 4
             assert fc == (fa + fb) % 9
+
+    @pytest.mark.parametrize("p,j", [(p, j) for p in (3, 5, 7) for j in range(6)]
+                             + [(11, j) for j in range(4)])
+    def test_walk_matches_crt_power_split(self, p, j):
+        torus = QuadraticTorus(p, "inert", default_nonresidue(p))
+        dec = coset_decomposition(torus, j)
+        assert dec.parts == reference_parts(dec)
+
+    def test_walk_must_cover_the_labels(self, monkeypatch):
+        # a free generator of order 3 instead of 9 that passes the order check
+        # makes the walk repeat labels
+        from thetaforge import torus as torus_mod
+
+        real_pow, real_order = torus_mod._label_pow, torus_mod._element_order
+        monkeypatch.setattr(torus_mod, "_label_pow",
+                            lambda torus, j, a, e: real_pow(torus, j, a, 3 * e))
+        monkeypatch.setattr(torus_mod, "_element_order",
+                            lambda torus, j, a, bound: 9 if bound == 9
+                            else real_order(torus, j, a, bound))
+        with pytest.raises(InvariantViolation, match="exactly once"):
+            coset_decomposition(inert(), 3)
+
+
+def reference_parts(dec):
+    """The per-label split: project each label by CRT exponents, then read
+    the discrete logs off the powers of the two generators."""
+    torus, j = dec.torus, dec.j
+    labels = coset_labels(torus, j)
+    if j == 0:
+        return {lbl: (0, 0) for lbl in labels}
+    alpha_t = _crt_exponent(dec.torsion_order, dec.free_order)
+    alpha_f = _crt_exponent(dec.free_order, dec.torsion_order)
+    tlog = {_label_pow(torus, j, dec.torsion_generator, i): i
+            for i in range(dec.torsion_order)}
+    flog = {_label_pow(torus, j, dec.free_generator, f): f
+            for f in range(dec.free_order)}
+    return {lbl: (tlog[_label_pow(torus, j, lbl, alpha_t)],
+                  flog[_label_pow(torus, j, lbl, alpha_f)]) for lbl in labels}
