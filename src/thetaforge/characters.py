@@ -9,7 +9,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import ConductorTooLarge, NotOrdinary
-from .groupring import GroupRingElement, mu_invariant, star
+from .groupring import GroupRingElement, mu_invariant, poly_view, star
 from .measures import CompatibleSystem, lp
 from .padic import CyclotomicValue, IntPolynomial, _reduce_cyclotomic, euler_phi_p_power
 from .util import capped_val
@@ -250,8 +250,6 @@ def howard_check(family: HowardFamily, prime_spec, k0: int) -> HowardReport:
         elif isinstance(prime_spec, IntPolynomial):
             if elt.delta != 1:
                 raise ValueError("witness primes are supported for delta = 1")
-            from .groupring import poly_view
-
             rem = _poly_remainder_mod(poly_view(elt), prime_spec, elt.p, min(k0, elt.k))
             nonzero = [c for c in rem if c]
             val = min(

@@ -248,9 +248,14 @@ def cmd_specialize(args) -> int:
 
 def cmd_howard_scan(args) -> int:
     raw = serialize.read_artifact(args.family, "family")
-    labels = tuple(raw["labels"])
-    elements = tuple(serialize.groupring_from_json(e) for e in raw["elements"])
-    family = HowardFamily(labels, elements)
+    if not isinstance(raw, dict):
+        raise ValueError("family payload must be a JSON object")
+    labels, elements = raw["labels"], raw["elements"]
+    if not (isinstance(labels, list) and isinstance(elements, list)):
+        raise ValueError("family labels and elements must be lists")
+    if any(isinstance(l, (list, dict)) for l in labels):
+        raise ValueError("family labels must be strings or numbers")
+    family = HowardFamily(tuple(labels), tuple(serialize.groupring_from_json(e) for e in elements))
     if args.prime == "custom":
         if args.witness is None:
             raise ValueError("--prime custom needs a --witness coefficient list")

@@ -5,6 +5,9 @@ cyclotomic products that organize the plus/minus decomposition.
 
 The polynomial view identifies the generator of each cyclic factor with
 T_i + 1, so the layer-n ring in one variable is (Z/p^k)[T]/((T+1)^(p^n)-1).
+For delta = 1 it is an exact Taylor shift by +1 mod p^k, done bottom-up over
+doubling blocks with one Kronecker-packed big-int product per level: about
+log2(p^n) products in O(p^n) slots of O(k log p) bits, with no binomial table.
 
 Division by Omega~ works in the group-element basis, where the factor
 Sigma_{p^j}(gamma) = sum_{b<p} gamma^(b p^(j-1)) is monic with p unit
@@ -145,6 +148,11 @@ def _pack(coeffs, width: int) -> int:
     return int.from_bytes(b"".join(c.to_bytes(width, "little") for c in coeffs), "little")
 
 
+def _unpack(value: int, width: int, count: int) -> list:
+    raw = value.to_bytes(count * width, "little")
+    return [int.from_bytes(raw[i:i + width], "little") for i in range(0, len(raw), width)]
+
+
 def _convolve(x: GroupRingElement, y: GroupRingElement) -> GroupRingElement:
     mod = x.p**x.k
     q = x.order
@@ -152,8 +160,7 @@ def _convolve(x: GroupRingElement, y: GroupRingElement) -> GroupRingElement:
         # Kronecker substitution: each slot holds a full product coefficient
         # (< q * mod^2), so one big-int product carries them all exactly.
         width = (q * mod * mod).bit_length() // 8 + 1
-        raw = (_pack(x.coeffs, width) * _pack(y.coeffs, width)).to_bytes(2 * q * width, "little")
-        full = [int.from_bytes(raw[i:i + width], "little") for i in range(0, len(raw), width)]
+        full = _unpack(_pack(x.coeffs, width) * _pack(y.coeffs, width), width, 2 * q)
         return GroupRingElement(x.p, x.k, x.n, 1, tuple(full[i] + full[i + q] for i in range(q)))
     out = [0] * x.group_size
     for i, ci in enumerate(x.coeffs):
@@ -223,66 +230,57 @@ def lambda_invariant(x: GroupRingElement) -> int:
     if x.delta != 1:
         raise UnsupportedDelta("lambda invariant is defined for delta = 1")
     poly = poly_view(x)
-    mu = min(capped_val(c, x.p, x.k) for c in poly)
-    for i, c in enumerate(poly):
-        if capped_val(c, x.p, x.k) == mu:
-            return i
-    return 0
+    return min(range(len(poly)), key=lambda i: capped_val(poly[i], x.p, x.k))
 
 
 # ---------------------------------------------------------------------------
 # polynomial view (delta = 1): generator <-> T + 1
 
 
-@lru_cache(maxsize=None)
-def _binomial_rows(n: int):
-    """Pascal rows up to (Y+1)^(n-1), as tuples."""
-    rows = [(1,)]
-    for _ in range(n - 1):
-        prev = rows[-1]
-        rows.append(tuple(
-            (prev[j] if j < len(prev) else 0) + (prev[j - 1] if j >= 1 else 0)
-            for j in range(len(prev) + 1)
-        ))
-    return rows
+def _taylor_shift(coeffs, c: int, mod: int) -> list:
+    """Coefficients of sum_i a_i (X + c)^i mod `mod`, a = coeffs.
+
+    Bottom-up over blocks of size s = 1, 2, 4, ...: each pair of adjacent
+    blocks merges as lo + (X + c)^s * hi.  With the lo blocks zeroed, the hi
+    blocks sit 2s slots apart and their products with (X + c)^s (degree s)
+    cannot meet, so a level is one Kronecker-packed big-int product;
+    (X + c)^(2s) is the packed square of (X + c)^s.  A slot sums at most
+    s + 1 <= len(coeffs) products of residues, so len(coeffs) * mod^2 bounds
+    it and no slot carries into the next.
+    """
+    size = len(coeffs)
+    width = (size * mod * mod).bit_length() // 8 + 1
+    cur = [a % mod for a in coeffs]
+    power = [c % mod, 1]
+    s = 1
+    while s < size:
+        # s is a power of two, so i & s marks the hi half of each 2s-block
+        hi = _pack([a if i & s else 0 for i, a in enumerate(cur)], width)
+        full = _unpack(hi * _pack(power, width), width, size + s)
+        cur = [((0 if i & s else a) + f) % mod for i, (a, f) in enumerate(zip(cur, full[s:]))]
+        s *= 2
+        if s < size:
+            power = [v % mod for v in _unpack(_pack(power, width) ** 2, width, s + 1)]
+    return cur
 
 
 def poly_view(x: GroupRingElement) -> tuple:
-    """Coefficients of the image under generator -> T+1, degree < p^n."""
+    """Coefficients of the image under generator -> T+1, degree < p^n: the
+    Taylor shift by +1, in O(p^n) memory and about log2(p^n) products."""
     if x.delta != 1:
         raise UnsupportedDelta("polynomial view is defined for delta = 1")
-    size = x.group_size
-    mod = x.p**x.k
-    rows = _binomial_rows(size)
-    out = [0] * size
-    for i, c in enumerate(x.coeffs):
-        if c:
-            row = rows[i]
-            for j, b in enumerate(row):
-                out[j] = (out[j] + c * b) % mod
-    return tuple(out)
+    return tuple(_taylor_shift(x.coeffs, 1, x.p**x.k))
 
 
 def from_poly_view(p: int, k: int, n: int, poly) -> GroupRingElement:
-    """Inverse of poly_view: T -> generator - 1 (coefficients mod p^k)."""
+    """Inverse of poly_view: T -> generator - 1 (coefficients mod p^k), the
+    Taylor shift by -1."""
     size = p**n
-    mod = p**k
-    out = [0] * size
     coeffs = list(poly)
     if len(coeffs) > size:
         raise ValueError("degree exceeds the layer ring dimension")
-    rows = _binomial_rows(size)
-    for j, c in enumerate(coeffs):
-        if c % mod == 0:
-            continue
-        # (gamma - 1)^j = sum_i C(j, i) (-1)^(j-i) gamma^i
-        row = rows[j]
-        sign = -1 if (j % 2) else 1
-        s = sign
-        for i, b in enumerate(row):
-            out[i] = (out[i] + c * b * s) % mod
-            s = -s
-    return GroupRingElement(p, k, n, 1, tuple(out))
+    coeffs += [0] * (size - len(coeffs))
+    return GroupRingElement(p, k, n, 1, tuple(_taylor_shift(coeffs, -1, p**k)))
 
 
 @lru_cache(maxsize=256)

@@ -223,6 +223,29 @@ class TestHowardScan:
         err = json.loads(capsys.readouterr().out.strip())
         assert err["error"]["type"] == "ValueError"
 
+    @pytest.mark.parametrize("damage", ["labels-number", "elements-object", "payload-list",
+                                        "unequal-lengths", "element-number", "label-list"])
+    def test_malformed_family_is_a_typed_error(self, tmp_path, capsys, damage):
+        element = one(3, 5, 1).to_json()
+        payload = {"labels": ["a"], "elements": [element]}
+        if damage == "labels-number":
+            payload["labels"] = 5
+        elif damage == "elements-object":
+            payload["elements"] = element
+        elif damage == "payload-list":
+            payload = [payload]
+        elif damage == "unequal-lengths":
+            payload["labels"] = ["a", "b"]
+        elif damage == "element-number":
+            payload["elements"] = [5]
+        else:
+            payload["labels"] = [["a"]]
+        fam_path = serialize.write_artifact(str(tmp_path), "family", payload)
+        assert run(["howard-scan", "--family", fam_path, "--prime", "maximal",
+                    "--k0", "2", "--out", str(tmp_path)]) == 1
+        err = json.loads(capsys.readouterr().out.strip())
+        assert err["error"]["type"] == "ValueError"
+
 
 class TestConfigAndDeterminism:
     def test_config_file(self, tmp_path):
@@ -278,6 +301,21 @@ class TestConfigAndDeterminism:
                     str(tmp_path / "form-e5e4038962f91413.json")) == "form-a8942f87c70380b3.json"
         assert emit("eigen-extend", "--p", "2", "--k", "6", "--ap", "1", "--radius", "4",
                     "--seed", "3") == "form-061ea64e88e31ac6.json"
+
+    def test_pinned_polynomial_view_artifact_names(self, tmp_path, capsys):
+        # content hashes of the theta artifact (its "poly" field) and the mu
+        # artifact (its "lambda" field) at N = 729, written when the polynomial
+        # view summed a binomial table; the Taylor shift must not change a byte
+        def emit(*argv):
+            assert run([*argv, "--out", str(tmp_path)]) == 0
+            return os.path.basename(read_artifact_from_stdout(capsys)[1])
+
+        system = str(tmp_path / emit("synth", "--mode", "edge", "--ap", "1", "--p", "3",
+                                     "--k", "11", "--n-max", "7", "--seed", "7"))
+        assert emit("theta", "--system", system, "--level", "7",
+                    "--ordinary") == "theta-fbcf6c2a341b207e.json"
+        lp_path = str(tmp_path / emit("lp", "--system", system, "--level", "7"))
+        assert emit("mu", "--element", lp_path) == "mu-438871f4c271b867.json"
 
 
 class TestSerialization:

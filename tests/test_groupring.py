@@ -1,4 +1,5 @@
 import random
+from functools import lru_cache
 
 import pytest
 from hypothesis import given, settings
@@ -26,6 +27,7 @@ from thetaforge.groupring import (
     zero,
 )
 from thetaforge.padic import IntPolynomial, T_POLY, cyclotomic_sigma
+from thetaforge.util import capped_val
 
 
 def rand_elt(p, k, n, delta, rng):
@@ -91,6 +93,96 @@ class TestViews:
     def test_generator_maps_to_t_plus_one(self):
         g = delta_element(3, 4, 1, (1,))
         assert poly_view(g) == (1, 1, 0)
+
+
+# The binomial-table polynomial view that the packed Taylor shift replaced,
+# kept as a slow, independent oracle: every Pascal row up to C(N-1, .) as
+# exact integers, summed against the coefficients.
+
+
+@lru_cache(maxsize=1)
+def reference_binomial_rows(n):
+    rows = [(1,)]
+    for _ in range(n - 1):
+        prev = rows[-1]
+        rows.append(tuple(
+            (prev[j] if j < len(prev) else 0) + (prev[j - 1] if j >= 1 else 0)
+            for j in range(len(prev) + 1)
+        ))
+    return rows
+
+
+def reference_poly_view(x):
+    size = x.group_size
+    mod = x.p**x.k
+    rows = reference_binomial_rows(size)
+    out = [0] * size
+    for i, c in enumerate(x.coeffs):
+        if c:
+            for j, b in enumerate(rows[i]):
+                out[j] = (out[j] + c * b) % mod
+    return tuple(out)
+
+
+def reference_from_poly_view(p, k, n, poly):
+    size = p**n
+    mod = p**k
+    out = [0] * size
+    rows = reference_binomial_rows(size)
+    for j, c in enumerate(poly):
+        if c % mod == 0:
+            continue
+        # (gamma - 1)^j = sum_i C(j, i) (-1)^(j-i) gamma^i
+        s = -1 if (j % 2) else 1
+        for i, b in enumerate(rows[j]):
+            out[i] = (out[i] + c * b * s) % mod
+            s = -s
+    return GroupRingElement(p, k, n, 1, tuple(out))
+
+
+def reference_lambda(x):
+    poly = reference_poly_view(x)
+    mu = min(capped_val(c, x.p, x.k) for c in poly)
+    return next(i for i, c in enumerate(poly) if capped_val(c, x.p, x.k) == mu)
+
+
+# every layer with N = p^n <= 729, n = 0 (N = 1) included
+_LAYERS = [(p, n) for p in (2, 3, 5, 7) for n in range(10) if p**n <= 729]
+
+
+class TestPolyViewAgainstBinomialReference:
+    @pytest.mark.parametrize("p,n", _LAYERS)
+    def test_matches_reference_and_round_trips(self, p, n):
+        size = p**n
+        rng = random.Random(100 * p + n)
+        for k in sorted({n + 2, 20, 40}):
+            mod = p**k
+            cases = [
+                zero(p, k, n),
+                delta_element(p, k, n, (size - 1,)),
+                GroupRingElement(p, k, n, 1, (mod - 1,) * size),   # widest slots
+                rand_elt(p, k, n, 1, rng),
+            ]
+            for x in cases:
+                poly = poly_view(x)
+                assert poly == reference_poly_view(x)
+                assert from_poly_view(p, k, n, poly) == x
+                assert lambda_invariant(x) == reference_lambda(x)
+            for poly in ((mod - 1,) * size, tuple(rng.randrange(mod) for _ in range(size))):
+                elt = from_poly_view(p, k, n, poly)
+                assert elt == reference_from_poly_view(p, k, n, poly)
+                assert poly_view(elt) == poly
+
+    def test_short_and_signed_input_and_degree_check(self):
+        p, k, n = 3, 6, 2
+        poly = (-1, 5, -3**7 - 2)
+        assert from_poly_view(p, k, n, poly) == reference_from_poly_view(p, k, n, poly)
+        with pytest.raises(ValueError):
+            from_poly_view(p, k, n, (1,) * 10)
+
+    def test_delta_two_is_refused(self):
+        with pytest.raises(UnsupportedDelta):
+            poly_view(zero(3, 4, 1, 2))
 
 
 class TestProjectXiStar:
