@@ -3,6 +3,14 @@ polynomial views, layer projections, the norm-sum lift, the inversion
 involution, mu/lambda invariants, and exact division by the parity-split
 cyclotomic products that organize the plus/minus decomposition.
 
+Coefficients sit in one flat list: with q = p^n, the group element with
+digits (t_1, ..., t_delta), outer axis first, is at sum t_i q^(delta - i).
+The involution and the layer maps gather or scatter over flat index maps
+(`_axis_map`).  The product is one Kronecker-packed big-int product for every
+delta: the inner axes are spread to 2q - 1 slots, so a digit sum never
+carries into the next axis, and a slot holds a full product coefficient
+(< N * mod^2), so one product carries them all exactly.
+
 The polynomial view identifies the generator of each cyclic factor with
 T_i + 1, so the layer-n ring in one variable is (Z/p^k)[T]/((T+1)^(p^n)-1).
 For delta = 1 it is an exact Taylor shift by +1 mod p^k, done bottom-up over
@@ -54,19 +62,19 @@ class GroupRingElement:
         return self.order**self.delta
 
     def index(self, tup) -> int:
+        if len(tup) != self.delta:
+            raise ValueError(f"expected {self.delta} digits, got {tuple(tup)}")
         q = self.order
         idx = 0
         for t in tup:
-            idx = idx * q + (t % q)
+            if not 0 <= t < q:
+                raise ValueError(f"digit {t} outside [0, {q})")
+            idx = idx * q + t
         return idx
 
     def tuple_of(self, idx: int) -> tuple:
         q = self.order
-        out = []
-        for _ in range(self.delta):
-            out.append(idx % q)
-            idx //= q
-        return tuple(reversed(out))
+        return tuple([idx // q**i % q for i in reversed(range(self.delta))])
 
     def coefficient(self, tup) -> int:
         return self.coeffs[self.index(tup)]
@@ -120,12 +128,15 @@ class GroupRingElement:
     @staticmethod
     def from_json(obj) -> "GroupRingElement":
         p, k, n, delta = int(obj["p"]), int(obj["k"]), int(obj["n"]), int(obj["delta"])
-        size = (p**n) ** delta
-        coeffs = [0] * size
-        elt = GroupRingElement(p, k, n, delta, tuple(coeffs))
+        elt = zero(p, k, n, delta)
+        coeffs = list(elt.coeffs)
+        seen = set()
         for key, val in obj["coeffs"].items():
-            tup = tuple(int(s) for s in key.strip("()").split(",") if s != "")
-            coeffs[elt.index(tup)] = int(val)
+            idx = elt.index(tuple(int(s) for s in key.strip("()").split(",")))
+            if idx in seen:
+                raise ValueError(f"group element {key} given twice")
+            seen.add(idx)
+            coeffs[idx] = int(val)
         return GroupRingElement(p, k, n, delta, tuple(coeffs))
 
 
@@ -138,9 +149,8 @@ def one(p: int, k: int, n: int, delta: int = 1) -> GroupRingElement:
 
 
 def delta_element(p: int, k: int, n: int, tup) -> GroupRingElement:
-    z = zero(p, k, n, len(tup))
-    coeffs = list(z.coeffs)
-    coeffs[z.index(tuple(tup))] = 1
+    coeffs = [0] * (p**n) ** len(tup)
+    coeffs[zero(p, k, n, len(tup)).index(tuple(tup))] = 1
     return GroupRingElement(p, k, n, len(tup), tuple(coeffs))
 
 
@@ -153,50 +163,52 @@ def _unpack(value: int, width: int, count: int) -> list:
     return [int.from_bytes(raw[i:i + width], "little") for i in range(0, len(raw), width)]
 
 
+def _axis_map(delta: int, q: int, f, q_out: int) -> list:
+    """Flat index map of [0, q)^delta into base q_out: digit t -> f(t) on every axis."""
+    idx = [0]
+    for _ in range(delta):
+        idx = [a * q_out + f(t) for a in idx for t in range(q)]
+    return idx
+
+
 def _convolve(x: GroupRingElement, y: GroupRingElement) -> GroupRingElement:
-    mod = x.p**x.k
-    q = x.order
-    if x.delta == 1:
-        # Kronecker substitution: each slot holds a full product coefficient
-        # (< q * mod^2), so one big-int product carries them all exactly.
-        width = (q * mod * mod).bit_length() // 8 + 1
-        full = _unpack(_pack(x.coeffs, width) * _pack(y.coeffs, width), width, 2 * q)
-        return GroupRingElement(x.p, x.k, x.n, 1, tuple(full[i] + full[i + q] for i in range(q)))
+    """Rows of q coefficients along the inner axis start 2q - 1 slots apart;
+    a product row folds as row[i] + row[i + q] onto the row its outer digits
+    reach mod q.  For delta = 1 there is one row, unpadded."""
+    mod, q = x.p**x.k, x.order
+    s = 2 * q - 1
+    rows = _axis_map(x.delta - 1, q, lambda t: s * t, s)
+    fold = _axis_map(x.delta - 1, s, lambda u: q * (u % q), q)
+    width = (x.group_size * mod * mod).bit_length() // 8 + 1
+    packed = []
+    for z in (x, y):
+        slots = [0] * (rows[-1] + q)
+        for r, start in enumerate(rows):
+            slots[start:start + q] = z.coeffs[r * q:r * q + q]
+        packed.append(_pack(slots, width))
+    full = _unpack(packed[0] * packed[1], width, s * len(fold))
     out = [0] * x.group_size
-    for i, ci in enumerate(x.coeffs):
-        if ci == 0:
-            continue
-        ti = x.tuple_of(i)
-        for j, cj in enumerate(y.coeffs):
-            if cj == 0:
-                continue
-            tj = y.tuple_of(j)
-            tup = tuple((ai + aj) % q for ai, aj in zip(ti, tj))
-            out[x.index(tup)] = (out[x.index(tup)] + ci * cj) % mod
+    for r, o in enumerate(fold):
+        row = full[r * s:r * s + s] + [0]
+        out[o:o + q] = [c + a + b for c, a, b in zip(out[o:o + q], row, row[q:])]
     return GroupRingElement(x.p, x.k, x.n, x.delta, tuple(out))
 
 
 def star(x: GroupRingElement) -> GroupRingElement:
-    """Involution induced by group inversion."""
+    """Involution induced by group inversion (negation is its own inverse)."""
     q = x.order
-    out = [0] * x.group_size
-    for idx, c in enumerate(x.coeffs):
-        tup = x.tuple_of(idx)
-        out[x.index(tuple((-t) % q for t in tup))] = c
-    return GroupRingElement(x.p, x.k, x.n, x.delta, tuple(out))
+    inv = _axis_map(x.delta, q, lambda t: -t % q, q)
+    return GroupRingElement(x.p, x.k, x.n, x.delta, tuple(x.coeffs[i] for i in inv))
 
 
 def project(x: GroupRingElement) -> GroupRingElement:
     """Layer n -> n-1: sum coefficients over the fibers of digit truncation."""
     if x.n == 0:
         raise ValueError("layer 0 has no lower layer")
-    target = zero(x.p, x.k, x.n - 1, x.delta)
-    q = target.order
-    out = [0] * target.group_size
-    for idx, c in enumerate(x.coeffs):
-        if c:
-            tup = x.tuple_of(idx)
-            out[target.index(tuple(t % q for t in tup))] += c
+    q = x.order // x.p
+    out = [0] * q**x.delta
+    for o, c in zip(_axis_map(x.delta, x.order, lambda t: t % q, q), x.coeffs):
+        out[o] += c
     return GroupRingElement(x.p, x.k, x.n - 1, x.delta, tuple(out))
 
 
@@ -211,13 +223,9 @@ def project_to(x: GroupRingElement, n: int) -> GroupRingElement:
 def xi(x: GroupRingElement) -> GroupRingElement:
     """Layer n -> n+1: coefficient at a point is the coefficient at its
     truncation (equivalently, any lift times the kernel norm sum)."""
-    target = zero(x.p, x.k, x.n + 1, x.delta)
     q = x.order
-    out = []
-    for idx in range(target.group_size):
-        tup = target.tuple_of(idx)
-        out.append(x.coefficient(tuple(t % q for t in tup)))
-    return GroupRingElement(x.p, x.k, x.n + 1, x.delta, tuple(out))
+    trunc = _axis_map(x.delta, q * x.p, lambda t: t % q, q)
+    return GroupRingElement(x.p, x.k, x.n + 1, x.delta, tuple(x.coeffs[i] for i in trunc))
 
 
 def mu_invariant(x: GroupRingElement) -> int:

@@ -12,6 +12,7 @@ import functools
 import hashlib
 import json
 import os
+from itertools import chain
 
 from .groupring import GroupRingElement
 from .hecke import EdgeForm, EigenData, VertexForm
@@ -164,7 +165,7 @@ def system_to_json(s: CompatibleSystem):
 
 @_payload_reader
 def system_from_json(obj) -> CompatibleSystem:
-    n_max = int(obj["n_max"])
+    n_max, p, delta = int(obj["n_max"]), int(obj["p"]), int(obj["delta"])
     levels = []
     fibers = []
     free = []
@@ -178,9 +179,14 @@ def system_from_json(obj) -> CompatibleSystem:
         levels.append({lbl: int(c) for lbl, c in lv.items()})
         fb = obj["fibers"][j]
         fibers.append(dict(fb) if fb else None)
-        free.append({lbl: tuple(d) for lbl, d in obj["free"][j].items()})
+        q = p ** int(obj["level_exp"][j])
+        fr = {lbl: tuple(d) for lbl, d in obj["free"][j].items()}
+        digits = set(chain.from_iterable(fr.values())) or {0}
+        if set(map(len, fr.values())) - {delta} or not 0 <= min(digits) <= max(digits) < q:
+            raise ValueError(f"free digits at level {j} must be {delta} digits in [0, {q})")
+        free.append(fr)
     return CompatibleSystem(
-        int(obj["p"]), int(obj["k"]), int(obj["delta"]), obj["mode"],
+        p, int(obj["k"]), delta, obj["mode"],
         eigen_from_json(obj["eigen"]), n_max, int(obj["torsion"]),
         tuple(int(e) for e in obj["level_exp"]),
         tuple(levels), tuple(fibers), tuple(free),

@@ -182,6 +182,38 @@ class TestFormsAndSystems:
         assert err["error"]["type"] == "ValueError"
 
 
+    @pytest.mark.parametrize("delta,coeffs", [(1, {"(0,1)": "1"}), (2, {"(2)": "1"}),
+                                              (1, {"(1)": "5", "(4)": "7"}),
+                                              (1, {"(1)": "5", "(01)": "7"})])
+    @pytest.mark.parametrize("command", ["mu", "specialize"])
+    def test_malformed_group_ring_key_is_a_typed_error(self, tmp_path, capsys, delta,
+                                                       coeffs, command):
+        # at p = 3, n = 1 each key used to be read as some other element
+        payload = {"p": 3, "k": 5, "n": 1, "delta": delta, "coeffs": coeffs}
+        path = serialize.write_artifact(str(tmp_path), "theta", payload)
+        extra = ["--character", json.dumps({"m": 1, "exponents": [1] * delta})]
+        assert run([command, "--element", path, *(extra if command == "specialize" else []),
+                    "--out", str(tmp_path)]) == 1
+        err = json.loads(capsys.readouterr().out.strip())
+        assert err["error"]["type"] == "ValueError"
+
+    def test_malformed_free_digits_are_a_typed_error(self, tmp_path, capsys):
+        assert run(["synth", "--mode", "edge", "--ap", "1", "--p", "3", "--k", "9",
+                    "--n-max", "4", "--delta", "2", "--seed", "3", "--out", str(tmp_path)]) == 0
+        _, sys_path = read_artifact_from_stdout(capsys)
+        good = json.load(open(sys_path))
+        for damage in ([0], [0, 0, 0], [0, 27]):
+            obj = json.loads(json.dumps(good))
+            free = obj["payload"]["free"][4]
+            free[sorted(free)[0]] = damage
+            bad_path = os.path.join(str(tmp_path), "bad.json")
+            json.dump(obj, open(bad_path, "w"))
+            assert run(["theta", "--system", bad_path, "--level", "4", "--ordinary",
+                        "--out", str(tmp_path)]) == 1
+            err = json.loads(capsys.readouterr().out.strip())
+            assert err["error"]["type"] == "ValueError"
+
+
 class TestHowardScan:
     def _family_artifact(self, tmp_path, elements, labels):
         payload = {"labels": list(labels),
@@ -316,6 +348,23 @@ class TestConfigAndDeterminism:
                     "--ordinary") == "theta-fbcf6c2a341b207e.json"
         lp_path = str(tmp_path / emit("lp", "--system", system, "--level", "7"))
         assert emit("mu", "--element", lp_path) == "mu-438871f4c271b867.json"
+
+
+    def test_pinned_rank_two_artifact_names(self, tmp_path, capsys):
+        # content hashes of a delta = 2 chain at N = 729, written when the
+        # product was a double loop over digit tuples; the packed product and
+        # the flat index maps must not change a byte
+        def emit(*argv):
+            assert run([*argv, "--out", str(tmp_path)]) == 0
+            return os.path.basename(read_artifact_from_stdout(capsys)[1])
+
+        system = str(tmp_path / emit("synth", "--mode", "edge", "--ap", "1", "--p", "3",
+                                     "--k", "9", "--n-max", "4", "--delta", "2", "--seed", "3"))
+        assert emit("theta", "--system", system, "--level", "4",
+                    "--ordinary") == "theta-5d2ca842e7fda16a.json"
+        lp_name = emit("lp", "--system", system, "--level", "4")
+        assert lp_name == "lp-97fa1d4e0ca40800.json"
+        assert emit("mu", "--element", str(tmp_path / lp_name)) == "mu-8cfa136a0acde22a.json"
 
 
 class TestSerialization:

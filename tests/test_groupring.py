@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 import smith_oracle
 from smith_oracle import multiplication_matrix
+from tuple_oracle import reference_convolve, reference_project, reference_star, reference_xi
 from thetaforge.errors import NotDivisible, UnsupportedDelta
 from thetaforge.groupring import (
     GroupRingElement,
@@ -430,3 +431,66 @@ class TestMonicDivisionAgainstSmith:
                     assert cls.contains(GroupRingElement(p, k, n, 1, tuple(sol)))
                     diff = [(a - b) % mod for a, b in zip(cls.rep.coeffs, sol)]
                     assert smith_oracle.solve(ideal, diff, p, k) is not None
+
+
+# every layer with N = (p^n)^delta <= 729, n = 0 (N = 1) included
+_FLAT_LAYERS = [(p, delta, n) for p in (2, 3, 5) for delta in (1, 2, 3)
+                for n in range(10) if (p**n) ** delta <= 729]
+
+
+class TestFlatMapsAgainstTupleOracle:
+    """The flat index maps against the tuple-based maps they replaced
+    (`tests/tuple_oracle.py`).  The quadratic oracle product pairs every
+    element with a sparse one; dense pairs are compared at N <= 81, and
+    top * top, the widest slot sum, has a closed form at every layer."""
+
+    @pytest.mark.parametrize("p,delta,n", _FLAT_LAYERS)
+    def test_product_star_project_xi(self, p, delta, n):
+        size = (p**n) ** delta
+        rng = random.Random(1000 * p + 10 * delta + n)
+        for k in sorted({n + 2, 20, 32}):
+            mod = p**k
+            top = GroupRingElement(p, k, n, delta, (mod - 1,) * size)
+            rnd, rnd2 = rand_elt(p, k, n, delta, rng), rand_elt(p, k, n, delta, rng)
+            sparse = [0] * size
+            for i in rng.sample(range(size), min(size, 6)):
+                sparse[i] = rng.randrange(1, mod)
+            sparse = GroupRingElement(p, k, n, delta, tuple(sparse))
+            elements = (zero(p, k, n, delta), top, rnd)
+            for x in elements:
+                assert star(x) == reference_star(x)
+                assert xi(x) == reference_xi(x)
+                if n > 0:
+                    assert project(x) == reference_project(x)
+                assert x * sparse == reference_convolve(x, sparse)
+                assert sparse * x == reference_convolve(sparse, x)
+            if size <= 81:
+                for x, y in ((top, rnd), (rnd, rnd2), (top, top)):
+                    assert x * y == reference_convolve(x, y)
+            assert top * top == GroupRingElement(p, k, n, delta, (size * (mod - 1) ** 2,) * size)
+
+
+class TestGroupElementKeys:
+    """A malformed group-element key is a ValueError, never another element."""
+
+    def test_index_checks_arity_and_range(self):
+        x = zero(3, 4, 1, 2)
+        assert x.index((2, 1)) == 7
+        for bad in ((1,), (1, 2, 0), (3, 0), (0, -1)):
+            with pytest.raises(ValueError):
+                x.index(bad)
+        with pytest.raises(ValueError):
+            delta_element(3, 4, 1, (3,))
+
+    @pytest.mark.parametrize("delta,coeffs", [
+        (1, {"(0,1)": "1"}),            # arity 2 at delta = 1
+        (2, {"(2)": "1"}),              # arity 1 at delta = 2
+        (1, {"(3)": "1"}),              # digit = p^n
+        (2, {"(0,-1)": "1"}),           # negative digit
+        (1, {"(1)": "5", "(4)": "7"}),  # 4 is not 1 mod 3 here
+        (1, {"(1)": "5", "(01)": "7"}), # the same element twice
+        (1, {"()": "1"}),               # no digit at all
+    ])
+    def test_from_json_refuses_malformed_keys(self, delta, coeffs):
+        with pytest.raises(ValueError):
+            GroupRingElement.from_json({"p": 3, "k": 4, "n": 1, "delta": delta, "coeffs": coeffs})
