@@ -1,10 +1,12 @@
 """End-to-end ordinary run: eigen-extension, stabilization, tower, theta,
 L-element, interpolation identity, and the mu = 2 nu law.
 
-Usage: python scripts/ordinary_tower.py [--p 3] [--k 8] [--ap 1] [--seed 21]
+Usage: python scripts/ordinary_tower.py [--p 3] [--k 8] [--ap 1] [--depth 3]
+                                       [--seed 21] [--nu 0]
 
-Exits 1 when any printed check fails: the distribution relations, the
-mu = 2 nu law or a product identity.
+The product identity is checked at every conductor p^m, m < depth.  Exits 1
+when any printed check fails: the distribution relations, the mu = 2 nu law
+or a product identity.
 """
 
 import argparse
@@ -53,7 +55,7 @@ def main():
     if mu != 2 * nu:
         failed.append("mu = 2 nu")
 
-    for m_cond in range(min(args.depth - 1, 2) + 1):
+    for m_cond in range(args.depth):
         rho = FiniteOrderCharacter(p, m_cond, 1, (1,))
         rep = interpolation_shape(system, rho, args.depth)
         e = rep.lhs.ramification

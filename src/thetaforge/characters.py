@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from .errors import ConductorTooLarge, NotOrdinary
 from .groupring import GroupRingElement, mu_invariant, poly_view, star
 from .measures import CompatibleSystem, lp
-from .padic import CyclotomicValue, IntPolynomial, _reduce_cyclotomic, euler_phi_p_power
+from .padic import CyclotomicValue, IntPolynomial, _divide_monic, _reduce_cyclotomic
 from .util import capped_val
 
 
@@ -79,16 +79,12 @@ def specialize(lam: GroupRingElement, rho: FiniteOrderCharacter) -> CyclotomicVa
         raise ValueError("character and element live over different groups")
     if rho.m > lam.n:
         raise ConductorTooLarge(f"conductor exponent {rho.m} exceeds layer {lam.n}")
-    p, k, m = lam.p, lam.k, rho.m
-    size = p**m
     # accumulate on raw zeta powers, then reduce once
-    raw = [0] * size
+    raw = [0] * lam.p**rho.m
     for idx, c in enumerate(lam.coeffs):
         if c:
-            tup = lam.tuple_of(idx)
-            raw[rho.value_exponent(tup)] += c
-    phi = euler_phi_p_power(p, m)
-    return CyclotomicValue(p, k, m, _reduce_cyclotomic(raw, p, k, m, phi))
+            raw[rho.value_exponent(lam.tuple_of(idx))] += c
+    return _reduce_cyclotomic(raw, lam.p, lam.k, rho.m)
 
 
 @dataclass(frozen=True)
@@ -132,8 +128,7 @@ def period_sum(sys: CompatibleSystem, rho: FiniteOrderCharacter, m: int) -> Cycl
         if c:
             e = sum(ei * d for ei, d in zip(rho.exponents, free[key]))
             raw[e % size] += c
-    acc = CyclotomicValue(p, k, rho.m, _reduce_cyclotomic(
-        raw, p, k, rho.m, euler_phi_p_power(p, rho.m)))
+    acc = _reduce_cyclotomic(raw, p, k, rho.m)
     scale = pow(alpha.inverse().residue, m, p**k)
     return acc * scale
 
@@ -213,21 +208,15 @@ class HowardReport:
 
 def _poly_remainder_mod(poly, witness: IntPolynomial, p: int, k0: int):
     """Remainder of a coefficient list modulo a witness polynomial whose
-    leading coefficient is a unit, over Z/p^k0."""
+    leading coefficient is a unit, over Z/p^k0: the remainder on division by
+    the witness scaled to be monic."""
     mod = p**k0
     lead = witness.coefficients[-1] % mod
     if lead % p == 0:
         raise ValueError("witness polynomial needs a unit leading coefficient")
     inv = pow(lead, -1, mod)
-    rem = [c % mod for c in poly]
-    d = witness.degree
-    for i in range(len(rem) - 1, d - 1, -1):
-        c = rem[i]
-        if c:
-            q = c * inv % mod
-            for j, w in enumerate(witness.coefficients):
-                rem[i - d + j] = (rem[i - d + j] - q * w) % mod
-    return rem[:d]
+    lower = tuple(enumerate(w * inv for w in witness.coefficients[:-1]))
+    return _divide_monic(poly, witness.degree, lower, mod)[1]
 
 
 def howard_check(family: HowardFamily, prime_spec, k0: int) -> HowardReport:
@@ -238,6 +227,10 @@ def howard_check(family: HowardFamily, prime_spec, k0: int) -> HowardReport:
     (nontrivial iff the mu-invariant is < k0), or an IntPolynomial witness
     with unit leading coefficient (delta = 1 only).
     """
+    if k0 < 0:
+        raise ValueError(f"precision k0 must be nonnegative, got {k0}")
+    if isinstance(prime_spec, IntPolynomial) and prime_spec.is_zero():
+        raise ValueError("witness polynomial must be nonzero")
     verdicts = []
     hits = []
     for label, elt in zip(family.labels, family.elements):

@@ -6,23 +6,22 @@ cyclotomic products that organize the plus/minus decomposition.
 Coefficients sit in one flat list: with q = p^n, the group element with
 digits (t_1, ..., t_delta), outer axis first, is at sum t_i q^(delta - i).
 The involution and the layer maps gather or scatter over flat index maps
-(`_axis_map`).  The product is one Kronecker-packed big-int product for every
-delta: the inner axes are spread to 2q - 1 slots, so a digit sum never
-carries into the next axis, and a slot holds a full product coefficient
-(< N * mod^2), so one product carries them all exactly.
+(`_axis_map`).  The product is one packed product (the `padic` kernel) for
+every delta: the inner axes are spread to 2q - 1 slots, so a digit sum never
+carries into the next axis.
 
 The polynomial view identifies the generator of each cyclic factor with
 T_i + 1, so the layer-n ring in one variable is (Z/p^k)[T]/((T+1)^(p^n)-1).
-For delta = 1 it is an exact Taylor shift by +1 mod p^k, done bottom-up over
-doubling blocks with one Kronecker-packed big-int product per level: about
-log2(p^n) products in O(p^n) slots of O(k log p) bits, with no binomial table.
+For delta = 1 it is the `padic` Taylor shift by +1; the way back, and the
+image of any integer polynomial, is the shift by -1 folded mod gamma^(p^n) - 1.
 
 Division by Omega~ works in the group-element basis, where the factor
-Sigma_{p^j}(gamma) = sum_{b<p} gamma^(b p^(j-1)) is monic with p unit
-coefficients: an element, read as a polynomial in gamma of degree < p^n, is
-long-divided by one factor at a time.  Every factor divides gamma^(p^n) - 1
-and a monic polynomial is not a zero divisor over Z/p^k, so a zero remainder
-is exactly membership in the ideal the factors generate in the layer ring.
+Sigma_{p^j}(gamma), the p^j-th cyclotomic polynomial in gamma, is monic with
+p unit coefficients: an element, read as a polynomial in gamma of degree
+< p^n, is divided by one factor at a time with the `padic` sparse monic
+division.  Every factor divides gamma^(p^n) - 1 and a monic polynomial is
+not a zero divisor over Z/p^k, so a zero remainder is exactly membership in
+the ideal the factors generate in the layer ring.
 """
 
 from __future__ import annotations
@@ -31,7 +30,10 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import NotDivisible, UnsupportedDelta
-from .padic import IntPolynomial, T_POLY, cyclotomic_sigma
+from .padic import (
+    IntPolynomial, T_POLY, _cyclotomic_divisor, _divide_monic, _pack, _taylor_shift, _unpack,
+    cyclotomic_sigma,
+)
 from .util import capped_val
 
 
@@ -154,15 +156,6 @@ def delta_element(p: int, k: int, n: int, tup) -> GroupRingElement:
     return GroupRingElement(p, k, n, len(tup), tuple(coeffs))
 
 
-def _pack(coeffs, width: int) -> int:
-    return int.from_bytes(b"".join(c.to_bytes(width, "little") for c in coeffs), "little")
-
-
-def _unpack(value: int, width: int, count: int) -> list:
-    raw = value.to_bytes(count * width, "little")
-    return [int.from_bytes(raw[i:i + width], "little") for i in range(0, len(raw), width)]
-
-
 def _axis_map(delta: int, q: int, f, q_out: int) -> list:
     """Flat index map of [0, q)^delta into base q_out: digit t -> f(t) on every axis."""
     idx = [0]
@@ -174,7 +167,8 @@ def _axis_map(delta: int, q: int, f, q_out: int) -> list:
 def _convolve(x: GroupRingElement, y: GroupRingElement) -> GroupRingElement:
     """Rows of q coefficients along the inner axis start 2q - 1 slots apart;
     a product row folds as row[i] + row[i + q] onto the row its outer digits
-    reach mod q.  For delta = 1 there is one row, unpadded."""
+    reach mod q.  For delta = 1 there is one row, unpadded.  A slot holds a
+    full product coefficient (< N * mod^2), which fixes the slot width."""
     mod, q = x.p**x.k, x.order
     s = 2 * q - 1
     rows = _axis_map(x.delta - 1, q, lambda t: s * t, s)
@@ -245,66 +239,36 @@ def lambda_invariant(x: GroupRingElement) -> int:
 # polynomial view (delta = 1): generator <-> T + 1
 
 
-def _taylor_shift(coeffs, c: int, mod: int) -> list:
-    """Coefficients of sum_i a_i (X + c)^i mod `mod`, a = coeffs.
-
-    Bottom-up over blocks of size s = 1, 2, 4, ...: each pair of adjacent
-    blocks merges as lo + (X + c)^s * hi.  With the lo blocks zeroed, the hi
-    blocks sit 2s slots apart and their products with (X + c)^s (degree s)
-    cannot meet, so a level is one Kronecker-packed big-int product;
-    (X + c)^(2s) is the packed square of (X + c)^s.  A slot sums at most
-    s + 1 <= len(coeffs) products of residues, so len(coeffs) * mod^2 bounds
-    it and no slot carries into the next.
-    """
-    size = len(coeffs)
-    width = (size * mod * mod).bit_length() // 8 + 1
-    cur = [a % mod for a in coeffs]
-    power = [c % mod, 1]
-    s = 1
-    while s < size:
-        # s is a power of two, so i & s marks the hi half of each 2s-block
-        hi = _pack([a if i & s else 0 for i, a in enumerate(cur)], width)
-        full = _unpack(hi * _pack(power, width), width, size + s)
-        cur = [((0 if i & s else a) + f) % mod for i, (a, f) in enumerate(zip(cur, full[s:]))]
-        s *= 2
-        if s < size:
-            power = [v % mod for v in _unpack(_pack(power, width) ** 2, width, s + 1)]
-    return cur
-
-
 def poly_view(x: GroupRingElement) -> tuple:
     """Coefficients of the image under generator -> T+1, degree < p^n: the
-    Taylor shift by +1, in O(p^n) memory and about log2(p^n) products."""
+    Taylor shift by +1."""
     if x.delta != 1:
         raise UnsupportedDelta("polynomial view is defined for delta = 1")
     return tuple(_taylor_shift(x.coeffs, 1, x.p**x.k))
 
 
-def from_poly_view(p: int, k: int, n: int, poly) -> GroupRingElement:
-    """Inverse of poly_view: T -> generator - 1 (coefficients mod p^k), the
-    Taylor shift by -1."""
+def _image_of_poly(p: int, k: int, n: int, poly) -> GroupRingElement:
+    """T -> generator - 1: the Taylor shift by -1, then the fold of gamma^i
+    onto gamma^(i mod p^n), as gamma^(p^n) = 1."""
     size = p**n
-    coeffs = list(poly)
-    if len(coeffs) > size:
+    out = [0] * size
+    for i, c in enumerate(_taylor_shift(poly, -1, p**k)):
+        out[i % size] += c
+    return GroupRingElement(p, k, n, 1, tuple(out))
+
+
+def from_poly_view(p: int, k: int, n: int, poly) -> GroupRingElement:
+    """Inverse of poly_view: T -> generator - 1, coefficients mod p^k."""
+    if len(poly) > p**n:
         raise ValueError("degree exceeds the layer ring dimension")
-    coeffs += [0] * (size - len(coeffs))
-    return GroupRingElement(p, k, n, 1, tuple(_taylor_shift(coeffs, -1, p**k)))
+    return _image_of_poly(p, k, n, poly)
 
 
 @lru_cache(maxsize=256)
 def reduce_poly(poly: IntPolynomial, p: int, k: int, n: int) -> GroupRingElement:
-    """Image of an exact integer polynomial in the layer-n ring (delta = 1).
-
-    Horner's rule with T -> generator - 1: acc <- acc * (gamma - 1) + c, where
-    multiplying by gamma - 1 is a cyclic rotate-and-subtract, so high powers
-    of T fold by themselves because gamma^(p^n) = 1.
-    """
-    mod = p**k
-    acc = [0] * p**n
-    for c in reversed(poly.coefficients):
-        acc = [(a - b) % mod for a, b in zip(acc[-1:] + acc[:-1], acc)]
-        acc[0] += c
-    return GroupRingElement(p, k, n, 1, tuple(acc))
+    """Image of an exact integer polynomial of any degree in the layer-n ring
+    (delta = 1)."""
+    return _image_of_poly(p, k, n, poly.coefficients)
 
 
 # ---------------------------------------------------------------------------
@@ -341,32 +305,12 @@ def omega_pm_poly(p: int, n: int, sign: int) -> IntPolynomial:
 # exact division by the omega products in a layer ring (delta = 1)
 
 
-def _divide_monic(a, degree: int, lower: tuple, mod: int) -> list | None:
-    """Long division of a (coefficients in gamma, constant first) by the
-    monic gamma^degree + sum c gamma^e over (e, c) in lower, over Z/mod.
-
-    Returns the quotient, or None when the remainder is nonzero.
-    """
-    a = list(a)
-    quot = [0] * max(len(a) - degree, 0)
-    for i in range(len(a) - 1, degree - 1, -1):
-        c = a[i] % mod
-        if c:
-            quot[i - degree] = c
-            for e, ce in lower:
-                a[i - degree + e] -= ce * c
-    if any(r % mod for r in a[:degree]):
-        return None
-    return quot
-
-
 def _divide_sigmas(a, p: int, mod: int, levels) -> list | None:
-    """Divide by Sigma_{p^j}(gamma) for each j in levels; None if any
-    remainder is nonzero."""
+    """Divide by Sigma_{p^j}(gamma) for each j in levels (j = 0: gamma - 1);
+    None if any remainder is nonzero."""
     for j in levels:
-        step = p ** (j - 1)
-        a = _divide_monic(a, (p - 1) * step, tuple((b * step, 1) for b in range(p - 1)), mod)
-        if a is None:
+        a, rem = _divide_monic(a, *_cyclotomic_divisor(p, j), mod)
+        if any(rem):
             return None
     return a
 
@@ -399,11 +343,9 @@ class QuotientClass:
     def contains(self, elt: GroupRingElement) -> bool:
         """Whether rep - elt lies in the ideal: a zero remainder on division
         by gamma - 1 and then by each Sigma of parity eps."""
-        p, mod = self.rep.p, self.rep.p**self.rep.k
-        quot = _divide_monic((self.rep - elt).coeffs, 1, ((0, -1),), mod)
-        if quot is None:
-            return False
-        return _divide_sigmas(quot, p, mod, _parity_levels(self.layer, self.eps)) is not None
+        levels = (0, *_parity_levels(self.layer, self.eps))
+        quot = _divide_sigmas((self.rep - elt).coeffs, self.rep.p, self.rep.p**self.rep.k, levels)
+        return quot is not None
 
 
 def divide_omega_tilde(lam: GroupRingElement, eps: int) -> QuotientClass:

@@ -1,9 +1,24 @@
 """Bounded-precision p-adic scalars, 2x2 elementary divisors, Hensel roots,
-and cyclotomic polynomial constructors.
+cyclotomic polynomial constructors, cyclotomic ring values, and the three
+polynomial kernels the group rings share.
 
 All arithmetic is exact modulo p^k.  The valuation of a residue that is zero
 to working precision is reported as k, never as infinity, so that valuations
 stay totally ordered.
+
+The kernels work on coefficient lists, constant term first:
+
+- the packed product (`_pack`, `_unpack`, `_packed_product`): residues are
+  laid out in byte slots wide enough that a product coefficient never
+  carries into the next slot, so one big-int product multiplies two lists;
+- the Taylor shift (`_taylor_shift`): sum a_i (X + c)^i, bottom-up over
+  doubling blocks with one packed product per level;
+- sparse monic long division (`_divide_monic`): quotient and remainder on
+  division by a monic polynomial given by its few lower terms, such as the
+  p^j-th cyclotomic polynomial (`_cyclotomic_divisor`).
+
+Cyclotomic ring values reduce by that division, multiply by the packed
+product and read valuations off the Taylor shift by 1.
 """
 
 from __future__ import annotations
@@ -265,28 +280,73 @@ def euler_phi_p_power(p: int, m: int) -> int:
     return 1 if m == 0 else p ** (m - 1) * (p - 1)
 
 
-@lru_cache(maxsize=None)
-def _reduction_rows(p: int, m: int, top: int):
-    """Coefficient rows expressing X^t (phi <= t < top) mod the p^m-th
-    cyclotomic polynomial in the basis 1, X, ..., X^(phi-1)."""
-    phi = euler_phi_p_power(p, m)
-    rows = {}
-    for t in range(phi, top):
-        row = [0] * phi
-        if t == phi:
-            # X^phi = -sum_{b<p-1} X^(b p^(m-1))
-            for b in range(p - 1):
-                row[b * p ** (m - 1)] -= 1
-        else:
-            prev = rows[t - 1]
-            carry = prev[phi - 1]
-            shifted = [0] + list(prev[:-1])
-            if carry:
-                base = rows[phi]
-                shifted = [s + carry * bb for s, bb in zip(shifted, base)]
-            row = shifted
-        rows[t] = row
-    return {t: tuple(r) for t, r in rows.items()}
+# ---------------------------------------------------------------------------
+# shared polynomial kernels
+
+
+def _pack(coeffs, width: int) -> int:
+    return int.from_bytes(b"".join(c.to_bytes(width, "little") for c in coeffs), "little")
+
+
+def _unpack(value: int, width: int, count: int) -> list:
+    raw = value.to_bytes(count * width, "little")
+    return [int.from_bytes(raw[i:i + width], "little") for i in range(0, len(raw), width)]
+
+
+def _packed_product(a, b, mod: int) -> list:
+    """Exact product of two nonempty lists of residues in [0, mod).  A product
+    coefficient sums at most min(len(a), len(b)) terms below mod^2, which
+    fixes the slot width, so one big-int product carries them all."""
+    width = (min(len(a), len(b)) * mod * mod).bit_length() // 8 + 1
+    return _unpack(_pack(a, width) * _pack(b, width), width, len(a) + len(b) - 1)
+
+
+def _taylor_shift(coeffs, c: int, mod: int) -> list:
+    """Coefficients of sum_i a_i (X + c)^i mod `mod`, a = coeffs.
+
+    Bottom-up over blocks of size s = 1, 2, 4, ...: each pair of adjacent
+    blocks merges as lo + (X + c)^s * hi.  With the lo blocks zeroed, the hi
+    blocks sit 2s slots apart and their products with (X + c)^s (degree s)
+    cannot meet, so a level is one packed product; (X + c)^(2s) is the packed
+    square of (X + c)^s.  About log2(len) products, no binomial table.
+    """
+    size = len(coeffs)
+    cur = [a % mod for a in coeffs]
+    power = [c % mod, 1]
+    s = 1
+    while s < size:
+        # s is a power of two, so i & s marks the hi half of each 2s-block
+        full = _packed_product([a if i & s else 0 for i, a in enumerate(cur)], power, mod)
+        cur = [((0 if i & s else a) + f) % mod for i, (a, f) in enumerate(zip(cur, full[s:]))]
+        s *= 2
+        if s < size:
+            power = [v % mod for v in _packed_product(power, power, mod)]
+    return cur
+
+
+def _divide_monic(a, degree: int, lower, mod: int) -> tuple:
+    """Long division of a by the monic X^degree + sum c X^e over (e, c) in
+    lower, over Z/mod: (quotient, remainder), both reduced mod `mod`.  The
+    remainder has min(len(a), degree) coefficients; the cost is
+    O(len(a) * len(lower))."""
+    a = list(a)
+    quot = [0] * max(len(a) - degree, 0)
+    for i in range(len(a) - 1, degree - 1, -1):
+        c = a[i] % mod
+        if c:
+            quot[i - degree] = c
+            for e, ce in lower:
+                a[i - degree + e] -= ce * c
+    return quot, [r % mod for r in a[:degree]]
+
+
+def _cyclotomic_divisor(p: int, j: int) -> tuple:
+    """The p^j-th cyclotomic polynomial as (degree, lower terms) for
+    _divide_monic: X - 1 for j = 0, else sum_{b<p} X^(b p^(j-1))."""
+    if j == 0:
+        return 1, ((0, -1),)
+    step = p ** (j - 1)
+    return (p - 1) * step, tuple((b * step, 1) for b in range(p - 1))
 
 
 @dataclass(frozen=True)
@@ -323,13 +383,7 @@ class CyclotomicValue:
     @staticmethod
     def zeta_power(p: int, k: int, m: int, e: int) -> "CyclotomicValue":
         """The root-of-unity zeta^e as a ring element."""
-        phi = euler_phi_p_power(p, m)
-        if m == 0:
-            return CyclotomicValue(p, k, 0, (1,))
-        e %= p**m
-        raw = [0] * (p**m)
-        raw[e] = 1
-        return CyclotomicValue(p, k, m, _reduce_cyclotomic(raw, p, k, m, phi))
+        return _reduce_cyclotomic([0] * (e % p**m) + [1], p, k, m)
 
     def _check(self, other):
         if (self.p, self.k, self.m) != (other.p, other.k, other.m):
@@ -355,15 +409,8 @@ class CyclotomicValue:
                 self.p, self.k, self.m, tuple(c * other for c in self.coefficients)
             )
         self._check(other)
-        a, b = self.coefficients, other.coefficients
-        raw = [0] * (2 * len(a) - 1)
-        for i, ci in enumerate(a):
-            if ci == 0:
-                continue
-            for j, cj in enumerate(b):
-                raw[i + j] += ci * cj
-        phi = len(a)
-        return CyclotomicValue(self.p, self.k, self.m, _reduce_cyclotomic(raw, self.p, self.k, self.m, phi))
+        raw = _packed_product(self.coefficients, other.coefficients, self.p**self.k)
+        return _reduce_cyclotomic(raw, self.p, self.k, self.m)
 
     __rmul__ = __mul__
 
@@ -381,29 +428,11 @@ class CyclotomicValue:
         the terms have pairwise distinct valuations so the minimum is exact.
         """
         e = self.ramification
-        cap = e * self.k
-        if self.m == 0:
-            return min(cap, e * capped_val(self.coefficients[0], self.p, self.k))
-        # f(X) mod Phi -> f(Y+1): binomial re-expansion, degree < e needs no
-        # further reduction.
-        n = len(self.coefficients)
-        g = [0] * n
-        row = [1] + [0] * (n - 1)  # coefficients of (Y+1)^i, updated in place
-        for i, ci in enumerate(self.coefficients):
-            if i > 0:
-                prev = row
-                row = [0] * n
-                for j in range(i + 1):
-                    row[j] = (prev[j] if j < n else 0) + (prev[j - 1] if j >= 1 else 0)
-            if ci:
-                for j in range(i + 1):
-                    g[j] += ci * row[j]
-        best = cap
-        for i, gi in enumerate(g):
-            v = capped_val(gi, self.p, self.k)
-            if v < self.k:
-                best = min(best, e * v + i)
-        return best
+        # f(X) mod Phi -> f(Y + 1): the Taylor shift by 1; degree < e needs
+        # no further reduction
+        g = _taylor_shift(self.coefficients, 1, self.p**self.k)
+        return min((e * capped_val(gi, self.p, self.k) + i for i, gi in enumerate(g) if gi),
+                   default=e * self.k)
 
     def to_json(self):
         return {
@@ -419,18 +448,9 @@ class CyclotomicValue:
         )
 
 
-def _reduce_cyclotomic(raw, p, k, m, phi):
-    mod = p**k
-    if len(raw) <= phi:
-        return tuple(c % mod for c in raw) + (0,) * (phi - len(raw))
-    rows = _reduction_rows(p, m, len(raw))
-    out = [c % mod for c in raw[:phi]]
-    for t in range(phi, len(raw)):
-        c = raw[t] % mod
-        if c:
-            row = rows[t]
-            for j in range(phi):
-                if row[j]:
-                    out[j] = (out[j] + c * row[j]) % mod
-    return tuple(c % mod for c in out)
-
+def _reduce_cyclotomic(raw, p: int, k: int, m: int) -> CyclotomicValue:
+    """sum_e raw[e] zeta^e with zeta a primitive p^m-th root of unity: the
+    remainder of raw on division by the p^m-th cyclotomic polynomial."""
+    phi, lower = _cyclotomic_divisor(p, m)
+    rem = _divide_monic(raw, phi, lower, p**k)[1]
+    return CyclotomicValue(p, k, m, rem + [0] * (phi - len(rem)))

@@ -12,6 +12,7 @@ import functools
 import hashlib
 import json
 import os
+from collections import Counter
 from itertools import chain
 
 from .groupring import GroupRingElement
@@ -51,9 +52,19 @@ def write_artifact(outdir: str, kind: str, payload) -> str:
     return path
 
 
+def _unique_keys(pairs) -> dict:
+    """json object hook: a key given twice is a ValueError, not a silent
+    overwrite by the last value."""
+    obj = dict(pairs)
+    if len(obj) != len(pairs):
+        repeated = [key for key, count in Counter(key for key, _ in pairs).items() if count > 1]
+        raise ValueError(f"JSON object repeats the key(s) {repeated}")
+    return obj
+
+
 def read_artifact(path: str, kind: str | None = None):
     with open(path) as fh:
-        return open_envelope(json.load(fh), kind)
+        return open_envelope(json.load(fh, object_pairs_hook=_unique_keys), kind)
 
 
 # ---------------------------------------------------------------------------

@@ -336,6 +336,8 @@ def orbit_table(torus: QuadraticTorus, j: int, mode: str = "vertex",
     the bijection with its orbit plus the projection to level j-1."""
     if torus.kind != "inert":
         raise ValueError("orbit tables are finite only for the inert kind")
+    if j < 0:
+        raise ValueError("level must be nonnegative")
     if mode not in ("vertex", "edge"):
         raise ValueError("mode must be 'vertex' or 'edge'")
     if mode == "edge" and j == 0:

@@ -212,6 +212,8 @@ class Ball:
 
 
 def ball(v: Vertex, radius: int) -> Ball:
+    if radius < 0:
+        raise ValueError("radius must be nonnegative")
     spheres = [(v,)]
     parent, depth_of, children_of = {}, {v: 0}, {}
     for j in range(1, radius + 1):
@@ -230,10 +232,6 @@ def ball(v: Vertex, radius: int) -> Ball:
 
 def sphere(v: Vertex, r: int) -> list:
     """All vertices at distance exactly r, by non-backtracking expansion."""
-    if r < 0:
-        raise ValueError("radius must be nonnegative")
-    if r == 0:
-        return [v]
     return list(ball(v, r).spheres[r])
 
 

@@ -1,0 +1,126 @@
+"""Quadratic polynomial loops, kept as a test oracle.
+
+These are the cyclotomic product, reduction and valuation, the Horner image
+of an integer polynomial in a layer ring, and the Howard witness division
+that `thetaforge` used before it routed them through the three `padic`
+kernels (packed product, Taylor shift, sparse monic division).  They are
+quadratic in the ring degree and serve only to cross-check the kernels.
+"""
+
+from functools import lru_cache
+
+from thetaforge.groupring import GroupRingElement
+from thetaforge.padic import CyclotomicValue, IntPolynomial, euler_phi_p_power
+from thetaforge.util import capped_val
+
+
+@lru_cache(maxsize=None)
+def _reduction_rows(p: int, m: int, top: int):
+    """Coefficient rows expressing X^t (phi <= t < top) mod the p^m-th
+    cyclotomic polynomial in the basis 1, X, ..., X^(phi-1)."""
+    phi = euler_phi_p_power(p, m)
+    rows = {}
+    for t in range(phi, top):
+        row = [0] * phi
+        if t == phi:
+            # X^phi = -sum_{b<p-1} X^(b p^(m-1))
+            for b in range(p - 1):
+                row[b * p ** (m - 1)] -= 1
+        else:
+            prev = rows[t - 1]
+            carry = prev[phi - 1]
+            shifted = [0] + list(prev[:-1])
+            if carry:
+                base = rows[phi]
+                shifted = [s + carry * bb for s, bb in zip(shifted, base)]
+            row = shifted
+        rows[t] = row
+    return {t: tuple(r) for t, r in rows.items()}
+
+
+def reference_reduce_cyclotomic(raw, p, k, m, phi):
+    """Coefficients of sum_e raw[e] zeta^e, one dense table row per power."""
+    mod = p**k
+    if len(raw) <= phi:
+        return tuple(c % mod for c in raw) + (0,) * (phi - len(raw))
+    rows = _reduction_rows(p, m, len(raw))
+    out = [c % mod for c in raw[:phi]]
+    for t in range(phi, len(raw)):
+        c = raw[t] % mod
+        if c:
+            row = rows[t]
+            for j in range(phi):
+                if row[j]:
+                    out[j] = (out[j] + c * row[j]) % mod
+    return tuple(c % mod for c in out)
+
+
+def reference_mul(x: CyclotomicValue, y: CyclotomicValue) -> CyclotomicValue:
+    """The schoolbook product, then the table reduction."""
+    a, b = x.coefficients, y.coefficients
+    raw = [0] * (2 * len(a) - 1)
+    for i, ci in enumerate(a):
+        if ci == 0:
+            continue
+        for j, cj in enumerate(b):
+            raw[i + j] += ci * cj
+    phi = len(a)
+    return CyclotomicValue(x.p, x.k, x.m, reference_reduce_cyclotomic(raw, x.p, x.k, x.m, phi))
+
+
+def reference_valuation_units(x: CyclotomicValue) -> int:
+    """Valuation in units of 1/e by a Pascal-row re-expansion in zeta - 1."""
+    e = x.ramification
+    cap = e * x.k
+    if x.m == 0:
+        return min(cap, e * capped_val(x.coefficients[0], x.p, x.k))
+    # f(X) mod Phi -> f(Y+1): binomial re-expansion, degree < e needs no
+    # further reduction.
+    n = len(x.coefficients)
+    g = [0] * n
+    row = [1] + [0] * (n - 1)  # coefficients of (Y+1)^i, updated in place
+    for i, ci in enumerate(x.coefficients):
+        if i > 0:
+            prev = row
+            row = [0] * n
+            for j in range(i + 1):
+                row[j] = (prev[j] if j < n else 0) + (prev[j - 1] if j >= 1 else 0)
+        if ci:
+            for j in range(i + 1):
+                g[j] += ci * row[j]
+    best = cap
+    for i, gi in enumerate(g):
+        v = capped_val(gi, x.p, x.k)
+        if v < x.k:
+            best = min(best, e * v + i)
+    return best
+
+
+def reference_reduce_poly(poly: IntPolynomial, p: int, k: int, n: int) -> GroupRingElement:
+    """Horner's rule with T -> generator - 1: acc <- acc * (gamma - 1) + c,
+    where multiplying by gamma - 1 is a cyclic rotate-and-subtract."""
+    mod = p**k
+    acc = [0] * p**n
+    for c in reversed(poly.coefficients):
+        acc = [(a - b) % mod for a, b in zip(acc[-1:] + acc[:-1], acc)]
+        acc[0] += c
+    return GroupRingElement(p, k, n, 1, tuple(acc))
+
+
+def reference_poly_remainder_mod(poly, witness: IntPolynomial, p: int, k0: int):
+    """Remainder of a coefficient list modulo a witness polynomial whose
+    leading coefficient is a unit, over Z/p^k0."""
+    mod = p**k0
+    lead = witness.coefficients[-1] % mod
+    if lead % p == 0:
+        raise ValueError("witness polynomial needs a unit leading coefficient")
+    inv = pow(lead, -1, mod)
+    rem = [c % mod for c in poly]
+    d = witness.degree
+    for i in range(len(rem) - 1, d - 1, -1):
+        c = rem[i]
+        if c:
+            q = c * inv % mod
+            for j, w in enumerate(witness.coefficients):
+                rem[i - d + j] = (rem[i - d + j] - q * w) % mod
+    return rem[:d]

@@ -21,6 +21,16 @@ def read_artifact_from_stdout(capsys):
     return out, path
 
 
+def write_with_repeated_key(path, obj, table):
+    """Write obj as JSON text in which the first key of `table`, a dict inside
+    obj, appears twice: first with a stray value, then with its own, which a
+    last-value-wins parser would keep."""
+    key = sorted(table)[0]
+    value, table[key] = table[key], "REPEATED"
+    with open(path, "w") as fh:
+        fh.write(json.dumps(obj).replace('"REPEATED"', f'"345", {json.dumps(key)}: {json.dumps(value)}'))
+
+
 class TestTreeCommands:
     def test_sphere_emits_36(self, tmp_path, capsys):
         assert run(["tree", "sphere", "--p", "3", "--r", "3",
@@ -46,6 +56,12 @@ class TestTreeCommands:
         out = capsys.readouterr().out
         assert "graph bruhat_tits" in out
 
+    def test_negative_radius_is_a_typed_error(self, tmp_path, capsys):
+        # used to exit 0 with a one-vertex graph
+        assert run(["tree", "dot", "--p", "3", "--r", "-1", "--out", str(tmp_path)]) == 1
+        err = json.loads(capsys.readouterr().out.strip())
+        assert err["error"]["type"] == "ValueError"
+
 
 class TestTorusCommands:
     def test_orbit(self, tmp_path, capsys):
@@ -57,6 +73,12 @@ class TestTorusCommands:
         assert payload["free_exponent"] == 1
         # rows carry the [torsion index, free digit] split
         assert all(len(r["h"]) == 2 for r in payload["rows"])
+
+    def test_negative_level_is_a_typed_error(self, tmp_path, capsys):
+        assert run(["torus", "orbit", "--p", "3", "--level", "-1",
+                    "--out", str(tmp_path)]) == 1
+        err = json.loads(capsys.readouterr().out.strip())
+        assert err["error"]["type"] == "ValueError"
 
     def test_pinned_orbit_artifact_names(self, tmp_path, capsys):
         # content hashes of orbit tables written when each label was split by
@@ -144,6 +166,31 @@ class TestFormsAndSystems:
         bad_path = os.path.join(str(tmp_path), "bad.json")
         json.dump(obj, open(bad_path, "w"))
         assert run(["check-dist", "--system", bad_path, "--out", str(tmp_path)]) == 1
+        err = json.loads(capsys.readouterr().out.strip())
+        assert err["error"]["type"] == "ValueError"
+
+    def test_repeated_level_label_is_a_typed_error(self, tmp_path, capsys):
+        assert run(["synth", "--mode", "vertex", "--ap", "0", "--p", "3", "--k", "6",
+                    "--n-max", "3", "--seed", "1", "--out", str(tmp_path)]) == 0
+        _, sys_path = read_artifact_from_stdout(capsys)
+        obj = json.load(open(sys_path))
+        bad_path = os.path.join(str(tmp_path), "bad.json")
+        write_with_repeated_key(bad_path, obj, obj["payload"]["levels"][2])
+        assert run(["check-dist", "--system", bad_path, "--out", str(tmp_path)]) == 1
+        err = json.loads(capsys.readouterr().out.strip())
+        assert err["error"]["type"] == "ValueError"
+
+    def test_repeated_coefficient_key_is_a_typed_error(self, tmp_path, capsys):
+        # a last-value-wins parser reads this lp artifact without complaint
+        assert run(["synth", "--mode", "edge", "--ap", "1", "--p", "3", "--k", "6",
+                    "--n-max", "3", "--seed", "4", "--out", str(tmp_path)]) == 0
+        _, sys_path = read_artifact_from_stdout(capsys)
+        assert run(["lp", "--system", sys_path, "--level", "3", "--out", str(tmp_path)]) == 0
+        _, lp_path = read_artifact_from_stdout(capsys)
+        obj = json.load(open(lp_path))
+        bad_path = os.path.join(str(tmp_path), "bad.json")
+        write_with_repeated_key(bad_path, obj, obj["payload"]["value"]["coeffs"])
+        assert run(["mu", "--element", bad_path, "--out", str(tmp_path)]) == 1
         err = json.loads(capsys.readouterr().out.strip())
         assert err["error"]["type"] == "ValueError"
 
@@ -247,11 +294,14 @@ class TestHowardScan:
         assert serialize.read_artifact(path, "howard")["passed"] is True
 
     @pytest.mark.parametrize("witness", [["--witness", "5"],
-                                         ["--witness", '[[1]]'], []])
+                                         ["--witness", '[[1]]'], [],
+                                         ["--witness", "[]"], ["--witness", "[0]"],
+                                         ["--witness", "[1, 1]", "--k0", "-1"]])
     def test_malformed_witness_is_a_typed_error(self, tmp_path, capsys, witness):
         fam_path = self._family_artifact(tmp_path, [one(3, 5, 1)], ["u"])
-        assert run(["howard-scan", "--family", fam_path, "--prime", "custom", *witness,
-                    "--k0", "2", "--out", str(tmp_path)]) == 1
+        # a --k0 in `witness` comes last, so it overrides the 2
+        assert run(["howard-scan", "--family", fam_path, "--prime", "custom", "--k0", "2",
+                    *witness, "--out", str(tmp_path)]) == 1
         err = json.loads(capsys.readouterr().out.strip())
         assert err["error"]["type"] == "ValueError"
 
@@ -337,7 +387,10 @@ class TestConfigAndDeterminism:
     def test_pinned_polynomial_view_artifact_names(self, tmp_path, capsys):
         # content hashes of the theta artifact (its "poly" field) and the mu
         # artifact (its "lambda" field) at N = 729, written when the polynomial
-        # view summed a binomial table; the Taylor shift must not change a byte
+        # view summed a binomial table; the Taylor shift must not change a byte.
+        # The specialize and howard artifacts were written when cyclotomic
+        # values used a dense reduction table and a Pascal-row valuation, and
+        # the witness remainder its own long division.
         def emit(*argv):
             assert run([*argv, "--out", str(tmp_path)]) == 0
             return os.path.basename(read_artifact_from_stdout(capsys)[1])
@@ -348,6 +401,12 @@ class TestConfigAndDeterminism:
                     "--ordinary") == "theta-fbcf6c2a341b207e.json"
         lp_path = str(tmp_path / emit("lp", "--system", system, "--level", "7"))
         assert emit("mu", "--element", lp_path) == "mu-438871f4c271b867.json"
+        assert emit("specialize", "--element", lp_path,
+                    "--character", '{"m":6,"exponents":[1]}') == "specialize-80fbf07dbf6d4acf.json"
+        family = serialize.write_artifact(str(tmp_path), "family", {
+            "labels": ["L"], "elements": [serialize.read_artifact(lp_path, "lp")["value"]]})
+        assert emit("howard-scan", "--family", family, "--prime", "custom",
+                    "--witness", "[1,1]", "--k0", "11") == "howard-086cf48582080fd7.json"
 
 
     def test_pinned_rank_two_artifact_names(self, tmp_path, capsys):
