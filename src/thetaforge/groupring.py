@@ -31,7 +31,7 @@ from functools import lru_cache
 
 from .errors import NotDivisible, UnsupportedDelta
 from .padic import (
-    IntPolynomial, T_POLY, _cyclotomic_divisor, _divide_monic, _pack, _taylor_shift, _unpack,
+    IntPolynomial, T_POLY, _cyclotomic_divisor, _divide_monic, _packed_product, _taylor_shift,
     cyclotomic_sigma,
 )
 from .util import capped_val
@@ -167,20 +167,18 @@ def _axis_map(delta: int, q: int, f, q_out: int) -> list:
 def _convolve(x: GroupRingElement, y: GroupRingElement) -> GroupRingElement:
     """Rows of q coefficients along the inner axis start 2q - 1 slots apart;
     a product row folds as row[i] + row[i + q] onto the row its outer digits
-    reach mod q.  For delta = 1 there is one row, unpadded.  A slot holds a
-    full product coefficient (< N * mod^2), which fixes the slot width."""
-    mod, q = x.p**x.k, x.order
+    reach mod q.  For delta = 1 there is one row, unpadded."""
+    q = x.order
     s = 2 * q - 1
     rows = _axis_map(x.delta - 1, q, lambda t: s * t, s)
     fold = _axis_map(x.delta - 1, s, lambda u: q * (u % q), q)
-    width = (x.group_size * mod * mod).bit_length() // 8 + 1
-    packed = []
+    padded = []
     for z in (x, y):
         slots = [0] * (rows[-1] + q)
         for r, start in enumerate(rows):
             slots[start:start + q] = z.coeffs[r * q:r * q + q]
-        packed.append(_pack(slots, width))
-    full = _unpack(packed[0] * packed[1], width, s * len(fold))
+        padded.append(slots)
+    full = _packed_product(padded[0], padded[1], x.p**x.k)
     out = [0] * x.group_size
     for r, o in enumerate(fold):
         row = full[r * s:r * s + s] + [0]
