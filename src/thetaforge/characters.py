@@ -104,13 +104,9 @@ def star_identity_check(lam: GroupRingElement, rho: FiniteOrderCharacter) -> Sta
     return StarIdentityReport(lhs == rhs, lhs, rhs)
 
 
-def period_sum(sys: CompatibleSystem, rho: FiniteOrderCharacter, m: int) -> CyclotomicValue:
-    """alpha^(-m) sum over level-m labels of rho(free image) * coefficient.
-
-    Coincides with specializing the ordinary theta element at rho.  The
-    coefficients are accumulated on the p^m raw zeta exponents and reduced
-    modulo the cyclotomic polynomial once, as in specialize.
-    """
+def _period_raw(sys: CompatibleSystem, rho: FiniteOrderCharacter, m: int) -> list:
+    """The level-m coefficients accumulated on the p^m raw zeta exponents of
+    rho, before cyclotomic reduction and the alpha^(-m) scale."""
     if sys.mode != "edge":
         raise NotOrdinary("period sums are defined for ordinary edge systems")
     alpha = sys.eigen.alpha
@@ -120,17 +116,30 @@ def period_sum(sys: CompatibleSystem, rho: FiniteOrderCharacter, m: int) -> Cycl
         raise ConductorTooLarge(
             f"conductor exponent {rho.m} exceeds free exponent {sys.level_exp[m]}"
         )
-    p, k = sys.p, sys.k
-    size = p**rho.m
+    size = sys.p**rho.m
     raw = [0] * size
     free = sys.free[m]
     for key, c in sys.table(m).items():
         if c:
             e = sum(ei * d for ei, d in zip(rho.exponents, free[key]))
             raw[e % size] += c
-    acc = _reduce_cyclotomic(raw, p, k, rho.m)
-    scale = pow(alpha.inverse().residue, m, p**k)
-    return acc * scale
+    return raw
+
+
+def _period_value(sys: CompatibleSystem, raw: list, rho_m: int, m: int) -> CyclotomicValue:
+    p, k = sys.p, sys.k
+    scale = pow(sys.eigen.alpha.inverse().residue, m, p**k)
+    return _reduce_cyclotomic(raw, p, k, rho_m) * scale
+
+
+def period_sum(sys: CompatibleSystem, rho: FiniteOrderCharacter, m: int) -> CyclotomicValue:
+    """alpha^(-m) sum over level-m labels of rho(free image) * coefficient.
+
+    Coincides with specializing the ordinary theta element at rho.  The
+    coefficients are accumulated on the p^m raw zeta exponents and reduced
+    modulo the cyclotomic polynomial once, as in specialize.
+    """
+    return _period_value(sys, _period_raw(sys, rho, m), rho.m, m)
 
 
 @dataclass(frozen=True)
@@ -154,11 +163,16 @@ class InterpolationReport:
 def interpolation_shape(sys: CompatibleSystem, rho: FiniteOrderCharacter,
                         m: int) -> InterpolationReport:
     """specialize(L, rho) = (period sum at rho) * (period sum at rho^(-1)),
-    with the cyclotomic valuation of each side reported."""
+    with the cyclotomic valuation of each side reported.  Both period sums
+    come from one walk of the level-m table."""
     lelt = lp(sys, m, "ordinary")
     lhs = specialize(lelt.value, rho)
-    ps1 = period_sum(sys, rho, m)
-    ps2 = period_sum(sys, rho.inverse(), m)
+    # one walk of the level-m table: rho^(-1) puts at exponent i what rho
+    # puts at -i
+    raw = _period_raw(sys, rho, m)
+    size = len(raw)
+    ps1 = _period_value(sys, raw, rho.m, m)
+    ps2 = _period_value(sys, [raw[-i % size] for i in range(size)], rho.m, m)
     rhs = ps1 * ps2
     return InterpolationReport(
         lhs == rhs, lhs, rhs, lhs.valuation_units(),

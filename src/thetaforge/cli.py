@@ -11,6 +11,7 @@ import argparse
 import json
 import sys
 from dataclasses import dataclass
+from math import isqrt
 
 from . import groupring, serialize
 from .characters import FiniteOrderCharacter, HowardFamily, howard_check, specialize
@@ -35,6 +36,12 @@ class RunConfig:
     out: str = "artifacts"
 
     def __post_init__(self):
+        if self.p < 2 or any(self.p % q == 0 for q in range(2, isqrt(self.p) + 1)):
+            raise ValueError(f"p = {self.p} is not prime")
+        if self.delta < 1:
+            raise ValueError("delta must be >= 1")
+        if self.n_max < 0:
+            raise ValueError("n_max must be nonnegative")
         # p odd is a torus-side requirement; tree commands accept p = 2
         if self.kind == "inert" and self.p % 2 == 1 and self.d is None:
             self.d = default_nonresidue(self.p)

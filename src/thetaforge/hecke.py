@@ -4,8 +4,8 @@ vertex eigenfunction to an edge eigenfunction, seeded eigen-extensions, and
 the congruence-to-a-constant invariant.
 
 Forms carry h components evaluated on one stored ball; values are residues
-mod p^k wrapped as PrecisionInt.  Adjacency (depth, children, parent) is read
-from the ball's tables, which tree.ball() builds once.
+mod p^k wrapped as PrecisionInt.  Adjacency (depth, children, parent) and the
+directed edges are read from the ball, which tree.ball() builds once.
 """
 
 from __future__ import annotations
@@ -166,14 +166,17 @@ def stabilize(f0: VertexForm, eigen: EigenData) -> EdgeForm:
     """
     if eigen.alpha is None:
         raise MissingEigenvalue("stabilization needs the transfer eigenvalue")
-    alpha = eigen.alpha
+    p, k, alpha = f0.p, f0.k, eigen.alpha
+    if (alpha.p, alpha.k) != (p, k):
+        raise ValueError("mixed (p, k) arithmetic is not defined")
+    edges = tuple(f0.domain.directed_edges())
     tables = []
     for table in f0.tables:
-        out = {}
-        for e in f0.domain.directed_edges():
-            out[e] = table[e.source] - alpha * table[e.target]
-        tables.append(out)
-    return EdgeForm(f0.p, f0.k, f0.h, f0.domain, tuple(tables))
+        tables.append({
+            e: PrecisionInt(p, k, table[e.source].residue - alpha.residue * table[e.target].residue)
+            for e in edges
+        })
+    return EdgeForm(p, k, f0.h, f0.domain, tuple(tables))
 
 
 def local_eigen_extend(p: int, k: int, ap: int, radius: int, seed: int,

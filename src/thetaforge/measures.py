@@ -25,13 +25,7 @@ from .errors import (
 )
 from .groupring import GroupRingElement, QuotientClass, divide_omega_tilde, star
 from .hecke import EigenData, VertexForm
-from .torus import (
-    QuadraticTorus,
-    TorusElement,
-    act,
-    base_sequence,
-    orbit_table,
-)
+from .torus import QuadraticTorus, TorusElement, _label_mul, orbit_table, reduce_label
 
 
 @dataclass(frozen=True)
@@ -137,7 +131,9 @@ def from_tree(form, torus: QuadraticTorus, eigen: EigenData, n_max: int,
     """Read a compatible system off the orbit tables: c_j(h) = form(h * w_j).
 
     The form must be a local eigen-extension (vertex mode) or a stabilized
-    eigen edge form (edge mode) defined on a ball of radius >= n_max.
+    eigen edge form (edge mode) defined on a ball of radius >= n_max.  With a
+    shift s the base points are s * w_j; the torus is commutative, so label h
+    reads the standard orbit at the label h * s.
     """
     if torus.kind != "inert":
         raise ValueError("genuine systems are built for the inert kind")
@@ -148,24 +144,29 @@ def from_tree(form, torus: QuadraticTorus, eigen: EigenData, n_max: int,
         raise PrecisionExhausted(
             f"form ball radius {form.domain.radius} < depth {n_max}"
         )
+    if shift is not None:
+        if shift.torus != torus:
+            raise ValueError("the shift must lie in the same torus")
+        if shift.k < n_max:
+            raise PrecisionExhausted(f"shift known mod p^{shift.k} < p^{n_max}")
     p, k = form.p, form.k
-    verts, edges = base_sequence(torus, n_max)
     start = 0 if mode == "vertex" else 1
     levels: list = [None] * (n_max + 1)
     fibers: list = [None] * (n_max + 1)
     free: list = [None] * (n_max + 1)
     level_exp = tuple(max(j - 1, 0) for j in range(n_max + 1))
     for j in range(start, n_max + 1):
-        base = verts[j] if mode == "vertex" else edges[j - 1]
+        tab = orbit_table(torus, j, mode)
+        images = tab.images
         if shift is not None:
-            base = act(shift, base)
-        tab = orbit_table(torus, j, mode, base=base)
+            s_lbl = reduce_label(torus, shift.k, j, (shift.x, shift.y))
+            images = {lbl: images[_label_mul(torus, j, lbl, s_lbl)] for lbl in tab.labels}
         table = {}
         fib = {}
         fr = {}
-        for lbl, w in tab.rows():
+        for lbl in tab.labels:
             key = f"{lbl[0]}:{lbl[1]}"
-            table[key] = form.tables[0][w].residue
+            table[key] = form.tables[0][images[lbl]].residue
             tau, digit = tab.split_parts[lbl]
             fr[key] = (digit,)
             if j > start:
@@ -239,6 +240,8 @@ def synth_system(p: int, k: int, mode: str, eigen: EigenData, n_max: int,
         raise ValueError("level_map must be 'local' or 'full'")
     mod = p**k
     start = 0 if mode == "vertex" else 1
+    if n_max < start:
+        raise ValueError(f"{mode} systems need n_max >= {start}")
     if mode == "vertex" and eigen.ap is None:
         raise ValueError("vertex systems need the adjacency eigenvalue")
     if mode == "edge" and eigen.alpha is None:

@@ -30,7 +30,7 @@ from .errors import InvariantViolation, NotOrdinary, PrecisionExhausted
 from .util import capped_val
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PrecisionInt:
     """Residue in [0, p^k) with valuation semantics of the ring Z_p / p^k."""
 

@@ -5,6 +5,15 @@ embedded by x + y*sqrt(d) -> [[x, d y], [y, x]].  The level-j coset space is
 the projective line over Z/p^j, enumerated by canonical representatives and
 decomposed as torsion x cyclic p-part for pushforward to group rings.
 
+Orbit tables on the standard base points are read off in closed form: the
+label (x : y) sends v_j = [[p^j, 0], [0, 1]] to the lattice
+p^j Z^2 + Z (d y, x), whose normal form is
+  Vertex(p, j, 0, d y x^(-1) mod p^j)        if x is a unit,
+  Vertex(p, 0, j, 0)                         if x = 0 mod p^j,
+  Vertex(p, j - v, v, w^(-1) mod p^(j - v))  otherwise, x / (d y) = p^v w;
+and sends the edge (v_(j-1), v_j) to the pair of images of its endpoints.
+act() normalizes a general lattice basis and serves any other base point.
+
 Split kind: diagonal matrices diag(t, 1); the fixed set is the standard
 apartment, supported for inspection only.
 """
@@ -15,7 +24,7 @@ from dataclasses import dataclass
 
 from .errors import InvariantViolation, TransitivityViolation
 from .tree import DirectedEdge, Vertex, _normal_form_residues, distance, origin
-from .util import is_nonresidue
+from .util import is_nonresidue, val_p
 
 
 @dataclass(frozen=True)
@@ -330,10 +339,47 @@ def _lift_label(torus: QuadraticTorus, label, k: int) -> TorusElement:
     return TorusElement(torus, k, x=label[0], y=label[1])
 
 
+def _standard_image(p: int, d: int, j: int, x: int, y: int) -> Vertex:
+    """Image of v_j under the torus element x + y*sqrt(d), (x, y) primitive:
+    the normal form of p^j Z^2 + Z (d y, x), read off in closed form."""
+    mod = p**j
+    x %= mod
+    if x % p:
+        return Vertex(p, j, 0, d * y * pow(x, -1, mod) % mod)
+    if x == 0:
+        return Vertex(p, 0, j, 0)
+    # 0 < v < j and y is a unit: (d y, x) spans the same line as (w^(-1), p^v)
+    v = val_p(x, p)
+    r = p ** (j - v)
+    return Vertex(p, j - v, v, d * y * pow(x // p**v, -1, r) % r)
+
+
+def _standard_images(torus: QuadraticTorus, j: int, mode: str, labels, parents) -> list:
+    """Images of the level-j base vertex or edge under each label."""
+    p, d = torus.p, torus.d
+    tip = [_standard_image(p, d, j, x, y) for x, y in labels]
+    if mode == "vertex":
+        return tip
+    # an edge's source is the parent label's image of v_(j-1)
+    below = {}
+    out = []
+    for lbl, t in zip(labels, tip):
+        par = parents[lbl]
+        src = below.get(par)
+        if src is None:
+            src = below[par] = _standard_image(p, d, j - 1, *par)
+        out.append(DirectedEdge(src, t))
+    return out
+
+
 def orbit_table(torus: QuadraticTorus, j: int, mode: str = "vertex",
                 base=None) -> OrbitTable:
-    """Enumerate the level-j cosets, act on the j-th base point, and record
-    the bijection with its orbit plus the projection to level j-1."""
+    """Enumerate the level-j cosets, map the j-th base point through each,
+    and record the bijection with its orbit plus the projection to level j-1.
+
+    The standard base point (base None, or the j-th point of base_sequence)
+    is mapped in closed form; any other base point goes through act().
+    """
     if torus.kind != "inert":
         raise ValueError("orbit tables are finite only for the inert kind")
     if j < 0:
@@ -342,12 +388,17 @@ def orbit_table(torus: QuadraticTorus, j: int, mode: str = "vertex",
         raise ValueError("mode must be 'vertex' or 'edge'")
     if mode == "edge" and j == 0:
         raise ValueError("edge orbits start at level 1")
-    if base is None:
-        verts, edges = base_sequence(torus, max(j, 1))
-        base = verts[j] if mode == "vertex" else edges[j - 1]
-    k = j + 2
+    verts, edges = base_sequence(torus, max(j, 1))
+    standard = verts[j] if mode == "vertex" else edges[j - 1]
     labels = tuple(coset_labels(torus, j))
-    acted = [act(_lift_label(torus, lbl, k), base) for lbl in labels]
+    parents = {}
+    if j >= 1:
+        for lbl in labels:
+            parents[lbl] = reduce_label(torus, j, j - 1, lbl)
+    if base is None or base == standard:
+        acted = _standard_images(torus, j, mode, labels, parents)
+    else:
+        acted = [act(_lift_label(torus, lbl, j + 2), base) for lbl in labels]
     images, lookup = {}, {}
     for lbl, w in zip(labels, acted):
         if w in lookup:
@@ -356,10 +407,6 @@ def orbit_table(torus: QuadraticTorus, j: int, mode: str = "vertex",
             )
         images[lbl] = w
         lookup[w] = lbl
-    parents = {}
-    if j >= 1:
-        for lbl in labels:
-            parents[lbl] = reduce_label(torus, j, j - 1, lbl)
     dec = coset_decomposition(torus, j)
     split_parts = {lbl: dec.split(lbl) for lbl in labels}
     return OrbitTable(torus, j, mode, labels, images, lookup, parents,

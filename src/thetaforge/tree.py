@@ -3,6 +3,13 @@
 A vertex is the scalar-normalized column Hermite form [[p^a, u], [0, p^b]]
 with 0 <= u < p^a and min(a, b, val(u)) = 0; two vertices are equal iff their
 fields are equal.  Edges are ordered pairs of adjacent vertices.
+
+Vertices and edges are slotted and compute their hash once, at construction;
+the cached value is the one the field tuple would hash to, so dict and set
+order is that of plain frozen dataclasses.  Neighbours and distances are read
+off the exponents in closed form.  A ball builds its directed edges once, per
+sphere, and every directed_edges() call (also on a shrunk copy) yields those
+same objects.
 """
 
 from __future__ import annotations
@@ -13,22 +20,26 @@ from .errors import InvariantViolation, PrecisionExhausted
 from .util import val_p
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Vertex:
     p: int
     a: int
     b: int
     u: int
+    _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.a < 0 or self.b < 0:
             raise ValueError("exponents must be nonnegative")
         if not (0 <= self.u < self.p**self.a):
             raise ValueError("u must lie in [0, p^a)")
-        vu = val_p(self.u, self.p)
-        floor = min(self.a, self.b) if vu is None else min(self.a, self.b, vu)
-        if floor != 0:
+        # min(a, b, val(u)) > 0 iff a, b > 0 and p | u (u = 0 included)
+        if self.a and self.b and self.u % self.p == 0:
             raise ValueError("matrix is not scalar-normalized")
+        object.__setattr__(self, "_hash", hash((self.p, self.a, self.b, self.u)))
+
+    def __hash__(self):
+        return self._hash
 
     def basis_matrix(self):
         """Exact integer column basis [[p^a, u], [0, p^b]]."""
@@ -47,14 +58,19 @@ def origin(p: int) -> Vertex:
     return Vertex(p, 0, 0, 0)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DirectedEdge:
     source: Vertex
     target: Vertex
+    _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if distance(self.source, self.target) != 1:
             raise ValueError("edge endpoints must be adjacent")
+        object.__setattr__(self, "_hash", hash((self.source, self.target)))
+
+    def __hash__(self):
+        return self._hash
 
     @property
     def p(self) -> int:
@@ -124,25 +140,22 @@ def normal_form(m) -> Vertex:
     return _normal_form_residues(p, m00.residue, m01.residue, m10.residue, m11.residue, k)
 
 
-def normal_form_exact(p: int, m00: int, m01: int, m10: int, m11: int) -> Vertex:
-    """Vertex for the column span of an exact integer matrix with nonzero det."""
-    det = m00 * m11 - m01 * m10
-    if det == 0:
-        raise ValueError("matrix is singular")
-    prec = val_p(det, p) + 1
-    return _normal_form_residues(p, m00, m01, m10, m11, prec)
-
-
 def neighbors(v: Vertex) -> list:
-    """The p+1 classes of index-p sublattices of a representative of v."""
-    p = v.p
-    pa, u, _, pb = v.basis_matrix()
-    out = []
-    for c in range(p):
-        # g_v * [[p, c], [0, 1]]
-        out.append(normal_form_exact(p, pa * p, c * pa + u, 0, pb))
-    # g_v * [[1, 0], [0, p]]
-    out.append(normal_form_exact(p, pa, p * u, 0, pb * p))
+    """The p+1 classes of index-p sublattices of a representative of v.
+
+    In the order of the sublattices g_v [[p, c], [0, 1]] for c = 0..p-1, then
+    g_v [[1, 0], [0, p]], each written directly in normal form.
+    """
+    p, a, b, u = v.p, v.a, v.b, v.u
+    if a == 0 and b > 0:
+        # [[p, c], [0, p^b]]: c = 0 is p times the class of (0, b-1, 0)
+        out = [Vertex(p, 0, b - 1, 0)] + [Vertex(p, 1, b, c) for c in range(1, p)]
+    else:
+        # here b > 0 forces a > 0 and u a unit, so no scalar divides out
+        pa = p**a
+        out = [Vertex(p, a + 1, b, c * pa + u) for c in range(p)]
+    # [[p^a, p u], [0, p^(b+1)]]: divide by p when a > 0
+    out.append(Vertex(p, 0, b + 1, 0) if a == 0 else Vertex(p, a - 1, b, u % p ** (a - 1)))
     if len(set(out)) != p + 1:
         raise InvariantViolation(f"{v} has {len(set(out))} distinct neighbors, expected {p + 1}")
     return out
@@ -154,13 +167,11 @@ def distance(v: Vertex, w: Vertex) -> int:
     if v.p != w.p:
         raise ValueError("vertices on different trees")
     p = v.p
-    # adj(g_v) * g_w, an exact upper-triangular integer matrix
-    top = p**v.b * p**w.a
+    # adj(g_v) * g_w = [[p^(b_v + a_w), off], [0, p^(a_v + b_w)]]
+    c = min(v.b + w.a, v.a + w.b)
     off = p**v.b * w.u - v.u * p**w.b
-    bot = p**v.a * p**w.b
-    voff = val_p(off, p)
-    vals = [val_p(top, p), val_p(bot, p)] + ([] if voff is None else [voff])
-    c = min(vals)
+    if off % p**c:
+        c = val_p(off, p)
     return (v.a + v.b + w.a + w.b) - 2 * c
 
 
@@ -169,8 +180,10 @@ class Ball:
     """Distance-closed ball with its breadth-first tree structure.
 
     ball() fills the parent, depth and children tables once; children are in
-    neighbors() order minus the parent.  A smaller ball around the same
-    center may share the tables, so lookups ignore entries beyond the radius.
+    neighbors() order minus the parent.  edges[j] holds, for each vertex of
+    sphere j in order, the edge from its parent and the reverse edge.  A
+    smaller ball around the same center may share the tables, so lookups
+    ignore entries beyond the radius.
     """
 
     center: Vertex
@@ -179,6 +192,7 @@ class Ball:
     parent: dict = field(compare=False)
     depth_of: dict = field(compare=False)
     children_of: dict = field(compare=False)
+    edges: tuple = field(compare=False)     # edges[0] = ()
 
     @property
     def p(self) -> int:
@@ -196,11 +210,8 @@ class Ball:
 
     def directed_edges(self):
         """All oriented adjacent pairs inside the ball (tree edges, both ways)."""
-        for s in self.spheres[1:]:
-            for child in s:
-                par = self.parent[child]
-                yield DirectedEdge(par, child)
-                yield DirectedEdge(child, par)
+        for s in self.edges[1 : self.radius + 1]:
+            yield from s
 
     def children(self, v: Vertex) -> tuple:
         return () if self.depth(v) == self.radius else self.children_of[v]
@@ -214,10 +225,10 @@ class Ball:
 def ball(v: Vertex, radius: int) -> Ball:
     if radius < 0:
         raise ValueError("radius must be nonnegative")
-    spheres = [(v,)]
+    spheres, edges = [(v,)], [()]
     parent, depth_of, children_of = {}, {v: 0}, {}
     for j in range(1, radius + 1):
-        nxt = []
+        nxt, links = [], []
         for x in spheres[-1]:
             par = parent.get(x)
             kids = tuple(w for w in neighbors(x) if w != par)
@@ -225,9 +236,12 @@ def ball(v: Vertex, radius: int) -> Ball:
             for w in kids:
                 parent[w] = x
                 depth_of[w] = j
+                links.append(DirectedEdge(x, w))
+                links.append(DirectedEdge(w, x))
             nxt.extend(kids)
         spheres.append(tuple(nxt))
-    return Ball(v, radius, tuple(spheres), parent, depth_of, children_of)
+        edges.append(tuple(links))
+    return Ball(v, radius, tuple(spheres), parent, depth_of, children_of, tuple(edges))
 
 
 def sphere(v: Vertex, r: int) -> list:

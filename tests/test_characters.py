@@ -193,6 +193,20 @@ class TestInterpolationShape:
         cap = 2 * 6
         assert rep.lhs_valuation == min(sum(rep.factor_valuations), cap)
 
+    @pytest.mark.parametrize("p", [3, 5])
+    @pytest.mark.parametrize("cond", [0, 1, 2])
+    def test_rhs_is_the_product_of_the_two_period_sums(self, p, cond):
+        # the report reads both period sums off one walk of the table
+        k, n_max = 6, 3
+        s = synth_system(p, k, "edge", EigenData.ordinary(p, k, 1), n_max,
+                         seed=10 * p + cond)
+        rng = random.Random(cond)
+        for e in (1, rng.randrange(p**cond)):
+            rho = FiniteOrderCharacter(p, cond, 1, (e,))
+            rep = interpolation_shape(s, rho, n_max)
+            assert rep.rhs == period_sum(s, rho, n_max) * period_sum(s, rho.inverse(), n_max)
+            assert rep.ok
+
     def test_specialized_lp_depends_only_on_lp(self):
         from thetaforge.torus import TorusElement
 

@@ -330,6 +330,22 @@ class TestHowardScan:
 
 
 class TestConfigAndDeterminism:
+    @pytest.mark.parametrize("argv", [
+        ["tree", "sphere", "--p", "4", "--r", "2"],                 # used to exit 0
+        ["synth", "--mode", "edge", "--ap", "1", "--p", "4"],      # used to exit 0
+        ["synth", "--mode", "edge", "--ap", "1", "--delta", "0"],  # used to exit 0
+        ["synth", "--mode", "vertex", "--ap", "0", "--n-max", "-1"],  # IndexError
+        ["synth", "--mode", "edge", "--ap", "1", "--n-max", "0"],     # IndexError
+    ])
+    def test_bad_size_is_a_typed_error(self, tmp_path, capsys, argv):
+        assert run(argv + ["--out", str(tmp_path)]) == 1
+        err = json.loads(capsys.readouterr().out.strip())
+        assert err["error"]["type"] == "ValueError"
+
+    def test_p_two_stays_valid_for_tree_commands(self, tmp_path, capsys):
+        assert run(["tree", "sphere", "--p", "2", "--r", "2", "--out", str(tmp_path)]) == 0
+        assert "6 vertices" in capsys.readouterr().out
+
     def test_config_file(self, tmp_path):
         cfg_path = tmp_path / "run.cfg"
         cfg_path.write_text("p = 5\nk = 7\nn_max = 2\nseed = 3   # comment\n")

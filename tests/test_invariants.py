@@ -10,8 +10,10 @@ from thetaforge.padic import PrecisionInt, hensel_unit_root
 
 
 def test_neighbors_must_be_distinct(monkeypatch):
+    # the closed form builds each neighbour with Vertex(p, a, b, u); make
+    # every one of them the same vertex
     v = tree.origin(3)
-    monkeypatch.setattr(tree, "normal_form_exact", lambda p, *entries: v)
+    monkeypatch.setattr(tree, "Vertex", lambda p, a, b, u: v)
     with pytest.raises(InvariantViolation):
         tree.neighbors(v)
 

@@ -12,12 +12,12 @@ from thetaforge.tree import (
     geodesic_path,
     neighbors,
     normal_form,
-    normal_form_exact,
     origin,
     sphere,
     to_dot,
 )
 from thetaforge.util import val_p
+from tree_oracle import normal_form_exact
 
 
 def mat(p, k, entries):
