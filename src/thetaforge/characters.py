@@ -116,13 +116,11 @@ def _period_raw(sys: CompatibleSystem, rho: FiniteOrderCharacter, m: int) -> lis
         raise ConductorTooLarge(
             f"conductor exponent {rho.m} exceeds free exponent {sys.level_exp[m]}"
         )
-    size = sys.p**rho.m
-    raw = [0] * size
+    raw = [0] * sys.p**rho.m
     free = sys.free[m]
     for key, c in sys.table(m).items():
         if c:
-            e = sum(ei * d for ei, d in zip(rho.exponents, free[key]))
-            raw[e % size] += c
+            raw[rho.value_exponent(free[key])] += c
     return raw
 
 

@@ -177,8 +177,11 @@ def _eigen_from_args(cfg: RunConfig, args) -> EigenData:
     if args.mode == "edge":
         if args.ap is not None:
             return EigenData.ordinary(cfg.p, cfg.k, args.ap)
-        alpha = PrecisionInt(cfg.p, cfg.k, args.alpha)
-        return EigenData(ap=None, alpha=alpha)
+        if args.alpha is None:
+            raise ValueError("edge systems need --ap or --alpha")
+        return EigenData(ap=None, alpha=PrecisionInt(cfg.p, cfg.k, args.alpha))
+    if args.ap is None:
+        raise ValueError("vertex systems need --ap")
     return EigenData(ap=PrecisionInt(cfg.p, cfg.k, args.ap), alpha=None)
 
 

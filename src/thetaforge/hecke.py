@@ -5,7 +5,9 @@ the congruence-to-a-constant invariant.
 
 Forms carry h components evaluated on one stored ball; values are residues
 mod p^k wrapped as PrecisionInt.  Adjacency (depth, children, parent) and the
-directed edges are read from the ball, which tree.ball() builds once.
+directed edges are read from the ball, which tree.ball() builds once; the
+transfer operator reads each edge's continuations off the ball's record of
+the edges leaving its target.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from dataclasses import dataclass, replace
 
 from .errors import EmptyDomain, InvariantViolation, MissingEigenvalue
 from .padic import PrecisionInt, hensel_unit_root
-from .tree import Ball, DirectedEdge, Vertex, ball, origin
+from .tree import Ball, ball, origin
 
 
 @dataclass(frozen=True)
@@ -53,12 +55,6 @@ class VertexForm:
     domain: Ball
     tables: tuple           # one dict Vertex -> PrecisionInt per component
 
-    def value(self, i: int, v: Vertex) -> PrecisionInt:
-        return self.tables[i][v]
-
-    def vertices(self):
-        return self.tables[0].keys()
-
 
 @dataclass(frozen=True)
 class EdgeForm:
@@ -67,12 +63,6 @@ class EdgeForm:
     h: int
     domain: Ball
     tables: tuple           # one dict DirectedEdge -> PrecisionInt per component
-
-    def value(self, i: int, e: DirectedEdge) -> PrecisionInt:
-        return self.tables[i][e]
-
-    def edges(self):
-        return self.tables[0].keys()
 
 
 def _shrunk_ball(b: Ball) -> Ball:
@@ -86,24 +76,14 @@ def hecke_T(f: VertexForm) -> VertexForm:
     if f.domain.radius < 1:
         raise EmptyDomain("adjacency sum needs radius >= 1")
     inner = _shrunk_ball(f.domain)
+    p, k, out = f.p, f.k, f.domain.out_edges
     tables = []
     for table in f.tables:
-        out = {}
-        for v in inner.vertices():
-            acc = PrecisionInt(f.p, f.k, 0)
-            for w in f.domain.adjacent(v):
-                acc = acc + table[w]
-            out[v] = acc
-        tables.append(out)
-    return VertexForm(f.p, f.k, f.h, inner, tuple(tables))
-
-
-def interior_edges(b: Ball):
-    """Directed edges whose target is at depth <= radius - 1, so that every
-    non-backtracking continuation stays inside the ball."""
-    for e in b.directed_edges():
-        if b.depth(e.target) <= b.radius - 1:
-            yield e
+        tables.append({
+            v: PrecisionInt(p, k, sum(table[e.target].residue for e in out[v]))
+            for v in inner.vertices()
+        })
+    return VertexForm(p, k, f.h, inner, tuple(tables))
 
 
 def hecke_U(f: EdgeForm) -> EdgeForm:
@@ -112,26 +92,23 @@ def hecke_U(f: EdgeForm) -> EdgeForm:
     Defined on the edges whose p continuations all carry values, so repeated
     application keeps shrinking the edge set inward.  Edges into the boundary
     sphere have no continuations inside the ball and are skipped.  The
-    continuations are read off an index of the form's own edges by source.
+    continuations of (s -> t) are the ball's edges leaving t, minus (t -> s).
     """
     b = f.domain
     if b.radius < 1:
         raise EmptyDomain("transfer sum needs radius >= 1")
     p, k = f.p, f.k
     known = f.tables[0]
-    leaving = {}
-    for c in known:
-        leaving.setdefault(c.source, []).append(c)
     tables = [dict() for _ in range(f.h)]
     for e in known:
         t = e.target
         if b.depth(t) == b.radius:
             continue
-        nbrs = len(b.adjacent(t))
-        if nbrs != p + 1:
-            raise InvariantViolation(f"edge {e} has {nbrs - 1} continuations, expected {p}")
-        conts = [c for c in leaving.get(t, ()) if c.target != e.source]
-        if len(conts) != p:
+        leaving = b.out_edges[t]
+        if len(leaving) != p + 1:
+            raise InvariantViolation(f"edge {e} has {len(leaving) - 1} continuations, expected {p}")
+        conts = [c for c in leaving if c.target != e.source]
+        if not all(c in known for c in conts):
             continue
         for table, out in zip(f.tables, tables):
             out[e] = PrecisionInt(p, k, sum(table[c].residue for c in conts))
@@ -140,30 +117,14 @@ def hecke_U(f: EdgeForm) -> EdgeForm:
     return EdgeForm(p, k, f.h, f.domain, tuple(tables))
 
 
-def source_form(f0: VertexForm) -> EdgeForm:
-    """Edge form e -> f0(source(e))."""
-    tables = []
-    for table in f0.tables:
-        out = {e: table[e.source] for e in f0.domain.directed_edges()}
-        tables.append(out)
-    return EdgeForm(f0.p, f0.k, f0.h, f0.domain, tuple(tables))
-
-
-def target_form(f0: VertexForm) -> EdgeForm:
-    """Edge form e -> f0(target(e))."""
-    tables = []
-    for table in f0.tables:
-        out = {e: table[e.target] for e in f0.domain.directed_edges()}
-        tables.append(out)
-    return EdgeForm(f0.p, f0.k, f0.h, f0.domain, tuple(tables))
-
-
 def stabilize(f0: VertexForm, eigen: EigenData) -> EdgeForm:
     """phi(e) = f0(source(e)) - alpha * f0(target(e)).
 
     When f0 satisfies the adjacency eigen-equation at interior vertices, the
     result satisfies U phi = alpha phi on interior edges.
     """
+    if not isinstance(f0, VertexForm):
+        raise ValueError("stabilization takes a vertex form")
     if eigen.alpha is None:
         raise MissingEigenvalue("stabilization needs the transfer eigenvalue")
     p, k, alpha = f0.p, f0.k, eigen.alpha
@@ -200,7 +161,7 @@ def local_eigen_extend(p: int, k: int, ap: int, radius: int, seed: int,
         for s in b.spheres[:radius]:
             for v in s:
                 # the center has no parent, which contributes 0
-                need = (a * vals[v] - vals.get(b.parent.get(v), 0)) % mod
+                need = (a * vals[v] - vals.get(b.parent(v), 0)) % mod
                 kids = b.children(v)
                 for w in kids[:-1]:
                     vals[w] = rng.randrange(mod)

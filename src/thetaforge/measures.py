@@ -5,7 +5,10 @@ extraction for zero adjacency eigenvalue, and the product L-element.
 A system stores, per level, a table over opaque coset labels together with
 the fiber map to the previous level and the projection of each label to the
 free quotient (Z/p^m(level))^delta.  The distribution checker needs only
-fibers; the theta pushforward needs only the free projections.
+fibers; the theta pushforward needs only the free projections.  One rule,
+_fiber_target, gives what each fiber sums to (alpha c_j on edges,
+a_p c_j - c_(j-1) on vertices); the synthesizer solves it and the checker
+tests it.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ from .errors import (
 )
 from .groupring import GroupRingElement, QuotientClass, divide_omega_tilde, star
 from .hecke import EigenData, VertexForm
-from .torus import QuadraticTorus, TorusElement, _label_mul, orbit_table, reduce_label
+from .torus import QuadraticTorus, TorusElement, _canonical_pair, _label_mul, orbit_table
 
 
 @dataclass(frozen=True)
@@ -127,7 +130,7 @@ class PadicLFunction:
 
 
 def from_tree(form, torus: QuadraticTorus, eigen: EigenData, n_max: int,
-              shift: TorusElement | None = None, validate: bool = True) -> CompatibleSystem:
+              shift: TorusElement | None = None) -> CompatibleSystem:
     """Read a compatible system off the orbit tables: c_j(h) = form(h * w_j).
 
     The form must be a local eigen-extension (vertex mode) or a stabilized
@@ -159,7 +162,7 @@ def from_tree(form, torus: QuadraticTorus, eigen: EigenData, n_max: int,
         tab = orbit_table(torus, j, mode)
         images = tab.images
         if shift is not None:
-            s_lbl = reduce_label(torus, shift.k, j, (shift.x, shift.y))
+            s_lbl = _canonical_pair(torus.p, j, shift.x, shift.y)
             images = {lbl: images[_label_mul(torus, j, lbl, s_lbl)] for lbl in tab.labels}
         table = {}
         fib = {}
@@ -180,10 +183,9 @@ def from_tree(form, torus: QuadraticTorus, eigen: EigenData, n_max: int,
         p, k, 1, mode, eigen, n_max, torus.p + 1, level_exp,
         tuple(levels), tuple(fibers), tuple(free),
     )
-    if validate:
-        report = check_distribution(sys)
-        if not report.ok:
-            raise DistributionViolation(f"distribution relations fail: {report.to_json()}")
+    report = check_distribution(sys)
+    if not report.ok:
+        raise DistributionViolation(f"distribution relations fail: {report.to_json()}")
     return sys
 
 
@@ -230,6 +232,8 @@ def synth_system(p: int, k: int, mode: str, eigen: EigenData, n_max: int,
         raise ValueError("mode must be 'vertex' or 'edge'")
     if torsion is None:
         torsion = p + 1
+    if torsion < 1:
+        raise ValueError("torsion order must be >= 1")
     if torsion % p == 0:
         raise ValueError("torsion order must be coprime to p")
     if level_map == "local":
@@ -273,13 +277,7 @@ def synth_system(p: int, k: int, mode: str, eigen: EigenData, n_max: int,
             by_parent.setdefault(fibers[j + 1][_label_key(lbl)], []).append(_label_key(lbl))
         table = {}
         for parent_key, members in sorted(by_parent.items()):
-            if mode == "edge":
-                target = eigen.alpha.residue * levels[j][parent_key] % mod
-            else:
-                target = eigen.ap.residue * levels[j][parent_key] % mod
-                if j >= 1:
-                    grand = fibers[j][parent_key]
-                    target = (target - levels[j - 1][grand]) % mod
+            target = _fiber_target(mode, eigen, mod, levels, fibers, j, parent_key)
             acc = 0
             for key in members[:-1]:
                 table[key] = rng.randrange(mod)
@@ -296,6 +294,17 @@ def synth_system(p: int, k: int, mode: str, eigen: EigenData, n_max: int,
 # the exact distribution checker
 
 
+def _fiber_target(mode, eigen, mod, levels, fibers, j, key):
+    """What the level-(j+1) fiber over label key of level j sums to:
+    alpha c_j (edge) or a_p c_j - c_(j-1) (vertex, c_(-1) = 0), mod p^k."""
+    if mode == "edge":
+        return eigen.alpha.residue * levels[j][key] % mod
+    target = eigen.ap.residue * levels[j][key]
+    if j >= 1:
+        target -= levels[j - 1][fibers[j][key]]
+    return target % mod
+
+
 def check_distribution(sys: CompatibleSystem) -> DistributionReport:
     """Recompute both sides of every applicable projection relation."""
     mod = sys.p**sys.k
@@ -308,12 +317,7 @@ def check_distribution(sys: CompatibleSystem) -> DistributionReport:
             sums[sys.fibers[upper][key]] = (sums[sys.fibers[upper][key]] + c) % mod
         for key in sorted(sys.labels(j)):
             lhs = sums[key]
-            if sys.mode == "edge":
-                rhs = sys.eigen.alpha.residue * sys.table(j)[key] % mod
-            else:
-                rhs = sys.eigen.ap.residue * sys.table(j)[key] % mod
-                if j >= 1:
-                    rhs = (rhs - sys.table(j - 1)[sys.fibers[j][key]]) % mod
+            rhs = _fiber_target(sys.mode, sys.eigen, mod, sys.levels, sys.fibers, j, key)
             checked += 1
             if lhs != rhs:
                 return DistributionReport(False, checked, (upper, key, lhs, rhs))
@@ -324,10 +328,14 @@ def check_distribution(sys: CompatibleSystem) -> DistributionReport:
 # theta elements
 
 
-def theta_level(sys: CompatibleSystem, n: int) -> ThetaElement:
-    """Pushforward of the level-n table to the free quotient group ring."""
+def _check_level(sys: CompatibleSystem, n: int):
     if n > sys.n_max or n < sys.start_level:
         raise ValueError(f"level {n} outside populated range")
+
+
+def theta_level(sys: CompatibleSystem, n: int) -> ThetaElement:
+    """Pushforward of the level-n table to the free quotient group ring."""
+    _check_level(sys, n)
     layer = sys.level_exp[n]
     elt = groupring.zero(sys.p, sys.k, layer, sys.delta)
     coeffs = list(elt.coeffs)
@@ -344,6 +352,7 @@ def theta_ordinary(sys: CompatibleSystem, n: int) -> ThetaElement:
     alpha = sys.eigen.alpha
     if alpha is None or not alpha.is_unit():
         raise NotOrdinary("transfer eigenvalue is not a unit")
+    _check_level(sys, n)
     inv = alpha.inverse()
     thetas = {}
     for j in range(sys.start_level, n + 1):
@@ -386,6 +395,7 @@ def pm_extract(sys: CompatibleSystem, n: int) -> PMPair:
         raise NotSupersingular("adjacency eigenvalue must be zero")
     if sys.delta != 1:
         raise UnsupportedDelta("plus/minus extraction is defined for delta = 1")
+    _check_level(sys, n)
     plus = minus = None
     for level in range(n, sys.start_level - 1, -1):
         parity = sys.level_exp[level] % 2

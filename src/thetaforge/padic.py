@@ -162,9 +162,6 @@ class IntPolynomial:
             acc = acc * x + c
         return acc
 
-    def coefficient(self, i: int) -> int:
-        return self.coefficients[i] if 0 <= i < len(self.coefficients) else 0
-
     def is_zero(self) -> bool:
         return not self.coefficients
 

@@ -4,6 +4,8 @@ Inert kind: the units of the unramified quadratic extension modulo scalars,
 embedded by x + y*sqrt(d) -> [[x, d y], [y, x]].  The level-j coset space is
 the projective line over Z/p^j, enumerated by canonical representatives and
 decomposed as torsion x cyclic p-part for pushforward to group rings.
+TorusElement and the coset labels share one group law: an inert element is
+stored as its canonical level-k label and multiplied with _label_mul.
 
 Orbit tables on the standard base points are read off in closed form: the
 label (x : y) sends v_j = [[p^j, 0], [0, 1]] to the lattice
@@ -49,8 +51,9 @@ class QuadraticTorus:
 class TorusElement:
     """Class of x + y*sqrt(d) (inert) or of t in Q_p^* (split), mod scalars.
 
-    Inert representatives are stored projectively mod p^k: y is normalized
-    to 1 when it is a unit, otherwise x is normalized to 1.
+    Inert representatives are stored projectively mod p^k as the canonical
+    level-k coset label (y normalized to 1 when it is a unit, otherwise x),
+    and multiply by the label group law.
     """
 
     torus: QuadraticTorus
@@ -61,23 +64,17 @@ class TorusElement:
     unit: int = 1
 
     def __post_init__(self):
-        p, mod = self.torus.p, self.torus.p**self.k
+        p = self.torus.p
         if self.torus.kind == "inert":
-            x, y = self.x % mod, self.y % mod
-            if x % p == 0 and y % p == 0:
+            if self.k < 1:
                 raise ValueError("representative is zero mod scalars to precision")
-            if y % p != 0:
-                inv = pow(y, -1, mod)
-                x, y = x * inv % mod, 1
-            else:
-                inv = pow(x, -1, mod)
-                x, y = 1, y * inv % mod
+            x, y = _canonical_pair(p, self.k, self.x, self.y)
             object.__setattr__(self, "x", x)
             object.__setattr__(self, "y", y)
         else:
             if self.unit % p == 0:
                 raise ValueError("split unit part must be a unit")
-            object.__setattr__(self, "unit", self.unit % mod)
+            object.__setattr__(self, "unit", self.unit % p**self.k)
 
     def matrix(self):
         """Embedding matrix as integer residues mod p^k."""
@@ -93,9 +90,7 @@ class TorusElement:
             raise ValueError("elements of different tori")
         k = min(self.k, other.k)
         if self.torus.kind == "inert":
-            d, mod = self.torus.d, self.torus.p**k
-            x = (self.x * other.x + d * self.y * other.y) % mod
-            y = (self.x * other.y + self.y * other.x) % mod
+            x, y = _label_mul(self.torus, k, (self.x, self.y), (other.x, other.y))
             return TorusElement(self.torus, k, x=x, y=y)
         return TorusElement(
             self.torus, k, vexp=self.vexp + other.vexp, unit=self.unit * other.unit
@@ -225,10 +220,6 @@ def _label_pow(torus, j, a, e):
     return acc
 
 
-def reduce_label(torus: QuadraticTorus, j_from: int, j_to: int, label):
-    return _canonical_pair(torus.p, j_to, label[0], label[1])
-
-
 def _element_order(torus, j, a, bound):
     acc = a
     e = 1
@@ -325,7 +316,6 @@ class OrbitTable:
     mode: str               # "vertex" | "edge"
     labels: tuple           # canonical (x, y) pairs
     images: dict            # label -> Vertex | DirectedEdge
-    lookup: dict            # image -> label
     parents: dict           # label -> label at level-1 (empty at level 0)
     split_parts: dict       # label -> (torsion index, free digit)
     free_exponent: int
@@ -394,20 +384,18 @@ def orbit_table(torus: QuadraticTorus, j: int, mode: str = "vertex",
     parents = {}
     if j >= 1:
         for lbl in labels:
-            parents[lbl] = reduce_label(torus, j, j - 1, lbl)
+            parents[lbl] = _canonical_pair(torus.p, j - 1, *lbl)
     if base is None or base == standard:
         acted = _standard_images(torus, j, mode, labels, parents)
     else:
         acted = [act(_lift_label(torus, lbl, j + 2), base) for lbl in labels]
-    images, lookup = {}, {}
+    seen = {}
     for lbl, w in zip(labels, acted):
-        if w in lookup:
+        if w in seen:
             raise TransitivityViolation(
-                f"cosets {lookup[w]} and {lbl} agree on the base point at level {j}"
+                f"cosets {seen[w]} and {lbl} agree on the base point at level {j}"
             )
-        images[lbl] = w
-        lookup[w] = lbl
-    dec = coset_decomposition(torus, j)
-    split_parts = {lbl: dec.split(lbl) for lbl in labels}
-    return OrbitTable(torus, j, mode, labels, images, lookup, parents,
-                      split_parts, max(j - 1, 0))
+        seen[w] = lbl
+    images = dict(zip(labels, acted))
+    return OrbitTable(torus, j, mode, labels, images, parents,
+                      coset_decomposition(torus, j).parts, max(j - 1, 0))

@@ -7,9 +7,10 @@ fields are equal.  Edges are ordered pairs of adjacent vertices.
 Vertices and edges are slotted and compute their hash once, at construction;
 the cached value is the one the field tuple would hash to, so dict and set
 order is that of plain frozen dataclasses.  Neighbours and distances are read
-off the exponents in closed form.  A ball builds its directed edges once, per
-sphere, and every directed_edges() call (also on a shrunk copy) yields those
-same objects.
+off the exponents in closed form.  A ball records, for each vertex, its
+outgoing directed edges (to its children, then to its parent) as it creates
+them; that record is the ball's one edge table, and every directed_edges()
+call (also on a shrunk copy) yields those same objects.
 """
 
 from __future__ import annotations
@@ -179,20 +180,19 @@ def distance(v: Vertex, w: Vertex) -> int:
 class Ball:
     """Distance-closed ball with its breadth-first tree structure.
 
-    ball() fills the parent, depth and children tables once; children are in
-    neighbors() order minus the parent.  edges[j] holds, for each vertex of
-    sphere j in order, the edge from its parent and the reverse edge.  A
-    smaller ball around the same center may share the tables, so lookups
-    ignore entries beyond the radius.
+    ball() fills two tables once: the depth of each vertex, and out_edges[v],
+    the directed edges leaving v: to each child (in neighbors() order minus
+    the parent), then to the parent.  The center has no parent edge and the
+    boundary sphere has only its parent edge.  Parent, children and
+    adjacency are read off that record.  A smaller ball around the same
+    center may share the tables, so lookups ignore entries beyond the radius.
     """
 
     center: Vertex
     radius: int
     spheres: tuple          # spheres[j] = tuple of vertices at distance j
-    parent: dict = field(compare=False)
     depth_of: dict = field(compare=False)
-    children_of: dict = field(compare=False)
-    edges: tuple = field(compare=False)     # edges[0] = ()
+    out_edges: dict = field(compare=False)
 
     @property
     def p(self) -> int:
@@ -209,39 +209,49 @@ class Ball:
         return d
 
     def directed_edges(self):
-        """All oriented adjacent pairs inside the ball (tree edges, both ways)."""
-        for s in self.edges[1 : self.radius + 1]:
-            yield from s
+        """All oriented adjacent pairs inside the ball (tree edges, both ways):
+        per sphere, each edge from a parent to a child and then its reverse."""
+        out = self.out_edges
+        for j, s in enumerate(self.spheres[: self.radius]):
+            for x in s:
+                for e in out[x][: -1 if j else None]:
+                    yield e
+                    yield out[e.target][-1]
+
+    def parent(self, v: Vertex):
+        """The parent of v, or None at the center."""
+        return self.out_edges[v][-1].target if self.depth(v) else None
 
     def children(self, v: Vertex) -> tuple:
-        return () if self.depth(v) == self.radius else self.children_of[v]
+        d = self.depth(v)
+        if d == self.radius:
+            return ()
+        return tuple(e.target for e in self.out_edges[v][: -1 if d else None])
 
     def adjacent(self, v: Vertex) -> tuple:
         """The neighbors of v inside the ball: its children, then its parent."""
-        par = self.parent.get(v)
+        par = self.parent(v)
         return self.children(v) + (() if par is None else (par,))
 
 
 def ball(v: Vertex, radius: int) -> Ball:
     if radius < 0:
         raise ValueError("radius must be nonnegative")
-    spheres, edges = [(v,)], [()]
-    parent, depth_of, children_of = {}, {v: 0}, {}
+    spheres = [(v,)]
+    depth_of, out_edges = {v: 0}, {v: ()}
     for j in range(1, radius + 1):
-        nxt, links = [], []
+        nxt = []
         for x in spheres[-1]:
-            par = parent.get(x)
-            kids = tuple(w for w in neighbors(x) if w != par)
-            children_of[x] = kids
-            for w in kids:
-                parent[w] = x
-                depth_of[w] = j
-                links.append(DirectedEdge(x, w))
-                links.append(DirectedEdge(w, x))
-            nxt.extend(kids)
+            up = out_edges[x]       # (x -> parent,) recorded when x was created
+            par = up[0].target if up else None
+            down = tuple(DirectedEdge(x, w) for w in neighbors(x) if w != par)
+            for e in down:
+                depth_of[e.target] = j
+                out_edges[e.target] = (DirectedEdge(e.target, x),)
+                nxt.append(e.target)
+            out_edges[x] = down + up
         spheres.append(tuple(nxt))
-        edges.append(tuple(links))
-    return Ball(v, radius, tuple(spheres), parent, depth_of, children_of, tuple(edges))
+    return Ball(v, radius, tuple(spheres), depth_of, out_edges)
 
 
 def sphere(v: Vertex, r: int) -> list:
@@ -275,7 +285,8 @@ def to_dot(center: Vertex, radius: int) -> str:
         return f'"{x.a},{x.b},{x.u}"'
 
     lines.append(f"  {name(center)} [shape=doublecircle];")
-    for child, par in b.parent.items():
-        lines.append(f"  {name(par)} -- {name(child)};")
+    for x in b.vertices():
+        if x != center:
+            lines.append(f"  {name(b.parent(x))} -- {name(x)};")
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -23,9 +23,7 @@ from thetaforge.hecke import (
     local_eigen_extend,
     nu_invariant,
     scale_form,
-    source_form,
     stabilize,
-    target_form,
 )
 from thetaforge.measures import (
     check_distribution,
@@ -40,6 +38,7 @@ from thetaforge.measures import (
 from thetaforge.padic import ONE_POLY, PrecisionInt, T_POLY, cyclotomic_sigma
 from thetaforge.torus import QuadraticTorus, TorusElement, filtration_order, orbit_table
 from thetaforge.tree import origin, sphere
+from form_oracle import source_form, target_form
 
 
 @contextmanager
@@ -110,10 +109,10 @@ def test_04_distribution_relations():
             for ap in (0, 1):
                 f0 = local_eigen_extend(p, k, ap, 3, seed=40 + ap)
                 eig = EigenData(ap=PrecisionInt(p, k, ap), alpha=None)
-                genuine.append(from_tree(f0, torus, eig, 3, validate=False))
+                genuine.append(from_tree(f0, torus, eig, 3))
             eig = EigenData.ordinary(p, k, 1)
             f0 = local_eigen_extend(p, k, 1, 3, seed=44)
-            genuine.append(from_tree(stabilize(f0, eig), torus, eig, 3, validate=False))
+            genuine.append(from_tree(stabilize(f0, eig), torus, eig, 3))
         for s in genuine:
             assert check_distribution(s).ok
         # exhaustive corruption of one genuine system of each mode

@@ -203,6 +203,46 @@ class TestFormsAndSystems:
         err = json.loads(capsys.readouterr().out.strip())
         assert err["error"]["type"] == "NotSupersingular"
 
+    @pytest.mark.parametrize("mode,flags,missing", [("edge", [], "--alpha"),
+                                                    ("vertex", ["--alpha", "1"], "--ap")])
+    def test_missing_eigenvalue_flag_is_a_typed_error(self, tmp_path, capsys, mode, flags,
+                                                      missing):
+        # used to end in a TypeError from None % p^k
+        assert run(["synth", "--mode", mode, *flags, "--p", "3", "--k", "6",
+                    "--n-max", "3", "--out", str(tmp_path)]) == 1
+        err = json.loads(capsys.readouterr().out.strip())
+        assert err["error"]["type"] == "ValueError"
+        assert missing in err["error"]["detail"]
+
+    @pytest.mark.parametrize("mode,ap,kind,level", [
+        ("edge", "1", "ordinary", "0"),     # used to end in a bare KeyError
+        ("edge", "1", "ordinary", "-2"),    # likewise
+        ("vertex", "0", "plus", "9"),       # used to end in an IndexError
+    ])
+    def test_lp_level_out_of_range_is_a_typed_error(self, tmp_path, capsys, mode, ap, kind,
+                                                    level):
+        assert run(["synth", "--mode", mode, "--ap", ap, "--p", "3", "--k", "6",
+                    "--n-max", "3", "--seed", "4", "--out", str(tmp_path)]) == 0
+        _, sys_path = read_artifact_from_stdout(capsys)
+        assert run(["lp", "--system", sys_path, "--level", level, "--kind", kind,
+                    "--out", str(tmp_path)]) == 1
+        err = json.loads(capsys.readouterr().out.strip())
+        assert err["error"]["type"] == "ValueError"
+        assert "outside populated range" in err["error"]["detail"]
+
+    def test_stabilize_of_an_edge_form_is_a_typed_error(self, tmp_path, capsys):
+        # used to end in a KeyError naming a Vertex
+        assert run(["forms", "eigen-extend", "--p", "3", "--k", "6", "--ap", "1",
+                    "--radius", "2", "--out", str(tmp_path)]) == 0
+        _, form_path = read_artifact_from_stdout(capsys)
+        assert run(["forms", "stabilize", "--form", form_path, "--ap", "1",
+                    "--out", str(tmp_path)]) == 0
+        _, edge_path = read_artifact_from_stdout(capsys)
+        assert run(["forms", "stabilize", "--form", edge_path, "--ap", "1",
+                    "--out", str(tmp_path)]) == 1
+        err = json.loads(capsys.readouterr().out.strip())
+        assert err["error"]["type"] == "ValueError"
+
     def test_specialize_and_mu(self, tmp_path, capsys):
         assert run(["synth", "--mode", "vertex", "--ap", "0", "--p", "3", "--k", "6",
                     "--n-max", "4", "--seed", "9", "--out", str(tmp_path)]) == 0
@@ -336,6 +376,7 @@ class TestConfigAndDeterminism:
         ["synth", "--mode", "edge", "--ap", "1", "--delta", "0"],  # used to exit 0
         ["synth", "--mode", "vertex", "--ap", "0", "--n-max", "-1"],  # IndexError
         ["synth", "--mode", "edge", "--ap", "1", "--n-max", "0"],     # IndexError
+        ["synth", "--mode", "edge", "--ap", "1", "--torsion", "-2"],  # used to exit 0
     ])
     def test_bad_size_is_a_typed_error(self, tmp_path, capsys, argv):
         assert run(argv + ["--out", str(tmp_path)]) == 1

@@ -9,16 +9,14 @@ from thetaforge.hecke import (
     VertexForm,
     hecke_T,
     hecke_U,
-    interior_edges,
     local_eigen_extend,
     nu_invariant,
     scale_form,
-    source_form,
     stabilize,
-    target_form,
 )
 from thetaforge.padic import PrecisionInt
 from thetaforge.tree import DirectedEdge, ball, distance, neighbors, origin
+from form_oracle import source_form, target_form
 
 
 def constant_vertex_form(p, k, radius, c=1):
@@ -237,11 +235,6 @@ class TestNuInvariant:
         f = VertexForm(p, k, 2, b, (t1, t2))
         # each component alone is constant, but the shared constant sees both
         assert nu_invariant(f) == 2
-
-    def test_interior_edges_have_room(self):
-        b = ball(origin(3), 2)
-        for e in interior_edges(b):
-            assert b.depth(e.target) <= 1
 
 
 # Reference operators that derive adjacency from neighbors() on every visit,

@@ -87,10 +87,8 @@ class TestFromTree:
     def test_wrong_constant_ap_fails_at_layer_one(self):
         p, k = 3, 6
         eig = EigenData(ap=PrecisionInt(p, k, 1), alpha=None)
-        s = from_tree(constant_vertex_form(p, k, 3), TORUS3, eig, 3, validate=False)
-        report = check_distribution(s)
-        assert not report.ok
-        assert report.first_violation[0] == 1
+        with pytest.raises(DistributionViolation, match="'layer': 1,"):
+            from_tree(constant_vertex_form(p, k, 3), TORUS3, eig, 3)
 
     def test_small_ball_rejected(self):
         p, k = 3, 6

@@ -16,8 +16,8 @@ from thetaforge.torus import (
     fixed_point,
     identity_element,
     orbit_table,
-    reduce_label,
     split_norm_exponent,
+    _canonical_pair,
     _crt_exponent,
     _label_pow,
 )
@@ -48,6 +48,11 @@ class TestTorusConstruction:
     def test_split_carries_no_d(self):
         with pytest.raises(ValueError):
             QuadraticTorus(3, "split", 2)
+
+    def test_inert_element_needs_positive_precision(self):
+        # at k = 0 every pair is zero mod scalars, the identity included
+        with pytest.raises(ValueError):
+            TorusElement(inert(), 0, x=1, y=0)
 
 
 class TestFixedPoint:
@@ -213,7 +218,7 @@ class TestOrbitTable:
             par = tab2.parents[lbl]
             assert par in tab1.images
             # acting by the reduced label on the level-1 base point matches
-            assert reduce_label(torus, 2, 1, lbl) == par
+            assert _canonical_pair(torus.p, 1, *lbl) == par
 
 
 class TestCosetDecomposition:

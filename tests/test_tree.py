@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -217,7 +218,7 @@ class TestEdgesAndBall:
             b = ball(center, radius)
             for v in b.vertices():
                 assert b.depth(v) == distance(center, v)
-                par = b.parent.get(v)
+                par = b.parent(v)
                 assert (par is None) == (v == center)
                 if b.depth(v) < radius:
                     assert b.children(v) == tuple(w for w in neighbors(v) if w != par)
@@ -226,9 +227,25 @@ class TestEdgesAndBall:
                 else:
                     assert b.children(v) == ()
                     assert b.adjacent(v) == (() if par is None else (par,))
+                # the edge record: to the children in neighbors() order, then
+                # to the parent, which is the neighbor one step nearer
+                if par is not None:
+                    assert par in neighbors(v) and distance(center, par) == b.depth(v) - 1
+                out = b.out_edges[v]
+                assert all(e.source is v for e in out)
+                kids = [w for w in neighbors(v) if w != par] if b.depth(v) < radius else []
+                assert [e.target for e in out] == kids + ([] if par is None else [par])
             outside = sphere(center, radius + 1)[0]
             with pytest.raises(KeyError):
                 b.depth(outside)
+            # directed_edges() yields the recorded objects, also once shrunk
+            shrunk = replace(b, radius=radius - 1, spheres=b.spheres[:radius]) if radius else b
+            for c in (b, shrunk):
+                inside = [e for v in c.vertices() for e in c.out_edges[v]
+                          if c.depth(v) < c.radius or e.target == c.parent(v)]
+                yielded = list(c.directed_edges())
+                assert len(yielded) == len(inside) == 2 * (len(list(c.vertices())) - 1)
+                assert {id(e) for e in yielded} == {id(e) for e in inside}
 
     def test_dot_output(self):
         text = to_dot(origin(2), 1)
