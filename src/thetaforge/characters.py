@@ -109,8 +109,7 @@ def _period_raw(sys: CompatibleSystem, rho: FiniteOrderCharacter, m: int) -> lis
     rho, before cyclotomic reduction and the alpha^(-m) scale."""
     if sys.mode != "edge":
         raise NotOrdinary("period sums are defined for ordinary edge systems")
-    alpha = sys.eigen.alpha
-    if alpha is None or not alpha.is_unit():
+    if not sys.eigen.alpha.is_unit():
         raise NotOrdinary("transfer eigenvalue is not a unit")
     if rho.m > sys.level_exp[m]:
         raise ConductorTooLarge(

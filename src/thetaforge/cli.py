@@ -3,6 +3,13 @@
 Every subcommand prints a short human-readable summary, writes its result as
 a content-hash-named JSON artifact under the output directory, and exits
 nonzero with a machine-readable error object when a module raises.
+
+Each subcommand takes --config FILE, --out and only the parameter flags it
+reads: the tree commands --p; torus orbit --p, --torus-kind and --d, and
+base-seq those and --n-max; forms eigen-extend --p, --k and --seed; synth
+--p, --k, --delta, --n-max and --seed.  The other commands read p, k and
+delta from their input artifact.  A value comes from its flag, else the
+config file (keys p k delta n_max kind d seed out), else the default.
 """
 
 from __future__ import annotations
@@ -10,7 +17,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 from math import isqrt
 
 from . import groupring, serialize
@@ -23,30 +29,16 @@ from .torus import QuadraticTorus, base_sequence, orbit_table
 from .tree import Vertex, distance, geodesic_path, neighbors, origin, sphere, to_dot
 from .util import default_nonresidue
 
-
-@dataclass
-class RunConfig:
-    p: int = 3
-    k: int = 6
-    delta: int = 1
-    n_max: int = 3
-    kind: str = "inert"
-    d: int | None = None
-    seed: int = 0
-    out: str = "artifacts"
-
-    def __post_init__(self):
-        if self.p < 2 or any(self.p % q == 0 for q in range(2, isqrt(self.p) + 1)):
-            raise ValueError(f"p = {self.p} is not prime")
-        if self.delta < 1:
-            raise ValueError("delta must be >= 1")
-        if self.n_max < 0:
-            raise ValueError("n_max must be nonnegative")
-        # p odd is a torus-side requirement; tree commands accept p = 2
-        if self.kind == "inert" and self.p % 2 == 1 and self.d is None:
-            self.d = default_nonresidue(self.p)
-        if self.k < self.n_max + 2:
-            raise ValueError("precision must satisfy k >= n_max + 2")
+# parameter name (also its config-file key): flag, type, default, choices
+PARAMS = {
+    "p": ("--p", int, 3, None),
+    "k": ("--k", int, 6, None),
+    "delta": ("--delta", int, 1, None),
+    "n_max": ("--n-max", int, 3, None),
+    "kind": ("--torus-kind", str, "inert", ("inert", "split")),
+    "d": ("--d", int, None, None),
+    "seed": ("--seed", int, 0, None),
+}
 
 
 def load_config(path: str | None) -> dict:
@@ -64,27 +56,29 @@ def load_config(path: str | None) -> dict:
     return out
 
 
-def _pick(args, raw, name, default, key=None):
-    """Flag value if given, else config-file value, else the default."""
-    flag = getattr(args, name, None)
-    if flag is not None:
-        return flag
-    return raw.get(key or name, default)
-
-
-def build_config(args) -> RunConfig:
-    raw = load_config(getattr(args, "config", None))
-    d = _pick(args, raw, "d", None)
-    return RunConfig(
-        p=int(_pick(args, raw, "p", 3)),
-        k=int(_pick(args, raw, "k", 6)),
-        delta=int(_pick(args, raw, "delta", 1)),
-        n_max=int(_pick(args, raw, "n_max", 3)),
-        kind=_pick(args, raw, "torus_kind", "inert", key="kind"),
-        d=int(d) if d is not None else None,
-        seed=int(_pick(args, raw, "seed", 0)),
-        out=_pick(args, raw, "out", "artifacts"),
-    )
+def _fill(args) -> None:
+    """Set --out and each parameter the command takes from its flag, else the
+    config file, else the default; then check the rules on what was set."""
+    raw = load_config(args.config)
+    if args.out is None:
+        args.out = raw.get("out", "artifacts")
+    for key in args.params:
+        if getattr(args, key) is None:
+            _, typ, default, _ = PARAMS[key]
+            value = raw.get(key, default)
+            setattr(args, key, None if value is None else typ(value))
+    taken, p = set(args.params), getattr(args, "p", None)
+    if "p" in taken and (p < 2 or any(p % q == 0 for q in range(2, isqrt(p) + 1))):
+        raise ValueError(f"p = {p} is not prime")
+    if "delta" in taken and args.delta < 1:
+        raise ValueError("delta must be >= 1")
+    if "n_max" in taken and args.n_max < 0:
+        raise ValueError("n_max must be nonnegative")
+    if {"k", "n_max"} <= taken and args.k < args.n_max + 2:
+        raise ValueError("precision must satisfy k >= n_max + 2")
+    # only the torus commands take d; an inert torus at p = 2 is refused there
+    if "d" in taken and args.d is None and args.kind == "inert" and p % 2 == 1:
+        args.d = default_nonresidue(p)
 
 
 def _parse_vertex(p: int, text: str) -> Vertex:
@@ -93,8 +87,7 @@ def _parse_vertex(p: int, text: str) -> Vertex:
 
 
 def _emit(args, kind: str, payload, summary: str) -> int:
-    cfg = build_config(args)
-    path = serialize.write_artifact(cfg.out, kind, payload)
+    path = serialize.write_artifact(args.out, kind, payload)
     print(summary)
     print(f"artifact: {path}")
     return 0
@@ -105,8 +98,7 @@ def _emit(args, kind: str, payload, summary: str) -> int:
 
 
 def cmd_tree(args) -> int:
-    cfg = build_config(args)
-    p = cfg.p
+    p = args.p
     if args.tree_cmd == "neighbors":
         v = _parse_vertex(p, args.vertex)
         nb = neighbors(v)
@@ -134,28 +126,26 @@ def cmd_tree(args) -> int:
 
 
 def cmd_torus(args) -> int:
-    cfg = build_config(args)
-    torus = QuadraticTorus(cfg.p, cfg.kind, cfg.d if cfg.kind == "inert" else None)
+    torus = QuadraticTorus(args.p, args.kind, args.d)
     if args.torus_cmd == "orbit":
         tab = orbit_table(torus, args.level, args.mode)
         payload = serialize.orbit_table_to_json(tab)
         return _emit(args, "orbit", payload,
                      f"level {args.level}: {len(tab.labels)} cosets, no collisions")
     if args.torus_cmd == "base-seq":
-        verts, edges = base_sequence(torus, cfg.n_max)
+        verts, edges = base_sequence(torus, args.n_max)
         payload = {
-            "p": cfg.p, "kind": cfg.kind, "d": torus.d,
+            "p": args.p, "kind": args.kind, "d": torus.d,
             "vertices": [v.to_json() for v in verts],
             "edges": [e.to_json() for e in edges],
         }
-        return _emit(args, "base-seq", payload, f"base sequence of depth {cfg.n_max}")
+        return _emit(args, "base-seq", payload, f"base sequence of depth {args.n_max}")
     raise ValueError(args.torus_cmd)
 
 
 def cmd_forms(args) -> int:
-    cfg = build_config(args)
     if args.forms_cmd == "eigen-extend":
-        f = local_eigen_extend(cfg.p, cfg.k, args.ap, args.radius, cfg.seed)
+        f = local_eigen_extend(args.p, args.k, args.ap, args.radius, args.seed)
         payload = serialize.form_to_json(f)
         return _emit(args, "form", payload,
                      f"eigen extension on the radius-{args.radius} ball, a_p = {args.ap}")
@@ -173,26 +163,25 @@ def cmd_forms(args) -> int:
     raise ValueError(args.forms_cmd)
 
 
-def _eigen_from_args(cfg: RunConfig, args) -> EigenData:
+def _eigen_from_args(args) -> EigenData:
     if args.mode == "edge":
         if args.ap is not None:
-            return EigenData.ordinary(cfg.p, cfg.k, args.ap)
+            return EigenData.ordinary(args.p, args.k, args.ap)
         if args.alpha is None:
             raise ValueError("edge systems need --ap or --alpha")
-        return EigenData(ap=None, alpha=PrecisionInt(cfg.p, cfg.k, args.alpha))
+        return EigenData(ap=None, alpha=PrecisionInt(args.p, args.k, args.alpha))
     if args.ap is None:
         raise ValueError("vertex systems need --ap")
-    return EigenData(ap=PrecisionInt(cfg.p, cfg.k, args.ap), alpha=None)
+    return EigenData(ap=PrecisionInt(args.p, args.k, args.ap), alpha=None)
 
 
 def cmd_synth(args) -> int:
-    cfg = build_config(args)
-    eig = _eigen_from_args(cfg, args)
-    s = synth_system(cfg.p, cfg.k, args.mode, eig, cfg.n_max, delta=cfg.delta,
-                     torsion=args.torsion, level_map=args.level_map, seed=cfg.seed)
+    eig = _eigen_from_args(args)
+    s = synth_system(args.p, args.k, args.mode, eig, args.n_max, delta=args.delta,
+                     torsion=args.torsion, level_map=args.level_map, seed=args.seed)
     payload = serialize.system_to_json(s)
     return _emit(args, "system", payload,
-                 f"synthetic {args.mode} tower to depth {cfg.n_max}")
+                 f"synthetic {args.mode} tower to depth {args.n_max}")
 
 
 def cmd_check_dist(args) -> int:
@@ -281,17 +270,16 @@ def cmd_howard_scan(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _add_common(sub):
+def _leaf(subs, name, func, params=(), **kw):
+    """A subcommand taking --config, --out and the flags of `params`."""
+    sub = subs.add_parser(name, **kw)
     sub.add_argument("--config", default=None)
     sub.add_argument("--out", default=None)
-    sub.add_argument("--p", type=int, default=None)
-    sub.add_argument("--k", type=int, default=None)
-    sub.add_argument("--delta", type=int, default=None)
-    sub.add_argument("--n-max", dest="n_max", type=int, default=None)
-    sub.add_argument("--torus-kind", dest="torus_kind", default=None,
-                     choices=("inert", "split"))
-    sub.add_argument("--d", type=int, default=None)
-    sub.add_argument("--seed", type=int, default=None)
+    for key in params:
+        flag, typ, _, choices = PARAMS[key]
+        sub.add_argument(flag, dest=key, type=typ, default=None, choices=choices)
+    sub.set_defaults(func=func, params=params)
+    return sub
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -300,96 +288,75 @@ def build_parser() -> argparse.ArgumentParser:
 
     t = subs.add_parser("tree", help="tree combinatorics")
     ts = t.add_subparsers(dest="tree_cmd", required=True)
-    tn = ts.add_parser("neighbors")
+    tn = _leaf(ts, "neighbors", cmd_tree, ("p",))
     tn.add_argument("--vertex", default="0,0,0")
-    td = ts.add_parser("distance")
+    td = _leaf(ts, "distance", cmd_tree, ("p",))
     td.add_argument("--v", required=True)
     td.add_argument("--w", required=True)
-    tsp = ts.add_parser("sphere")
+    tsp = _leaf(ts, "sphere", cmd_tree, ("p",))
     tsp.add_argument("--r", type=int, required=True)
     tsp.add_argument("--vertex", default=None)
-    tdot = ts.add_parser("dot")
+    tdot = _leaf(ts, "dot", cmd_tree, ("p",))
     tdot.add_argument("--r", type=int, default=2)
     tdot.add_argument("--vertex", default=None)
-    for sub in (tn, td, tsp, tdot):
-        _add_common(sub)
-    t.set_defaults(func=cmd_tree)
 
     to = subs.add_parser("torus", help="torus orbits and base sequences")
     tos = to.add_subparsers(dest="torus_cmd", required=True)
-    orb = tos.add_parser("orbit")
+    orb = _leaf(tos, "orbit", cmd_torus, ("p", "kind", "d"))
     orb.add_argument("--level", type=int, required=True)
     orb.add_argument("--mode", default="vertex", choices=("vertex", "edge"))
-    bs = tos.add_parser("base-seq")
-    for sub in (orb, bs):
-        _add_common(sub)
-    to.set_defaults(func=cmd_torus)
+    _leaf(tos, "base-seq", cmd_torus, ("p", "kind", "d", "n_max"))
 
     fo = subs.add_parser("forms", help="forms on the ball")
     fos = fo.add_subparsers(dest="forms_cmd", required=True)
-    fe = fos.add_parser("eigen-extend")
+    fe = _leaf(fos, "eigen-extend", cmd_forms, ("p", "k", "seed"))
     fe.add_argument("--ap", type=int, required=True)
     fe.add_argument("--radius", type=int, required=True)
-    fst = fos.add_parser("stabilize")
+    fst = _leaf(fos, "stabilize", cmd_forms)
     fst.add_argument("--form", required=True)
     fst.add_argument("--ap", type=int, required=True)
-    fn = fos.add_parser("nu")
+    fn = _leaf(fos, "nu", cmd_forms)
     fn.add_argument("--form", required=True)
-    for sub in (fe, fst, fn):
-        _add_common(sub)
-    fo.set_defaults(func=cmd_forms)
 
-    sy = subs.add_parser("synth", help="seeded compatible system")
+    sy = _leaf(subs, "synth", cmd_synth, ("p", "k", "delta", "n_max", "seed"),
+               help="seeded compatible system")
     sy.add_argument("--mode", required=True, choices=("vertex", "edge"))
     sy.add_argument("--ap", type=int, default=None)
     sy.add_argument("--alpha", type=int, default=None)
     sy.add_argument("--torsion", type=int, default=None)
     sy.add_argument("--level-map", dest="level_map", default="local",
                     choices=("local", "full"))
-    _add_common(sy)
-    sy.set_defaults(func=cmd_synth)
 
-    cd = subs.add_parser("check-dist", help="exact distribution checker")
+    cd = _leaf(subs, "check-dist", cmd_check_dist, help="exact distribution checker")
     cd.add_argument("--system", required=True)
-    _add_common(cd)
-    cd.set_defaults(func=cmd_check_dist)
 
-    th = subs.add_parser("theta", help="theta element of a system level")
+    th = _leaf(subs, "theta", cmd_theta, help="theta element of a system level")
     th.add_argument("--system", required=True)
     th.add_argument("--level", type=int, required=True)
     th.add_argument("--ordinary", action="store_true")
-    _add_common(th)
-    th.set_defaults(func=cmd_theta)
 
-    lpp = subs.add_parser("lp", help="L-element theta * theta^*")
+    lpp = _leaf(subs, "lp", cmd_lp, help="L-element theta * theta^*")
     lpp.add_argument("--system", required=True)
     lpp.add_argument("--level", type=int, required=True)
     lpp.add_argument("--kind", default="ordinary",
                      choices=("ordinary", "plus", "minus"))
-    _add_common(lpp)
-    lpp.set_defaults(func=cmd_lp)
 
-    mu = subs.add_parser("mu", help="mu and lambda invariants")
+    mu = _leaf(subs, "mu", cmd_mu, help="mu and lambda invariants")
     mu.add_argument("--element", required=True)
-    _add_common(mu)
-    mu.set_defaults(func=cmd_mu)
 
-    sp = subs.add_parser("specialize", help="evaluate at a finite-order character")
+    sp = _leaf(subs, "specialize", cmd_specialize,
+               help="evaluate at a finite-order character")
     sp.add_argument("--element", required=True)
     sp.add_argument("--character", required=True,
                     help='JSON, e.g. {"m":1,"exponents":[1]}')
-    _add_common(sp)
-    sp.set_defaults(func=cmd_specialize)
 
-    hs = subs.add_parser("howard-scan", help="family nontriviality scan")
+    hs = _leaf(subs, "howard-scan", cmd_howard_scan, help="family nontriviality scan")
     hs.add_argument("--family", required=True)
     hs.add_argument("--prime", default="augmentation",
                     choices=("augmentation", "maximal", "custom"))
     hs.add_argument("--witness", default=None,
                     help="JSON coefficient list for a custom height-one witness")
     hs.add_argument("--k0", type=int, required=True)
-    _add_common(hs)
-    hs.set_defaults(func=cmd_howard_scan)
 
     return ap
 
@@ -397,6 +364,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        _fill(args)
         return args.func(args)
     except ThetaForgeError as exc:
         print(json.dumps({"error": exc.to_json()}))

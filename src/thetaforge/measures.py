@@ -31,6 +31,17 @@ from .hecke import EigenData, VertexForm
 from .torus import QuadraticTorus, TorusElement, _canonical_pair, _label_mul, orbit_table
 
 
+def _check_mode(mode: str, eigen: EigenData) -> None:
+    """A mode is vertex or edge, and carries the eigenvalue its fiber rule
+    reads: a_p on vertices, alpha on edges."""
+    if mode not in ("vertex", "edge"):
+        raise ValueError("mode must be 'vertex' or 'edge'")
+    if mode == "vertex" and eigen.ap is None:
+        raise ValueError("vertex systems need the adjacency eigenvalue")
+    if mode == "edge" and eigen.alpha is None:
+        raise ValueError("edge systems need the transfer eigenvalue")
+
+
 @dataclass(frozen=True)
 class CompatibleSystem:
     p: int
@@ -44,6 +55,9 @@ class CompatibleSystem:
     levels: tuple               # levels[j]: dict label -> residue (None below start)
     fibers: tuple               # fibers[j]: dict label_j -> label_{j-1}
     free: tuple                 # free[j]: dict label -> digit tuple
+
+    def __post_init__(self):
+        _check_mode(self.mode, self.eigen)
 
     @property
     def start_level(self) -> int:
@@ -228,8 +242,7 @@ def synth_system(p: int, k: int, mode: str, eigen: EigenData, n_max: int,
     level_map "local" uses free exponents m(j) = max(j-1, 0) (mirroring the
     inert orbit structure); "full" uses m(j) = j.
     """
-    if mode not in ("vertex", "edge"):
-        raise ValueError("mode must be 'vertex' or 'edge'")
+    _check_mode(mode, eigen)
     if torsion is None:
         torsion = p + 1
     if torsion < 1:
@@ -246,10 +259,6 @@ def synth_system(p: int, k: int, mode: str, eigen: EigenData, n_max: int,
     start = 0 if mode == "vertex" else 1
     if n_max < start:
         raise ValueError(f"{mode} systems need n_max >= {start}")
-    if mode == "vertex" and eigen.ap is None:
-        raise ValueError("vertex systems need the adjacency eigenvalue")
-    if mode == "edge" and eigen.alpha is None:
-        raise ValueError("edge systems need the transfer eigenvalue")
     rng = random.Random(seed)
     all_labels = [
         _synth_labels(p, delta, torsion if j >= 1 else 1, level_exp[j], j)
@@ -350,7 +359,7 @@ def theta_ordinary(sys: CompatibleSystem, n: int) -> ThetaElement:
     if sys.mode != "edge":
         raise NotOrdinary("ordinary normalization applies to edge systems")
     alpha = sys.eigen.alpha
-    if alpha is None or not alpha.is_unit():
+    if not alpha.is_unit():
         raise NotOrdinary("transfer eigenvalue is not a unit")
     _check_level(sys, n)
     inv = alpha.inverse()

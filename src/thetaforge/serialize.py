@@ -131,11 +131,20 @@ def form_from_json(obj):
     center = Vertex.from_json(p, obj["center"])
     dom = ball(center, int(obj["radius"]))
     tables = [dict() for _ in range(h)]
+    seen = set()
     for row in obj["entries"]:
         if obj["kind"] == "vertex":
             w = Vertex.from_json(p, row["w"])
+            ends = (w,)
         else:
             w = DirectedEdge.from_json(p, row["w"])
+            ends = (w.source, w.target)
+        # a ball is a subtree, so an edge with both ends in it is one of its edges
+        if not all(x in dom.depth_of for x in ends):
+            raise ValueError(f"form entry {row['w']} lies outside the ball")
+        if w in seen:
+            raise ValueError(f"form entry {row['w']} repeats a point")
+        seen.add(w)
         for i, val in enumerate(row["values"]):
             tables[i][w] = PrecisionInt(p, k, int(val))
     cls = VertexForm if obj["kind"] == "vertex" else EdgeForm

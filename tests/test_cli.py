@@ -1,12 +1,13 @@
+import argparse
 import json
 import os
 
 import pytest
 
 from thetaforge import serialize
-from thetaforge.cli import build_config, build_parser, load_config, main
+from thetaforge.cli import build_parser, load_config, main
 from thetaforge.groupring import delta_element, one, zero
-from thetaforge.hecke import EigenData, local_eigen_extend, stabilize
+from thetaforge.hecke import EigenData, hecke_T, hecke_U, local_eigen_extend, stabilize
 from thetaforge.measures import check_distribution, synth_system
 from thetaforge.torus import QuadraticTorus, orbit_table
 
@@ -92,6 +93,13 @@ class TestTorusCommands:
         assert emit("--p", "5", "--level", "3", "--mode", "vertex") == "orbit-1dca9eb32be04d59.json"
         assert emit("--p", "7", "--level", "2", "--mode", "edge") == "orbit-7cd7e7f3440ff6f9.json"
 
+    def test_split_torus_refuses_a_non_residue(self, tmp_path, capsys):
+        # --d used to be dropped without a word for the split kind
+        assert run(["torus", "base-seq", "--p", "5", "--torus-kind", "split", "--d", "2",
+                    "--out", str(tmp_path)]) == 1
+        err = json.loads(capsys.readouterr().out.strip())
+        assert err["error"]["type"] == "ValueError"
+
     def test_base_seq(self, tmp_path, capsys):
         assert run(["torus", "base-seq", "--p", "5", "--d", "2", "--n-max", "3",
                     "--out", str(tmp_path)]) == 0
@@ -110,8 +118,6 @@ class TestFormsAndSystems:
                     "--out", str(tmp_path)]) == 0
         _, edge_path = read_artifact_from_stdout(capsys)
         phi = serialize.form_from_json(serialize.read_artifact(edge_path, "form"))
-        from thetaforge.hecke import hecke_U
-
         eig = EigenData.ordinary(3, 6, 1)
         u_phi = hecke_U(phi)
         for e in u_phi.tables[0]:
@@ -240,6 +246,61 @@ class TestFormsAndSystems:
         _, edge_path = read_artifact_from_stdout(capsys)
         assert run(["forms", "stabilize", "--form", edge_path, "--ap", "1",
                     "--out", str(tmp_path)]) == 1
+        err = json.loads(capsys.readouterr().out.strip())
+        assert err["error"]["type"] == "ValueError"
+
+    @pytest.mark.parametrize("mode,ap,damage,command", [
+        ("edge", "1", "alpha", "check-dist"),     # used to end in an AttributeError
+        ("vertex", "0", "ap", "check-dist"),      # likewise
+        ("edge", "1", "mode", "check-dist"),      # used to end in a TypeError
+        ("edge", "1", "mode", "theta"),           # used to exit 0
+    ])
+    def test_bad_mode_or_missing_eigenvalue_is_a_typed_error(self, tmp_path, capsys, mode,
+                                                             ap, damage, command):
+        assert run(["synth", "--mode", mode, "--ap", ap, "--p", "3", "--k", "6",
+                    "--n-max", "3", "--seed", "1", "--out", str(tmp_path)]) == 0
+        _, sys_path = read_artifact_from_stdout(capsys)
+        obj = json.load(open(sys_path))
+        if damage == "mode":
+            obj["payload"]["mode"] = "banana"
+        else:
+            obj["payload"]["eigen"][damage] = None
+        bad_path = os.path.join(str(tmp_path), "bad.json")
+        json.dump(obj, open(bad_path, "w"))
+        extra = ["--level", "2"] if command == "theta" else []
+        assert run([command, "--system", bad_path, *extra, "--out", str(tmp_path)]) == 1
+        err = json.loads(capsys.readouterr().out.strip())
+        assert err["error"]["type"] == "ValueError"
+
+    @pytest.mark.parametrize("damage,command", [
+        ("repeated", "stabilize"),      # the later value used to win
+        ("outside", "nu"),              # used to count the stray value
+        ("outside", "stabilize"),       # used to drop it
+        ("outside-edge", "nu"),
+    ])
+    def test_stray_form_entry_is_a_typed_error(self, tmp_path, capsys, damage, command):
+        assert run(["forms", "eigen-extend", "--p", "3", "--k", "6", "--ap", "1",
+                    "--radius", "2", "--seed", "2", "--out", str(tmp_path)]) == 0
+        _, form_path = read_artifact_from_stdout(capsys)
+        if damage == "outside-edge":
+            assert run(["forms", "stabilize", "--form", form_path, "--ap", "1",
+                        "--out", str(tmp_path)]) == 0
+            _, form_path = read_artifact_from_stdout(capsys)
+        obj = json.load(open(form_path))
+        entries = obj["payload"]["entries"]
+        if damage == "repeated":
+            entries.append({"w": entries[0]["w"],
+                            "values": [str(int(entries[0]["values"][0]) + 1)]})
+        elif damage == "outside":
+            entries.append({"w": {"a": 5, "b": 0, "u": 0}, "values": ["1"]})
+        else:
+            # (2,0,0) -> (3,0,0) runs from the boundary sphere out of the ball
+            entries.append({"w": {"source": {"a": 2, "b": 0, "u": 0},
+                                  "target": {"a": 3, "b": 0, "u": 0}}, "values": ["1"]})
+        bad_path = os.path.join(str(tmp_path), "bad.json")
+        json.dump(obj, open(bad_path, "w"))
+        extra = ["--ap", "1"] if command == "stabilize" else []
+        assert run(["forms", command, "--form", bad_path, *extra, "--out", str(tmp_path)]) == 1
         err = json.loads(capsys.readouterr().out.strip())
         assert err["error"]["type"] == "ValueError"
 
@@ -387,33 +448,86 @@ class TestConfigAndDeterminism:
         assert run(["tree", "sphere", "--p", "2", "--r", "2", "--out", str(tmp_path)]) == 0
         assert "6 vertices" in capsys.readouterr().out
 
-    def test_config_file(self, tmp_path):
+    def test_config_file(self, tmp_path, capsys):
         cfg_path = tmp_path / "run.cfg"
         cfg_path.write_text("p = 5\nk = 7\nn_max = 2\nseed = 3   # comment\n")
         raw = load_config(str(cfg_path))
         assert raw == {"p": "5", "k": "7", "n_max": "2", "seed": "3"}
-        args = build_parser().parse_args(
-            ["synth", "--mode", "edge", "--ap", "1", "--config", str(cfg_path)]
-        )
-        cfg = build_config(args)
-        assert (cfg.p, cfg.k, cfg.n_max, cfg.seed) == (5, 7, 2, 3)
-        assert cfg.d == 2  # default non-residue mod 5
 
-    def test_explicit_zero_seed_beats_config(self, tmp_path):
+        def emit(*argv):
+            assert run([*argv, "--out", str(tmp_path)]) == 0
+            return read_artifact_from_stdout(capsys)[1]
+
+        synth = ["synth", "--mode", "edge", "--ap", "1"]
+        assert emit(*synth, "--config", str(cfg_path)) == emit(
+            *synth, "--p", "5", "--k", "7", "--n-max", "2", "--seed", "3")
+        # torus orbit reads p from the file, ignores k, n_max and seed, and
+        # fills in the default non-residue mod 5
+        orbit = emit("torus", "orbit", "--level", "1", "--config", str(cfg_path))
+        payload = serialize.read_artifact(orbit, "orbit")
+        assert (payload["p"], payload["d"]) == (5, 2)
+
+    def test_explicit_zero_seed_beats_config(self, tmp_path, capsys):
         cfg_path = tmp_path / "run.cfg"
         cfg_path.write_text("seed = 5\n")
-        args = build_parser().parse_args(
-            ["synth", "--mode", "edge", "--ap", "1", "--seed", "0",
-             "--config", str(cfg_path)]
-        )
-        assert build_config(args).seed == 0
 
-    def test_precision_headroom_enforced(self):
-        args = build_parser().parse_args(
-            ["synth", "--mode", "edge", "--ap", "1", "--k", "4", "--n-max", "3"]
-        )
-        with pytest.raises(ValueError):
-            build_config(args)
+        def emit(*argv):
+            assert run(["synth", "--mode", "edge", "--ap", "1", *argv,
+                        "--out", str(tmp_path)]) == 0
+            return read_artifact_from_stdout(capsys)[1]
+
+        zero = emit("--seed", "0")
+        assert emit("--seed", "0", "--config", str(cfg_path)) == zero
+        assert emit("--config", str(cfg_path)) != zero
+
+    def test_precision_headroom_enforced(self, tmp_path, capsys):
+        assert run(["synth", "--mode", "edge", "--ap", "1", "--k", "4", "--n-max", "3",
+                    "--out", str(tmp_path)]) == 1
+        err = json.loads(capsys.readouterr().out.strip())
+        assert err["error"]["type"] == "ValueError"
+
+    def test_precision_headroom_only_where_depth_is_read(self, tmp_path, capsys):
+        # eigen-extend reads no depth; a default n_max = 3 used to demand k >= 5
+        assert run(["forms", "eigen-extend", "--p", "3", "--k", "4", "--ap", "1",
+                    "--radius", "2", "--out", str(tmp_path)]) == 0
+        assert "radius-2 ball" in capsys.readouterr().out
+
+    def test_each_command_takes_only_the_flags_it_reads(self):
+        common = {"--config", "--out"}
+        expected = {
+            "tree neighbors": {"--p", "--vertex"},
+            "tree distance": {"--p", "--v", "--w"},
+            "tree sphere": {"--p", "--r", "--vertex"},
+            "tree dot": {"--p", "--r", "--vertex"},
+            "torus orbit": {"--p", "--torus-kind", "--d", "--level", "--mode"},
+            "torus base-seq": {"--p", "--torus-kind", "--d", "--n-max"},
+            "forms eigen-extend": {"--p", "--k", "--seed", "--ap", "--radius"},
+            "forms stabilize": {"--form", "--ap"},
+            "forms nu": {"--form"},
+            "synth": {"--p", "--k", "--delta", "--n-max", "--seed",
+                      "--mode", "--ap", "--alpha", "--torsion", "--level-map"},
+            "check-dist": {"--system"},
+            "theta": {"--system", "--level", "--ordinary"},
+            "lp": {"--system", "--level", "--kind"},
+            "mu": {"--element"},
+            "specialize": {"--element", "--character"},
+            "howard-scan": {"--family", "--prime", "--witness", "--k0"},
+        }
+
+        def leaves(parser, path=()):
+            subs = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+            if not subs:
+                yield " ".join(path), parser
+            for name, sub in (subs[0].choices.items() if subs else ()):
+                yield from leaves(sub, path + (name,))
+
+        got = {
+            path: [s for a in leaf._actions for s in a.option_strings if s not in ("-h", "--help")]
+            for path, leaf in leaves(build_parser())
+        }
+        assert {path: set(flags) for path, flags in got.items()} == {
+            path: flags | common for path, flags in expected.items()}
+        assert sum(map(len, got.values())) == 84
 
     def test_byte_identical_artifacts(self, tmp_path, capsys):
         d1, d2 = tmp_path / "a", tmp_path / "b"
@@ -436,7 +550,7 @@ class TestConfigAndDeterminism:
 
         assert emit("eigen-extend", "--p", "3", "--k", "11", "--ap", "1", "--radius", "5",
                     "--seed", "7") == "form-e5e4038962f91413.json"
-        assert emit("stabilize", "--ap", "1", "--p", "3", "--k", "11", "--form",
+        assert emit("stabilize", "--ap", "1", "--form",
                     str(tmp_path / "form-e5e4038962f91413.json")) == "form-a8942f87c70380b3.json"
         assert emit("eigen-extend", "--p", "2", "--k", "6", "--ap", "1", "--radius", "4",
                     "--seed", "3") == "form-061ea64e88e31ac6.json"
@@ -514,6 +628,12 @@ class TestSerialization:
         phi = stabilize(f, EigenData.ordinary(3, 5, 2))
         back_e = serialize.form_from_json(serialize.form_to_json(phi))
         assert back_e.tables == phi.tables
+        # T shrinks the ball and U fills only part of the edges: a form on a
+        # subset of its ball still reads back
+        for g in (hecke_T(f), hecke_U(phi)):
+            back_g = serialize.form_from_json(serialize.form_to_json(g))
+            assert back_g.tables == g.tables
+            assert back_g.domain == g.domain
 
     def test_multicomponent_form_carries_value_tuples(self):
         f = local_eigen_extend(3, 5, 1, 2, seed=3, h=2)
