@@ -25,16 +25,13 @@ from .padic import (
     PrecisionInt,
     cyclotomic_sigma,
     hensel_unit_root,
-    smith_exponents_2x2,
 )
-from .tree import DirectedEdge, Vertex, ball, distance, geodesic_path, neighbors, normal_form, origin, sphere
+from .tree import DirectedEdge, Vertex, ball, distance, geodesic_path, neighbors, origin, sphere
 from .torus import (
     QuadraticTorus,
     TorusElement,
-    act,
     base_sequence,
     filtration_order,
-    fixed_point,
     orbit_table,
 )
 from .groupring import (

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 from .errors import ConductorTooLarge, NotOrdinary
 from .groupring import GroupRingElement, mu_invariant, poly_view, star
-from .measures import CompatibleSystem, lp
+from .measures import CompatibleSystem, PadicLFunction, _check_level, lp
 from .padic import CyclotomicValue, IntPolynomial, _divide_monic, _reduce_cyclotomic
 from .util import capped_val
 
@@ -158,12 +158,22 @@ class InterpolationReport:
 
 
 def interpolation_shape(sys: CompatibleSystem, rho: FiniteOrderCharacter,
-                        m: int) -> InterpolationReport:
+                        m: int, ell: PadicLFunction | None = None) -> InterpolationReport:
     """specialize(L, rho) = (period sum at rho) * (period sum at rho^(-1)),
     with the cyclotomic valuation of each side reported.  Both period sums
-    come from one walk of the level-m table."""
-    lelt = lp(sys, m, "ordinary")
-    lhs = specialize(lelt.value, rho)
+    come from one walk of the level-m table.  L is lp(sys, m), built here
+    unless the caller passes it as ell."""
+    if ell is None:
+        ell = lp(sys, m, "ordinary")
+    else:
+        _check_level(sys, m)
+        v = ell.value
+        got = (ell.kind, ell.level, v.p, v.k, v.n, v.delta)
+        want = ("ordinary", m, sys.p, sys.k, sys.level_exp[m], sys.delta)
+        if got != want:
+            raise ValueError(f"L-element (kind, level, p, k, n, delta) = {got}, "
+                             f"expected {want}")
+    lhs = specialize(ell.value, rho)
     # one walk of the level-m table: rho^(-1) puts at exponent i what rho
     # puts at -i
     raw = _period_raw(sys, rho, m)

@@ -1,6 +1,6 @@
-"""Bounded-precision p-adic scalars, 2x2 elementary divisors, Hensel roots,
-cyclotomic polynomial constructors, cyclotomic ring values, and the three
-polynomial kernels the group rings share.
+"""Bounded-precision p-adic scalars, Hensel roots, cyclotomic polynomial
+constructors, cyclotomic ring values, and the three polynomial kernels the
+group rings share.
 
 All arithmetic is exact modulo p^k.  The valuation of a residue that is zero
 to working precision is reported as k, never as infinity, so that valuations
@@ -228,49 +228,6 @@ def hensel_unit_root(a: PrecisionInt, q: int, k: int) -> PrecisionInt:
     if root.residue % p != av % p:
         raise InvariantViolation(f"root {x} is not congruent to {av} mod {p}")
     return root
-
-
-def _min_val_entry(entries, p, k):
-    best = None
-    best_pos = None
-    for pos, e in enumerate(entries):
-        v = capped_val(e, p, k)
-        if best is None or v < best:
-            best, best_pos = v, pos
-    return best, best_pos
-
-
-def smith_exponents_2x2(m) -> tuple:
-    """Elementary divisor exponents (a, b), a <= b, of a 2x2 PrecisionInt matrix.
-
-    Row/column reduction pivoting on the entry of minimal valuation; the
-    determinant must have valuation < k.
-    """
-    (m00, m01), (m10, m11) = m
-    p, k = m00.p, m00.k
-    if any((e.p, e.k) != (p, k) for e in (m01, m10, m11)):
-        raise ValueError("matrix entries must share (p, k)")
-    mod = p**k
-    ents = [m00.residue % mod, m01.residue % mod, m10.residue % mod, m11.residue % mod]
-    a, pos = _min_val_entry(ents, p, k)
-    if a >= k:
-        raise PrecisionExhausted("every entry is zero to working precision")
-    # Move the pivot to position (0,0).
-    if pos in (2, 3):
-        ents = ents[2:] + ents[:2]
-        pos -= 2
-    if pos == 1:
-        ents = [ents[1], ents[0], ents[3], ents[2]]
-    e00, e01, e10, e11 = ents
-    unit = e00 // p**a
-    inv = pow(unit, -1, mod)
-    # Clear the first row and column with exact quotients.
-    q10 = (e10 // p**a) * inv % mod
-    e11 = (e11 - q10 * e01) % mod
-    b = capped_val(e11, p, k)
-    if b >= k:
-        raise PrecisionExhausted("second elementary divisor is zero to working precision")
-    return (a, b) if a <= b else (b, a)
 
 
 def euler_phi_p_power(p: int, m: int) -> int:

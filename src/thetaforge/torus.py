@@ -4,8 +4,8 @@ Inert kind: the units of the unramified quadratic extension modulo scalars,
 embedded by x + y*sqrt(d) -> [[x, d y], [y, x]].  The level-j coset space is
 the projective line over Z/p^j, enumerated by canonical representatives and
 decomposed as torsion x cyclic p-part for pushforward to group rings.
-TorusElement and the coset labels share one group law: an inert element is
-stored as its canonical level-k label and multiplied with _label_mul.
+TorusElement and the coset labels share one group law: an element is stored
+as its canonical level-k label and multiplied with _label_mul.
 
 Orbit tables on the standard base points are read off in closed form: the
 label (x : y) sends v_j = [[p^j, 0], [0, 1]] to the lattice
@@ -14,10 +14,9 @@ p^j Z^2 + Z (d y, x), whose normal form is
   Vertex(p, 0, j, 0)                         if x = 0 mod p^j,
   Vertex(p, j - v, v, w^(-1) mod p^(j - v))  otherwise, x / (d y) = p^v w;
 and sends the edge (v_(j-1), v_j) to the pair of images of its endpoints.
-act() normalizes a general lattice basis and serves any other base point.
 
-Split kind: diagonal matrices diag(t, 1); the fixed set is the standard
-apartment, supported for inspection only.
+Split kind: only its base sequence, a branch off the standard apartment, is
+kept, for inspection.
 """
 
 from __future__ import annotations
@@ -25,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import InvariantViolation, TransitivityViolation
-from .tree import DirectedEdge, Vertex, _normal_form_residues, distance, origin
+from .tree import DirectedEdge, Vertex, origin
 from .util import is_nonresidue, val_p
 
 
@@ -49,105 +48,33 @@ class QuadraticTorus:
 
 @dataclass(frozen=True)
 class TorusElement:
-    """Class of x + y*sqrt(d) (inert) or of t in Q_p^* (split), mod scalars.
+    """Class of x + y*sqrt(d) in the inert torus, mod scalars.
 
-    Inert representatives are stored projectively mod p^k as the canonical
-    level-k coset label (y normalized to 1 when it is a unit, otherwise x),
-    and multiply by the label group law.
+    Stored projectively mod p^k as the canonical level-k coset label (y
+    normalized to 1 when it is a unit, otherwise x), and multiplied by the
+    label group law.
     """
 
     torus: QuadraticTorus
     k: int
-    x: int = 0          # inert coordinates
-    y: int = 0
-    vexp: int = 0       # split: valuation and unit part of t
-    unit: int = 1
+    x: int
+    y: int
 
     def __post_init__(self):
-        p = self.torus.p
-        if self.torus.kind == "inert":
-            if self.k < 1:
-                raise ValueError("representative is zero mod scalars to precision")
-            x, y = _canonical_pair(p, self.k, self.x, self.y)
-            object.__setattr__(self, "x", x)
-            object.__setattr__(self, "y", y)
-        else:
-            if self.unit % p == 0:
-                raise ValueError("split unit part must be a unit")
-            object.__setattr__(self, "unit", self.unit % p**self.k)
-
-    def matrix(self):
-        """Embedding matrix as integer residues mod p^k."""
-        t = self.torus
-        if t.kind == "inert":
-            return (self.x, t.d * self.y, self.y, self.x)
-        if self.vexp >= 0:
-            return (self.unit * t.p**self.vexp, 0, 0, 1)
-        return (self.unit, 0, 0, t.p ** (-self.vexp))
+        if self.torus.kind != "inert":
+            raise ValueError("torus elements are kept for the inert kind only")
+        if self.k < 1:
+            raise ValueError("representative is zero mod scalars to precision")
+        x, y = _canonical_pair(self.torus.p, self.k, self.x, self.y)
+        object.__setattr__(self, "x", x)
+        object.__setattr__(self, "y", y)
 
     def __mul__(self, other: "TorusElement") -> "TorusElement":
         if self.torus != other.torus:
             raise ValueError("elements of different tori")
         k = min(self.k, other.k)
-        if self.torus.kind == "inert":
-            x, y = _label_mul(self.torus, k, (self.x, self.y), (other.x, other.y))
-            return TorusElement(self.torus, k, x=x, y=y)
-        return TorusElement(
-            self.torus, k, vexp=self.vexp + other.vexp, unit=self.unit * other.unit
-        )
-
-
-def identity_element(torus: QuadraticTorus, k: int) -> TorusElement:
-    if torus.kind == "inert":
-        return TorusElement(torus, k, x=1, y=0)
-    return TorusElement(torus, k, vexp=0, unit=1)
-
-
-def split_norm_exponent(t: TorusElement) -> int:
-    """The integer by which a split element translates the fixed apartment."""
-    if t.torus.kind != "split":
-        raise ValueError("norm exponent is a split-kind notion")
-    return t.vexp
-
-
-@dataclass(frozen=True)
-class Geodesic:
-    """The standard apartment: classes of diag(p^m, 1) for m in Z."""
-
-    p: int
-
-    def vertex(self, m: int) -> Vertex:
-        if m >= 0:
-            return Vertex(self.p, m, 0, 0)
-        return Vertex(self.p, 0, -m, 0)
-
-    def window(self, w: int) -> list:
-        return [self.vertex(m) for m in range(-w, w + 1)]
-
-    def distance_to(self, v: Vertex) -> int:
-        w = v.a + v.b + 1
-        return min(distance(v, self.vertex(m)) for m in range(-w, w + 1))
-
-
-def fixed_point(torus: QuadraticTorus):
-    """Fixed vertex (inert) or fixed geodesic (split) of the torus action."""
-    if torus.kind == "inert":
-        return origin(torus.p)
-    return Geodesic(torus.p)
-
-
-def act(t: TorusElement, w):
-    """Image of a vertex or directed edge under the embedded torus element."""
-    if isinstance(w, DirectedEdge):
-        return DirectedEdge(act(t, w.source), act(t, w.target))
-    p, k = t.torus.p, t.k
-    e00, e01, e10, e11 = t.matrix()
-    g00, g01, g10, g11 = w.basis_matrix()
-    m00 = e00 * g00 + e01 * g10
-    m01 = e00 * g01 + e01 * g11
-    m10 = e10 * g00 + e11 * g10
-    m11 = e10 * g01 + e11 * g11
-    return _normal_form_residues(p, m00, m01, m10, m11, k)
+        x, y = _label_mul(self.torus, k, (self.x, self.y), (other.x, other.y))
+        return TorusElement(self.torus, k, x, y)
 
 
 def filtration_order(torus: QuadraticTorus, j: int) -> int:
@@ -325,10 +252,6 @@ class OrbitTable:
             yield lbl, self.images[lbl]
 
 
-def _lift_label(torus: QuadraticTorus, label, k: int) -> TorusElement:
-    return TorusElement(torus, k, x=label[0], y=label[1])
-
-
 def _standard_image(p: int, d: int, j: int, x: int, y: int) -> Vertex:
     """Image of v_j under the torus element x + y*sqrt(d), (x, y) primitive:
     the normal form of p^j Z^2 + Z (d y, x), read off in closed form."""
@@ -367,8 +290,8 @@ def orbit_table(torus: QuadraticTorus, j: int, mode: str = "vertex",
     """Enumerate the level-j cosets, map the j-th base point through each,
     and record the bijection with its orbit plus the projection to level j-1.
 
-    The standard base point (base None, or the j-th point of base_sequence)
-    is mapped in closed form; any other base point goes through act().
+    The base point is the j-th point of base_sequence, mapped in closed
+    form; base, if given, must be that point.
     """
     if torus.kind != "inert":
         raise ValueError("orbit tables are finite only for the inert kind")
@@ -380,15 +303,14 @@ def orbit_table(torus: QuadraticTorus, j: int, mode: str = "vertex",
         raise ValueError("edge orbits start at level 1")
     verts, edges = base_sequence(torus, max(j, 1))
     standard = verts[j] if mode == "vertex" else edges[j - 1]
+    if base is not None and base != standard:
+        raise ValueError(f"orbit tables start from the standard base point {standard}")
     labels = tuple(coset_labels(torus, j))
     parents = {}
     if j >= 1:
         for lbl in labels:
             parents[lbl] = _canonical_pair(torus.p, j - 1, *lbl)
-    if base is None or base == standard:
-        acted = _standard_images(torus, j, mode, labels, parents)
-    else:
-        acted = [act(_lift_label(torus, lbl, j + 2), base) for lbl in labels]
+    acted = _standard_images(torus, j, mode, labels, parents)
     seen = {}
     for lbl, w in zip(labels, acted):
         if w in seen:

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .errors import InvariantViolation, PrecisionExhausted
+from .errors import InvariantViolation
 from .util import val_p
 
 
@@ -41,10 +41,6 @@ class Vertex:
 
     def __hash__(self):
         return self._hash
-
-    def basis_matrix(self):
-        """Exact integer column basis [[p^a, u], [0, p^b]]."""
-        return (self.p**self.a, self.u, 0, self.p**self.b)
 
     def to_json(self):
         return {"a": self.a, "b": self.b, "u": str(self.u)}
@@ -86,59 +82,6 @@ class DirectedEdge:
     @staticmethod
     def from_json(p: int, obj) -> "DirectedEdge":
         return DirectedEdge(Vertex.from_json(p, obj["source"]), Vertex.from_json(p, obj["target"]))
-
-
-def _reduce_triangular(p, x, up, y, prec):
-    """Normalize an upper-triangular residue matrix [[x, up], [0, y]] known
-    mod p^prec into Vertex data, or raise when the digits run out."""
-    mod = p**prec
-    x %= mod
-    y %= mod
-    up %= mod
-    if x == 0 or y == 0:
-        raise PrecisionExhausted("diagonal entry is zero to working precision")
-    va, vb = val_p(x, p), val_p(y, p)
-    if va >= prec or vb >= prec:
-        raise PrecisionExhausted("diagonal valuation exceeds working precision")
-    vu = val_p(up, p) if up else None
-    c = min(va, vb) if vu is None else min(va, vb, vu)
-    a, b = va - c, vb - c
-    if a + b >= prec - c:
-        raise PrecisionExhausted("result exponents exceed working precision")
-    # scale the second column by the unit part of y, then reduce u mod p^a
-    unit_y = (y // p**vb) % mod
-    u = (up // p**c) * pow(unit_y, -1, mod) % p**a if a > 0 else 0
-    return Vertex(p, a, b, u)
-
-
-def _normal_form_residues(p, m00, m01, m10, m11, prec):
-    """Column-reduce a residue matrix known mod p^prec to a Vertex."""
-    mod = p**prec
-    m00, m01, m10, m11 = m00 % mod, m01 % mod, m10 % mod, m11 % mod
-    v0 = val_p(m10, p) if m10 else prec
-    v1 = val_p(m11, p) if m11 else prec
-    if min(v0, v1) >= prec:
-        # bottom row vanishes to precision: already triangular
-        return _reduce_triangular(p, m00, m01, m11, prec)
-    if v1 > v0:
-        m00, m01 = m01, m00
-        m10, m11 = m11, m10
-        v0, v1 = v1, v0
-    # pivot on m11: clear m10 with the exact quotient m10/m11
-    q = (m10 // p**v1) * pow(m11 // p**v1, -1, mod) % mod
-    m00 = (m00 - q * m01) % mod
-    # now the matrix is [[m00, m01], [0, m11]] up to the column swap that
-    # puts the zero in the bottom-left corner
-    return _reduce_triangular(p, m00, m01, m11, prec)
-
-
-def normal_form(m) -> Vertex:
-    """Vertex for the column span of a 2x2 PrecisionInt matrix."""
-    (m00, m01), (m10, m11) = m
-    p, k = m00.p, m00.k
-    if any((e.p, e.k) != (p, k) for e in (m01, m10, m11)):
-        raise ValueError("matrix entries must share (p, k)")
-    return _normal_form_residues(p, m00.residue, m01.residue, m10.residue, m11.residue, k)
 
 
 def neighbors(v: Vertex) -> list:

@@ -93,6 +93,20 @@ class TestTorusCommands:
         assert emit("--p", "5", "--level", "3", "--mode", "vertex") == "orbit-1dca9eb32be04d59.json"
         assert emit("--p", "7", "--level", "2", "--mode", "edge") == "orbit-7cd7e7f3440ff6f9.json"
 
+    def test_pinned_base_seq_artifact_names(self, tmp_path, capsys):
+        # content hashes of the base sequences, split kind included: the
+        # torus code beneath them must not change a byte
+        def emit(*argv):
+            assert run(["torus", "base-seq", *argv, "--out", str(tmp_path)]) == 0
+            return os.path.basename(read_artifact_from_stdout(capsys)[1])
+
+        assert (emit("--p", "3", "--torus-kind", "split", "--n-max", "4")
+                == "base-seq-75dad4619745226e.json")
+        # the only torus path at p = 2
+        assert (emit("--p", "2", "--torus-kind", "split", "--n-max", "3")
+                == "base-seq-9a584a90de327c58.json")
+        assert emit("--p", "5", "--n-max", "4") == "base-seq-9f4cb1c33632cdaf.json"
+
     def test_split_torus_refuses_a_non_residue(self, tmp_path, capsys):
         # --d used to be dropped without a word for the split kind
         assert run(["torus", "base-seq", "--p", "5", "--torus-kind", "split", "--d", "2",

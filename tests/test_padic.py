@@ -14,7 +14,6 @@ from thetaforge.padic import (
     T_POLY,
     cyclotomic_sigma,
     hensel_unit_root,
-    smith_exponents_2x2,
 )
 
 
@@ -88,52 +87,6 @@ class TestHenselUnitRoot:
         for k2 in range(1, k):
             lower = hensel_unit_root(P(p, k2, a), q, k2)
             assert lower.residue == root.residue % p**k2
-
-
-class TestSmithExponents:
-    def test_trivial_examples(self):
-        p, k = 3, 5
-        ident = [[P(p, k, 1), P(p, k, 0)], [P(p, k, 0), P(p, k, 1)]]
-        assert smith_exponents_2x2(ident) == (0, 0)
-        diag = [[P(p, k, 1), P(p, k, 0)], [P(p, k, 0), P(p, k, 9)]]
-        assert smith_exponents_2x2(diag) == (0, 2)
-
-    def test_derived_unit_pivot(self):
-        p, k = 3, 5
-        m = [[P(p, k, 3), P(p, k, 1)], [P(p, k, 0), P(p, k, 3)]]
-        assert smith_exponents_2x2(m) == (0, 2)
-
-    def test_precision_exhausted(self):
-        p, k = 3, 2
-        z = [[P(p, k, 0), P(p, k, 0)], [P(p, k, 0), P(p, k, 0)]]
-        with pytest.raises(PrecisionExhausted):
-            smith_exponents_2x2(z)
-
-    def test_content_det_oracle_random(self):
-        # independent route: first exponent = min valuation, sum = val(det)
-        rng = random.Random(7)
-        p, k = 3, 9
-        for _ in range(100):
-            a, b = rng.randrange(3), rng.randrange(3)
-            d0, d1 = p**a, p**b
-            # conjugate a diagonal by random unimodular matrices
-            e = [[d0, 0], [0, d1]]
-            for _ in range(4):
-                x = rng.randrange(-5, 6)
-                which = rng.randrange(4)
-                if which == 0:
-                    e[0] = [e[0][0] + x * e[1][0], e[0][1] + x * e[1][1]]
-                elif which == 1:
-                    e[1] = [e[1][0] + x * e[0][0], e[1][1] + x * e[0][1]]
-                elif which == 2:
-                    e[0][0] += x * e[0][1]
-                    e[1][0] += x * e[1][1]
-                else:
-                    e[0][1] += x * e[0][0]
-                    e[1][1] += x * e[1][0]
-            m = [[P(p, k, e[0][0]), P(p, k, e[0][1])],
-                 [P(p, k, e[1][0]), P(p, k, e[1][1])]]
-            assert smith_exponents_2x2(m) == (min(a, b), max(a, b))
 
 
 class TestCyclotomicSigma:

