@@ -18,11 +18,21 @@ from thetaforge.torus import (
 )
 from thetaforge.tree import Vertex, distance, origin, sphere
 from thetaforge.util import default_nonresidue
-from tree_oracle import act
+from tree_oracle import act, normal_form_exact
 
 
 def inert(p=3, d=2):
     return QuadraticTorus(p, "inert", d)
+
+
+def apartment(p, r):
+    """The classes of diag(p^m, 1), |m| <= r: the apartment of the split torus."""
+    return [Vertex(p, m, 0, 0) for m in range(r, 0, -1)] + [Vertex(p, 0, m, 0) for m in range(r + 1)]
+
+
+def apartment_distance(v):
+    # the nearest apartment vertex is no farther from the origin than v
+    return min(distance(v, w) for w in apartment(v.p, distance(origin(v.p), v)))
 
 
 def random_element(torus, k, rng):
@@ -56,12 +66,37 @@ class TestTorusConstruction:
 
 
 class TestFixedPoint:
+    def test_inert_d2_p5_fixes_origin(self):
+        torus = QuadraticTorus(5, "inert", 2)
+        verts, _ = base_sequence(torus, 1)
+        assert verts[0] == origin(5)
+        assert list(orbit_table(torus, 0).images.values()) == [origin(5)]
+        rng = random.Random(5)
+        for _ in range(20):
+            assert act(random_element(torus, 4, rng), origin(5)) == origin(5)
+
     def test_inert_all_unit_samples_fix_origin(self):
         torus = inert()
         rng = random.Random(0)
         for _ in range(40):
             t = random_element(torus, 5, rng)
             assert act(t, origin(3)) == origin(3)
+
+    def test_split_geodesic_through_standard_vertices(self):
+        torus = QuadraticTorus(3, "split")
+        window = apartment(3, 2)
+        assert origin(3) in window
+        assert Vertex(3, 0, 1, 0) in window
+        verts, _ = base_sequence(torus, 2)
+        assert verts[0] in window
+        # diag(p, 1) translates the apartment one step along itself
+        shifted = [normal_form_exact(3, 3 * 3**w.a, 0, 0, 3**w.b) for w in window]
+        assert shifted == [Vertex(3, 3, 0, 0)] + window[:-1]
+
+    def test_split_distance_to_geodesic(self):
+        assert apartment_distance(origin(3)) == 0
+        assert apartment_distance(Vertex(3, 1, 0, 1)) == 1
+        assert apartment_distance(Vertex(3, 2, 0, 1)) == 2
 
 
 class TestAction:
@@ -143,9 +178,7 @@ class TestBaseSequence:
         torus = QuadraticTorus(3, "split")
         verts, _ = base_sequence(torus, 3)
         for j, v in enumerate(verts):
-            # the apartment is the classes of diag(p^m, 1), m in Z
-            apartment = [w for m in range(j + 2) for w in (Vertex(3, m, 0, 0), Vertex(3, 0, m, 0))]
-            assert min(distance(v, w) for w in apartment) == j
+            assert apartment_distance(v) == j
 
 
 class TestOrbitTable:
