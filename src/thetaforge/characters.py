@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 from .errors import ConductorTooLarge, NotOrdinary
 from .groupring import GroupRingElement, mu_invariant, poly_view, star
-from .measures import CompatibleSystem, PadicLFunction, _check_level, lp
+from .measures import CompatibleSystem, PadicLFunction, _check_level, lp, theta_level
 from .padic import CyclotomicValue, IntPolynomial, _divide_monic, _reduce_cyclotomic
 from .util import capped_val
 
@@ -48,10 +48,6 @@ class FiniteOrderCharacter:
             self.p, self.m, self.delta, tuple(-e for e in self.exponents)
         )
 
-    def value_exponent(self, tup) -> int:
-        """Exponent of zeta_{p^m} at the group element with these digits."""
-        return sum(e * t for e, t in zip(self.exponents, tup)) % self.p**self.m
-
     def to_json(self):
         return {"m": self.m, "exponents": list(self.exponents)}
 
@@ -79,12 +75,22 @@ def specialize(lam: GroupRingElement, rho: FiniteOrderCharacter) -> CyclotomicVa
         raise ValueError("character and element live over different groups")
     if rho.m > lam.n:
         raise ConductorTooLarge(f"conductor exponent {rho.m} exceeds layer {lam.n}")
-    # accumulate on raw zeta powers, then reduce once
-    raw = [0] * lam.p**rho.m
-    for idx, c in enumerate(lam.coeffs):
-        if c:
-            raw[rho.value_exponent(lam.tuple_of(idx))] += c
-    return _reduce_cyclotomic(raw, lam.p, lam.k, rho.m)
+    return _reduce_cyclotomic(_zeta_raw(lam, rho), lam.p, lam.k, rho.m)
+
+
+def _zeta_raw(lam: GroupRingElement, rho: FiniteOrderCharacter) -> list:
+    """The coefficients of lam accumulated on the p^m raw zeta exponents of
+    rho, before cyclotomic reduction.  The group element with digits
+    (t_1, ..., t_delta) sits at exponent sum e_i t_i mod p^m, tabulated axis
+    by axis in flat-index order."""
+    size = lam.p**rho.m
+    at = [0]
+    for e in rho.exponents:
+        at = [(x + e * t) % size for x in at for t in range(lam.order)]
+    raw = [0] * size
+    for x, c in zip(at, lam.coeffs):
+        raw[x] += c
+    return raw
 
 
 @dataclass(frozen=True)
@@ -106,7 +112,8 @@ def star_identity_check(lam: GroupRingElement, rho: FiniteOrderCharacter) -> Sta
 
 def _period_raw(sys: CompatibleSystem, rho: FiniteOrderCharacter, m: int) -> list:
     """The level-m coefficients accumulated on the p^m raw zeta exponents of
-    rho, before cyclotomic reduction and the alpha^(-m) scale."""
+    rho, before cyclotomic reduction and the alpha^(-m) scale: the raw theta
+    element's N group coefficients, added up as specialize adds them."""
     if sys.mode != "edge":
         raise NotOrdinary("period sums are defined for ordinary edge systems")
     if not sys.eigen.alpha.is_unit():
@@ -115,12 +122,7 @@ def _period_raw(sys: CompatibleSystem, rho: FiniteOrderCharacter, m: int) -> lis
         raise ConductorTooLarge(
             f"conductor exponent {rho.m} exceeds free exponent {sys.level_exp[m]}"
         )
-    raw = [0] * sys.p**rho.m
-    free = sys.free[m]
-    for key, c in sys.table(m).items():
-        if c:
-            raw[rho.value_exponent(free[key])] += c
-    return raw
+    return _zeta_raw(theta_level(sys, m).value, rho)
 
 
 def _period_value(sys: CompatibleSystem, raw: list, rho_m: int, m: int) -> CyclotomicValue:

@@ -64,19 +64,10 @@ class GroupRingElement:
         return self.order**self.delta
 
     def index(self, tup) -> int:
-        if len(tup) != self.delta:
-            raise ValueError(f"expected {self.delta} digits, got {tuple(tup)}")
-        q = self.order
-        idx = 0
-        for t in tup:
-            if not 0 <= t < q:
-                raise ValueError(f"digit {t} outside [0, {q})")
-            idx = idx * q + t
-        return idx
+        return flat_index(tup, self.order, self.delta)
 
     def tuple_of(self, idx: int) -> tuple:
-        q = self.order
-        return tuple([idx // q**i % q for i in reversed(range(self.delta))])
+        return digits_of(idx, self.order, self.delta)
 
     def coefficient(self, tup) -> int:
         return self.coeffs[self.index(tup)]
@@ -140,6 +131,24 @@ class GroupRingElement:
             seen.add(idx)
             coeffs[idx] = int(val)
         return GroupRingElement(p, k, n, delta, tuple(coeffs))
+
+
+def flat_index(tup, q: int, delta: int) -> int:
+    """The flat index of the group element of (Z/q)^delta with these digits;
+    a wrong number of digits or a digit outside [0, q) is a ValueError."""
+    if len(tup) != delta:
+        raise ValueError(f"expected {delta} digits, got {tuple(tup)}")
+    idx = 0
+    for t in tup:
+        if not 0 <= t < q:
+            raise ValueError(f"digit {t} outside [0, {q})")
+        idx = idx * q + t
+    return idx
+
+
+def digits_of(idx: int, q: int, delta: int) -> tuple:
+    """The digits of the group element at a flat index, outer axis first."""
+    return tuple([idx // q**i % q for i in reversed(range(delta))])
 
 
 def zero(p: int, k: int, n: int, delta: int = 1) -> GroupRingElement:

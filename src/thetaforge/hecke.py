@@ -4,20 +4,25 @@ vertex eigenfunction to an edge eigenfunction, seeded eigen-extensions, and
 the congruence-to-a-constant invariant.
 
 Forms carry h components evaluated on one stored ball; values are residues
-mod p^k wrapped as PrecisionInt.  Adjacency (depth, children, parent) and the
-directed edges are read from the ball, which tree.ball() builds once; the
-transfer operator reads each edge's continuations off the ball's record of
-the edges leaving its target.
+mod p^k wrapped as PrecisionInt, in dicts keyed by the ball's vertices or
+directed edges.  Every kernel reads each table into a list indexed by the
+ball's vertex or edge ids and computes by index: a vertex's children are a
+contiguous id range, so the adjacency sum is a slice sum plus the parent's
+value, and the continuations of an edge are the child edges of its target
+(minus its reversal) plus the target's parent edge, so the transfer sums
+are read off one sum per vertex.
 """
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass, replace
 
 from .errors import EmptyDomain, InvariantViolation, MissingEigenvalue
 from .padic import PrecisionInt, hensel_unit_root
 from .tree import Ball, ball, origin
+from .util import capped_val
 
 
 @dataclass(frozen=True)
@@ -71,49 +76,111 @@ def _shrunk_ball(b: Ball) -> Ball:
     return replace(b, radius=b.radius - 1, spheres=b.spheres[: b.radius])
 
 
+def _vertex_residues(f) -> list:
+    """Each component's residues as a list indexed by vertex id.  Every
+    vertex of the ball carries a value, and a key outside it is a KeyError."""
+    b = f.domain
+    n, ids = b.size, b.ids
+    out = []
+    for table in f.tables:
+        vals = [None] * n
+        for v, x in table.items():
+            i = ids[v]
+            if i >= n:
+                raise KeyError(v)
+            vals[i] = x.residue
+        if len(table) != n:     # distinct keys have distinct ids
+            raise KeyError(next(v for v, x in zip(b.vertices(), vals) if x is None))
+        out.append(vals)
+    return out
+
+
+def _edge_residues(f) -> list:
+    """Each component's residues as a list indexed by edge id, None at an
+    edge without a value.  A key outside the ball is a KeyError, and every
+    component carries values at the same edges."""
+    b = f.domain
+    n, ids, par = b.size, b.ids, b.parents
+    out = []
+    for table in f.tables:
+        vals = [None] * (2 * n - 2)
+        for e, x in table.items():
+            s, t = ids[e.source], ids[e.target]
+            if s >= n or t >= n:
+                raise KeyError(e)
+            # the ends are adjacent and the ball is a subtree, so one of them
+            # is the other's parent: child c has edges 2c - 2 (in) and 2c - 1 (out)
+            vals[2 * t - 2 if par[t] == s else 2 * s - 1] = x.residue
+        out.append(vals)
+    if any([x is None for x in vals] != [x is None for x in out[0]] for vals in out[1:]):
+        raise ValueError("the components of a form carry values at different edges")
+    return out
+
+
 def hecke_T(f: VertexForm) -> VertexForm:
     """(T f)(v) = sum of f over the p+1 neighbors of v, on the shrunken ball."""
     if f.domain.radius < 1:
         raise EmptyDomain("adjacency sum needs radius >= 1")
     inner = _shrunk_ball(f.domain)
-    p, k, out = f.p, f.k, f.domain.out_edges
+    p, k, n = f.p, f.k, inner.size
+    cs, par = f.domain.child_start, f.domain.parents
     tables = []
-    for table in f.tables:
-        tables.append({
-            v: PrecisionInt(p, k, sum(table[e.target].residue for e in out[v]))
-            for v in inner.vertices()
-        })
+    for vals in _vertex_residues(f):
+        # the center has no parent
+        sums = [sum(vals[cs[0]:cs[1]])] + [
+            sum(vals[lo:hi]) + vals[q]
+            for lo, hi, q in zip(cs[1:n], cs[2:n + 1], par[1:n])
+        ]
+        tables.append({v: PrecisionInt(p, k, t) for v, t in zip(inner.vertices(), sums)})
     return VertexForm(p, k, f.h, inner, tuple(tables))
 
 
 def hecke_U(f: EdgeForm) -> EdgeForm:
     """(U f)(e) = sum of f over the p continuations of e (reversal excluded).
 
-    Defined on the edges whose p continuations all carry values, so repeated
-    application keeps shrinking the edge set inward.  Edges into the boundary
-    sphere have no continuations inside the ball and are skipped.  The
-    continuations of (s -> t) are the ball's edges leaving t, minus (t -> s).
+    Defined on the edges of the table whose p continuations all carry
+    values, so repeated application keeps shrinking the edge set inward.
+    Edges into the boundary sphere have no continuations inside the ball and
+    are skipped.  The continuations of (s -> t) are the ball's edges leaving
+    t, minus (t -> s): with S(t) the sum over t's child edges, U is S(t) on
+    (s -> t) when t is s's child, and S(t) - f(t -> s) + f(t -> parent(t))
+    when t is s's parent (no parent term at the center).
     """
     b = f.domain
     if b.radius < 1:
         raise EmptyDomain("transfer sum needs radius >= 1")
-    p, k = f.p, f.k
-    known = f.tables[0]
-    tables = [dict() for _ in range(f.h)]
-    for e in known:
-        t = e.target
-        if b.depth(t) == b.radius:
-            continue
-        leaving = b.out_edges[t]
-        if len(leaving) != p + 1:
-            raise InvariantViolation(f"edge {e} has {len(leaving) - 1} continuations, expected {p}")
-        conts = [c for c in leaving if c.target != e.source]
-        if not all(c in known for c in conts):
-            continue
-        for table, out in zip(f.tables, tables):
-            out[e] = PrecisionInt(p, k, sum(table[c].residue for c in conts))
-    if not tables[0]:
+    p, k, n = f.p, f.k, b.size
+    cs, par = b.child_start, b.parents
+    inner = n - len(b.spheres[-1])      # ids 0..inner-1 are off the boundary sphere
+    kids = [cs[i + 1] - cs[i] for i in range(inner)]
+    for i, count in enumerate(kids):
+        if count != p + (i == 0):
+            raise InvariantViolation(
+                f"vertex id {i} has {count + (i > 0)} neighbors in the ball, expected {p + 1}")
+    comps = _edge_residues(f)
+    # by child id c: whether (parent -> c) and (c -> parent) carry values;
+    # id 0 pads the center, which has no parent edge
+    has_down = [True] + [x is not None for x in comps[0][0::2]]
+    has_up = [True] + [x is not None for x in comps[0][1::2]]
+    missing = [count - sum(has_down[cs[i]:cs[i + 1]]) for i, count in enumerate(kids)]
+    defined = []
+    for c in range(1, n):
+        s = par[c]
+        if c < inner and has_down[c] and not missing[c]:
+            defined.append(2 * c - 2)
+        if has_up[c] and has_up[s] and missing[s] == (not has_down[c]):
+            defined.append(2 * c - 1)
+    if not defined:
         raise EmptyDomain("no edge has all its continuations in the domain")
+    tables = []
+    for vals in comps:
+        down = [0] + [x or 0 for x in vals[0::2]]
+        up = [0] + [x or 0 for x in vals[1::2]]
+        child_sums = [sum(down[cs[i]:cs[i + 1]]) for i in range(inner)] + [0] * (n - inner)
+        sums = [0] * (2 * n - 2)
+        sums[0::2] = child_sums[1:]
+        sums[1::2] = [child_sums[s] - x + up[s] for s, x in zip(par[1:n], down[1:])]
+        tables.append({b.edges[e]: PrecisionInt(p, k, sums[e]) for e in defined})
     return EdgeForm(p, k, f.h, f.domain, tuple(tables))
 
 
@@ -127,17 +194,20 @@ def stabilize(f0: VertexForm, eigen: EigenData) -> EdgeForm:
         raise ValueError("stabilization takes a vertex form")
     if eigen.alpha is None:
         raise MissingEigenvalue("stabilization needs the transfer eigenvalue")
-    p, k, alpha = f0.p, f0.k, eigen.alpha
-    if (alpha.p, alpha.k) != (p, k):
+    p, k, alpha = f0.p, f0.k, eigen.alpha.residue
+    if (eigen.alpha.p, eigen.alpha.k) != (p, k):
         raise ValueError("mixed (p, k) arithmetic is not defined")
-    edges = tuple(f0.domain.directed_edges())
+    b = f0.domain
+    n = b.size
+    par = b.parents
     tables = []
-    for table in f0.tables:
-        tables.append({
-            e: PrecisionInt(p, k, table[e.source].residue - alpha.residue * table[e.target].residue)
-            for e in edges
-        })
-    return EdgeForm(p, k, f0.h, f0.domain, tuple(tables))
+    for vals in _vertex_residues(f0):
+        phi = [0] * (2 * n - 2)
+        # child c: (parent -> c) at 2c - 2, (c -> parent) at 2c - 1
+        phi[0::2] = [vals[q] - alpha * x for q, x in zip(par[1:n], vals[1:])]
+        phi[1::2] = [x - alpha * vals[q] for q, x in zip(par[1:n], vals[1:])]
+        tables.append({e: PrecisionInt(p, k, x) for e, x in zip(b.edges, phi)})
+    return EdgeForm(p, k, f0.h, b, tuple(tables))
 
 
 def local_eigen_extend(p: int, k: int, ap: int, radius: int, seed: int,
@@ -154,20 +224,19 @@ def local_eigen_extend(p: int, k: int, ap: int, radius: int, seed: int,
     b = ball(origin(p), radius)
     mod = p**k
     a = ap % mod
+    cs, par, n = b.child_start, b.parents, b.size
     tables = []
     for i in range(h):
         rng = random.Random(seed * 1000003 + i)
-        vals = {b.center: rng.randrange(mod)}
-        for s in b.spheres[:radius]:
-            for v in s:
-                # the center has no parent, which contributes 0
-                need = (a * vals[v] - vals.get(b.parent(v), 0)) % mod
-                kids = b.children(v)
-                for w in kids[:-1]:
-                    vals[w] = rng.randrange(mod)
-                    need = (need - vals[w]) % mod
-                vals[kids[-1]] = need
-        tables.append({v: PrecisionInt(p, k, c) for v, c in vals.items()})
+        vals = [rng.randrange(mod)] + [0] * (n - 1)
+        for v in range(n - len(b.spheres[radius])):
+            # the center has no parent, which contributes 0
+            need = a * vals[v] - (vals[par[v]] if v else 0)
+            lo, hi = cs[v], cs[v + 1] - 1
+            drawn = [rng.randrange(mod) for _ in range(hi - lo)]
+            vals[lo:hi] = drawn
+            vals[hi] = (need - sum(drawn)) % mod
+        tables.append({v: PrecisionInt(p, k, c) for v, c in zip(b.vertices(), vals)})
     return VertexForm(p, k, h, b, tuple(tables))
 
 
@@ -183,11 +252,9 @@ def scale_form(f, factor: int):
 
 def nu_invariant(f) -> int:
     """Largest c <= k such that all values (all components pooled) agree
-    modulo p^c: the minimum pairwise valuation of differences."""
-    values = []
-    for table in f.tables:
-        values.extend(table.values())
+    modulo p^c: the valuation of the gcd of p^k and their differences."""
+    values = [x.residue for table in f.tables for x in table.values()]
     if not values:
         raise EmptyDomain("form has no values")
     base = values[0]
-    return min((v - base).valuation() for v in values)
+    return capped_val(math.gcd(f.p**f.k, *(v - base for v in values)), f.p, f.k)

@@ -4,15 +4,22 @@ extraction for zero adjacency eigenvalue, and the product L-element.
 
 A system stores, per level, a table over opaque coset labels together with
 the fiber map to the previous level and the projection of each label to the
-free quotient (Z/p^m(level))^delta.  The distribution checker needs only
-fibers; the theta pushforward needs only the free projections.  One rule,
-_fiber_target, gives what each fiber sums to (alpha c_j on edges,
+free quotient (Z/p^m(level))^delta, as its flat index in the group ring.  The
+distribution checker needs only fibers; the theta pushforward needs only the
+free projections, and is one pass adding each coefficient at its index.
+One rule, _fiber_target, gives what each fiber sums to (alpha c_j on edges,
 a_p c_j - c_(j-1) on vertices); the synthesizer solves it and the checker
 tests it.
+
+from_tree reads a tower off a form on a ball centered at the origin, which
+the inert torus fixes: the image of the base vertex v_j under a label h is a
+ball vertex at depth j, and the image of the base edge e_j is the ball edge
+into h v_j, whose source is the parent label's image of v_(j-1).
 """
 
 from __future__ import annotations
 
+import itertools
 import random
 from dataclasses import dataclass
 
@@ -20,15 +27,17 @@ from . import groupring
 from .errors import (
     CompatibilityViolation,
     DistributionViolation,
+    InvariantViolation,
     NotDivisible,
     NotOrdinary,
     NotSupersingular,
     PrecisionExhausted,
     UnsupportedDelta,
 )
-from .groupring import GroupRingElement, QuotientClass, divide_omega_tilde, star
+from .groupring import GroupRingElement, QuotientClass, _axis_map, divide_omega_tilde, star
 from .hecke import EigenData, VertexForm
 from .torus import QuadraticTorus, TorusElement, _canonical_pair, _label_mul, orbit_table
+from .tree import origin
 
 
 def _check_mode(mode: str, eigen: EigenData) -> None:
@@ -54,7 +63,7 @@ class CompatibleSystem:
     level_exp: tuple            # m(j) per level j
     levels: tuple               # levels[j]: dict label -> residue (None below start)
     fibers: tuple               # fibers[j]: dict label_j -> label_{j-1}
-    free: tuple                 # free[j]: dict label -> digit tuple
+    free: tuple                 # free[j]: dict label -> flat group index
 
     def __post_init__(self):
         _check_mode(self.mode, self.eigen)
@@ -148,51 +157,58 @@ def from_tree(form, torus: QuadraticTorus, eigen: EigenData, n_max: int,
     """Read a compatible system off the orbit tables: c_j(h) = form(h * w_j).
 
     The form must be a local eigen-extension (vertex mode) or a stabilized
-    eigen edge form (edge mode) defined on a ball of radius >= n_max.  With a
-    shift s the base points are s * w_j; the torus is commutative, so label h
-    reads the standard orbit at the label h * s.
+    eigen edge form (edge mode) defined on a ball of radius >= n_max around
+    the origin.  With a shift s the base points are s * w_j; the torus is
+    commutative, so label h reads the standard orbit at the label h * s.
     """
     if torus.kind != "inert":
         raise ValueError("genuine systems are built for the inert kind")
     mode = "vertex" if isinstance(form, VertexForm) else "edge"
     if form.h != 1:
         raise ValueError("genuine systems use a single component")
-    if form.domain.radius < n_max:
-        raise PrecisionExhausted(
-            f"form ball radius {form.domain.radius} < depth {n_max}"
-        )
+    b = form.domain
+    if b.center != origin(torus.p):
+        raise ValueError(f"the form's ball is centered at {b.center}, not at the origin "
+                         "the torus fixes")
+    if b.radius < n_max:
+        raise PrecisionExhausted(f"form ball radius {b.radius} < depth {n_max}")
     if shift is not None:
         if shift.torus != torus:
             raise ValueError("the shift must lie in the same torus")
         if shift.k < n_max:
             raise PrecisionExhausted(f"shift known mod p^{shift.k} < p^{n_max}")
     p, k = form.p, form.k
+    values = form.tables[0]
     start = 0 if mode == "vertex" else 1
     levels: list = [None] * (n_max + 1)
     fibers: list = [None] * (n_max + 1)
     free: list = [None] * (n_max + 1)
     level_exp = tuple(max(j - 1, 0) for j in range(n_max + 1))
-    for j in range(start, n_max + 1):
-        tab = orbit_table(torus, j, mode)
-        images = tab.images
+    below = above = None        # vertex ids and keys of the labels one level down
+    for j in range(n_max + 1):
+        tab = orbit_table(torus, j, "vertex")
+        if mode == "edge":
+            # the image of e_j under h is the ball edge into h v_j, so its
+            # source must be the parent label's image of v_(j-1)
+            ids = {lbl: b.ids[w] for lbl, w in tab.images.items()}   # depth j <= radius
+            for lbl in tab.labels if j else ():
+                if b.parents[ids[lbl]] != below[tab.parents[lbl]]:
+                    raise InvariantViolation(
+                        f"the image of the level-{j} base edge under {lbl} is not a ball edge")
+            below = ids
+        if j < start:
+            continue
+        point = tab.images if mode == "vertex" else {
+            lbl: b.edges[2 * c - 2] for lbl, c in ids.items()}
         if shift is not None:
             s_lbl = _canonical_pair(torus.p, j, shift.x, shift.y)
-            images = {lbl: images[_label_mul(torus, j, lbl, s_lbl)] for lbl in tab.labels}
-        table = {}
-        fib = {}
-        fr = {}
-        for lbl in tab.labels:
-            key = f"{lbl[0]}:{lbl[1]}"
-            table[key] = form.tables[0][images[lbl]].residue
-            tau, digit = tab.split_parts[lbl]
-            fr[key] = (digit,)
-            if j > start:
-                par = tab.parents[lbl]
-                fib[key] = f"{par[0]}:{par[1]}"
-        levels[j] = table
-        free[j] = fr
+            point = {lbl: point[_label_mul(torus, j, lbl, s_lbl)] for lbl in tab.labels}
+        keys = {lbl: f"{lbl[0]}:{lbl[1]}" for lbl in tab.labels}
+        levels[j] = {keys[lbl]: values[point[lbl]].residue for lbl in tab.labels}
+        free[j] = {keys[lbl]: tab.split_parts[lbl][1] for lbl in tab.labels}
         if j > start:
-            fibers[j] = fib
+            fibers[j] = {keys[lbl]: above[tab.parents[lbl]] for lbl in tab.labels}
+        above = keys
     sys = CompatibleSystem(
         p, k, 1, mode, eigen, n_max, torus.p + 1, level_exp,
         tuple(levels), tuple(fibers), tuple(free),
@@ -207,29 +223,6 @@ def from_tree(form, torus: QuadraticTorus, eigen: EigenData, n_max: int,
 # synthetic systems
 
 
-def _synth_labels(p, delta, torsion, m, level):
-    """Deterministic label list for Z/torsion x (Z/p^m)^delta."""
-    if level == 0:
-        return [(0, (0,) * delta)]
-    out = []
-    size = p**m
-    total = size**delta
-    for tau in range(torsion):
-        for idx in range(total):
-            digits = []
-            rest = idx
-            for _ in range(delta):
-                digits.append(rest % size)
-                rest //= size
-            out.append((tau, tuple(reversed(digits))))
-    return out
-
-
-def _label_key(lbl):
-    tau, digits = lbl
-    return f"{tau}|{','.join(str(d) for d in digits)}"
-
-
 def synth_system(p: int, k: int, mode: str, eigen: EigenData, n_max: int,
                  delta: int = 1, torsion: int | None = None,
                  level_map: str = "local", seed: int = 0) -> CompatibleSystem:
@@ -239,8 +232,11 @@ def synth_system(p: int, k: int, mode: str, eigen: EigenData, n_max: int,
     of every fiber is corrected so the fiber sum matches the required
     combination of the two lower levels.
 
-    level_map "local" uses free exponents m(j) = max(j-1, 0) (mirroring the
-    inert orbit structure); "full" uses m(j) = j.
+    The level-j labels are the pairs (torsion index, free digits) of
+    Z/torsion x (Z/p^m(j))^delta, with key "tau|d_1,...,d_delta"; level 0 has
+    the one label of the trivial group.  level_map "local" uses free
+    exponents m(j) = max(j-1, 0) (mirroring the inert orbit structure);
+    "full" uses m(j) = j.
     """
     _check_mode(mode, eigen)
     if torsion is None:
@@ -260,30 +256,34 @@ def synth_system(p: int, k: int, mode: str, eigen: EigenData, n_max: int,
     if n_max < start:
         raise ValueError(f"{mode} systems need n_max >= {start}")
     rng = random.Random(seed)
-    all_labels = [
-        _synth_labels(p, delta, torsion if j >= 1 else 1, level_exp[j], j)
-        for j in range(n_max + 1)
-    ]
     levels: list = [None] * (n_max + 1)
     fibers: list = [None] * (n_max + 1)
     free: list = [None] * (n_max + 1)
-    for j in range(start, n_max + 1):
-        free[j] = {_label_key(l): l[1] for l in all_labels[j]}
+    keys: list = []             # keys[j][tau * p^(m(j) delta) + flat index]
+    for j in range(n_max + 1):
+        q = p ** level_exp[j]
+        # product() lists the digit tuples in flat-index order, outer axis first
+        digits = [",".join(map(str, d)) for d in itertools.product(range(q), repeat=delta)]
+        keys.append([f"{tau}|{d}" for tau in range(torsion if j else 1) for d in digits])
+        if j < start:
+            continue
+        size = len(digits)
+        free[j] = {key: i % size for i, key in enumerate(keys[j])}
         if j > start:
-            size = p ** level_exp[j - 1]
-            fib = {}
-            for tau, digits in all_labels[j]:
-                parent = (tau, tuple(d % size for d in digits)) if j - 1 >= 1 else (0, (0,) * delta)
-                fib[_label_key((tau, digits))] = _label_key(parent)
-            fibers[j] = fib
+            # a label's parent keeps its torsion index (0 at level 0) and
+            # reduces each free digit mod p^m(j-1)
+            q_down = p ** level_exp[j - 1]
+            down = _axis_map(delta, q, lambda t: t % q_down, q_down)
+            above = keys[j - 1]
+            step = q_down**delta if j > 1 else 0
+            fibers[j] = {key: above[i // size * step + down[i % size]]
+                         for i, key in enumerate(keys[j])}
     # first populated level is free
-    first = all_labels[start]
-    levels[start] = {_label_key(l): rng.randrange(mod) for l in first}
+    levels[start] = {key: rng.randrange(mod) for key in keys[start]}
     for j in range(start, n_max):
-        upper = all_labels[j + 1]
         by_parent: dict = {}
-        for lbl in upper:
-            by_parent.setdefault(fibers[j + 1][_label_key(lbl)], []).append(_label_key(lbl))
+        for key, parent_key in fibers[j + 1].items():
+            by_parent.setdefault(parent_key, []).append(key)
         table = {}
         for parent_key, members in sorted(by_parent.items()):
             target = _fiber_target(mode, eigen, mod, levels, fibers, j, parent_key)
@@ -346,10 +346,10 @@ def theta_level(sys: CompatibleSystem, n: int) -> ThetaElement:
     """Pushforward of the level-n table to the free quotient group ring."""
     _check_level(sys, n)
     layer = sys.level_exp[n]
-    elt = groupring.zero(sys.p, sys.k, layer, sys.delta)
-    coeffs = list(elt.coeffs)
+    coeffs = [0] * (sys.p**layer) ** sys.delta
+    free = sys.free[n]
     for key, c in sys.table(n).items():
-        coeffs[elt.index(sys.free[n][key])] += c
+        coeffs[free[key]] += c
     value = GroupRingElement(sys.p, sys.k, layer, sys.delta, tuple(coeffs))
     return ThetaElement(n, value, 0)
 

@@ -13,9 +13,8 @@ import hashlib
 import json
 import os
 from collections import Counter
-from itertools import chain
 
-from .groupring import GroupRingElement
+from .groupring import GroupRingElement, digits_of, flat_index
 from .hecke import EdgeForm, EigenData, VertexForm
 from .measures import CompatibleSystem
 from .padic import PrecisionInt
@@ -140,7 +139,7 @@ def form_from_json(obj):
             w = DirectedEdge.from_json(p, row["w"])
             ends = (w.source, w.target)
         # a ball is a subtree, so an edge with both ends in it is one of its edges
-        if not all(x in dom.depth_of for x in ends):
+        if not all(x in dom.ids for x in ends):
             raise ValueError(f"form entry {row['w']} lies outside the ball")
         if w in seen:
             raise ValueError(f"form entry {row['w']} repeats a point")
@@ -174,7 +173,8 @@ def system_to_json(s: CompatibleSystem):
             continue
         levels.append({lbl: str(c) for lbl, c in sorted(s.levels[j].items())})
         fibers.append(dict(sorted(s.fibers[j].items())) if s.fibers[j] else None)
-        free.append({lbl: list(d) for lbl, d in sorted(s.free[j].items())})
+        q = s.p ** s.level_exp[j]
+        free.append({lbl: list(digits_of(i, q, s.delta)) for lbl, i in sorted(s.free[j].items())})
     return {
         "p": s.p, "k": s.k, "delta": s.delta, "mode": s.mode,
         "eigen": eigen_to_json(s.eigen), "n_max": s.n_max,
@@ -200,11 +200,10 @@ def system_from_json(obj) -> CompatibleSystem:
         fb = obj["fibers"][j]
         fibers.append(dict(fb) if fb else None)
         q = p ** int(obj["level_exp"][j])
-        fr = {lbl: tuple(d) for lbl, d in obj["free"][j].items()}
-        digits = set(chain.from_iterable(fr.values())) or {0}
-        if set(map(len, fr.values())) - {delta} or not 0 <= min(digits) <= max(digits) < q:
-            raise ValueError(f"free digits at level {j} must be {delta} digits in [0, {q})")
-        free.append(fr)
+        try:
+            free.append({lbl: flat_index(tuple(d), q, delta) for lbl, d in obj["free"][j].items()})
+        except ValueError as exc:
+            raise ValueError(f"free digits at level {j}: {exc}") from exc
     return CompatibleSystem(
         p, int(obj["k"]), delta, obj["mode"],
         eigen_from_json(obj["eigen"]), n_max, int(obj["torsion"]),

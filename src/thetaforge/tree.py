@@ -7,10 +7,12 @@ fields are equal.  Edges are ordered pairs of adjacent vertices.
 Vertices and edges are slotted and compute their hash once, at construction;
 the cached value is the one the field tuple would hash to, so dict and set
 order is that of plain frozen dataclasses.  Neighbours and distances are read
-off the exponents in closed form.  A ball records, for each vertex, its
-outgoing directed edges (to its children, then to its parent) as it creates
-them; that record is the ball's one edge table, and every directed_edges()
-call (also on a shrunk copy) yields those same objects.
+off the exponents in closed form.  A ball numbers its vertices 0..N-1 in
+sphere order as it creates them, records each one's parent id and its
+contiguous child ids, and keeps its directed edges in one list: child c gives
+edge 2(c-1) = (parent -> c) and edge 2c-1 = (c -> parent).  That list is the
+ball's one edge table, and every directed_edges() call (also on a shrunk copy)
+yields those same objects.
 """
 
 from __future__ import annotations
@@ -121,55 +123,67 @@ def distance(v: Vertex, w: Vertex) -> int:
 
 @dataclass(frozen=True)
 class Ball:
-    """Distance-closed ball with its breadth-first tree structure.
+    """Distance-closed ball with its breadth-first tree structure on ids.
 
-    ball() fills two tables once: the depth of each vertex, and out_edges[v],
-    the directed edges leaving v: to each child (in neighbors() order minus
-    the parent), then to the parent.  The center has no parent edge and the
-    boundary sphere has only its parent edge.  Parent, children and
-    adjacency are read off that record.  A smaller ball around the same
-    center may share the tables, so lookups ignore entries beyond the radius.
+    ball() numbers the vertices in sphere order (the center is 0) and fills
+    the id tables once: each id's depth and parent id (-1 at the center),
+    the contiguous child ids child_start[i] .. child_start[i+1] - 1 (in
+    neighbors() order minus the parent), and the directed edges, where child
+    c gives edges 2(c-1) = (parent -> c) and 2c-1 = (c -> parent).  Parent,
+    children and adjacency are read off those tables.  A smaller ball around
+    the same center shares them, so lookups ignore ids beyond the radius.
     """
 
     center: Vertex
     radius: int
     spheres: tuple          # spheres[j] = tuple of vertices at distance j
-    depth_of: dict = field(compare=False)
-    out_edges: dict = field(compare=False)
+    ids: dict = field(compare=False)            # vertex -> id
+    depths: tuple = field(compare=False)        # id -> distance from the center
+    parents: tuple = field(compare=False)       # id -> parent id, -1 at the center
+    child_start: tuple = field(compare=False)   # id -> first child id; one entry past the last id
+    edges: tuple = field(compare=False)         # edge id -> DirectedEdge
 
     @property
     def p(self) -> int:
         return self.center.p
 
+    @property
+    def size(self) -> int:
+        """The number of vertices, so their ids are 0..size-1."""
+        return sum(map(len, self.spheres))
+
     def vertices(self):
+        """The vertices in id order."""
         for s in self.spheres:
             yield from s
 
-    def depth(self, v: Vertex) -> int:
-        d = self.depth_of[v]
-        if d > self.radius:
+    def vertex_id(self, v: Vertex) -> int:
+        """The id of v; a KeyError when v lies outside the ball."""
+        i = self.ids[v]
+        if self.depths[i] > self.radius:
             raise KeyError(v)
-        return d
+        return i
+
+    def depth(self, v: Vertex) -> int:
+        return self.depths[self.vertex_id(v)]
 
     def directed_edges(self):
-        """All oriented adjacent pairs inside the ball (tree edges, both ways):
-        per sphere, each edge from a parent to a child and then its reverse."""
-        out = self.out_edges
-        for j, s in enumerate(self.spheres[: self.radius]):
-            for x in s:
-                for e in out[x][: -1 if j else None]:
-                    yield e
-                    yield out[e.target][-1]
+        """All oriented adjacent pairs inside the ball (tree edges, both ways),
+        in id order: per sphere, each edge from a parent to a child and then
+        its reverse."""
+        yield from self.edges[: 2 * self.size - 2]
 
     def parent(self, v: Vertex):
         """The parent of v, or None at the center."""
-        return self.out_edges[v][-1].target if self.depth(v) else None
+        i = self.vertex_id(v)
+        return self.edges[2 * i - 1].target if i else None
 
     def children(self, v: Vertex) -> tuple:
-        d = self.depth(v)
-        if d == self.radius:
+        i = self.vertex_id(v)
+        if self.depths[i] == self.radius:
             return ()
-        return tuple(e.target for e in self.out_edges[v][: -1 if d else None])
+        return tuple(self.edges[2 * c - 2].target
+                     for c in range(self.child_start[i], self.child_start[i + 1]))
 
     def adjacent(self, v: Vertex) -> tuple:
         """The neighbors of v inside the ball: its children, then its parent."""
@@ -180,21 +194,26 @@ class Ball:
 def ball(v: Vertex, radius: int) -> Ball:
     if radius < 0:
         raise ValueError("radius must be nonnegative")
+    verts, depths, parents, child_start, edges = [v], [0], [-1], [], []
     spheres = [(v,)]
-    depth_of, out_edges = {v: 0}, {v: ()}
     for j in range(1, radius + 1):
-        nxt = []
-        for x in spheres[-1]:
-            up = out_edges[x]       # (x -> parent,) recorded when x was created
-            par = up[0].target if up else None
-            down = tuple(DirectedEdge(x, w) for w in neighbors(x) if w != par)
-            for e in down:
-                depth_of[e.target] = j
-                out_edges[e.target] = (DirectedEdge(e.target, x),)
-                nxt.append(e.target)
-            out_edges[x] = down + up
-        spheres.append(tuple(nxt))
-    return Ball(v, radius, tuple(spheres), depth_of, out_edges)
+        first = len(verts)
+        for i in range(first - len(spheres[-1]), first):
+            x = verts[i]
+            par = edges[2 * i - 1].target if i else None
+            kids = [w for w in neighbors(x) if w != par]
+            child_start.append(len(verts))
+            verts += kids
+            parents += [i] * len(kids)
+            for w in kids:
+                edges += (DirectedEdge(x, w), DirectedEdge(w, x))
+        spheres.append(tuple(verts[first:]))
+        depths += [j] * len(spheres[-1])
+    # the boundary sphere has no children
+    child_start += [len(verts)] * (len(verts) + 1 - len(child_start))
+    ids = {w: i for i, w in enumerate(verts)}
+    return Ball(v, radius, tuple(spheres), ids, tuple(depths), tuple(parents),
+                tuple(child_start), tuple(edges))
 
 
 def sphere(v: Vertex, r: int) -> list:

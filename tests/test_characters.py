@@ -148,9 +148,10 @@ def reference_period_sum(sys, rho, m):
     p, k = sys.p, sys.k
     acc = CyclotomicValue.from_int(p, k, rho.m, 0)
     free_mod = p**rho.m
+    group = gr.zero(p, k, sys.level_exp[m], sys.delta)
     for key, c in sorted(sys.table(m).items()):
         if c:
-            digits = sys.free[m][key]
+            digits = group.tuple_of(sys.free[m][key])
             e = sum(ei * (d % free_mod) for ei, d in zip(rho.exponents, digits))
             acc = acc + CyclotomicValue.zeta_power(p, k, rho.m, e) * c
     return acc * pow(sys.eigen.alpha.inverse().residue, m, p**k)

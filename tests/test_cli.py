@@ -8,8 +8,8 @@ from thetaforge import serialize
 from thetaforge.cli import build_parser, load_config, main
 from thetaforge.groupring import delta_element, one, zero
 from thetaforge.hecke import EigenData, hecke_T, hecke_U, local_eigen_extend, stabilize
-from thetaforge.measures import check_distribution, synth_system
-from thetaforge.torus import QuadraticTorus, orbit_table
+from thetaforge.measures import check_distribution, from_tree, synth_system
+from thetaforge.torus import QuadraticTorus, TorusElement, orbit_table
 
 
 def run(argv):
@@ -611,6 +611,28 @@ class TestConfigAndDeterminism:
         assert emit("mu", "--element", str(tmp_path / lp_name)) == "mu-8cfa136a0acde22a.json"
 
 
+    def test_pinned_genuine_system_artifact_names(self, tmp_path):
+        # content hashes of systems read off the tree, written when from_tree
+        # built edge orbit tables and free digit tuples; reading the orbits
+        # off the ball's ids and storing flat group indices must not change a byte
+        def name(system):
+            return os.path.basename(serialize.write_artifact(
+                str(tmp_path), "system", serialize.system_to_json(system)))
+
+        torus = QuadraticTorus(3, "inert", 2)
+        eig = EigenData.ordinary(3, 9, 1)
+        edge = from_tree(stabilize(local_eigen_extend(3, 9, 1, 5, seed=4), eig), torus, eig, 5)
+        assert name(edge) == "system-5d94a832b0e06d56.json"
+        vertex = from_tree(local_eigen_extend(3, 9, 0, 5, seed=4), torus,
+                           EigenData.supersingular(3, 9), 5)
+        assert name(vertex) == "system-b9c11ee487f5138a.json"
+        t5 = QuadraticTorus(5, "inert", 2)
+        e5 = EigenData.ordinary(5, 7, 2)
+        shifted = from_tree(stabilize(local_eigen_extend(5, 7, 2, 3, seed=1), e5), t5, e5, 3,
+                            shift=TorusElement(t5, 7, x=2, y=1))
+        assert name(shifted) == "system-78b1a281fe99559c.json"
+
+
 class TestSerialization:
     def test_unknown_schema_refused(self, tmp_path):
         path = tmp_path / "x.json"
@@ -625,11 +647,28 @@ class TestSerialization:
         assert back == s
         assert check_distribution(back).ok
 
+    def test_delta_two_free_indices_roundtrip(self):
+        # flat group indices in memory, digit lists on the wire
+        s = synth_system(3, 7, "edge", EigenData.ordinary(3, 7, 1), 3, delta=2, seed=4)
+        obj = serialize.system_to_json(s)
+        for j in (1, 2, 3):
+            q = 3 ** s.level_exp[j]
+            for lbl, idx in s.free[j].items():
+                assert obj["free"][j][lbl] == [idx // q, idx % q]
+                assert 0 <= idx < q * q
+        assert obj["free"][3]["2|4,7"] == [4, 7] and s.free[3]["2|4,7"] == 4 * 9 + 7
+        back = serialize.system_from_json(json.loads(json.dumps(obj)))
+        assert back == s
+        assert serialize.system_to_json(back) == obj
+        for damage in ([9, 0], [0, -1], [1], [1, 2, 3], ["1", "2"]):
+            bad = json.loads(json.dumps(obj))
+            bad["free"][3]["2|4,7"] = damage
+            with pytest.raises(ValueError, match="free digits at level 3|malformed system"):
+                serialize.system_from_json(bad)
+
     def test_genuine_system_roundtrip(self):
         torus = QuadraticTorus(3, "inert", 2)
         eig = EigenData.ordinary(3, 6, 1)
-        from thetaforge.measures import from_tree
-
         f0 = local_eigen_extend(3, 6, 1, 2, seed=3)
         s = from_tree(stabilize(f0, eig), torus, eig, 2)
         back = serialize.system_from_json(serialize.system_to_json(s))

@@ -15,7 +15,7 @@ from thetaforge.hecke import (
     stabilize,
 )
 from thetaforge.padic import PrecisionInt
-from thetaforge.tree import DirectedEdge, ball, distance, neighbors, origin
+from thetaforge.tree import DirectedEdge, Vertex, ball, distance, neighbors, origin, sphere
 from form_oracle import source_form, target_form
 
 
@@ -272,6 +272,23 @@ def reference_U(tables, p, k):
     return out
 
 
+def reference_stabilize(f0, alpha):
+    """phi(v -> w) = f0(v) - alpha f0(w) on every adjacent pair inside the
+    ball, the pairs found by neighbors() and distance()."""
+    mod = f0.p**f0.k
+    center, radius = f0.domain.center, f0.domain.radius
+    edges = [DirectedEdge(v, w) for v in f0.tables[0] for w in neighbors(v)
+             if distance(center, w) <= radius]
+    return [{e: (t[e.source].residue - alpha * t[e.target].residue) % mod for e in edges}
+            for t in f0.tables]
+
+
+def reference_nu(f):
+    """The minimum valuation of a difference of two values, over all pairs."""
+    values = [c for t in f.tables for c in t.values()]
+    return min((v - w).valuation() for v in values for w in values)
+
+
 def reference_eigen_extend(p, k, ap, radius, seed, h):
     mod = p**k
     center = origin(p)
@@ -345,6 +362,99 @@ class TestAgainstNeighborsReference:
         for table in f.tables:
             del table[gone]
         uf = hecke_U(f)
-        assert residues(uf) == reference_U(residues(f), p, k)
+        once = reference_U(residues(f), p, k)
+        assert residues(uf) == once
         skipped = [DirectedEdge(w, center) for w in f.domain.children(center)[1:]]
         assert skipped and not any(e in uf.tables[0] for e in skipped)
+        # U on U's own partial domain; at radius 1 nothing is left to continue
+        if radius == 1:
+            with pytest.raises(EmptyDomain):
+                hecke_U(uf)
+        else:
+            assert residues(hecke_U(uf)) == reference_U(once, p, k)
+
+    @pytest.mark.parametrize("p", [2, 3])
+    @pytest.mark.parametrize("radius", [1, 2, 3, 4])
+    @pytest.mark.parametrize("h", [1, 2])
+    def test_stabilize(self, p, radius, h):
+        eig = EigenData.ordinary(p, 7, 1)
+        f = random_form(VertexForm, p, 7, radius, h, seed=radius + 20)
+        assert residues(stabilize(f, eig)) == reference_stabilize(f, eig.alpha.residue)
+        if radius >= 2:
+            # on the shrunk ball that T leaves
+            tf = hecke_T(f)
+            assert residues(stabilize(tf, eig)) == reference_stabilize(tf, eig.alpha.residue)
+
+    @pytest.mark.parametrize("p", [2, 3])
+    @pytest.mark.parametrize("h", [1, 2])
+    def test_nu_invariant(self, p, h):
+        k = 6
+        for c in range(k + 1):
+            for seed in range(3):
+                f = random_form(VertexForm, p, k, 2, h, seed=seed)
+                # values congruent to 5 mod p^c
+                g = scale_form(f, p**c)
+                g = VertexForm(p, k, h, g.domain, tuple(
+                    {v: x + PrecisionInt(p, k, 5) for v, x in t.items()} for t in g.tables))
+                assert nu_invariant(g) == reference_nu(g)
+                assert nu_invariant(f) == reference_nu(f)
+                phi = stabilize(g, EigenData.ordinary(p, k, 1))
+                assert nu_invariant(phi) == reference_nu(phi)
+        # constant but for one value off by p^c, at each point of each component
+        b = ball(origin(p), 1)
+        for c in range(k):
+            for comp in range(h):
+                for w in b.vertices():
+                    f = VertexForm(p, k, h, b, tuple(
+                        {v: PrecisionInt(p, k, 7 + (p**c if (v, i) == (w, comp) else 0))
+                         for v in b.vertices()} for i in range(h)))
+                    assert nu_invariant(f) == reference_nu(f) == c
+
+    @pytest.mark.parametrize("p", [2, 3])
+    def test_entry_outside_the_ball_raises(self, p):
+        k = 6
+        f = random_form(VertexForm, p, k, 2, 1, seed=1)
+        far = sphere(origin(p), 3)[0]
+        f.tables[0][far] = PrecisionInt(p, k, 1)
+        with pytest.raises(KeyError):
+            hecke_T(f)
+        with pytest.raises(KeyError):
+            stabilize(f, EigenData.ordinary(p, k, 1))
+        # a vertex of the full ball beyond the radius T shrank it to
+        tf = hecke_T(random_form(VertexForm, p, k, 2, 1, seed=2))
+        tf.tables[0][Vertex(p, 0, 2, 0)] = PrecisionInt(p, k, 1)
+        with pytest.raises(KeyError):
+            hecke_T(tf)
+        with pytest.raises(KeyError):
+            stabilize(tf, EigenData.ordinary(p, k, 1))
+        g = random_form(EdgeForm, p, k, 2, 1, seed=3)
+        g.tables[0][DirectedEdge(far, neighbors(far)[0])] = PrecisionInt(p, k, 1)
+        with pytest.raises(KeyError):
+            hecke_U(g)
+        # an edge out of the boundary sphere leaves the ball too
+        rim = f.domain.spheres[2][0]
+        outward = next(w for w in neighbors(rim) if distance(origin(p), w) == 3)
+        g = random_form(EdgeForm, p, k, 2, 1, seed=4)
+        g.tables[0][DirectedEdge(rim, outward)] = PrecisionInt(p, k, 1)
+        with pytest.raises(KeyError):
+            hecke_U(g)
+        # and on the shrunk ball of a form T left, an edge of the full ball
+        # beyond the radius
+        inner = hecke_T(random_form(VertexForm, p, k, 2, 1, seed=5))
+        phi = stabilize(inner, EigenData.ordinary(p, k, 1))
+        assert phi.domain.radius == 1
+        phi.tables[0][DirectedEdge(rim, f.domain.parent(rim))] = PrecisionInt(p, k, 1)
+        with pytest.raises(KeyError):
+            hecke_U(phi)
+
+    def test_components_on_different_edges_raise(self):
+        g = random_form(EdgeForm, 3, 5, 2, 2, seed=6)
+        del g.tables[1][next(iter(g.tables[1]))]
+        with pytest.raises(ValueError, match="different edges"):
+            hecke_U(g)
+
+    def test_missing_vertex_value_raises(self):
+        f = random_form(VertexForm, 3, 5, 2, 1, seed=5)
+        del f.tables[0][f.domain.center]
+        with pytest.raises(KeyError):
+            hecke_T(f)

@@ -30,7 +30,7 @@ from thetaforge.measures import (
 )
 from thetaforge.padic import PrecisionInt
 from thetaforge.torus import QuadraticTorus, TorusElement
-from thetaforge.tree import ball, origin
+from thetaforge.tree import Vertex, ball, origin
 
 
 TORUS3 = QuadraticTorus(3, "inert", 2)
@@ -89,6 +89,21 @@ class TestFromTree:
         eig = EigenData(ap=PrecisionInt(p, k, 1), alpha=None)
         with pytest.raises(DistributionViolation, match="'layer': 1,"):
             from_tree(constant_vertex_form(p, k, 3), TORUS3, eig, 3)
+
+    @pytest.mark.parametrize("mode", ["vertex", "edge"])
+    def test_ball_off_the_origin_rejected(self, mode):
+        # the inert torus fixes the origin, so its orbits are read off a ball
+        # centered there; this ball even contains the orbits up to level 2
+        p, k = 3, 6
+        b = ball(Vertex(p, 1, 1, 1), 4)
+        eig = EigenData.ordinary(p, k, 1)
+        if mode == "vertex":
+            form = VertexForm(p, k, 1, b, ({v: PrecisionInt(p, k, 1) for v in b.vertices()},))
+        else:
+            form = EdgeForm(p, k, 1, b, ({e: PrecisionInt(p, k, 1)
+                                         for e in b.directed_edges()},))
+        with pytest.raises(ValueError, match="origin"):
+            from_tree(form, TORUS3, eig, 2)
 
     def test_small_ball_rejected(self):
         p, k = 3, 6

@@ -230,7 +230,10 @@ class TestEdgesAndBall:
                 # to the parent, which is the neighbor one step nearer
                 if par is not None:
                     assert par in neighbors(v) and distance(center, par) == b.depth(v) - 1
-                out = b.out_edges[v]
+                # the edges leaving v: to each child, then to the parent
+                i = b.vertex_id(v)
+                kid_ids = range(b.child_start[i], b.child_start[i + 1]) if b.depth(v) < radius else ()
+                out = [b.edges[2 * c - 2] for c in kid_ids] + ([b.edges[2 * i - 1]] if i else [])
                 assert all(e.source is v for e in out)
                 kids = [w for w in neighbors(v) if w != par] if b.depth(v) < radius else []
                 assert [e.target for e in out] == kids + ([] if par is None else [par])
@@ -240,11 +243,54 @@ class TestEdgesAndBall:
             # directed_edges() yields the recorded objects, also once shrunk
             shrunk = replace(b, radius=radius - 1, spheres=b.spheres[:radius]) if radius else b
             for c in (b, shrunk):
-                inside = [e for v in c.vertices() for e in c.out_edges[v]
-                          if c.depth(v) < c.radius or e.target == c.parent(v)]
+                inside = [e for v in c.vertices() if v != center
+                          for e in (DirectedEdge(c.parent(v), v), DirectedEdge(v, c.parent(v)))]
                 yielded = list(c.directed_edges())
-                assert len(yielded) == len(inside) == 2 * (len(list(c.vertices())) - 1)
-                assert {id(e) for e in yielded} == {id(e) for e in inside}
+                assert yielded == inside
+                assert len(yielded) == 2 * (len(list(c.vertices())) - 1)
+                assert {id(e) for e in yielded} <= {id(e) for e in b.edges}
+
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    @pytest.mark.parametrize("radius", range(5))
+    def test_ids_match_neighbors_and_distance(self, p, radius):
+        # the id tables against neighbors() and distance() alone: ids run in
+        # sphere order, each child's parent id is the neighbor one step
+        # nearer, the children of a vertex are the contiguous ids of its other
+        # neighbors, and child c owns edges 2(c-1) = (parent -> c), 2c-1 = (c -> parent)
+        for center in (origin(p), Vertex(p, 1, 1, 1)):
+            full = ball(center, radius)
+            shrunk = replace(full, radius=radius - 1, spheres=full.spheres[:radius])
+            for b in (full, shrunk) if radius else (full,):
+                verts = list(b.vertices())
+                assert b.size == len(verts) == len(set(verts))
+                assert [distance(center, v) for v in verts] == sorted(
+                    distance(center, v) for v in verts)
+                for i, v in enumerate(verts):
+                    assert b.vertex_id(v) == i and b.depths[i] == distance(center, v)
+                    near = [w for w in neighbors(v) if distance(center, w) < b.depths[i]]
+                    if i == 0:
+                        assert b.parents[0] == -1 and near == []
+                    else:
+                        assert [verts[b.parents[i]]] == near
+                    kids = [w for w in neighbors(v) if distance(center, w) > b.depths[i]]
+                    if b.depths[i] < b.radius:
+                        got = verts[b.child_start[i]:b.child_start[i + 1]]
+                        assert got == kids
+                        assert all(b.parents[c] == i
+                                   for c in range(b.child_start[i], b.child_start[i + 1]))
+                    else:
+                        assert b.children(v) == ()
+                expected = []
+                for c in range(1, b.size):
+                    par = verts[b.parents[c]]
+                    expected += [(par, verts[c]), (verts[c], par)]
+                edges = list(b.directed_edges())
+                assert [(e.source, e.target) for e in edges] == expected
+                assert all(e is f for e, f in zip(edges, full.edges))
+                beyond = [v for v in full.vertices() if full.depth(v) > b.radius]
+                for v in beyond:
+                    with pytest.raises(KeyError):
+                        b.vertex_id(v)
 
     def test_dot_output(self):
         text = to_dot(origin(2), 1)
