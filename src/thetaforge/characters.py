@@ -12,7 +12,7 @@ from .errors import ConductorTooLarge, NotOrdinary
 from .groupring import GroupRingElement, mu_invariant, poly_view, star
 from .measures import CompatibleSystem, PadicLFunction, _check_level, lp, theta_level
 from .padic import CyclotomicValue, IntPolynomial, _divide_monic, _reduce_cyclotomic
-from .util import capped_val
+from .util import capped_val, json_int
 
 
 @dataclass(frozen=True)
@@ -53,15 +53,15 @@ class FiniteOrderCharacter:
 
     @staticmethod
     def from_json(p: int, delta: int, obj) -> "FiniteOrderCharacter":
-        """Read {"m": int, "exponents": [int, ...]}; any other shape is a
-        ValueError."""
+        """Read {"m": int, "exponents": [int, ...]}; any other shape, a float
+        or a bool included, is a ValueError."""
         if not isinstance(obj, dict) or not isinstance(obj.get("exponents"), list):
             raise ValueError(
                 f'a character is a JSON object {{"m": int, "exponents": [int, ...]}}, got {obj!r}'
             )
         try:
-            m, exps = int(obj["m"]), tuple(int(e) for e in obj["exponents"])
-        except (KeyError, TypeError) as exc:
+            m, exps = json_int(obj["m"]), tuple(json_int(e) for e in obj["exponents"])
+        except KeyError as exc:
             raise ValueError(f"malformed character {obj!r}") from exc
         return FiniteOrderCharacter(p, m, delta, exps)
 
@@ -234,7 +234,7 @@ def _poly_remainder_mod(poly, witness: IntPolynomial, p: int, k0: int):
     leading coefficient is a unit, over Z/p^k0: the remainder on division by
     the witness scaled to be monic."""
     mod = p**k0
-    lead = witness.coefficients[-1] % mod
+    lead = witness.coefficients[-1]
     if lead % p == 0:
         raise ValueError("witness polynomial needs a unit leading coefficient")
     inv = pow(lead, -1, mod)

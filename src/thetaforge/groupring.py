@@ -8,12 +8,14 @@ digits (t_1, ..., t_delta), outer axis first, is at sum t_i q^(delta - i).
 The involution and the layer maps gather or scatter over flat index maps
 (`_axis_map`).  The product is one packed product (the `padic` kernel) for
 every delta: the inner axes are spread to 2q - 1 slots, so a digit sum never
-carries into the next axis.
+carries into the next axis.  That kernel is the only product here: used on
+nonnegative integer lists it never reduces, which builds the exact
+Omega~ and Omega^+/- polynomials in T.
 
 The polynomial view identifies the generator of each cyclic factor with
 T_i + 1, so the layer-n ring in one variable is (Z/p^k)[T]/((T+1)^(p^n)-1).
-For delta = 1 it is the `padic` Taylor shift by +1; the way back, and the
-image of any integer polynomial, is the shift by -1 folded mod gamma^(p^n) - 1.
+For delta = 1 it is the `padic` Taylor shift by +1; the image of an integer
+polynomial (`reduce_poly`) is the shift by -1 folded mod gamma^(p^n) - 1.
 
 Division by Omega~ works in the group-element basis, where the factor
 Sigma_{p^j}(gamma), the p^j-th cyclotomic polynomial in gamma, is monic with
@@ -31,10 +33,10 @@ from functools import lru_cache
 
 from .errors import NotDivisible, UnsupportedDelta
 from .padic import (
-    IntPolynomial, T_POLY, _cyclotomic_divisor, _divide_monic, _packed_product, _taylor_shift,
+    IntPolynomial, _cyclotomic_divisor, _divide_monic, _packed_product, _taylor_shift,
     cyclotomic_sigma,
 )
-from .util import capped_val
+from .util import capped_val, json_int
 
 
 @dataclass(frozen=True)
@@ -120,7 +122,7 @@ class GroupRingElement:
 
     @staticmethod
     def from_json(obj) -> "GroupRingElement":
-        p, k, n, delta = int(obj["p"]), int(obj["k"]), int(obj["n"]), int(obj["delta"])
+        p, k, n, delta = (json_int(obj[key]) for key in ("p", "k", "n", "delta"))
         elt = zero(p, k, n, delta)
         coeffs = list(elt.coeffs)
         seen = set()
@@ -129,7 +131,7 @@ class GroupRingElement:
             if idx in seen:
                 raise ValueError(f"group element {key} given twice")
             seen.add(idx)
-            coeffs[idx] = int(val)
+            coeffs[idx] = json_int(val)
         return GroupRingElement(p, k, n, delta, tuple(coeffs))
 
 
@@ -254,40 +256,20 @@ def poly_view(x: GroupRingElement) -> tuple:
     return tuple(_taylor_shift(x.coeffs, 1, x.p**x.k))
 
 
-def _image_of_poly(p: int, k: int, n: int, poly) -> GroupRingElement:
-    """T -> generator - 1: the Taylor shift by -1, then the fold of gamma^i
-    onto gamma^(i mod p^n), as gamma^(p^n) = 1."""
+@lru_cache(maxsize=256)
+def reduce_poly(poly: IntPolynomial, p: int, k: int, n: int) -> GroupRingElement:
+    """Image of an exact integer polynomial of any degree in the layer-n ring
+    (delta = 1): T -> generator - 1 is the Taylor shift by -1, then gamma^i
+    folds onto gamma^(i mod p^n), as gamma^(p^n) = 1."""
     size = p**n
     out = [0] * size
-    for i, c in enumerate(_taylor_shift(poly, -1, p**k)):
+    for i, c in enumerate(_taylor_shift(poly.coefficients, -1, p**k)):
         out[i % size] += c
     return GroupRingElement(p, k, n, 1, tuple(out))
 
 
-def from_poly_view(p: int, k: int, n: int, poly) -> GroupRingElement:
-    """Inverse of poly_view: T -> generator - 1, coefficients mod p^k."""
-    if len(poly) > p**n:
-        raise ValueError("degree exceeds the layer ring dimension")
-    return _image_of_poly(p, k, n, poly)
-
-
-@lru_cache(maxsize=256)
-def reduce_poly(poly: IntPolynomial, p: int, k: int, n: int) -> GroupRingElement:
-    """Image of an exact integer polynomial of any degree in the layer-n ring
-    (delta = 1)."""
-    return _image_of_poly(p, k, n, poly.coefficients)
-
-
 # ---------------------------------------------------------------------------
 # parity-split cyclotomic products
-
-
-def omega_poly(p: int, n: int) -> IntPolynomial:
-    """T * prod_{1<=j<=n} Sigma_{p^j}(T+1) = (T+1)^(p^n) - 1."""
-    acc = T_POLY
-    for j in range(1, n + 1):
-        acc = acc * cyclotomic_sigma(p, j)
-    return acc
 
 
 def _parity_levels(n: int, sign: int) -> range:
@@ -297,15 +279,22 @@ def _parity_levels(n: int, sign: int) -> range:
 
 def omega_tilde_poly(p: int, n: int, sign: int) -> IntPolynomial:
     """Product of Sigma_{p^j}(T+1) over j <= n of the given parity
-    (+1: even j, -1: odd j)."""
-    acc = IntPolynomial((1,))
+    (+1: even j, -1: odd j), as an exact integer polynomial.
+
+    Every factor has nonnegative coefficients and `_packed_product` never
+    reduces, so with mod = 1 + the largest coefficient of the two factors it
+    returns the exact product.
+    """
+    acc = [1]
     for j in _parity_levels(n, sign):
-        acc = acc * cyclotomic_sigma(p, j)
-    return acc
+        sigma = cyclotomic_sigma(p, j).coefficients
+        acc = _packed_product(acc, sigma, 1 + max(max(acc), max(sigma)))
+    return IntPolynomial(tuple(acc))
 
 
 def omega_pm_poly(p: int, n: int, sign: int) -> IntPolynomial:
-    return T_POLY * omega_tilde_poly(p, n, sign)
+    """T * omega_tilde_poly(p, n, sign): its coefficients moved up one place."""
+    return IntPolynomial((0,) + omega_tilde_poly(p, n, sign).coefficients)
 
 
 # ---------------------------------------------------------------------------
@@ -337,10 +326,6 @@ class QuotientClass:
     @property
     def ideal_tag(self) -> str:
         return "omega_plus" if self.eps > 0 else "omega_minus"
-
-    @property
-    def ideal_poly(self) -> IntPolynomial:
-        return omega_pm_poly(self.rep.p, self.layer, self.eps)
 
     def same_class(self, other: "QuotientClass") -> bool:
         if self.eps != other.eps or self.layer != other.layer:

@@ -1,6 +1,6 @@
-"""Bounded-precision p-adic scalars, Hensel roots, cyclotomic polynomial
-constructors, cyclotomic ring values, and the three polynomial kernels the
-group rings share.
+"""Bounded-precision p-adic scalars, Hensel roots, the cyclotomic factors
+Sigma_{p^j}(T+1) as exact integer polynomials, cyclotomic ring values, and
+the three polynomial kernels the group rings share.
 
 All arithmetic is exact modulo p^k.  The valuation of a residue that is zero
 to working precision is reported as k, never as infinity, so that valuations
@@ -10,7 +10,10 @@ The kernels work on coefficient lists, constant term first:
 
 - the packed product (`_pack`, `_unpack`, `_packed_product`): residues are
   laid out in byte slots wide enough that a product coefficient never
-  carries into the next slot, so one big-int product multiplies two lists;
+  carries into the next slot, so one big-int product multiplies two lists.
+  It is the one product kernel of the package.  It never reduces, so on
+  nonnegative lists with `mod` above every entry it is the exact integer
+  product; the exact Omega products in `groupring` are built that way;
 - the Taylor shift (`_taylor_shift`): sum a_i (X + c)^i, bottom-up over
   doubling blocks with one packed product per level;
 - sparse monic long division (`_divide_monic`): quotient and remainder on
@@ -27,7 +30,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import InvariantViolation, NotOrdinary, PrecisionExhausted
-from .util import capped_val
+from .util import capped_val, json_int
 
 
 @dataclass(frozen=True, slots=True)
@@ -103,7 +106,8 @@ class PrecisionInt:
 
 @dataclass(frozen=True)
 class IntPolynomial:
-    """Exact integer polynomial, constant term first, trailing zeros stripped.
+    """Exact integer polynomial, constant term first, trailing zeros stripped:
+    a coefficient record, with no arithmetic of its own.
 
     The zero polynomial has degree -1 (a sentinel, not a valuation).
     """
@@ -120,48 +124,6 @@ class IntPolynomial:
     def degree(self) -> int:
         return len(self.coefficients) - 1
 
-    def __add__(self, other):
-        a, b = self.coefficients, other.coefficients
-        n = max(len(a), len(b))
-        return IntPolynomial(
-            tuple((a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0) for i in range(n))
-        )
-
-    def __sub__(self, other):
-        return self + IntPolynomial(tuple(-c for c in other.coefficients))
-
-    def __mul__(self, other):
-        if isinstance(other, int):
-            return IntPolynomial(tuple(c * other for c in self.coefficients))
-        a, b = self.coefficients, other.coefficients
-        if not a or not b:
-            return IntPolynomial(())
-        out = [0] * (len(a) + len(b) - 1)
-        for i, ci in enumerate(a):
-            if ci == 0:
-                continue
-            for j, cj in enumerate(b):
-                out[i + j] += ci * cj
-        return IntPolynomial(tuple(out))
-
-    __rmul__ = __mul__
-
-    def __pow__(self, e: int):
-        result = IntPolynomial((1,))
-        base = self
-        while e > 0:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
-
-    def __call__(self, x: int) -> int:
-        acc = 0
-        for c in reversed(self.coefficients):
-            acc = acc * x + c
-        return acc
-
     def is_zero(self) -> bool:
         return not self.coefficients
 
@@ -170,35 +132,31 @@ class IntPolynomial:
 
     @staticmethod
     def from_json(obj) -> "IntPolynomial":
-        """Read a JSON list of integer coefficients; any other shape is a
-        ValueError."""
+        """Read a JSON list of integers or integer strings; any other shape,
+        a float or a bool included, is a ValueError."""
         if not isinstance(obj, list):
             raise ValueError(f"a polynomial is a JSON list of coefficients, got {obj!r}")
-        try:
-            return IntPolynomial(tuple(int(c) for c in obj))
-        except TypeError as exc:
-            raise ValueError(f"malformed polynomial coefficients {obj!r}") from exc
-
-
-ONE_POLY = IntPolynomial((1,))
-T_POLY = IntPolynomial((0, 1))
+        return IntPolynomial(tuple(json_int(c) for c in obj))
 
 
 @lru_cache(maxsize=None)
 def cyclotomic_sigma(p: int, j: int) -> IntPolynomial:
     """The p^j-th cyclotomic polynomial evaluated at T+1, as a polynomial in T.
 
-    Degree p^(j-1)(p-1); for j = 1 this is sum_{b<p} (T+1)^b.
+    Degree p^(j-1)(p-1).  It is sum_{b<p} (T+1)^(b p^(j-1)), so the
+    coefficient of T^i is sum_{b<p} C(b p^(j-1), i), read off each binomial
+    row by C(N, i+1) = C(N, i) (N - i) / (i + 1).
     """
     if j < 1:
         raise ValueError("level must be >= 1")
-    block = (T_POLY + ONE_POLY) ** (p ** (j - 1))  # (T+1)^(p^(j-1))
-    acc = IntPolynomial((1,))
-    total = IntPolynomial((1,))
-    for _ in range(p - 1):
-        acc = acc * block
-        total = total + acc
-    return total
+    step = p ** (j - 1)
+    out = [0] * ((p - 1) * step + 1)
+    for b in range(p):
+        top, c = b * step, 1
+        for i in range(top + 1):
+            out[i] += c
+            c = c * (top - i) // (i + 1)
+    return IntPolynomial(tuple(out))
 
 
 def hensel_unit_root(a: PrecisionInt, q: int, k: int) -> PrecisionInt:
@@ -248,9 +206,10 @@ def _unpack(value: int, width: int, count: int) -> list:
 
 
 def _packed_product(a, b, mod: int) -> list:
-    """Exact product of two nonempty lists of residues in [0, mod).  A product
-    coefficient sums at most min(len(a), len(b)) terms below mod^2, which
-    fixes the slot width, so one big-int product carries them all."""
+    """Exact product of two nonempty lists of residues in [0, mod), not
+    reduced mod anything.  A product coefficient sums at most
+    min(len(a), len(b)) terms below mod^2, which fixes the slot width, so one
+    big-int product carries them all."""
     width = (min(len(a), len(b)) * mod * mod).bit_length() // 8 + 1
     return _unpack(_pack(a, width) * _pack(b, width), width, len(a) + len(b) - 1)
 

@@ -19,6 +19,7 @@ from .hecke import EdgeForm, EigenData, VertexForm
 from .measures import CompatibleSystem
 from .padic import PrecisionInt
 from .tree import DirectedEdge, Vertex
+from .util import json_int
 
 SCHEMA = "thetaforge/1"
 
@@ -183,9 +184,29 @@ def system_to_json(s: CompatibleSystem):
     }
 
 
+def _free_indices(digits: dict, p: int, e: int, delta: int, j: int) -> dict:
+    """The flat group index of each level-j label, refused unless the labels
+    cover (Z/p^e)^delta in fibers of equal size.  The label count is compared
+    with p^(e delta) first, so a huge e allocates nothing."""
+    count = len(digits)
+    # p >= 2, so p^(e delta) > count once e delta reaches count's bit length
+    if e < 0 or e * delta >= count.bit_length():
+        raise ValueError(f"level {j}: {count} labels cannot cover (Z/{p}^{e})^{delta}")
+    try:
+        free = {lbl: flat_index(tuple(d), p**e, delta) for lbl, d in digits.items()}
+    except ValueError as exc:
+        raise ValueError(f"free digits at level {j}: {exc}") from exc
+    sizes = Counter(free.values())
+    if len(sizes) != p ** (e * delta) or len(set(sizes.values())) > 1:
+        raise ValueError(f"level {j}: the free digits do not cover (Z/{p}^{e})^{delta} "
+                         "in fibers of equal size")
+    return free
+
+
 @_payload_reader
 def system_from_json(obj) -> CompatibleSystem:
-    n_max, p, delta = int(obj["n_max"]), int(obj["p"]), int(obj["delta"])
+    n_max, p, delta = json_int(obj["n_max"]), json_int(obj["p"]), json_int(obj["delta"])
+    level_exp = tuple(json_int(e) for e in obj["level_exp"])
     levels = []
     fibers = []
     free = []
@@ -196,19 +217,14 @@ def system_from_json(obj) -> CompatibleSystem:
             fibers.append(None)
             free.append(None)
             continue
-        levels.append({lbl: int(c) for lbl, c in lv.items()})
+        levels.append({lbl: json_int(c) for lbl, c in lv.items()})
         fb = obj["fibers"][j]
         fibers.append(dict(fb) if fb else None)
-        q = p ** int(obj["level_exp"][j])
-        try:
-            free.append({lbl: flat_index(tuple(d), q, delta) for lbl, d in obj["free"][j].items()})
-        except ValueError as exc:
-            raise ValueError(f"free digits at level {j}: {exc}") from exc
+        free.append(_free_indices(obj["free"][j], p, level_exp[j], delta, j))
     return CompatibleSystem(
-        p, int(obj["k"]), delta, obj["mode"],
-        eigen_from_json(obj["eigen"]), n_max, int(obj["torsion"]),
-        tuple(int(e) for e in obj["level_exp"]),
-        tuple(levels), tuple(fibers), tuple(free),
+        p, json_int(obj["k"]), delta, obj["mode"],
+        eigen_from_json(obj["eigen"]), n_max, json_int(obj["torsion"]),
+        level_exp, tuple(levels), tuple(fibers), tuple(free),
     )
 
 

@@ -1,4 +1,4 @@
-"""Small shared helpers: valuations and the Legendre symbol."""
+"""Small shared helpers: valuations, the Legendre symbol and JSON integers."""
 
 from __future__ import annotations
 
@@ -37,3 +37,14 @@ def default_nonresidue(p: int) -> int:
         if is_nonresidue(d, p):
             return d
     raise ValueError(f"no non-residue found mod {p}")
+
+
+def json_int(value) -> int:
+    """An integer read from JSON: an int that is not a bool, or a string that
+    int() reads.  A float, a bool or anything else is a ValueError, so that
+    2.7 is refused rather than truncated to 2."""
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    if isinstance(value, str):
+        return int(value)
+    raise ValueError(f"expected an integer or an integer string, got {value!r}")

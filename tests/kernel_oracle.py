@@ -1,13 +1,16 @@
 """Quadratic polynomial loops, kept as a test oracle.
 
 These are the cyclotomic product, reduction and valuation, the Horner image
-of an integer polynomial in a layer ring, and the Howard witness division
-that `thetaforge` used before it routed them through the three `padic`
-kernels (packed product, Taylor shift, sparse monic division).  They are
-quadratic in the ring degree and serve only to cross-check the kernels.
+of an integer polynomial in a layer ring, the Howard witness division, and
+the schoolbook integer-polynomial arithmetic that built Sigma_{p^j}(T+1) and
+the Omega products, all of which `thetaforge` used before it routed them
+through the three `padic` kernels (packed product, Taylor shift, sparse monic
+division) or read them off binomial rows.  They are quadratic in the ring
+degree and serve only to cross-check the kernels.
 """
 
 from functools import lru_cache
+from math import comb
 
 from thetaforge.groupring import GroupRingElement
 from thetaforge.padic import CyclotomicValue, IntPolynomial, euler_phi_p_power
@@ -111,7 +114,7 @@ def reference_poly_remainder_mod(poly, witness: IntPolynomial, p: int, k0: int):
     """Remainder of a coefficient list modulo a witness polynomial whose
     leading coefficient is a unit, over Z/p^k0."""
     mod = p**k0
-    lead = witness.coefficients[-1] % mod
+    lead = witness.coefficients[-1]
     if lead % p == 0:
         raise ValueError("witness polynomial needs a unit leading coefficient")
     inv = pow(lead, -1, mod)
@@ -124,3 +127,78 @@ def reference_poly_remainder_mod(poly, witness: IntPolynomial, p: int, k0: int):
             for j, w in enumerate(witness.coefficients):
                 rem[i - d + j] = (rem[i - d + j] - q * w) % mod
     return rem[:d]
+
+
+# ---------------------------------------------------------------------------
+# schoolbook integer polynomials (IntPolynomial in, IntPolynomial out)
+
+
+def poly_add(a: IntPolynomial, b: IntPolynomial) -> IntPolynomial:
+    x, y = a.coefficients, b.coefficients
+    n = max(len(x), len(y))
+    return IntPolynomial(tuple((x[i] if i < len(x) else 0) + (y[i] if i < len(y) else 0)
+                               for i in range(n)))
+
+
+def poly_mul(a: IntPolynomial, b: IntPolynomial) -> IntPolynomial:
+    x, y = a.coefficients, b.coefficients
+    if not x or not y:
+        return IntPolynomial(())
+    out = [0] * (len(x) + len(y) - 1)
+    for i, ci in enumerate(x):
+        if ci == 0:
+            continue
+        for j, cj in enumerate(y):
+            out[i + j] += ci * cj
+    return IntPolynomial(tuple(out))
+
+
+def poly_pow(a: IntPolynomial, e: int) -> IntPolynomial:
+    """Square and multiply on poly_mul."""
+    result = IntPolynomial((1,))
+    while e > 0:
+        if e & 1:
+            result = poly_mul(result, a)
+        a = poly_mul(a, a)
+        e >>= 1
+    return result
+
+
+def poly_eval(a: IntPolynomial, x: int) -> int:
+    acc = 0
+    for c in reversed(a.coefficients):
+        acc = acc * x + c
+    return acc
+
+
+ONE = IntPolynomial((1,))
+T = IntPolynomial((0, 1))
+
+
+def binomial_minus_one(size: int) -> IntPolynomial:
+    """(T+1)^size - 1, from math.comb."""
+    return IntPolynomial((0,) + tuple(comb(size, i) for i in range(1, size + 1)))
+
+
+@lru_cache(maxsize=None)
+def reference_cyclotomic_sigma(p: int, j: int) -> IntPolynomial:
+    """sum_{b<p} (T+1)^(b p^(j-1)), by schoolbook powers and products."""
+    block = poly_pow(poly_add(T, ONE), p ** (j - 1))
+    acc = total = ONE
+    for _ in range(p - 1):
+        acc = poly_mul(acc, block)
+        total = poly_add(total, acc)
+    return total
+
+
+def reference_omega_tilde(p: int, n: int, sign: int) -> IntPolynomial:
+    """Schoolbook product of the Sigma_{p^j}(T+1), j <= n of parity sign
+    (+1: even j, -1: odd j)."""
+    acc = ONE
+    for j in range(2 if sign > 0 else 1, n + 1, 2):
+        acc = poly_mul(acc, reference_cyclotomic_sigma(p, j))
+    return acc
+
+
+def reference_omega_pm(p: int, n: int, sign: int) -> IntPolynomial:
+    return poly_mul(T, reference_omega_tilde(p, n, sign))

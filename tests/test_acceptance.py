@@ -35,10 +35,11 @@ from thetaforge.measures import (
     theta_level,
     theta_ordinary,
 )
-from thetaforge.padic import ONE_POLY, PrecisionInt, T_POLY, cyclotomic_sigma
+from thetaforge.padic import PrecisionInt, cyclotomic_sigma
 from thetaforge.torus import QuadraticTorus, TorusElement, filtration_order, orbit_table
 from thetaforge.tree import origin, sphere
 from form_oracle import source_form, target_form
+from kernel_oracle import T, binomial_minus_one, poly_mul
 
 
 @contextmanager
@@ -142,10 +143,10 @@ def test_05_cyclotomic_factorization_and_xi():
     with criterion(5, "cyclotomic product identity and the two xi routes", 5.0):
         for p in (2, 3, 5):
             for n in range(1, 5):
-                prod = T_POLY
+                prod = T
                 for j in range(1, n + 1):
-                    prod = prod * cyclotomic_sigma(p, j)
-                assert prod == (T_POLY + ONE_POLY) ** p**n - ONE_POLY
+                    prod = poly_mul(prod, cyclotomic_sigma(p, j))
+                assert prod == binomial_minus_one(p**n)
         rng = random.Random(5)
         p, k = 3, 6
         count = 0

@@ -254,7 +254,7 @@ class TestInterpolationShape:
         pair = pm_extract(s, 3)
         cls = pair.minus           # layer 1, ideal omega_1^- = T * Sigma_p(T+1)
         rho = FiniteOrderCharacter(3, 1, 1, (1,))
-        gen = gr.reduce_poly(cls.cls.ideal_poly, p, k, cls.layer)
+        gen = gr.reduce_poly(gr.omega_pm_poly(p, cls.layer, cls.eps), p, k, cls.layer)
         assert specialize(gen, rho).is_zero()
         l = lp(s, 3, "minus")
         lhs = specialize(l.value, rho)
@@ -286,7 +286,7 @@ class TestHowardCheck:
 
     def test_custom_witness_prime(self):
         # witness T - 1 <-> evaluation at gamma = 2
-        lam = gr.from_poly_view(3, 4, 1, (2, 1, 0))   # poly T + 2
+        lam = gr.reduce_poly(IntPolynomial((2, 1)), 3, 4, 1)   # poly T + 2
         fam = HowardFamily(("x",), (lam,))
         witness = IntPolynomial((-1, 1))
         rep = howard_check(fam, witness, 2)

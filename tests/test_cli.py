@@ -376,6 +376,69 @@ class TestFormsAndSystems:
             assert err["error"]["type"] == "ValueError"
 
 
+    @pytest.mark.parametrize("exp", [4, 40])
+    def test_level_exp_off_the_tower_is_a_typed_error(self, tmp_path, capsys, exp):
+        # level 3 has free quotient Z/9; read as Z/81 it used to give an
+        # 81-coefficient theta, and a huge exponent allocated p^exp of them
+        assert run(["synth", "--mode", "edge", "--ap", "1", "--p", "3", "--k", "6",
+                    "--n-max", "3", "--out", str(tmp_path)]) == 0
+        _, sys_path = read_artifact_from_stdout(capsys)
+        obj = json.load(open(sys_path))
+        assert obj["payload"]["level_exp"][3] == 2
+        obj["payload"]["level_exp"][3] = exp
+        bad_path = os.path.join(str(tmp_path), "bad.json")
+        json.dump(obj, open(bad_path, "w"))
+        assert run(["theta", "--system", bad_path, "--level", "3",
+                    "--out", str(tmp_path)]) == 1
+        err = json.loads(capsys.readouterr().out.strip())
+        assert err["error"]["type"] == "ValueError"
+        assert "level 3" in err["error"]["detail"]
+
+    @pytest.mark.parametrize("value", [2.7, True])
+    def test_non_integer_system_coefficient_is_a_typed_error(self, tmp_path, capsys, value):
+        # int() used to truncate 2.7 to 2 and read true as 1
+        assert run(["synth", "--mode", "edge", "--ap", "1", "--p", "3", "--k", "6",
+                    "--n-max", "3", "--out", str(tmp_path)]) == 0
+        _, sys_path = read_artifact_from_stdout(capsys)
+        obj = json.load(open(sys_path))
+        level = obj["payload"]["levels"][3]
+        level[sorted(level)[0]] = value
+        bad_path = os.path.join(str(tmp_path), "bad.json")
+        json.dump(obj, open(bad_path, "w"))
+        assert run(["theta", "--system", bad_path, "--level", "3",
+                    "--out", str(tmp_path)]) == 1
+        err = json.loads(capsys.readouterr().out.strip())
+        assert err["error"]["type"] == "ValueError"
+
+    @pytest.mark.parametrize("value", [2.7, False])
+    def test_non_integer_group_ring_coefficient_is_a_typed_error(self, tmp_path, capsys, value):
+        # an lp coefficient edited to 2.7 used to read as 2 in mu
+        assert run(["synth", "--mode", "edge", "--ap", "1", "--p", "3", "--k", "6",
+                    "--n-max", "3", "--seed", "4", "--out", str(tmp_path)]) == 0
+        _, sys_path = read_artifact_from_stdout(capsys)
+        assert run(["lp", "--system", sys_path, "--level", "3", "--out", str(tmp_path)]) == 0
+        _, lp_path = read_artifact_from_stdout(capsys)
+        obj = json.load(open(lp_path))
+        coeffs = obj["payload"]["value"]["coeffs"]
+        coeffs[sorted(coeffs)[0]] = value
+        bad_path = os.path.join(str(tmp_path), "bad.json")
+        json.dump(obj, open(bad_path, "w"))
+        assert run(["mu", "--element", bad_path, "--out", str(tmp_path)]) == 1
+        err = json.loads(capsys.readouterr().out.strip())
+        assert err["error"]["type"] == "ValueError"
+
+    @pytest.mark.parametrize("character", ['{"m":1.9,"exponents":[1.5]}',
+                                           '{"m":1,"exponents":[1.5]}',
+                                           '{"m":true,"exponents":[1]}'])
+    def test_non_integer_character_is_a_typed_error(self, tmp_path, capsys, character):
+        # m = 1.9 with exponent 1.5 used to give the artifact of m = 1, e = 1
+        th_path = serialize.write_artifact(str(tmp_path), "theta", one(3, 5, 2).to_json())
+        assert run(["specialize", "--element", th_path, "--character", character,
+                    "--out", str(tmp_path)]) == 1
+        err = json.loads(capsys.readouterr().out.strip())
+        assert err["error"]["type"] == "ValueError"
+
+
 class TestHowardScan:
     def _family_artifact(self, tmp_path, elements, labels):
         payload = {"labels": list(labels),
@@ -407,6 +470,32 @@ class TestHowardScan:
                     "--out", str(tmp_path)]) == 0
         out, path = read_artifact_from_stdout(capsys)
         assert serialize.read_artifact(path, "howard")["passed"] is True
+
+    def test_non_integer_witness_is_a_typed_error(self, tmp_path, capsys):
+        # [1.9, 1] used to write the same artifact as [1, 1]
+        fam_path = self._family_artifact(tmp_path, [one(3, 5, 1)], ["u"])
+        for witness in ("[1.9, 1]", "[1, true]"):
+            assert run(["howard-scan", "--family", fam_path, "--prime", "custom",
+                        "--witness", witness, "--k0", "2", "--out", str(tmp_path)]) == 1
+            err = json.loads(capsys.readouterr().out.strip())
+            assert err["error"]["type"] == "ValueError"
+
+    def test_witness_at_k0_zero(self, tmp_path, capsys):
+        # the leading coefficient is a unit mod p, even where p^k0 = 1
+        fam_path = self._family_artifact(
+            tmp_path, [one(3, 5, 1), delta_element(3, 5, 1, (1,))], ["u", "g"])
+        assert run(["howard-scan", "--family", fam_path, "--prime", "custom",
+                    "--witness", "[1, 1]", "--k0", "0", "--out", str(tmp_path)]) == 0
+        _, path = read_artifact_from_stdout(capsys)
+        payload = serialize.read_artifact(path, "howard")
+        assert payload["passed"] is False
+        assert payload["verdicts"] == [{"label": "u", "nontrivial": False, "valuation": 0},
+                                       {"label": "g", "nontrivial": False, "valuation": 0}]
+        for k0 in ("0", "1", "2"):
+            assert run(["howard-scan", "--family", fam_path, "--prime", "custom",
+                        "--witness", "[1, 3]", "--k0", k0, "--out", str(tmp_path)]) == 1
+            err = json.loads(capsys.readouterr().out.strip())
+            assert "unit leading coefficient" in err["error"]["detail"]
 
     @pytest.mark.parametrize("witness", [["--witness", "5"],
                                          ["--witness", '[[1]]'], [],
@@ -616,6 +705,8 @@ class TestConfigAndDeterminism:
         # built edge orbit tables and free digit tuples; reading the orbits
         # off the ball's ids and storing flat group indices must not change a byte
         def name(system):
+            # and each still reads back, level_exp checked against its tower
+            assert serialize.system_from_json(serialize.system_to_json(system)) == system
             return os.path.basename(serialize.write_artifact(
                 str(tmp_path), "system", serialize.system_to_json(system)))
 

@@ -7,17 +7,22 @@ from hypothesis import strategies as st
 
 import smith_oracle
 from smith_oracle import multiplication_matrix
+from kernel_oracle import (
+    binomial_minus_one,
+    poly_mul,
+    reference_omega_pm,
+    reference_omega_tilde,
+    reference_reduce_poly,
+)
 from tuple_oracle import reference_convolve, reference_project, reference_star, reference_xi
 from thetaforge.errors import NotDivisible, UnsupportedDelta
 from thetaforge.groupring import (
     GroupRingElement,
     delta_element,
     divide_omega_tilde,
-    from_poly_view,
     lambda_invariant,
     mu_invariant,
     omega_pm_poly,
-    omega_poly,
     omega_tilde_poly,
     one,
     poly_view,
@@ -27,13 +32,18 @@ from thetaforge.groupring import (
     xi,
     zero,
 )
-from thetaforge.padic import IntPolynomial, T_POLY, cyclotomic_sigma
+from thetaforge.padic import IntPolynomial, cyclotomic_sigma
 from thetaforge.util import capped_val
 
 
 def rand_elt(p, k, n, delta, rng):
     size = (p**n) ** delta
     return GroupRingElement(p, k, n, delta, tuple(rng.randrange(p**k) for _ in range(size)))
+
+
+def from_poly(p, k, n, poly):
+    """The layer-n element with polynomial view poly: T -> generator - 1."""
+    return reduce_poly(IntPolynomial(tuple(poly)), p, k, n)
 
 
 class TestRingStructure:
@@ -72,7 +82,7 @@ class TestViews:
     @settings(max_examples=40)
     def test_view_roundtrip(self, coeffs):
         x = GroupRingElement(3, 5, 2, 1, tuple(coeffs))
-        assert from_poly_view(3, 5, 2, poly_view(x)) == x
+        assert from_poly(3, 5, 2, poly_view(x)) == x
 
     def test_views_are_ring_isomorphic(self):
         # products computed in the polynomial view agree with the group ring
@@ -167,19 +177,20 @@ class TestPolyViewAgainstBinomialReference:
             for x in cases:
                 poly = poly_view(x)
                 assert poly == reference_poly_view(x)
-                assert from_poly_view(p, k, n, poly) == x
+                assert from_poly(p, k, n, poly) == x
                 assert lambda_invariant(x) == reference_lambda(x)
             for poly in ((mod - 1,) * size, tuple(rng.randrange(mod) for _ in range(size))):
-                elt = from_poly_view(p, k, n, poly)
+                elt = from_poly(p, k, n, poly)
                 assert elt == reference_from_poly_view(p, k, n, poly)
                 assert poly_view(elt) == poly
 
     def test_short_and_signed_input_and_degree_check(self):
         p, k, n = 3, 6, 2
         poly = (-1, 5, -3**7 - 2)
-        assert from_poly_view(p, k, n, poly) == reference_from_poly_view(p, k, n, poly)
-        with pytest.raises(ValueError):
-            from_poly_view(p, k, n, (1,) * 10)
+        assert from_poly(p, k, n, poly) == reference_from_poly_view(p, k, n, poly)
+        # degree p^n and above folds by gamma^(p^n) = 1, as Horner's rule does
+        long = IntPolynomial((1,) * 10)
+        assert reduce_poly(long, p, k, n) == reference_reduce_poly(long, p, k, n)
 
     def test_delta_two_is_refused(self):
         with pytest.raises(UnsupportedDelta):
@@ -273,7 +284,7 @@ class TestMuLambda:
         assert mu_invariant(power) > 0
 
     def test_lambda_invariant(self):
-        x = from_poly_view(3, 5, 2, (9, 3, 1, 0, 0, 0, 0, 0, 0))
+        x = from_poly(3, 5, 2, (9, 3, 1, 0, 0, 0, 0, 0, 0))
         assert lambda_invariant(x) == 2
         with pytest.raises(UnsupportedDelta):
             lambda_invariant(rand_elt(3, 4, 1, 2, random.Random(0)))
@@ -283,12 +294,15 @@ class TestOmegaFamily:
     @pytest.mark.parametrize("p", [2, 3, 5])
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
     def test_factorization(self, p, n):
-        eps = 1 if n % 2 == 0 else -1
-        lhs = omega_tilde_poly(p, n, -eps) * omega_pm_poly(p, n, eps)
-        assert lhs == omega_poly(p, n)
+        for eps in (1, -1):
+            assert omega_tilde_poly(p, n, -eps) == reference_omega_tilde(p, n, -eps)
+            assert omega_pm_poly(p, n, eps) == reference_omega_pm(p, n, eps)
+            lhs = poly_mul(omega_tilde_poly(p, n, -eps), omega_pm_poly(p, n, eps))
+            assert lhs == binomial_minus_one(p**n)
 
     def test_omega_1_frozen(self):
-        assert omega_poly(3, 1) == T_POLY * IntPolynomial((3, 3, 1))
+        assert omega_pm_poly(3, 1, -1) == IntPolynomial((0, 3, 3, 1))
+        assert omega_pm_poly(3, 1, +1) == IntPolynomial((0, 1))
 
     def test_parity_split_frozen(self):
         # at n = 2: even part is the level-2 factor, odd part the level-1
@@ -297,7 +311,10 @@ class TestOmegaFamily:
 
     @pytest.mark.parametrize("p,n", [(3, 1), (3, 2), (3, 3), (2, 3), (5, 2)])
     def test_omega_reduces_to_zero(self, p, n):
-        assert reduce_poly(omega_poly(p, n), p, 5, n).is_zero()
+        assert reduce_poly(binomial_minus_one(p**n), p, 5, n).is_zero()
+        for eps in (1, -1):
+            gen = reduce_poly(omega_pm_poly(p, n, eps), p, 5, n)
+            assert (gen * reduce_poly(omega_tilde_poly(p, n, -eps), p, 5, n)).is_zero()
 
     def test_family_dict_and_delta_guard(self):
         with pytest.raises(UnsupportedDelta):

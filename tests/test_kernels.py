@@ -1,13 +1,17 @@
 """The three `padic` polynomial kernels against the quadratic loops they
 replaced (`tests/kernel_oracle.py`): cyclotomic products, reductions and
-valuations, the image of an integer polynomial in a layer ring, and the
-Howard witness remainder."""
+valuations, the exact integer product, the image of an integer polynomial
+in a layer ring, and the Howard witness remainder."""
 
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kernel_oracle import (
+    binomial_minus_one,
+    poly_mul,
     reference_mul,
     reference_poly_remainder_mod,
     reference_reduce_cyclotomic,
@@ -15,8 +19,10 @@ from kernel_oracle import (
     reference_valuation_units,
 )
 from thetaforge.characters import _poly_remainder_mod
-from thetaforge.groupring import omega_pm_poly, omega_poly, reduce_poly
-from thetaforge.padic import CyclotomicValue, IntPolynomial, _reduce_cyclotomic, euler_phi_p_power
+from thetaforge.groupring import omega_pm_poly, reduce_poly
+from thetaforge.padic import (
+    CyclotomicValue, IntPolynomial, _packed_product, _reduce_cyclotomic, euler_phi_p_power,
+)
 
 PRIMES = (2, 3, 5, 7)
 # every conductor p^m <= 2187, m = 0 included
@@ -51,6 +57,22 @@ def test_cyclotomic_ring_matches_quadratic_loops(p, m):
             reference_reduce_cyclotomic(one_hot, p, k, m, euler_phi_p_power(p, m)))
 
 
+# zeros, small entries and entries around 2^300, so that the slot width
+# is set by mod = 1 + the largest entry and not by a fixed residue size
+_NONNEGATIVE = st.lists(
+    st.one_of(st.just(0), st.integers(1, 9), st.integers(2**300 - 2**12, 2**300 + 2**12)),
+    min_size=1, max_size=12)
+
+
+@given(_NONNEGATIVE, _NONNEGATIVE)
+@settings(max_examples=100, deadline=None)
+def test_packed_product_is_exact_on_nonnegative_lists(a, b):
+    # the use that builds the Omega products: no reduction, mod above every entry
+    out = _packed_product(a, b, 1 + max(a + b))
+    assert len(out) == len(a) + len(b) - 1
+    assert IntPolynomial(tuple(out)) == poly_mul(IntPolynomial(tuple(a)), IntPolynomial(tuple(b)))
+
+
 @pytest.mark.parametrize("p", PRIMES)
 def test_reduce_poly_matches_horner(p):
     rng = random.Random(p)
@@ -63,7 +85,7 @@ def test_reduce_poly_matches_horner(p):
                 IntPolynomial(()),
                 # negative coefficients, degree >= 2 p^n: the fold wraps twice
                 IntPolynomial(tuple(rng.randrange(-mod, mod) for _ in range(2 * p**n + 3))),
-                omega_poly(p, n),
+                binomial_minus_one(p**n),
                 omega_pm_poly(p, n, +1),
                 omega_pm_poly(p, n, -1),
             ]
@@ -74,7 +96,7 @@ def test_reduce_poly_matches_horner(p):
 @pytest.mark.parametrize("p", PRIMES)
 def test_witness_remainder_matches_long_division(p):
     rng = random.Random(7 * p)
-    for k0 in (1, 5):
+    for k0 in (0, 1, 5):
         mod = p**k0
         for degree in (0, 1, 3, 6):
             lower = [rng.randrange(-mod, mod) for _ in range(degree)]

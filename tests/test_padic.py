@@ -4,14 +4,24 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from kernel_oracle import (
+    ONE,
+    T,
+    binomial_minus_one,
+    poly_add,
+    poly_eval,
+    poly_mul,
+    poly_pow,
+    reference_cyclotomic_sigma,
+    reference_omega_pm,
+    reference_omega_tilde,
+)
 from thetaforge.errors import NotOrdinary, PrecisionExhausted
-from thetaforge.groupring import omega_poly
+from thetaforge.groupring import omega_pm_poly, omega_tilde_poly
 from thetaforge.padic import (
     CyclotomicValue,
     IntPolynomial,
-    ONE_POLY,
     PrecisionInt,
-    T_POLY,
     cyclotomic_sigma,
     hensel_unit_root,
 )
@@ -99,15 +109,21 @@ class TestCyclotomicSigma:
         # Sigma_{p^j}(T+1) == ((T+1)^(p^j) - 1) / ((T+1)^(p^(j-1)) - 1)
         for p in (2, 3, 5):
             for j in (1, 2, 3):
-                num = (T_POLY + ONE_POLY) ** p**j - ONE_POLY
-                den = (T_POLY + ONE_POLY) ** p ** (j - 1) - ONE_POLY
-                assert den * cyclotomic_sigma(p, j) == num
+                den = binomial_minus_one(p ** (j - 1))
+                assert poly_mul(den, cyclotomic_sigma(p, j)) == binomial_minus_one(p**j)
 
     @pytest.mark.parametrize("p", [2, 3, 5, 7])
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_product_identity(self, p, n):
-        # corrected identity: (T+1)^(p^n) - 1 = T * prod Sigma_{p^j}(T+1)
-        assert omega_poly(p, n) == (T_POLY + ONE_POLY) ** p**n - ONE_POLY
+        # corrected identity: (T+1)^(p^n) - 1 = T * prod Sigma_{p^j}(T+1),
+        # and each factor and product equals its schoolbook construction
+        for j in range(1, n + 1):
+            assert cyclotomic_sigma(p, j) == reference_cyclotomic_sigma(p, j)
+        for eps in (1, -1):
+            assert omega_tilde_poly(p, n, eps) == reference_omega_tilde(p, n, eps)
+            assert omega_pm_poly(p, n, eps) == reference_omega_pm(p, n, eps)
+            prod = poly_mul(omega_pm_poly(p, n, eps), omega_tilde_poly(p, n, -eps))
+            assert prod == binomial_minus_one(p**n)
 
     def test_degree(self):
         assert cyclotomic_sigma(5, 3).degree == 25 * 4
@@ -127,8 +143,13 @@ class TestIntPolynomial:
     @settings(max_examples=60)
     def test_mul_matches_evaluation(self, a, b, x):
         fa, fb = IntPolynomial(tuple(a)), IntPolynomial(tuple(b))
-        assert (fa * fb)(x) == fa(x) * fb(x)
-        assert (fa + fb)(x) == fa(x) + fb(x)
+        assert poly_eval(poly_mul(fa, fb), x) == poly_eval(fa, x) * poly_eval(fb, x)
+        assert poly_eval(poly_add(fa, fb), x) == poly_eval(fa, x) + poly_eval(fb, x)
+
+    @pytest.mark.parametrize("size", [1, 2, 3, 8, 9, 25])
+    def test_oracle_binomial_matches_power(self, size):
+        assert binomial_minus_one(size) == poly_add(poly_pow(poly_add(T, ONE), size),
+                                                    IntPolynomial((-1,)))
 
     def test_json(self):
         f = IntPolynomial((1, -2, 3))
