@@ -8,9 +8,9 @@ digits (t_1, ..., t_delta), outer axis first, is at sum t_i q^(delta - i).
 The involution and the layer maps gather or scatter over flat index maps
 (`_axis_map`).  The product is one packed product (the `padic` kernel) for
 every delta: the inner axes are spread to 2q - 1 slots, so a digit sum never
-carries into the next axis.  That kernel is the only product here: used on
-nonnegative integer lists it never reduces, which builds the exact
-Omega~ and Omega^+/- polynomials in T.
+carries into the next axis.  That kernel is the only product here: it is
+the exact product of nonnegative integer lists, reduced mod p^k in the ring
+and used as it is for the exact Omega~ and Omega^+/- polynomials in T.
 
 The polynomial view identifies the generator of each cyclic factor with
 T_i + 1, so the layer-n ring in one variable is (Z/p^k)[T]/((T+1)^(p^n)-1).
@@ -29,7 +29,6 @@ the ideal the factors generate in the layer ring.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .errors import NotDivisible, UnsupportedDelta
 from .padic import (
@@ -189,7 +188,7 @@ def _convolve(x: GroupRingElement, y: GroupRingElement) -> GroupRingElement:
         for r, start in enumerate(rows):
             slots[start:start + q] = z.coeffs[r * q:r * q + q]
         padded.append(slots)
-    full = _packed_product(padded[0], padded[1], x.p**x.k)
+    full = _packed_product(*padded)
     out = [0] * x.group_size
     for r, o in enumerate(fold):
         row = full[r * s:r * s + s] + [0]
@@ -256,7 +255,6 @@ def poly_view(x: GroupRingElement) -> tuple:
     return tuple(_taylor_shift(x.coeffs, 1, x.p**x.k))
 
 
-@lru_cache(maxsize=256)
 def reduce_poly(poly: IntPolynomial, p: int, k: int, n: int) -> GroupRingElement:
     """Image of an exact integer polynomial of any degree in the layer-n ring
     (delta = 1): T -> generator - 1 is the Taylor shift by -1, then gamma^i
@@ -279,16 +277,12 @@ def _parity_levels(n: int, sign: int) -> range:
 
 def omega_tilde_poly(p: int, n: int, sign: int) -> IntPolynomial:
     """Product of Sigma_{p^j}(T+1) over j <= n of the given parity
-    (+1: even j, -1: odd j), as an exact integer polynomial.
-
-    Every factor has nonnegative coefficients and `_packed_product` never
-    reduces, so with mod = 1 + the largest coefficient of the two factors it
-    returns the exact product.
+    (+1: even j, -1: odd j), as an exact integer polynomial: a fold of the
+    exact packed product, as every factor has nonnegative coefficients.
     """
     acc = [1]
     for j in _parity_levels(n, sign):
-        sigma = cyclotomic_sigma(p, j).coefficients
-        acc = _packed_product(acc, sigma, 1 + max(max(acc), max(sigma)))
+        acc = _packed_product(acc, cyclotomic_sigma(p, j).coefficients)
     return IntPolynomial(tuple(acc))
 
 

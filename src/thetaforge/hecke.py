@@ -80,18 +80,11 @@ def _vertex_residues(f) -> list:
     """Each component's residues as a list indexed by vertex id.  Every
     vertex of the ball carries a value, and a key outside it is a KeyError."""
     b = f.domain
-    n, ids = b.size, b.ids
     out = []
     for table in f.tables:
-        vals = [None] * n
-        for v, x in table.items():
-            i = ids[v]
-            if i >= n:
-                raise KeyError(v)
-            vals[i] = x.residue
-        if len(table) != n:     # distinct keys have distinct ids
-            raise KeyError(next(v for v, x in zip(b.vertices(), vals) if x is None))
-        out.append(vals)
+        out.append([table[v].residue for v in b.vertices()])
+        if len(table) != b.size:    # every vertex has a value, so a key lies outside
+            raise KeyError(next(v for v in table if b.ids.get(v, b.size) >= b.size))
     return out
 
 
@@ -100,17 +93,13 @@ def _edge_residues(f) -> list:
     edge without a value.  A key outside the ball is a KeyError, and every
     component carries values at the same edges."""
     b = f.domain
-    n, ids, par = b.size, b.ids, b.parents
+    edges = b.edges[: 2 * b.size - 2]
     out = []
     for table in f.tables:
-        vals = [None] * (2 * n - 2)
-        for e, x in table.items():
-            s, t = ids[e.source], ids[e.target]
-            if s >= n or t >= n:
-                raise KeyError(e)
-            # the ends are adjacent and the ball is a subtree, so one of them
-            # is the other's parent: child c has edges 2c - 2 (in) and 2c - 1 (out)
-            vals[2 * t - 2 if par[t] == s else 2 * s - 1] = x.residue
+        vals = [None if x is None else x.residue for x in map(table.get, edges)]
+        if len(table) != len(vals) - vals.count(None):
+            inside = set(edges)
+            raise KeyError(next(e for e in table if e not in inside))
         out.append(vals)
     if any([x is None for x in vals] != [x is None for x in out[0]] for vals in out[1:]):
         raise ValueError("the components of a form carry values at different edges")

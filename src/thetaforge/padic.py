@@ -8,12 +8,13 @@ stay totally ordered.
 
 The kernels work on coefficient lists, constant term first:
 
-- the packed product (`_pack`, `_unpack`, `_packed_product`): residues are
-  laid out in byte slots wide enough that a product coefficient never
-  carries into the next slot, so one big-int product multiplies two lists.
-  It is the one product kernel of the package.  It never reduces, so on
-  nonnegative lists with `mod` above every entry it is the exact integer
-  product; the exact Omega products in `groupring` are built that way;
+- the packed product (`_pack`, `_unpack`, `_packed_product`): the exact
+  product of two lists of nonnegative integers.  The entries are laid out in
+  byte slots sized from the operands, wide enough that a product
+  coefficient never carries into the next slot, so one big-int product
+  multiplies two lists.  It is the one product kernel of the package:
+  callers working mod p^k reduce its result, and the exact Omega products
+  in `groupring` use it as it is;
 - the Taylor shift (`_taylor_shift`): sum a_i (X + c)^i, bottom-up over
   doubling blocks with one packed product per level;
 - sparse monic long division (`_divide_monic`): quotient and remainder on
@@ -101,7 +102,7 @@ class PrecisionInt:
 
     @staticmethod
     def from_json(obj) -> "PrecisionInt":
-        return PrecisionInt(int(obj["p"]), int(obj["k"]), int(obj["residue"]))
+        return PrecisionInt(json_int(obj["p"]), json_int(obj["k"]), json_int(obj["residue"]))
 
 
 @dataclass(frozen=True)
@@ -205,12 +206,14 @@ def _unpack(value: int, width: int, count: int) -> list:
     return [int.from_bytes(raw[i:i + width], "little") for i in range(0, len(raw), width)]
 
 
-def _packed_product(a, b, mod: int) -> list:
-    """Exact product of two nonempty lists of residues in [0, mod), not
-    reduced mod anything.  A product coefficient sums at most
-    min(len(a), len(b)) terms below mod^2, which fixes the slot width, so one
-    big-int product carries them all."""
-    width = (min(len(a), len(b)) * mod * mod).bit_length() // 8 + 1
+def _packed_product(a, b) -> list:
+    """Exact product of two nonempty lists of nonnegative integers.  With ma,
+    mb the largest entries, a product coefficient sums at most
+    min(len(a), len(b)) terms of at most ma * mb; the slot also holds every
+    entry, which matters when one list is all zeros.  So one big-int product
+    carries them all."""
+    ma, mb = max(a), max(b)
+    width = (min(len(a), len(b)) * ma * mb + ma + mb).bit_length() // 8 + 1
     return _unpack(_pack(a, width) * _pack(b, width), width, len(a) + len(b) - 1)
 
 
@@ -229,11 +232,11 @@ def _taylor_shift(coeffs, c: int, mod: int) -> list:
     s = 1
     while s < size:
         # s is a power of two, so i & s marks the hi half of each 2s-block
-        full = _packed_product([a if i & s else 0 for i, a in enumerate(cur)], power, mod)
+        full = _packed_product([a if i & s else 0 for i, a in enumerate(cur)], power)
         cur = [((0 if i & s else a) + f) % mod for i, (a, f) in enumerate(zip(cur, full[s:]))]
         s *= 2
         if s < size:
-            power = [v % mod for v in _packed_product(power, power, mod)]
+            power = [v % mod for v in _packed_product(power, power)]
     return cur
 
 
@@ -322,7 +325,7 @@ class CyclotomicValue:
                 self.p, self.k, self.m, tuple(c * other for c in self.coefficients)
             )
         self._check(other)
-        raw = _packed_product(self.coefficients, other.coefficients, self.p**self.k)
+        raw = _packed_product(self.coefficients, other.coefficients)
         return _reduce_cyclotomic(raw, self.p, self.k, self.m)
 
     __rmul__ = __mul__

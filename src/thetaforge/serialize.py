@@ -127,9 +127,9 @@ def form_to_json(f):
 def form_from_json(obj):
     from .tree import ball
 
-    p, k, h = int(obj["p"]), int(obj["k"]), int(obj["h"])
+    p, k, h = (json_int(obj[key]) for key in ("p", "k", "h"))
     center = Vertex.from_json(p, obj["center"])
-    dom = ball(center, int(obj["radius"]))
+    dom = ball(center, json_int(obj["radius"]))
     tables = [dict() for _ in range(h)]
     seen = set()
     for row in obj["entries"]:
@@ -146,7 +146,7 @@ def form_from_json(obj):
             raise ValueError(f"form entry {row['w']} repeats a point")
         seen.add(w)
         for i, val in enumerate(row["values"]):
-            tables[i][w] = PrecisionInt(p, k, int(val))
+            tables[i][w] = PrecisionInt(p, k, json_int(val))
     cls = VertexForm if obj["kind"] == "vertex" else EdgeForm
     return cls(p, k, h, dom, tuple(tables))
 

@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .errors import InvariantViolation
-from .util import val_p
+from .util import json_int, val_p
 
 
 @dataclass(frozen=True, slots=True)
@@ -49,7 +49,7 @@ class Vertex:
 
     @staticmethod
     def from_json(p: int, obj) -> "Vertex":
-        return Vertex(p, int(obj["a"]), int(obj["b"]), int(obj["u"]))
+        return Vertex(p, json_int(obj["a"]), json_int(obj["b"]), json_int(obj["u"]))
 
 
 def origin(p: int) -> Vertex:

@@ -427,6 +427,35 @@ class TestFormsAndSystems:
         err = json.loads(capsys.readouterr().out.strip())
         assert err["error"]["type"] == "ValueError"
 
+    @pytest.mark.parametrize("command", ["stabilize", "nu"])
+    def test_non_integer_form_value_is_a_typed_error(self, tmp_path, capsys, command):
+        # int() used to truncate the value 2.7 to 2
+        assert run(["forms", "eigen-extend", "--p", "3", "--k", "6", "--ap", "1",
+                    "--radius", "2", "--seed", "2", "--out", str(tmp_path)]) == 0
+        _, form_path = read_artifact_from_stdout(capsys)
+        obj = json.load(open(form_path))
+        obj["payload"]["entries"][0]["values"][0] = 2.7
+        bad_path = os.path.join(str(tmp_path), "bad.json")
+        json.dump(obj, open(bad_path, "w"))
+        extra = ["--ap", "1"] if command == "stabilize" else []
+        assert run(["forms", command, "--form", bad_path, *extra, "--out", str(tmp_path)]) == 1
+        err = json.loads(capsys.readouterr().out.strip())
+        assert err["error"]["type"] == "ValueError"
+
+    def test_non_integer_eigenvalue_is_a_typed_error(self, tmp_path, capsys):
+        # int() used to truncate alpha + 0.7 back to alpha, so the check passed
+        assert run(["synth", "--mode", "edge", "--ap", "1", "--p", "3", "--k", "6",
+                    "--n-max", "3", "--seed", "1", "--out", str(tmp_path)]) == 0
+        _, sys_path = read_artifact_from_stdout(capsys)
+        obj = json.load(open(sys_path))
+        alpha = obj["payload"]["eigen"]["alpha"]
+        alpha["residue"] = int(alpha["residue"]) + 0.7
+        bad_path = os.path.join(str(tmp_path), "bad.json")
+        json.dump(obj, open(bad_path, "w"))
+        assert run(["check-dist", "--system", bad_path, "--out", str(tmp_path)]) == 1
+        err = json.loads(capsys.readouterr().out.strip())
+        assert err["error"]["type"] == "ValueError"
+
     @pytest.mark.parametrize("character", ['{"m":1.9,"exponents":[1.5]}',
                                            '{"m":1,"exponents":[1.5]}',
                                            '{"m":true,"exponents":[1]}'])

@@ -6,7 +6,7 @@ in a layer ring, and the Howard witness remainder."""
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from kernel_oracle import (
@@ -58,17 +58,23 @@ def test_cyclotomic_ring_matches_quadratic_loops(p, m):
 
 
 # zeros, small entries and entries around 2^300, so that the slot width
-# is set by mod = 1 + the largest entry and not by a fixed residue size
+# is set by the operands' largest entries and not by a fixed residue size
 _NONNEGATIVE = st.lists(
     st.one_of(st.just(0), st.integers(1, 9), st.integers(2**300 - 2**12, 2**300 + 2**12)),
     min_size=1, max_size=12)
 
 
 @given(_NONNEGATIVE, _NONNEGATIVE)
+# an all-zero operand: the product bound is 0, but the slots must still hold
+# the other operand's entries
+@example([0, 0, 0], [2**300 + 5, 2**300 - 7])
+@example([0], [2**300 + 2**12])
+# single-element lists: one slot each
+@example([2**300 + 1], [2**300 - 1])
+@example([0], [0])
 @settings(max_examples=100, deadline=None)
 def test_packed_product_is_exact_on_nonnegative_lists(a, b):
-    # the use that builds the Omega products: no reduction, mod above every entry
-    out = _packed_product(a, b, 1 + max(a + b))
+    out = _packed_product(a, b)
     assert len(out) == len(a) + len(b) - 1
     assert IntPolynomial(tuple(out)) == poly_mul(IntPolynomial(tuple(a)), IntPolynomial(tuple(b)))
 

@@ -112,8 +112,10 @@ class TestCyclotomicSigma:
                 den = binomial_minus_one(p ** (j - 1))
                 assert poly_mul(den, cyclotomic_sigma(p, j)) == binomial_minus_one(p**j)
 
-    @pytest.mark.parametrize("p", [2, 3, 5, 7])
-    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    # p = 3 at n = 5, 6: products whose coefficients run to hundreds of bits,
+    # where the packed product's slot width matters
+    @pytest.mark.parametrize("n,p", [(n, p) for n in (1, 2, 3, 4) for p in (2, 3, 5, 7)]
+                             + [(5, 3), (6, 3)])
     def test_product_identity(self, p, n):
         # corrected identity: (T+1)^(p^n) - 1 = T * prod Sigma_{p^j}(T+1),
         # and each factor and product equals its schoolbook construction
