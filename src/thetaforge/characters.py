@@ -69,20 +69,17 @@ class FiniteOrderCharacter:
 def specialize(lam: GroupRingElement, rho: FiniteOrderCharacter) -> CyclotomicValue:
     """Sum of c(sigma) * rho(sigma), exactly in (Z/p^k)[zeta_{p^m}].
 
+    The group element with digits (t_1, ..., t_delta) sits at the raw zeta
+    exponent sum e_i t_i mod p^m, tabulated axis by axis in flat-index order;
+    the coefficients are added up on those p^m exponents and reduced modulo
+    the cyclotomic polynomial once.
+
     A ring homomorphism: specialize(lam * mu) = specialize(lam) * specialize(mu).
     """
     if rho.p != lam.p or rho.delta != lam.delta:
         raise ValueError("character and element live over different groups")
     if rho.m > lam.n:
         raise ConductorTooLarge(f"conductor exponent {rho.m} exceeds layer {lam.n}")
-    return _reduce_cyclotomic(_zeta_raw(lam, rho), lam.p, lam.k, rho.m)
-
-
-def _zeta_raw(lam: GroupRingElement, rho: FiniteOrderCharacter) -> list:
-    """The coefficients of lam accumulated on the p^m raw zeta exponents of
-    rho, before cyclotomic reduction.  The group element with digits
-    (t_1, ..., t_delta) sits at exponent sum e_i t_i mod p^m, tabulated axis
-    by axis in flat-index order."""
     size = lam.p**rho.m
     at = [0]
     for e in rho.exponents:
@@ -90,7 +87,7 @@ def _zeta_raw(lam: GroupRingElement, rho: FiniteOrderCharacter) -> list:
     raw = [0] * size
     for x, c in zip(at, lam.coeffs):
         raw[x] += c
-    return raw
+    return _reduce_cyclotomic(raw, lam.p, lam.k, rho.m)
 
 
 @dataclass(frozen=True)
@@ -98,9 +95,6 @@ class StarIdentityReport:
     ok: bool
     lhs: CyclotomicValue
     rhs: CyclotomicValue
-
-    def to_json(self):
-        return {"ok": self.ok, "lhs": self.lhs.to_json(), "rhs": self.rhs.to_json()}
 
 
 def star_identity_check(lam: GroupRingElement, rho: FiniteOrderCharacter) -> StarIdentityReport:
@@ -110,10 +104,10 @@ def star_identity_check(lam: GroupRingElement, rho: FiniteOrderCharacter) -> Sta
     return StarIdentityReport(lhs == rhs, lhs, rhs)
 
 
-def _period_raw(sys: CompatibleSystem, rho: FiniteOrderCharacter, m: int) -> list:
-    """The level-m coefficients accumulated on the p^m raw zeta exponents of
-    rho, before cyclotomic reduction and the alpha^(-m) scale: the raw theta
-    element's N group coefficients, added up as specialize adds them."""
+def period_sum(sys: CompatibleSystem, rho: FiniteOrderCharacter, m: int) -> CyclotomicValue:
+    """alpha^(-m) sum over level-m labels of rho(free image) * coefficient,
+    that is, alpha^(-m) times the raw level-m theta element specialized at
+    rho."""
     if sys.mode != "edge":
         raise NotOrdinary("period sums are defined for ordinary edge systems")
     if not sys.eigen.alpha.is_unit():
@@ -122,23 +116,8 @@ def _period_raw(sys: CompatibleSystem, rho: FiniteOrderCharacter, m: int) -> lis
         raise ConductorTooLarge(
             f"conductor exponent {rho.m} exceeds free exponent {sys.level_exp[m]}"
         )
-    return _zeta_raw(theta_level(sys, m).value, rho)
-
-
-def _period_value(sys: CompatibleSystem, raw: list, rho_m: int, m: int) -> CyclotomicValue:
-    p, k = sys.p, sys.k
-    scale = pow(sys.eigen.alpha.inverse().residue, m, p**k)
-    return _reduce_cyclotomic(raw, p, k, rho_m) * scale
-
-
-def period_sum(sys: CompatibleSystem, rho: FiniteOrderCharacter, m: int) -> CyclotomicValue:
-    """alpha^(-m) sum over level-m labels of rho(free image) * coefficient.
-
-    Coincides with specializing the ordinary theta element at rho.  The
-    coefficients are accumulated on the p^m raw zeta exponents and reduced
-    modulo the cyclotomic polynomial once, as in specialize.
-    """
-    return _period_value(sys, _period_raw(sys, rho, m), rho.m, m)
+    scale = pow(sys.eigen.alpha.inverse().residue, m, sys.p**sys.k)
+    return specialize(theta_level(sys, m).value, rho) * scale
 
 
 @dataclass(frozen=True)
@@ -149,22 +128,12 @@ class InterpolationReport:
     lhs_valuation: int
     factor_valuations: tuple
 
-    def to_json(self):
-        return {
-            "ok": self.ok,
-            "lhs": self.lhs.to_json(),
-            "rhs": self.rhs.to_json(),
-            "lhs_valuation": self.lhs_valuation,
-            "factor_valuations": list(self.factor_valuations),
-        }
-
 
 def interpolation_shape(sys: CompatibleSystem, rho: FiniteOrderCharacter,
                         m: int, ell: PadicLFunction | None = None) -> InterpolationReport:
     """specialize(L, rho) = (period sum at rho) * (period sum at rho^(-1)),
-    with the cyclotomic valuation of each side reported.  Both period sums
-    come from one walk of the level-m table.  L is lp(sys, m), built here
-    unless the caller passes it as ell."""
+    with the cyclotomic valuation of each side reported.  L is lp(sys, m),
+    built here unless the caller passes it as ell."""
     if ell is None:
         ell = lp(sys, m, "ordinary")
     else:
@@ -176,12 +145,8 @@ def interpolation_shape(sys: CompatibleSystem, rho: FiniteOrderCharacter,
             raise ValueError(f"L-element (kind, level, p, k, n, delta) = {got}, "
                              f"expected {want}")
     lhs = specialize(ell.value, rho)
-    # one walk of the level-m table: rho^(-1) puts at exponent i what rho
-    # puts at -i
-    raw = _period_raw(sys, rho, m)
-    size = len(raw)
-    ps1 = _period_value(sys, raw, rho.m, m)
-    ps2 = _period_value(sys, [raw[-i % size] for i in range(size)], rho.m, m)
+    ps1 = period_sum(sys, rho, m)
+    ps2 = period_sum(sys, rho.inverse(), m)
     rhs = ps1 * ps2
     return InterpolationReport(
         lhs == rhs, lhs, rhs, lhs.valuation_units(),

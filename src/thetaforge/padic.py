@@ -356,13 +356,6 @@ class CyclotomicValue:
             "coefficients": [str(c) for c in self.coefficients],
         }
 
-    @staticmethod
-    def from_json(obj) -> "CyclotomicValue":
-        return CyclotomicValue(
-            int(obj["p"]), int(obj["k"]), int(obj["m"]),
-            tuple(int(c) for c in obj["coefficients"]),
-        )
-
 
 def _reduce_cyclotomic(raw, p: int, k: int, m: int) -> CyclotomicValue:
     """sum_e raw[e] zeta^e with zeta a primitive p^m-th root of unity: the

@@ -95,8 +95,8 @@ def eigen_to_json(e: EigenData):
 
 @_payload_reader
 def eigen_from_json(obj) -> EigenData:
-    ap = PrecisionInt.from_json(obj["ap"]) if obj["ap"] else None
-    alpha = PrecisionInt.from_json(obj["alpha"]) if obj["alpha"] else None
+    ap = None if obj["ap"] is None else PrecisionInt.from_json(obj["ap"])
+    alpha = None if obj["alpha"] is None else PrecisionInt.from_json(obj["alpha"])
     return EigenData(ap=ap, alpha=alpha)
 
 
@@ -127,6 +127,8 @@ def form_to_json(f):
 def form_from_json(obj):
     from .tree import ball
 
+    if obj["kind"] not in ("vertex", "edge"):
+        raise ValueError(f"unknown form kind {obj['kind']!r}")
     p, k, h = (json_int(obj[key]) for key in ("p", "k", "h"))
     center = Vertex.from_json(p, obj["center"])
     dom = ball(center, json_int(obj["radius"]))
@@ -221,11 +223,22 @@ def system_from_json(obj) -> CompatibleSystem:
         fb = obj["fibers"][j]
         fibers.append(dict(fb) if fb else None)
         free.append(_free_indices(obj["free"][j], p, level_exp[j], delta, j))
-    return CompatibleSystem(
+    s = CompatibleSystem(
         p, json_int(obj["k"]), delta, obj["mode"],
         eigen_from_json(obj["eigen"]), n_max, json_int(obj["torsion"]),
         level_exp, tuple(levels), tuple(fibers), tuple(free),
     )
+    # a fiber map from outside is checked here; from_tree and synth_system
+    # build consistent ones
+    for j in range(s.start_level + 1, n_max + 1):
+        if levels[j] is None:
+            continue
+        fb, below = fibers[j], levels[j - 1]
+        if fb is None or fb.keys() != levels[j].keys():
+            raise ValueError(f"level {j}: the fibers must map exactly the level-{j} labels")
+        if below is None or not below.keys() >= set(fb.values()):
+            raise ValueError(f"level {j}: a fiber points outside the level-{j - 1} labels")
+    return s
 
 
 @_payload_reader

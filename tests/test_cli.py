@@ -171,23 +171,36 @@ class TestFormsAndSystems:
         assert err["error"]["type"] == "DistributionViolation"
         assert "layer" in err["error"]["detail"]["violation"]
 
-    @pytest.mark.parametrize("damage", ["envelope-list", "levels-cut", "level-number"])
+    @pytest.mark.parametrize("damage", ["envelope-list", "levels-cut", "level-number",
+                                        "fibers-null", "fiber-parent", "fiber-missing"])
     def test_malformed_system_is_a_typed_error(self, tmp_path, capsys, damage):
+        # fibers-null used to end check-dist in a TypeError and the other two
+        # fiber damages in a bare KeyError; theta read all three
         assert run(["synth", "--mode", "vertex", "--ap", "0", "--p", "3", "--k", "6",
                     "--n-max", "3", "--seed", "1", "--out", str(tmp_path)]) == 0
         _, sys_path = read_artifact_from_stdout(capsys)
         obj = json.load(open(sys_path))
+        fibers = obj["payload"]["fibers"]
         if damage == "envelope-list":
             obj = []
         elif damage == "levels-cut":
             obj["payload"]["levels"] = obj["payload"]["levels"][:2]
-        else:
+        elif damage == "level-number":
             obj["payload"]["levels"][1] = 5
+        elif damage == "fibers-null":
+            fibers[2] = None
+        elif damage == "fiber-parent":
+            fibers[3][sorted(fibers[3])[0]] = "9|9"
+        else:
+            del fibers[3][sorted(fibers[3])[0]]
         bad_path = os.path.join(str(tmp_path), "bad.json")
         json.dump(obj, open(bad_path, "w"))
-        assert run(["check-dist", "--system", bad_path, "--out", str(tmp_path)]) == 1
-        err = json.loads(capsys.readouterr().out.strip())
-        assert err["error"]["type"] == "ValueError"
+        for command in (["check-dist"], ["theta", "--level", "3"]):
+            assert run([*command, "--system", bad_path, "--out", str(tmp_path)]) == 1
+            err = json.loads(capsys.readouterr().out.strip())
+            assert err["error"]["type"] == "ValueError"
+            if damage.startswith("fiber"):
+                assert "level" in err["error"]["detail"]
 
     def test_repeated_level_label_is_a_typed_error(self, tmp_path, capsys):
         assert run(["synth", "--mode", "vertex", "--ap", "0", "--p", "3", "--k", "6",
@@ -455,6 +468,39 @@ class TestFormsAndSystems:
         assert run(["check-dist", "--system", bad_path, "--out", str(tmp_path)]) == 1
         err = json.loads(capsys.readouterr().out.strip())
         assert err["error"]["type"] == "ValueError"
+
+    @pytest.mark.parametrize("ap", [0, {}, False], ids=["0", "object", "false"])
+    def test_malformed_eigenvalue_is_a_typed_error(self, tmp_path, capsys, ap):
+        # a truthiness test used to read each of these as "no a_p"
+        assert run(["synth", "--mode", "edge", "--ap", "1", "--p", "3", "--k", "6",
+                    "--n-max", "3", "--seed", "4", "--out", str(tmp_path)]) == 0
+        _, sys_path = read_artifact_from_stdout(capsys)
+        obj = json.load(open(sys_path))
+        obj["payload"]["eigen"]["ap"] = ap
+        bad_path = os.path.join(str(tmp_path), "bad.json")
+        json.dump(obj, open(bad_path, "w"))
+        assert run(["check-dist", "--system", bad_path, "--out", str(tmp_path)]) == 1
+        err = json.loads(capsys.readouterr().out.strip())
+        assert err["error"]["type"] in ("ValueError", "KeyError")
+
+    @pytest.mark.parametrize("command", ["stabilize", "nu"])
+    def test_unknown_form_kind_is_a_typed_error(self, tmp_path, capsys, command):
+        # any kind but "vertex" used to read as an edge form
+        assert run(["forms", "eigen-extend", "--p", "3", "--k", "6", "--ap", "1",
+                    "--radius", "2", "--seed", "1", "--out", str(tmp_path)]) == 0
+        _, form_path = read_artifact_from_stdout(capsys)
+        assert run(["forms", "stabilize", "--form", form_path, "--ap", "1",
+                    "--out", str(tmp_path)]) == 0
+        _, edge_path = read_artifact_from_stdout(capsys)
+        obj = json.load(open(edge_path))
+        obj["payload"]["kind"] = "banana"
+        bad_path = os.path.join(str(tmp_path), "bad.json")
+        json.dump(obj, open(bad_path, "w"))
+        extra = ["--ap", "1"] if command == "stabilize" else []
+        assert run(["forms", command, "--form", bad_path, *extra, "--out", str(tmp_path)]) == 1
+        err = json.loads(capsys.readouterr().out.strip())
+        assert err["error"]["type"] == "ValueError"
+        assert "banana" in err["error"]["detail"]
 
     @pytest.mark.parametrize("character", ['{"m":1.9,"exponents":[1.5]}',
                                            '{"m":1,"exponents":[1.5]}',

