@@ -58,7 +58,7 @@ def main():
               f"mu(signed theta * involution) = {gr.mu_invariant(prod)}")
 
     if args.depth >= 5:
-        hi, lo = pm_extract(system, args.depth), pm_extract(system, args.depth - 2)
+        hi, lo = pair, pm_extract(system, args.depth - 2)
         ok_p = pm_project_class(hi.plus, lo.plus.layer).same_class(lo.plus.cls)
         ok_m = pm_project_class(hi.minus, lo.minus.layer).same_class(lo.minus.cls)
         print(f"signed tower compatibility: plus {ok_p}, minus {ok_m}")

@@ -34,15 +34,6 @@ class FiniteOrderCharacter:
             raise ValueError("need one exponent per variable")
         object.__setattr__(self, "exponents", exps)
 
-    def is_trivial(self) -> bool:
-        return all(e == 0 for e in self.exponents)
-
-    def is_primitive(self) -> bool:
-        """Conductor exactly p^m: some exponent is a unit mod p."""
-        if self.m == 0:
-            return True
-        return any(e % self.p != 0 for e in self.exponents)
-
     def inverse(self) -> "FiniteOrderCharacter":
         return FiniteOrderCharacter(
             self.p, self.m, self.delta, tuple(-e for e in self.exponents)

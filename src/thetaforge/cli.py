@@ -21,13 +21,13 @@ from math import isqrt
 
 from . import groupring, serialize
 from .characters import FiniteOrderCharacter, HowardFamily, howard_check, specialize
-from .errors import ThetaForgeError
+from .errors import ConductorTooLarge, ThetaForgeError
 from .hecke import EigenData, local_eigen_extend, nu_invariant, stabilize
 from .measures import check_distribution, lp, synth_system, theta_level, theta_ordinary
 from .padic import IntPolynomial, PrecisionInt
 from .torus import QuadraticTorus, base_sequence, orbit_table
 from .tree import Vertex, distance, geodesic_path, neighbors, origin, sphere, to_dot
-from .util import default_nonresidue
+from .util import default_nonresidue, json_int
 
 # parameter name (also its config-file key): flag, type, default, choices
 PARAMS = {
@@ -236,7 +236,12 @@ def cmd_specialize(args) -> int:
     if isinstance(obj, dict) and "value" in obj:
         obj = obj["value"]
     x = serialize.groupring_from_json(obj)
-    rho = FiniteOrderCharacter.from_json(x.p, x.delta, json.loads(args.character))
+    char = json.loads(args.character)
+    m = char.get("m") if isinstance(char, dict) else None
+    # the layer check comes before the character computes p^m
+    if isinstance(m, (int, str)) and json_int(m) > x.n:
+        raise ConductorTooLarge(f"conductor exponent {json_int(m)} exceeds layer {x.n}")
+    rho = FiniteOrderCharacter.from_json(x.p, x.delta, char)
     val = specialize(x, rho)
     payload = {"character": rho.to_json(), "value": val.to_json(),
                "valuation_units": val.valuation_units(),

@@ -28,6 +28,7 @@ the ideal the factors generate in the layer ring.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 
 from .errors import NotDivisible, UnsupportedDelta
@@ -69,9 +70,6 @@ class GroupRingElement:
 
     def tuple_of(self, idx: int) -> tuple:
         return digits_of(idx, self.order, self.delta)
-
-    def coefficient(self, tup) -> int:
-        return self.coeffs[self.index(tup)]
 
     def _check(self, other):
         if (self.p, self.k, self.n, self.delta) != (other.p, other.k, other.n, other.delta):
@@ -122,6 +120,9 @@ class GroupRingElement:
     @staticmethod
     def from_json(obj) -> "GroupRingElement":
         p, k, n, delta = (json_int(obj[key]) for key in ("p", "k", "n", "delta"))
+        # p >= 2, so (p^n)^delta > sys.maxsize once n delta reaches its bit length
+        if n * delta >= sys.maxsize.bit_length() or (p**n) ** delta > sys.maxsize:
+            raise ValueError(f"(Z/{p}^{n})^{delta} has more elements than sys.maxsize")
         elt = zero(p, k, n, delta)
         coeffs = list(elt.coeffs)
         seen = set()

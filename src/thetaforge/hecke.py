@@ -9,7 +9,7 @@ directed edges.  Every kernel reads each table into a list indexed by the
 ball's vertex or edge ids and computes by index: a vertex's children are a
 contiguous id range, so the adjacency sum is a slice sum plus the parent's
 value, and the continuations of an edge are the child edges of its target
-(minus its reversal) plus the target's parent edge, so the transfer sums
+(minus the edge back) plus the target's parent edge, so the transfer sums
 are read off one sum per vertex.
 """
 
@@ -125,7 +125,7 @@ def hecke_T(f: VertexForm) -> VertexForm:
 
 
 def hecke_U(f: EdgeForm) -> EdgeForm:
-    """(U f)(e) = sum of f over the p continuations of e (reversal excluded).
+    """(U f)(e) = sum of f over the p continuations of e (the edge back excluded).
 
     Defined on the edges of the table whose p continuations all carry
     values, so repeated application keeps shrinking the edge set inward.

@@ -81,27 +81,6 @@ class CompatibleSystem:
     def labels(self, j: int):
         return self.table(j).keys()
 
-    def with_coefficient(self, j: int, label: str, residue: int) -> "CompatibleSystem":
-        levels = list(self.levels)
-        new = dict(levels[j])
-        new[label] = residue % self.p**self.k
-        levels[j] = new
-        return CompatibleSystem(
-            self.p, self.k, self.delta, self.mode, self.eigen, self.n_max,
-            self.torsion, self.level_exp, tuple(levels), self.fibers, self.free,
-        )
-
-    def scaled(self, factor: int) -> "CompatibleSystem":
-        mod = self.p**self.k
-        levels = tuple(
-            None if t is None else {lbl: c * factor % mod for lbl, c in t.items()}
-            for t in self.levels
-        )
-        return CompatibleSystem(
-            self.p, self.k, self.delta, self.mode, self.eigen, self.n_max,
-            self.torsion, self.level_exp, levels, self.fibers, self.free,
-        )
-
 
 @dataclass(frozen=True)
 class DistributionReport:

@@ -30,7 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .errors import InvariantViolation, NotOrdinary, PrecisionExhausted
+from .errors import InvariantViolation, NotOrdinary
 from .util import capped_val, json_int
 
 
@@ -91,11 +91,6 @@ class PrecisionInt:
         if not self.is_unit():
             raise ValueError("inverse requires valuation 0")
         return PrecisionInt(self.p, self.k, pow(self.residue, -1, self.modulus))
-
-    def at_precision(self, k2: int) -> "PrecisionInt":
-        if k2 > self.k:
-            raise PrecisionExhausted(f"cannot refine precision {self.k} to {k2}")
-        return PrecisionInt(self.p, k2, self.residue)
 
     def to_json(self):
         return {"p": self.p, "k": self.k, "residue": str(self.residue)}
@@ -290,16 +285,6 @@ class CyclotomicValue:
     @property
     def ramification(self) -> int:
         return euler_phi_p_power(self.p, self.m)
-
-    @staticmethod
-    def from_int(p: int, k: int, m: int, c: int) -> "CyclotomicValue":
-        phi = euler_phi_p_power(p, m)
-        return CyclotomicValue(p, k, m, (c,) + (0,) * (phi - 1))
-
-    @staticmethod
-    def zeta_power(p: int, k: int, m: int, e: int) -> "CyclotomicValue":
-        """The root-of-unity zeta^e as a ring element."""
-        return _reduce_cyclotomic([0] * (e % p**m) + [1], p, k, m)
 
     def _check(self, other):
         if (self.p, self.k, self.m) != (other.p, other.k, other.m):

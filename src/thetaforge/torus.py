@@ -159,27 +159,6 @@ def _element_order(torus, j, a, bound):
     return e
 
 
-@dataclass(frozen=True)
-class CosetDecomposition:
-    """Splitting of the level-j coset group as torsion x cyclic p-part.
-
-    parts maps each canonical label tgen^i * fgen^f to (i, f); it is read off
-    one walk over the group, one label multiplication per label.
-    """
-
-    torus: QuadraticTorus
-    j: int
-    torsion_order: int
-    free_order: int
-    torsion_generator: tuple
-    free_generator: tuple
-    parts: dict             # label -> (torsion index, free digit)
-
-    def split(self, label) -> tuple:
-        """(torsion index, free digit) for a canonical label."""
-        return self.parts[label]
-
-
 def _crt_exponent(keep: int, kill: int) -> int:
     """Exponent congruent to 1 mod keep and 0 mod kill (coprime orders)."""
     if keep == 1:
@@ -187,11 +166,19 @@ def _crt_exponent(keep: int, kill: int) -> int:
     return kill * pow(kill, -1, keep)
 
 
-def coset_decomposition(torus: QuadraticTorus, j: int) -> CosetDecomposition:
+def coset_decomposition(torus: QuadraticTorus, j: int) -> dict:
+    """The level-j coset group split as torsion x cyclic p-part: the dict
+    sending each canonical label tgen^i * fgen^f to (i, f), its torsion index
+    and free digit, 0 <= i < p + 1 and 0 <= f < p^(j-1); level 0 is (1 : 0).
+
+    tgen is the CRT torsion projection of the first label (in coset_labels
+    order) whose projection has order p + 1; fgen is the CRT free projection
+    of (1 : p).  One walk over the group fills the dict, one label
+    multiplication per label.
+    """
     p = torus.p
     if j == 0:
-        lbl = (1, 0)
-        return CosetDecomposition(torus, 0, 1, 1, lbl, lbl, {lbl: (0, 0)})
+        return {(1, 0): (0, 0)}
     torsion_order = p + 1
     free_order = p ** (j - 1)
     ident = _canonical_pair(p, j, 1, 0)
@@ -227,7 +214,7 @@ def coset_decomposition(torus: QuadraticTorus, j: int) -> CosetDecomposition:
         raise InvariantViolation(
             f"torsion x free walk does not cover the level-{j} cosets exactly once"
         )
-    return CosetDecomposition(torus, j, torsion_order, free_order, tgen, fgen, parts)
+    return parts
 
 
 @dataclass(frozen=True)
@@ -320,4 +307,4 @@ def orbit_table(torus: QuadraticTorus, j: int, mode: str = "vertex",
         seen[w] = lbl
     images = dict(zip(labels, acted))
     return OrbitTable(torus, j, mode, labels, images, parents,
-                      coset_decomposition(torus, j).parts, max(j - 1, 0))
+                      coset_decomposition(torus, j), max(j - 1, 0))

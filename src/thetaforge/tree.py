@@ -7,12 +7,13 @@ fields are equal.  Edges are ordered pairs of adjacent vertices.
 Vertices and edges are slotted and compute their hash once, at construction;
 the cached value is the one the field tuple would hash to, so dict and set
 order is that of plain frozen dataclasses.  Neighbours and distances are read
-off the exponents in closed form.  A ball numbers its vertices 0..N-1 in
-sphere order as it creates them, records each one's parent id and its
-contiguous child ids, and keeps its directed edges in one list: child c gives
-edge 2(c-1) = (parent -> c) and edge 2c-1 = (c -> parent).  That list is the
-ball's one edge table, and every directed_edges() call (also on a shrunk copy)
-yields those same objects.
+off the exponents in closed form.  A ball is its id tables: it numbers its
+vertices 0..N-1 in sphere order as it creates them, records each one's
+parent id and its contiguous child ids, and keeps its directed edges in one
+list: child c gives edge 2(c-1) = (parent -> c) and edge 2c-1 = (c -> parent).
+A shrunk copy (a smaller radius around the same center) shares those tables,
+and its size bounds the ids that belong to it, so every directed_edges() call
+yields the same edge objects.
 """
 
 from __future__ import annotations
@@ -71,13 +72,6 @@ class DirectedEdge:
     def __hash__(self):
         return self._hash
 
-    @property
-    def p(self) -> int:
-        return self.source.p
-
-    def reversal(self) -> "DirectedEdge":
-        return DirectedEdge(self.target, self.source)
-
     def to_json(self):
         return {"source": self.source.to_json(), "target": self.target.to_json()}
 
@@ -123,29 +117,24 @@ def distance(v: Vertex, w: Vertex) -> int:
 
 @dataclass(frozen=True)
 class Ball:
-    """Distance-closed ball with its breadth-first tree structure on ids.
+    """Distance-closed ball as breadth-first id tables.
 
     ball() numbers the vertices in sphere order (the center is 0) and fills
-    the id tables once: each id's depth and parent id (-1 at the center),
-    the contiguous child ids child_start[i] .. child_start[i+1] - 1 (in
+    the id tables once: each id's parent id (-1 at the center), the
+    contiguous child ids child_start[i] .. child_start[i+1] - 1 (in
     neighbors() order minus the parent), and the directed edges, where child
-    c gives edges 2(c-1) = (parent -> c) and 2c-1 = (c -> parent).  Parent,
-    children and adjacency are read off those tables.  A smaller ball around
-    the same center shares them, so lookups ignore ids beyond the radius.
+    c gives edges 2(c-1) = (parent -> c) and 2c-1 = (c -> parent).  A smaller
+    ball around the same center shares those tables, so only ids below size
+    belong to it.
     """
 
     center: Vertex
     radius: int
     spheres: tuple          # spheres[j] = tuple of vertices at distance j
     ids: dict = field(compare=False)            # vertex -> id
-    depths: tuple = field(compare=False)        # id -> distance from the center
     parents: tuple = field(compare=False)       # id -> parent id, -1 at the center
     child_start: tuple = field(compare=False)   # id -> first child id; one entry past the last id
     edges: tuple = field(compare=False)         # edge id -> DirectedEdge
-
-    @property
-    def p(self) -> int:
-        return self.center.p
 
     @property
     def size(self) -> int:
@@ -157,46 +146,19 @@ class Ball:
         for s in self.spheres:
             yield from s
 
-    def vertex_id(self, v: Vertex) -> int:
-        """The id of v; a KeyError when v lies outside the ball."""
-        i = self.ids[v]
-        if self.depths[i] > self.radius:
-            raise KeyError(v)
-        return i
-
-    def depth(self, v: Vertex) -> int:
-        return self.depths[self.vertex_id(v)]
-
     def directed_edges(self):
         """All oriented adjacent pairs inside the ball (tree edges, both ways),
         in id order: per sphere, each edge from a parent to a child and then
         its reverse."""
         yield from self.edges[: 2 * self.size - 2]
 
-    def parent(self, v: Vertex):
-        """The parent of v, or None at the center."""
-        i = self.vertex_id(v)
-        return self.edges[2 * i - 1].target if i else None
-
-    def children(self, v: Vertex) -> tuple:
-        i = self.vertex_id(v)
-        if self.depths[i] == self.radius:
-            return ()
-        return tuple(self.edges[2 * c - 2].target
-                     for c in range(self.child_start[i], self.child_start[i + 1]))
-
-    def adjacent(self, v: Vertex) -> tuple:
-        """The neighbors of v inside the ball: its children, then its parent."""
-        par = self.parent(v)
-        return self.children(v) + (() if par is None else (par,))
-
 
 def ball(v: Vertex, radius: int) -> Ball:
     if radius < 0:
         raise ValueError("radius must be nonnegative")
-    verts, depths, parents, child_start, edges = [v], [0], [-1], [], []
+    verts, parents, child_start, edges = [v], [-1], [], []
     spheres = [(v,)]
-    for j in range(1, radius + 1):
+    for _ in range(radius):
         first = len(verts)
         for i in range(first - len(spheres[-1]), first):
             x = verts[i]
@@ -208,12 +170,11 @@ def ball(v: Vertex, radius: int) -> Ball:
             for w in kids:
                 edges += (DirectedEdge(x, w), DirectedEdge(w, x))
         spheres.append(tuple(verts[first:]))
-        depths += [j] * len(spheres[-1])
     # the boundary sphere has no children
     child_start += [len(verts)] * (len(verts) + 1 - len(child_start))
     ids = {w: i for i, w in enumerate(verts)}
-    return Ball(v, radius, tuple(spheres), ids, tuple(depths), tuple(parents),
-                tuple(child_start), tuple(edges))
+    return Ball(v, radius, tuple(spheres), ids, tuple(parents), tuple(child_start),
+                tuple(edges))
 
 
 def sphere(v: Vertex, r: int) -> list:
@@ -247,8 +208,7 @@ def to_dot(center: Vertex, radius: int) -> str:
         return f'"{x.a},{x.b},{x.u}"'
 
     lines.append(f"  {name(center)} [shape=doublecircle];")
-    for x in b.vertices():
-        if x != center:
-            lines.append(f"  {name(b.parent(x))} -- {name(x)};")
+    for e in b.edges[: 2 * b.size - 2 : 2]:
+        lines.append(f"  {name(e.source)} -- {name(e.target)};")
     lines.append("}")
     return "\n".join(lines) + "\n"

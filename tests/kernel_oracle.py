@@ -202,3 +202,11 @@ def reference_omega_tilde(p: int, n: int, sign: int) -> IntPolynomial:
 
 def reference_omega_pm(p: int, n: int, sign: int) -> IntPolynomial:
     return poly_mul(T, reference_omega_tilde(p, n, sign))
+
+
+def reference_zeta_power(p: int, k: int, m: int, e: int) -> CyclotomicValue:
+    """zeta^e in (Z/p^k)[zeta_{p^m}], by the table reduction of the one-hot
+    power list."""
+    raw = [0] * (e % p**m) + [1]
+    phi = euler_phi_p_power(p, m)
+    return CyclotomicValue(p, k, m, reference_reduce_cyclotomic(raw, p, k, m, phi))

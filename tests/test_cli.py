@@ -1,9 +1,12 @@
 import argparse
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
+import thetaforge
 from thetaforge import serialize
 from thetaforge.cli import build_parser, load_config, main
 from thetaforge.groupring import delta_element, one, zero
@@ -56,6 +59,12 @@ class TestTreeCommands:
         assert run(["tree", "dot", "--p", "2", "--r", "1", "--out", str(tmp_path)]) == 0
         out = capsys.readouterr().out
         assert "graph bruhat_tits" in out
+        # the content hash of the DOT artifact written when the edges came
+        # from per-vertex parent lookups; reading them off the edge table
+        # must not change a byte
+        assert run(["tree", "dot", "--p", "3", "--r", "2", "--out", str(tmp_path)]) == 0
+        _, path = read_artifact_from_stdout(capsys)
+        assert os.path.basename(path) == "dot-288f53732f8b714f.json"
 
     def test_negative_radius_is_a_typed_error(self, tmp_path, capsys):
         # used to exit 0 with a one-vertex graph
@@ -371,6 +380,37 @@ class TestFormsAndSystems:
                     "--out", str(tmp_path)]) == 1
         err = json.loads(capsys.readouterr().out.strip())
         assert err["error"]["type"] == "ValueError"
+
+    @pytest.mark.parametrize("command,edit,error", [
+        ("specialize", {}, "ConductorTooLarge"),
+        ("mu", {"n": 40}, "ValueError"),
+        ("mu", {"n": 10**9}, "ValueError"),
+        ("mu", {"delta": 64}, "ValueError"),
+    ])
+    def test_oversized_exponent_is_a_typed_error(self, tmp_path, capsys, command, edit, error):
+        # the conductor and the group-ring header are refused by size before
+        # p^m or (p^n)^delta is computed; a subprocess with a timeout fails
+        # the test instead of hanging it
+        assert run(["synth", "--mode", "edge", "--ap", "1", "--p", "3", "--k", "6",
+                    "--n-max", "3", "--seed", "4", "--out", str(tmp_path)]) == 0
+        _, sys_path = read_artifact_from_stdout(capsys)
+        assert run(["lp", "--system", sys_path, "--level", "3", "--out", str(tmp_path)]) == 0
+        _, path = read_artifact_from_stdout(capsys)
+        if edit:
+            payload = serialize.read_artifact(path)
+            payload["value"].update(edit)
+            path = serialize.write_artifact(str(tmp_path), "theta", payload)
+        extra = ["--character", json.dumps({"m": 10**9, "exponents": [1]})]
+        env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(thetaforge.__file__))}
+        done = subprocess.run(
+            [sys.executable, "-m", "thetaforge.cli", command, "--element", path,
+             *(extra if command == "specialize" else []), "--out", str(tmp_path)],
+            capture_output=True, text=True, timeout=20, env=env)
+        assert done.returncode == 1, done.stderr
+        err = json.loads(done.stdout.strip())["error"]
+        assert err["type"] == error
+        if command == "specialize":
+            assert err["detail"] == "conductor exponent 1000000000 exceeds layer 2"
 
     def test_malformed_free_digits_are_a_typed_error(self, tmp_path, capsys):
         assert run(["synth", "--mode", "edge", "--ap", "1", "--p", "3", "--k", "9",

@@ -324,12 +324,13 @@ class TestAgainstNeighborsReference:
         fresh = ball(origin(p), radius - 1)
         assert tf.domain == fresh
         assert list(tf.domain.directed_edges()) == list(fresh.directed_edges())
-        for v in fresh.vertices():
-            assert tf.domain.depth(v) == fresh.depth(v)
-            assert tf.domain.adjacent(v) == fresh.adjacent(v)
-        for v in f.domain.spheres[radius]:
-            with pytest.raises(KeyError):
-                tf.domain.depth(v)
+        assert tf.domain.size == fresh.size
+        assert all(tf.domain.ids[v] == i for i, v in enumerate(fresh.vertices()))
+        assert tf.domain.parents[: fresh.size] == fresh.parents
+        # child ranges agree off the boundary sphere, which has none in fresh
+        inner = fresh.size - len(fresh.spheres[-1])
+        assert tf.domain.child_start[: inner + 1] == fresh.child_start[: inner + 1]
+        assert all(tf.domain.ids[v] >= tf.domain.size for v in f.domain.spheres[radius])
 
     @pytest.mark.parametrize("p", [2, 3, 5])
     @pytest.mark.parametrize("radius", [1, 2, 3, 4])
@@ -358,13 +359,13 @@ class TestAgainstNeighborsReference:
         k = 6
         f = random_form(EdgeForm, p, k, radius, h, seed=radius + 10)
         center = f.domain.center
-        gone = DirectedEdge(center, f.domain.children(center)[0])
+        gone = DirectedEdge(center, neighbors(center)[0])
         for table in f.tables:
             del table[gone]
         uf = hecke_U(f)
         once = reference_U(residues(f), p, k)
         assert residues(uf) == once
-        skipped = [DirectedEdge(w, center) for w in f.domain.children(center)[1:]]
+        skipped = [DirectedEdge(w, center) for w in neighbors(center)[1:]]
         assert skipped and not any(e in uf.tables[0] for e in skipped)
         # U on U's own partial domain; at radius 1 nothing is left to continue
         if radius == 1:
@@ -443,7 +444,8 @@ class TestAgainstNeighborsReference:
         inner = hecke_T(random_form(VertexForm, p, k, 2, 1, seed=5))
         phi = stabilize(inner, EigenData.ordinary(p, k, 1))
         assert phi.domain.radius == 1
-        phi.tables[0][DirectedEdge(rim, f.domain.parent(rim))] = PrecisionInt(p, k, 1)
+        inward = next(w for w in neighbors(rim) if distance(origin(p), w) == 1)
+        phi.tables[0][DirectedEdge(rim, inward)] = PrecisionInt(p, k, 1)
         with pytest.raises(KeyError):
             hecke_U(phi)
 

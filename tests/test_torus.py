@@ -13,7 +13,6 @@ from thetaforge.torus import (
     filtration_order,
     orbit_table,
     _canonical_pair,
-    _crt_exponent,
     _label_pow,
 )
 from thetaforge.tree import Vertex, distance, origin, sphere
@@ -238,7 +237,7 @@ class TestCosetDecomposition:
     def test_split_parts_are_bijective(self, p, d, j):
         torus = QuadraticTorus(p, "inert", d)
         dec = coset_decomposition(torus, j)
-        parts = {dec.split(lbl) for lbl in coset_labels(torus, j)}
+        parts = {dec[lbl] for lbl in coset_labels(torus, j)}
         assert len(parts) == filtration_order(torus, j)
         assert parts == {(t, f) for t in range(p + 1) for f in range(p ** (j - 1))}
 
@@ -252,9 +251,9 @@ class TestCosetDecomposition:
         labels = coset_labels(torus, j)
         for _ in range(50):
             a, b = rng.choice(labels), rng.choice(labels)
-            ta, fa = dec.split(a)
-            tb, fb = dec.split(b)
-            tc, fc = dec.split(_label_mul(torus, j, a, b))
+            ta, fa = dec[a]
+            tb, fb = dec[b]
+            tc, fc = dec[_label_mul(torus, j, a, b)]
             assert tc == (ta + tb) % 4
             assert fc == (fa + fb) % 9
 
@@ -262,8 +261,7 @@ class TestCosetDecomposition:
                              + [(11, j) for j in range(4)])
     def test_walk_matches_crt_power_split(self, p, j):
         torus = QuadraticTorus(p, "inert", default_nonresidue(p))
-        dec = coset_decomposition(torus, j)
-        assert dec.parts == reference_parts(dec)
+        assert coset_decomposition(torus, j) == reference_parts(torus, j)
 
     def test_walk_must_cover_the_labels(self, monkeypatch):
         # a free generator of order 3 instead of 9 that passes the order check
@@ -280,18 +278,32 @@ class TestCosetDecomposition:
             coset_decomposition(inert(), 3)
 
 
-def reference_parts(dec):
-    """The per-label split: project each label by CRT exponents, then read
-    the discrete logs off the powers of the two generators."""
-    torus, j = dec.torus, dec.j
+def reference_parts(torus, j):
+    """The per-label split by the rule coset_decomposition documents: the
+    torsion generator is the CRT torsion projection of the first label whose
+    projection has order p + 1, the free generator is (1 : p) raised to the
+    free CRT exponent, and each label's parts are the discrete logs of its
+    two projections, read off the powers of the generators."""
+    p = torus.p
     labels = coset_labels(torus, j)
     if j == 0:
         return {lbl: (0, 0) for lbl in labels}
-    alpha_t = _crt_exponent(dec.torsion_order, dec.free_order)
-    alpha_f = _crt_exponent(dec.free_order, dec.torsion_order)
-    tlog = {_label_pow(torus, j, dec.torsion_generator, i): i
-            for i in range(dec.torsion_order)}
-    flog = {_label_pow(torus, j, dec.free_generator, f): f
-            for f in range(dec.free_order)}
+    t_order, f_order = p + 1, p ** (j - 1)
+    ident = _canonical_pair(p, j, 1, 0)
+
+    def crt(keep, kill):
+        # an exponent = 1 mod keep and = 0 mod kill, by search
+        return next(e for e in range(keep * kill) if e % keep == 1 % keep and e % kill == 0)
+
+    def order(a):
+        return next(e for e in range(1, len(labels) + 1) if _label_pow(torus, j, a, e) == ident)
+
+    alpha_t, alpha_f = crt(t_order, f_order), crt(f_order, t_order)
+    tgen = next(x for x in (_label_pow(torus, j, lbl, alpha_t) for lbl in labels)
+                if order(x) == t_order)
+    fgen = _label_pow(torus, j, _canonical_pair(p, j, 1, p), alpha_f)
+    assert order(fgen) == f_order
+    tlog = {_label_pow(torus, j, tgen, i): i for i in range(t_order)}
+    flog = {_label_pow(torus, j, fgen, f): f for f in range(f_order)}
     return {lbl: (tlog[_label_pow(torus, j, lbl, alpha_t)],
                   flog[_label_pow(torus, j, lbl, alpha_f)]) for lbl in labels}

@@ -201,10 +201,6 @@ class TestEdgesAndBall:
         with pytest.raises(ValueError):
             DirectedEdge(origin(3), Vertex(3, 0, 2, 0))
 
-    def test_edge_reversal(self):
-        e = DirectedEdge(origin(3), Vertex(3, 1, 0, 0))
-        assert e.reversal().source == e.target
-
     def test_ball_structure(self):
         b = ball(origin(3), 3)
         assert [len(s) for s in b.spheres] == [1, 4, 12, 36]
@@ -213,38 +209,39 @@ class TestEdgesAndBall:
     @pytest.mark.parametrize("p", [2, 3, 5])
     @pytest.mark.parametrize("radius", range(5))
     def test_index_matches_neighbors(self, p, radius):
+        # each vertex's parent, children and edge records against neighbors()
+        # and distance() alone
         for center in (origin(p), Vertex(p, 1, 1, 1)):
             b = ball(center, radius)
-            for v in b.vertices():
-                assert b.depth(v) == distance(center, v)
-                par = b.parent(v)
+            verts = list(b.vertices())
+            for j, s in enumerate(b.spheres):
+                assert all(distance(center, v) == j for v in s)
+            inner = b.size - len(b.spheres[-1])     # ids off the boundary sphere
+            for v in verts:
+                i = b.ids[v]
+                par = verts[b.parents[i]] if i else None
                 assert (par is None) == (v == center)
-                if b.depth(v) < radius:
-                    assert b.children(v) == tuple(w for w in neighbors(v) if w != par)
-                    assert len(b.adjacent(v)) == p + 1
-                    assert set(b.adjacent(v)) == set(neighbors(v))
-                else:
-                    assert b.children(v) == ()
-                    assert b.adjacent(v) == (() if par is None else (par,))
-                # the edge record: to the children in neighbors() order, then
-                # to the parent, which is the neighbor one step nearer
                 if par is not None:
-                    assert par in neighbors(v) and distance(center, par) == b.depth(v) - 1
+                    assert par in neighbors(v) and distance(center, par) == distance(center, v) - 1
+                kid_ids = range(b.child_start[i], b.child_start[i + 1])
+                kids = [verts[c] for c in kid_ids]
+                if i < inner:
+                    assert kids == [w for w in neighbors(v) if w != par]
+                    assert len(kids) + (par is not None) == p + 1
+                else:
+                    assert kids == []
                 # the edges leaving v: to each child, then to the parent
-                i = b.vertex_id(v)
-                kid_ids = range(b.child_start[i], b.child_start[i + 1]) if b.depth(v) < radius else ()
                 out = [b.edges[2 * c - 2] for c in kid_ids] + ([b.edges[2 * i - 1]] if i else [])
                 assert all(e.source is v for e in out)
-                kids = [w for w in neighbors(v) if w != par] if b.depth(v) < radius else []
                 assert [e.target for e in out] == kids + ([] if par is None else [par])
-            outside = sphere(center, radius + 1)[0]
-            with pytest.raises(KeyError):
-                b.depth(outside)
+            assert sphere(center, radius + 1)[0] not in b.ids
             # directed_edges() yields the recorded objects, also once shrunk
             shrunk = replace(b, radius=radius - 1, spheres=b.spheres[:radius]) if radius else b
             for c in (b, shrunk):
-                inside = [e for v in c.vertices() if v != center
-                          for e in (DirectedEdge(c.parent(v), v), DirectedEdge(v, c.parent(v)))]
+                inside = []
+                for v in verts[1:c.size]:
+                    par = verts[b.parents[b.ids[v]]]
+                    inside += [DirectedEdge(par, v), DirectedEdge(v, par)]
                 yielded = list(c.directed_edges())
                 assert yielded == inside
                 assert len(yielded) == 2 * (len(list(c.vertices())) - 1)
@@ -263,23 +260,23 @@ class TestEdgesAndBall:
             for b in (full, shrunk) if radius else (full,):
                 verts = list(b.vertices())
                 assert b.size == len(verts) == len(set(verts))
+                assert [len(s) for s in b.spheres] == [
+                    1 if j == 0 else (p + 1) * p ** (j - 1) for j in range(b.radius + 1)]
                 assert [distance(center, v) for v in verts] == sorted(
                     distance(center, v) for v in verts)
                 for i, v in enumerate(verts):
-                    assert b.vertex_id(v) == i and b.depths[i] == distance(center, v)
-                    near = [w for w in neighbors(v) if distance(center, w) < b.depths[i]]
+                    d = distance(center, v)
+                    assert b.ids[v] == i and v in b.spheres[d]
+                    near = [w for w in neighbors(v) if distance(center, w) < d]
                     if i == 0:
                         assert b.parents[0] == -1 and near == []
                     else:
                         assert [verts[b.parents[i]]] == near
-                    kids = [w for w in neighbors(v) if distance(center, w) > b.depths[i]]
-                    if b.depths[i] < b.radius:
-                        got = verts[b.child_start[i]:b.child_start[i + 1]]
-                        assert got == kids
+                    if d < b.radius:
+                        kids = [w for w in neighbors(v) if distance(center, w) > d]
+                        assert verts[b.child_start[i]:b.child_start[i + 1]] == kids
                         assert all(b.parents[c] == i
                                    for c in range(b.child_start[i], b.child_start[i + 1]))
-                    else:
-                        assert b.children(v) == ()
                 expected = []
                 for c in range(1, b.size):
                     par = verts[b.parents[c]]
@@ -287,10 +284,10 @@ class TestEdgesAndBall:
                 edges = list(b.directed_edges())
                 assert [(e.source, e.target) for e in edges] == expected
                 assert all(e is f for e, f in zip(edges, full.edges))
-                beyond = [v for v in full.vertices() if full.depth(v) > b.radius]
-                for v in beyond:
-                    with pytest.raises(KeyError):
-                        b.vertex_id(v)
+                # the vertices of the full ball beyond the radius have ids of
+                # their own, at or past size
+                beyond = [v for v in full.vertices() if distance(center, v) > b.radius]
+                assert all(full.ids[v] >= b.size for v in beyond)
 
     def test_dot_output(self):
         text = to_dot(origin(2), 1)

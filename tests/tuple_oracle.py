@@ -59,5 +59,5 @@ def reference_xi(x: GroupRingElement) -> GroupRingElement:
     out = []
     for idx in range(target.group_size):
         tup = target.tuple_of(idx)
-        out.append(x.coefficient(tuple(t % q for t in tup)))
+        out.append(x.coeffs[x.index(tuple(t % q for t in tup))])
     return GroupRingElement(x.p, x.k, x.n + 1, x.delta, tuple(out))
