@@ -15,7 +15,7 @@ import sys
 from thetaforge import groupring as gr
 from thetaforge.characters import FiniteOrderCharacter, interpolation_shape
 from thetaforge.hecke import EigenData, local_eigen_extend, nu_invariant, scale_form, stabilize
-from thetaforge.measures import check_distribution, from_tree, lp, theta_ordinary
+from thetaforge.measures import check_distribution, from_tree, lp
 from thetaforge.torus import QuadraticTorus
 from thetaforge.util import default_nonresidue
 
@@ -46,10 +46,10 @@ def main():
     if not report.ok:
         failed.append("distribution")
 
-    theta = theta_ordinary(system, args.depth)
     ell = lp(system, args.depth)
-    print(f"theta layer {theta.value.n}: mu = {gr.mu_invariant(theta.value)}, "
-          f"lambda = {gr.lambda_invariant(theta.value)}")
+    theta = ell.factor_value        # the normalized theta the L-element is built from
+    print(f"theta layer {theta.n}: mu = {gr.mu_invariant(theta)}, "
+          f"lambda = {gr.lambda_invariant(theta)}")
     mu = gr.mu_invariant(ell.value)
     print(f"L-element: mu = {mu} (expected 2 nu = {2 * nu})")
     if mu != 2 * nu:

@@ -12,6 +12,7 @@ import argparse
 import sys
 
 from thetaforge import groupring as gr
+from thetaforge.errors import NotDivisible
 from thetaforge.hecke import EigenData
 from thetaforge.measures import (
     check_distribution,
@@ -43,9 +44,13 @@ def main():
         layer = system.level_exp[n]
         eps = 1 if layer % 2 == 0 else -1
         raw = theta_level(system, n).value
-        ann = gr.reduce_poly(gr.omega_pm_poly(p, layer, eps), p, k, layer)
         tag = "+" if eps > 0 else "-"
-        killed = (ann * raw).is_zero()
+        # Omega^eps * theta = 0 exactly when Omega~^(-eps) divides theta
+        try:
+            gr.divide_omega_tilde(raw, eps)
+            killed = True
+        except NotDivisible:
+            killed = False
         print(f"level {n}: omega_{layer}^{tag} * theta = 0 is {killed}")
         if not killed:
             failed.append(f"annihilation at level {n}")

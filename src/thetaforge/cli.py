@@ -374,7 +374,7 @@ def main(argv=None) -> int:
     except ThetaForgeError as exc:
         print(json.dumps({"error": exc.to_json()}))
         return 1
-    except (ValueError, KeyError, OSError) as exc:
+    except (ValueError, KeyError, OSError, MemoryError) as exc:
         print(json.dumps({"error": {"type": type(exc).__name__, "detail": str(exc)}}))
         return 1
 

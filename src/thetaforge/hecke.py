@@ -3,14 +3,14 @@ operators (adjacency sum and non-backtracking transfer), the passage from a
 vertex eigenfunction to an edge eigenfunction, seeded eigen-extensions, and
 the congruence-to-a-constant invariant.
 
-Forms carry h components evaluated on one stored ball; values are residues
-mod p^k wrapped as PrecisionInt, in dicts keyed by the ball's vertices or
-directed edges.  Every kernel reads each table into a list indexed by the
-ball's vertex or edge ids and computes by index: a vertex's children are a
-contiguous id range, so the adjacency sum is a slice sum plus the parent's
-value, and the continuations of an edge are the child edges of its target
-(minus the edge back) plus the target's parent edge, so the transfer sums
-are read off one sum per vertex.
+A form is one table of values on one stored ball: residues mod p^k wrapped
+as PrecisionInt, in a dict keyed by the ball's vertices or directed edges.
+Every kernel reads the table into a list indexed by the ball's vertex or
+edge ids and computes by index: a vertex's children are a contiguous id
+range, so the adjacency sum is a slice sum plus the parent's value, and the
+continuations of an edge are the child edges of its target (minus the edge
+back) plus the target's parent edge, so the transfer sums are read off one
+sum per vertex.
 """
 
 from __future__ import annotations
@@ -56,18 +56,20 @@ class EigenData:
 class VertexForm:
     p: int
     k: int
-    h: int
     domain: Ball
-    tables: tuple           # one dict Vertex -> PrecisionInt per component
+    # a 1-tuple holding the dict Vertex -> PrecisionInt, because
+    # bench/child.py reads tables[0]; once the benchmark reads values through
+    # an accessor, one flat list by vertex id replaces it
+    tables: tuple
 
 
 @dataclass(frozen=True)
 class EdgeForm:
     p: int
     k: int
-    h: int
     domain: Ball
-    tables: tuple           # one dict DirectedEdge -> PrecisionInt per component
+    # a 1-tuple holding the dict DirectedEdge -> PrecisionInt, as in VertexForm
+    tables: tuple
 
 
 def _shrunk_ball(b: Ball) -> Ball:
@@ -77,33 +79,25 @@ def _shrunk_ball(b: Ball) -> Ball:
 
 
 def _vertex_residues(f) -> list:
-    """Each component's residues as a list indexed by vertex id.  Every
-    vertex of the ball carries a value, and a key outside it is a KeyError."""
-    b = f.domain
-    out = []
-    for table in f.tables:
-        out.append([table[v].residue for v in b.vertices()])
-        if len(table) != b.size:    # every vertex has a value, so a key lies outside
-            raise KeyError(next(v for v in table if b.ids.get(v, b.size) >= b.size))
-    return out
+    """The residues as a list indexed by vertex id.  Every vertex of the
+    ball carries a value, and a key outside it is a KeyError."""
+    b, (table,) = f.domain, f.tables
+    vals = [table[v].residue for v in b.vertices()]
+    if len(table) != b.size:    # every vertex has a value, so a key lies outside
+        raise KeyError(next(v for v in table if b.ids.get(v, b.size) >= b.size))
+    return vals
 
 
 def _edge_residues(f) -> list:
-    """Each component's residues as a list indexed by edge id, None at an
-    edge without a value.  A key outside the ball is a KeyError, and every
-    component carries values at the same edges."""
-    b = f.domain
+    """The residues as a list indexed by edge id, None at an edge without a
+    value.  A key outside the ball is a KeyError."""
+    b, (table,) = f.domain, f.tables
     edges = b.edges[: 2 * b.size - 2]
-    out = []
-    for table in f.tables:
-        vals = [None if x is None else x.residue for x in map(table.get, edges)]
-        if len(table) != len(vals) - vals.count(None):
-            inside = set(edges)
-            raise KeyError(next(e for e in table if e not in inside))
-        out.append(vals)
-    if any([x is None for x in vals] != [x is None for x in out[0]] for vals in out[1:]):
-        raise ValueError("the components of a form carry values at different edges")
-    return out
+    vals = [None if x is None else x.residue for x in map(table.get, edges)]
+    if len(table) != len(vals) - vals.count(None):
+        inside = set(edges)
+        raise KeyError(next(e for e in table if e not in inside))
+    return vals
 
 
 def hecke_T(f: VertexForm) -> VertexForm:
@@ -113,15 +107,14 @@ def hecke_T(f: VertexForm) -> VertexForm:
     inner = _shrunk_ball(f.domain)
     p, k, n = f.p, f.k, inner.size
     cs, par = f.domain.child_start, f.domain.parents
-    tables = []
-    for vals in _vertex_residues(f):
-        # the center has no parent
-        sums = [sum(vals[cs[0]:cs[1]])] + [
-            sum(vals[lo:hi]) + vals[q]
-            for lo, hi, q in zip(cs[1:n], cs[2:n + 1], par[1:n])
-        ]
-        tables.append({v: PrecisionInt(p, k, t) for v, t in zip(inner.vertices(), sums)})
-    return VertexForm(p, k, f.h, inner, tuple(tables))
+    vals = _vertex_residues(f)
+    # the center has no parent
+    sums = [sum(vals[cs[0]:cs[1]])] + [
+        sum(vals[lo:hi]) + vals[q]
+        for lo, hi, q in zip(cs[1:n], cs[2:n + 1], par[1:n])
+    ]
+    table = {v: PrecisionInt(p, k, t) for v, t in zip(inner.vertices(), sums)}
+    return VertexForm(p, k, inner, (table,))
 
 
 def hecke_U(f: EdgeForm) -> EdgeForm:
@@ -146,11 +139,11 @@ def hecke_U(f: EdgeForm) -> EdgeForm:
         if count != p + (i == 0):
             raise InvariantViolation(
                 f"vertex id {i} has {count + (i > 0)} neighbors in the ball, expected {p + 1}")
-    comps = _edge_residues(f)
+    vals = _edge_residues(f)
     # by child id c: whether (parent -> c) and (c -> parent) carry values;
     # id 0 pads the center, which has no parent edge
-    has_down = [True] + [x is not None for x in comps[0][0::2]]
-    has_up = [True] + [x is not None for x in comps[0][1::2]]
+    has_down = [True] + [x is not None for x in vals[0::2]]
+    has_up = [True] + [x is not None for x in vals[1::2]]
     missing = [count - sum(has_down[cs[i]:cs[i + 1]]) for i, count in enumerate(kids)]
     defined = []
     for c in range(1, n):
@@ -161,16 +154,14 @@ def hecke_U(f: EdgeForm) -> EdgeForm:
             defined.append(2 * c - 1)
     if not defined:
         raise EmptyDomain("no edge has all its continuations in the domain")
-    tables = []
-    for vals in comps:
-        down = [0] + [x or 0 for x in vals[0::2]]
-        up = [0] + [x or 0 for x in vals[1::2]]
-        child_sums = [sum(down[cs[i]:cs[i + 1]]) for i in range(inner)] + [0] * (n - inner)
-        sums = [0] * (2 * n - 2)
-        sums[0::2] = child_sums[1:]
-        sums[1::2] = [child_sums[s] - x + up[s] for s, x in zip(par[1:n], down[1:])]
-        tables.append({b.edges[e]: PrecisionInt(p, k, sums[e]) for e in defined})
-    return EdgeForm(p, k, f.h, f.domain, tuple(tables))
+    down = [0] + [x or 0 for x in vals[0::2]]
+    up = [0] + [x or 0 for x in vals[1::2]]
+    child_sums = [sum(down[cs[i]:cs[i + 1]]) for i in range(inner)] + [0] * (n - inner)
+    sums = [0] * (2 * n - 2)
+    sums[0::2] = child_sums[1:]
+    sums[1::2] = [child_sums[s] - x + up[s] for s, x in zip(par[1:n], down[1:])]
+    table = {b.edges[e]: PrecisionInt(p, k, sums[e]) for e in defined}
+    return EdgeForm(p, k, f.domain, (table,))
 
 
 def stabilize(f0: VertexForm, eigen: EigenData) -> EdgeForm:
@@ -189,18 +180,16 @@ def stabilize(f0: VertexForm, eigen: EigenData) -> EdgeForm:
     b = f0.domain
     n = b.size
     par = b.parents
-    tables = []
-    for vals in _vertex_residues(f0):
-        phi = [0] * (2 * n - 2)
-        # child c: (parent -> c) at 2c - 2, (c -> parent) at 2c - 1
-        phi[0::2] = [vals[q] - alpha * x for q, x in zip(par[1:n], vals[1:])]
-        phi[1::2] = [x - alpha * vals[q] for q, x in zip(par[1:n], vals[1:])]
-        tables.append({e: PrecisionInt(p, k, x) for e, x in zip(b.edges, phi)})
-    return EdgeForm(p, k, f0.h, b, tuple(tables))
+    vals = _vertex_residues(f0)
+    phi = [0] * (2 * n - 2)
+    # child c: (parent -> c) at 2c - 2, (c -> parent) at 2c - 1
+    phi[0::2] = [vals[q] - alpha * x for q, x in zip(par[1:n], vals[1:])]
+    phi[1::2] = [x - alpha * vals[q] for q, x in zip(par[1:n], vals[1:])]
+    table = {e: PrecisionInt(p, k, x) for e, x in zip(b.edges, phi)}
+    return EdgeForm(p, k, b, (table,))
 
 
-def local_eigen_extend(p: int, k: int, ap: int, radius: int, seed: int,
-                       h: int = 1) -> VertexForm:
+def local_eigen_extend(p: int, k: int, ap: int, radius: int, seed: int) -> VertexForm:
     """Seeded vertex form on the radius-R ball with (T f)(v) = ap f(v) at
     every interior vertex.
 
@@ -214,35 +203,29 @@ def local_eigen_extend(p: int, k: int, ap: int, radius: int, seed: int,
     mod = p**k
     a = ap % mod
     cs, par, n = b.child_start, b.parents, b.size
-    tables = []
-    for i in range(h):
-        rng = random.Random(seed * 1000003 + i)
-        vals = [rng.randrange(mod)] + [0] * (n - 1)
-        for v in range(n - len(b.spheres[radius])):
-            # the center has no parent, which contributes 0
-            need = a * vals[v] - (vals[par[v]] if v else 0)
-            lo, hi = cs[v], cs[v + 1] - 1
-            drawn = [rng.randrange(mod) for _ in range(hi - lo)]
-            vals[lo:hi] = drawn
-            vals[hi] = (need - sum(drawn)) % mod
-        tables.append({v: PrecisionInt(p, k, c) for v, c in zip(b.vertices(), vals)})
-    return VertexForm(p, k, h, b, tuple(tables))
+    rng = random.Random(seed * 1000003)
+    vals = [rng.randrange(mod)] + [0] * (n - 1)
+    for v in range(n - len(b.spheres[radius])):
+        # the center has no parent, which contributes 0
+        need = a * vals[v] - (vals[par[v]] if v else 0)
+        lo, hi = cs[v], cs[v + 1] - 1
+        drawn = [rng.randrange(mod) for _ in range(hi - lo)]
+        vals[lo:hi] = drawn
+        vals[hi] = (need - sum(drawn)) % mod
+    table = {v: PrecisionInt(p, k, c) for v, c in zip(b.vertices(), vals)}
+    return VertexForm(p, k, b, (table,))
 
 
 def scale_form(f, factor: int):
     """Multiply every value of a vertex or edge form by an integer."""
-    tables = tuple(
-        {w: val * factor for w, val in table.items()} for table in f.tables
-    )
-    if isinstance(f, VertexForm):
-        return VertexForm(f.p, f.k, f.h, f.domain, tables)
-    return EdgeForm(f.p, f.k, f.h, f.domain, tables)
+    (table,) = f.tables
+    return type(f)(f.p, f.k, f.domain, ({w: val * factor for w, val in table.items()},))
 
 
 def nu_invariant(f) -> int:
-    """Largest c <= k such that all values (all components pooled) agree
-    modulo p^c: the valuation of the gcd of p^k and their differences."""
-    values = [x.residue for table in f.tables for x in table.values()]
+    """Largest c <= k such that all values agree modulo p^c: the valuation
+    of the gcd of p^k and their differences."""
+    values = [x.residue for x in f.tables[0].values()]
     if not values:
         raise EmptyDomain("form has no values")
     base = values[0]

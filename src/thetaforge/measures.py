@@ -143,8 +143,6 @@ def from_tree(form, torus: QuadraticTorus, eigen: EigenData, n_max: int,
     if torus.kind != "inert":
         raise ValueError("genuine systems are built for the inert kind")
     mode = "vertex" if isinstance(form, VertexForm) else "edge"
-    if form.h != 1:
-        raise ValueError("genuine systems use a single component")
     b = form.domain
     if b.center != origin(torus.p):
         raise ValueError(f"the form's ball is centered at {b.center}, not at the origin "

@@ -4,6 +4,10 @@ Every artifact is wrapped in a self-describing envelope with a schema
 version; readers refuse unknown versions.  Artifact files are written under
 an output directory with content-hash names, so identical runs produce
 byte-identical files.
+
+A form carries one table of values.  Its artifact keeps the layout of the
+multi-component forms it replaced, "h": 1 and a one-element "values" list
+per entry, so form artifacts keep their bytes; a reader refuses any other h.
 """
 
 from __future__ import annotations
@@ -101,22 +105,20 @@ def eigen_from_json(obj) -> EigenData:
 
 
 def form_to_json(f):
-    """One entry per evaluation point carrying the h-tuple of values."""
+    """One entry per evaluation point carrying its value."""
     kind = "vertex" if isinstance(f, VertexForm) else "edge"
+    (table,) = f.tables
     if kind == "vertex":
-        keys = sorted(f.tables[0], key=lambda v: (v.a, v.b, v.u))
+        keys = sorted(table, key=lambda v: (v.a, v.b, v.u))
     else:
         keys = sorted(
-            f.tables[0],
+            table,
             key=lambda e: (e.source.a, e.source.b, e.source.u,
                            e.target.a, e.target.b, e.target.u),
         )
-    entries = [
-        {"w": w.to_json(), "values": [str(t[w].residue) for t in f.tables]}
-        for w in keys
-    ]
+    entries = [{"w": w.to_json(), "values": [str(table[w].residue)]} for w in keys]
     return {
-        "p": f.p, "k": f.k, "h": f.h, "kind": kind,
+        "p": f.p, "k": f.k, "h": 1, "kind": kind,
         "radius": f.domain.radius,
         "center": f.domain.center.to_json(),
         "entries": entries,
@@ -130,10 +132,11 @@ def form_from_json(obj):
     if obj["kind"] not in ("vertex", "edge"):
         raise ValueError(f"unknown form kind {obj['kind']!r}")
     p, k, h = (json_int(obj[key]) for key in ("p", "k", "h"))
+    if h != 1:
+        raise ValueError(f"a form carries one table of values, not h = {h}")
     center = Vertex.from_json(p, obj["center"])
     dom = ball(center, json_int(obj["radius"]))
-    tables = [dict() for _ in range(h)]
-    seen = set()
+    table = {}
     for row in obj["entries"]:
         if obj["kind"] == "vertex":
             w = Vertex.from_json(p, row["w"])
@@ -144,13 +147,12 @@ def form_from_json(obj):
         # a ball is a subtree, so an edge with both ends in it is one of its edges
         if not all(x in dom.ids for x in ends):
             raise ValueError(f"form entry {row['w']} lies outside the ball")
-        if w in seen:
+        if w in table:
             raise ValueError(f"form entry {row['w']} repeats a point")
-        seen.add(w)
-        for i, val in enumerate(row["values"]):
-            tables[i][w] = PrecisionInt(p, k, json_int(val))
+        (val,) = row["values"]
+        table[w] = PrecisionInt(p, k, json_int(val))
     cls = VertexForm if obj["kind"] == "vertex" else EdgeForm
-    return cls(p, k, h, dom, tuple(tables))
+    return cls(p, k, dom, (table,))
 
 
 def orbit_table_to_json(tab):

@@ -161,8 +161,6 @@ def _element_order(torus, j, a, bound):
 
 def _crt_exponent(keep: int, kill: int) -> int:
     """Exponent congruent to 1 mod keep and 0 mod kill (coprime orders)."""
-    if keep == 1:
-        return kill  # any multiple of kill; the power collapses to identity
     return kill * pow(kill, -1, keep)
 
 
@@ -172,9 +170,9 @@ def coset_decomposition(torus: QuadraticTorus, j: int) -> dict:
     and free digit, 0 <= i < p + 1 and 0 <= f < p^(j-1); level 0 is (1 : 0).
 
     tgen is the CRT torsion projection of the first label (in coset_labels
-    order) whose projection has order p + 1; fgen is the CRT free projection
-    of (1 : p).  One walk over the group fills the dict, one label
-    multiplication per label.
+    order) whose projection has order p + 1; fgen is (1 : p), the class of
+    1 + p sqrt(d), which lies in the free part already.  One walk over the
+    group fills the dict, one label multiplication per label.
     """
     p = torus.p
     if j == 0:
@@ -183,7 +181,6 @@ def coset_decomposition(torus: QuadraticTorus, j: int) -> dict:
     free_order = p ** (j - 1)
     ident = _canonical_pair(p, j, 1, 0)
     alpha_t = _crt_exponent(torsion_order, free_order)
-    alpha_f = _crt_exponent(free_order, torsion_order)
     labels = coset_labels(torus, j)
     # torsion generator: first label whose torsion projection has full order
     tgen = None
@@ -194,13 +191,7 @@ def coset_decomposition(torus: QuadraticTorus, j: int) -> dict:
             break
     if tgen is None:
         raise InvariantViolation("torsion part of the coset group must be cyclic")
-    # free generator: projection of 1 + p*sqrt(d)
-    fgen = _label_pow(torus, j, _canonical_pair(p, j, 1, p), alpha_f)
-    if free_order > 1:
-        if _element_order(torus, j, fgen, free_order) != free_order:
-            raise InvariantViolation(f"free generator at level {j} does not have order {free_order}")
-    else:
-        fgen = ident
+    fgen = _canonical_pair(p, j, 1, p)
     parts, row = {}, ident
     for i in range(torsion_order):
         acc = row
@@ -209,7 +200,8 @@ def coset_decomposition(torus: QuadraticTorus, j: int) -> dict:
             acc = _label_mul(torus, j, acc, fgen)
         row = _label_mul(torus, j, row, tgen)
     # every step is a canonical label and the walk takes as many steps as
-    # there are labels, so it covers them exactly once iff it never repeats
+    # there are labels, so it covers them exactly once iff it never repeats;
+    # a generator of short order repeats one
     if len(parts) != len(labels):
         raise InvariantViolation(
             f"torsion x free walk does not cover the level-{j} cosets exactly once"

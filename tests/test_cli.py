@@ -1,6 +1,7 @@
 import argparse
 import json
 import os
+import resource
 import subprocess
 import sys
 
@@ -23,6 +24,11 @@ def read_artifact_from_stdout(capsys):
     out = capsys.readouterr().out
     path = [l for l in out.splitlines() if l.startswith("artifact:")][0].split(": ", 1)[1]
     return out, path
+
+
+def _cap_address_space():
+    """Limit the calling process to 1 GiB of address space."""
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, resource.getrlimit(resource.RLIMIT_AS)[1]))
 
 
 def write_with_repeated_key(path, obj, table):
@@ -386,11 +392,14 @@ class TestFormsAndSystems:
         ("mu", {"n": 40}, "ValueError"),
         ("mu", {"n": 10**9}, "ValueError"),
         ("mu", {"delta": 64}, "ValueError"),
+        # 3^30 coefficients pass the size check but not the allocator
+        ("mu", {"n": 30}, "MemoryError"),
     ])
     def test_oversized_exponent_is_a_typed_error(self, tmp_path, capsys, command, edit, error):
         # the conductor and the group-ring header are refused by size before
         # p^m or (p^n)^delta is computed; a subprocess with a timeout fails
-        # the test instead of hanging it
+        # the test instead of hanging it, and its own address-space cap makes
+        # an allocation the machine could grant fail as well
         assert run(["synth", "--mode", "edge", "--ap", "1", "--p", "3", "--k", "6",
                     "--n-max", "3", "--seed", "4", "--out", str(tmp_path)]) == 0
         _, sys_path = read_artifact_from_stdout(capsys)
@@ -405,8 +414,9 @@ class TestFormsAndSystems:
         done = subprocess.run(
             [sys.executable, "-m", "thetaforge.cli", command, "--element", path,
              *(extra if command == "specialize" else []), "--out", str(tmp_path)],
-            capture_output=True, text=True, timeout=20, env=env)
+            capture_output=True, text=True, timeout=20, env=env, preexec_fn=_cap_address_space)
         assert done.returncode == 1, done.stderr
+        assert "Traceback" not in done.stderr
         err = json.loads(done.stdout.strip())["error"]
         assert err["type"] == error
         if command == "specialize":
@@ -541,6 +551,25 @@ class TestFormsAndSystems:
         err = json.loads(capsys.readouterr().out.strip())
         assert err["error"]["type"] == "ValueError"
         assert "banana" in err["error"]["detail"]
+
+    @pytest.mark.parametrize("command", ["nu", "stabilize"])
+    def test_multicomponent_form_is_a_typed_error(self, tmp_path, capsys, command):
+        # a form carries one table; an artifact of two components used to
+        # read as a form with a second table
+        assert run(["forms", "eigen-extend", "--p", "3", "--k", "6", "--ap", "1",
+                    "--radius", "2", "--seed", "2", "--out", str(tmp_path)]) == 0
+        _, form_path = read_artifact_from_stdout(capsys)
+        obj = json.load(open(form_path))
+        obj["payload"]["h"] = 2
+        for row in obj["payload"]["entries"]:
+            row["values"] *= 2
+        bad_path = os.path.join(str(tmp_path), "bad.json")
+        json.dump(obj, open(bad_path, "w"))
+        extra = ["--ap", "1"] if command == "stabilize" else []
+        assert run(["forms", command, "--form", bad_path, *extra, "--out", str(tmp_path)]) == 1
+        err = json.loads(capsys.readouterr().out.strip())
+        assert err["error"]["type"] == "ValueError"
+        assert "h = 2" in err["error"]["detail"]
 
     @pytest.mark.parametrize("character", ['{"m":1.9,"exponents":[1.5]}',
                                            '{"m":1,"exponents":[1.5]}',
@@ -893,13 +922,6 @@ class TestSerialization:
             back_g = serialize.form_from_json(serialize.form_to_json(g))
             assert back_g.tables == g.tables
             assert back_g.domain == g.domain
-
-    def test_multicomponent_form_carries_value_tuples(self):
-        f = local_eigen_extend(3, 5, 1, 2, seed=3, h=2)
-        obj = serialize.form_to_json(f)
-        assert all(len(row["values"]) == 2 for row in obj["entries"])
-        back = serialize.form_from_json(obj)
-        assert back.tables == f.tables
 
     def test_orbit_table_rows(self):
         torus = QuadraticTorus(3, "inert", 2)

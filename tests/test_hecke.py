@@ -22,13 +22,13 @@ from form_oracle import source_form, target_form
 def constant_vertex_form(p, k, radius, c=1):
     b = ball(origin(p), radius)
     table = {v: PrecisionInt(p, k, c) for v in b.vertices()}
-    return VertexForm(p, k, 1, b, (table,))
+    return VertexForm(p, k, b, (table,))
 
 
 def constant_edge_form(p, k, radius, c=1):
     b = ball(origin(p), radius)
     table = {e: PrecisionInt(p, k, c) for e in b.directed_edges()}
-    return EdgeForm(p, k, 1, b, (table,))
+    return EdgeForm(p, k, b, (table,))
 
 
 class TestEigenData:
@@ -59,7 +59,7 @@ class TestHeckeT:
         p, k = 3, 5
         b = ball(origin(p), 2)
         table = {v: PrecisionInt(p, k, 1 if v == origin(p) else 0) for v in b.vertices()}
-        tf = hecke_T(VertexForm(p, k, 1, b, (table,)))
+        tf = hecke_T(VertexForm(p, k, b, (table,)))
         for v, val in tf.tables[0].items():
             expected = 1 if v in b.spheres[1] else 0
             assert val.residue == expected
@@ -70,9 +70,9 @@ class TestHeckeT:
         b = ball(origin(p), 2)
         t1 = {v: PrecisionInt(p, k, rng.randrange(3**6)) for v in b.vertices()}
         t2 = {v: PrecisionInt(p, k, rng.randrange(3**6)) for v in b.vertices()}
-        f1 = VertexForm(p, k, 1, b, (t1,))
-        f2 = VertexForm(p, k, 1, b, (t2,))
-        fsum = VertexForm(p, k, 1, b, ({v: t1[v] + t2[v] for v in t1},))
+        f1 = VertexForm(p, k, b, (t1,))
+        f2 = VertexForm(p, k, b, (t2,))
+        fsum = VertexForm(p, k, b, ({v: t1[v] + t2[v] for v in t1},))
         lhs = hecke_T(fsum)
         r1, r2 = hecke_T(f1), hecke_T(f2)
         for v in lhs.tables[0]:
@@ -101,10 +101,10 @@ class TestHeckeU:
         edges = list(b.directed_edges())
         t1 = {e: PrecisionInt(p, k, rng.randrange(3**6)) for e in edges}
         t2 = {e: PrecisionInt(p, k, rng.randrange(3**6)) for e in edges}
-        fsum = EdgeForm(p, k, 1, b, ({e: t1[e] + t2[e] for e in edges},))
+        fsum = EdgeForm(p, k, b, ({e: t1[e] + t2[e] for e in edges},))
         lhs = hecke_U(fsum)
-        r1 = hecke_U(EdgeForm(p, k, 1, b, (t1,)))
-        r2 = hecke_U(EdgeForm(p, k, 1, b, (t2,)))
+        r1 = hecke_U(EdgeForm(p, k, b, (t1,)))
+        r2 = hecke_U(EdgeForm(p, k, b, (t2,)))
         for e in lhs.tables[0]:
             assert lhs.tables[0][e] == r1.tables[0][e] + r2.tables[0][e]
 
@@ -115,7 +115,7 @@ class TestHeckeU:
         edges = list(b.directed_edges())
         special = next(e for e in edges if e.source == origin(p))
         table = {e: PrecisionInt(p, k, 1 if e == special else 0) for e in edges}
-        uf = hecke_U(EdgeForm(p, k, 1, b, (table,)))
+        uf = hecke_U(EdgeForm(p, k, b, (table,)))
         support = 0
         for e, val in uf.tables[0].items():
             if val.residue:
@@ -191,11 +191,6 @@ class TestLocalEigenExtend:
             for v in tf.tables[0]:
                 assert tf.tables[0][v] == f.tables[0][v] * 1
 
-    def test_multicomponent(self):
-        f = local_eigen_extend(3, 5, 1, 2, seed=3, h=2)
-        assert f.h == 2
-        assert f.tables[0] != f.tables[1]
-
 
 class TestNuInvariant:
     def test_constant_caps_at_k(self):
@@ -206,7 +201,7 @@ class TestNuInvariant:
         b = ball(origin(p), 1)
         verts = list(b.vertices())
         table = {v: PrecisionInt(p, k, 9 if v == verts[0] else 0) for v in verts}
-        assert nu_invariant(VertexForm(p, k, 1, b, (table,))) == 2
+        assert nu_invariant(VertexForm(p, k, b, (table,))) == 2
 
     def test_three_values_derived(self):
         # values {1, 1+p, 5} at p = 3: min of val(3), val(4), val(1) = 0
@@ -215,109 +210,90 @@ class TestNuInvariant:
         verts = list(b.vertices())
         vals = [1, 4, 5, 5, 5]
         table = {v: PrecisionInt(p, k, vals[i]) for i, v in enumerate(verts)}
-        assert nu_invariant(VertexForm(p, k, 1, b, (table,))) == 0
+        assert nu_invariant(VertexForm(p, k, b, (table,))) == 0
 
     def test_shift_invariance_and_scaling(self):
         rng = random.Random(4)
         p, k = 3, 6
         b = ball(origin(p), 1)
         table = {v: PrecisionInt(p, k, rng.randrange(3**6)) for v in b.vertices()}
-        f = VertexForm(p, k, 1, b, (table,))
-        shifted = VertexForm(p, k, 1, b, ({v: c + PrecisionInt(p, k, 17) for v, c in table.items()},))
+        f = VertexForm(p, k, b, (table,))
+        shifted = VertexForm(p, k, b, ({v: c + PrecisionInt(p, k, 17) for v, c in table.items()},))
         assert nu_invariant(shifted) == nu_invariant(f)
         assert nu_invariant(scale_form(f, p)) == min(k, nu_invariant(f) + 1)
-
-    def test_pooled_across_components(self):
-        p, k = 3, 5
-        b = ball(origin(p), 1)
-        t1 = {v: PrecisionInt(p, k, 0) for v in b.vertices()}
-        t2 = {v: PrecisionInt(p, k, 9) for v in b.vertices()}
-        f = VertexForm(p, k, 2, b, (t1, t2))
-        # each component alone is constant, but the shared constant sees both
-        assert nu_invariant(f) == 2
 
 
 # Reference operators that derive adjacency from neighbors() on every visit,
 # independently of the tables the ball builds; results are residue dicts.
 
 
-def random_form(cls, p, k, radius, h, seed):
+def random_form(cls, p, k, radius, seed):
     rng = random.Random(seed)
     b = ball(origin(p), radius)
     keys = list(b.vertices()) if cls is VertexForm else list(b.directed_edges())
-    tables = tuple({w: PrecisionInt(p, k, rng.randrange(p**k)) for w in keys}
-                   for _ in range(h))
-    return cls(p, k, h, b, tables)
+    return cls(p, k, b, ({w: PrecisionInt(p, k, rng.randrange(p**k)) for w in keys},))
 
 
 def residues(f):
-    return [{w: c.residue for w, c in t.items()} for t in f.tables]
+    return {w: c.residue for w, c in f.tables[0].items()}
 
 
 def reference_T(f):
-    mod = f.p**f.k
-    inner = [v for v in f.tables[0] if distance(f.domain.center, v) < f.domain.radius]
-    return [{v: sum(t[w].residue for w in neighbors(v)) % mod for v in inner}
-            for t in f.tables]
+    mod, t = f.p**f.k, f.tables[0]
+    inner = [v for v in t if distance(f.domain.center, v) < f.domain.radius]
+    return {v: sum(t[w].residue for w in neighbors(v)) % mod for v in inner}
 
 
-def reference_U(tables, p, k):
-    known = tables[0]
-    out = [dict() for _ in tables]
+def reference_U(known, p, k):
+    out = {}
     for e in known:
         conts = [DirectedEdge(e.target, w) for w in neighbors(e.target) if w != e.source]
         if all(c in known for c in conts):
-            for t, o in zip(tables, out):
-                o[e] = sum(t[c] for c in conts) % p**k
+            out[e] = sum(known[c] for c in conts) % p**k
     return out
 
 
 def reference_stabilize(f0, alpha):
     """phi(v -> w) = f0(v) - alpha f0(w) on every adjacent pair inside the
     ball, the pairs found by neighbors() and distance()."""
-    mod = f0.p**f0.k
+    mod, t = f0.p**f0.k, f0.tables[0]
     center, radius = f0.domain.center, f0.domain.radius
-    edges = [DirectedEdge(v, w) for v in f0.tables[0] for w in neighbors(v)
+    edges = [DirectedEdge(v, w) for v in t for w in neighbors(v)
              if distance(center, w) <= radius]
-    return [{e: (t[e.source].residue - alpha * t[e.target].residue) % mod for e in edges}
-            for t in f0.tables]
+    return {e: (t[e.source].residue - alpha * t[e.target].residue) % mod for e in edges}
 
 
 def reference_nu(f):
     """The minimum valuation of a difference of two values, over all pairs."""
-    values = [c for t in f.tables for c in t.values()]
+    values = list(f.tables[0].values())
     return min((v - w).valuation() for v in values for w in values)
 
 
-def reference_eigen_extend(p, k, ap, radius, seed, h):
+def reference_eigen_extend(p, k, ap, radius, seed):
     mod = p**k
     center = origin(p)
-    tables = []
-    for i in range(h):
-        rng = random.Random(seed * 1000003 + i)
-        vals = {center: rng.randrange(mod)}
-        frontier = [(center, None)]
-        for _ in range(radius):
-            nxt = []
-            for v, par in frontier:
-                kids = [w for w in neighbors(v) if w != par]
-                need = (ap * vals[v] - (vals[par] if par is not None else 0)) % mod
-                for w in kids[:-1]:
-                    vals[w] = rng.randrange(mod)
-                    need = (need - vals[w]) % mod
-                vals[kids[-1]] = need
-                nxt.extend((w, v) for w in kids)
-            frontier = nxt
-        tables.append(vals)
-    return tables
+    rng = random.Random(seed * 1000003)
+    vals = {center: rng.randrange(mod)}
+    frontier = [(center, None)]
+    for _ in range(radius):
+        nxt = []
+        for v, par in frontier:
+            kids = [w for w in neighbors(v) if w != par]
+            need = (ap * vals[v] - (vals[par] if par is not None else 0)) % mod
+            for w in kids[:-1]:
+                vals[w] = rng.randrange(mod)
+                need = (need - vals[w]) % mod
+            vals[kids[-1]] = need
+            nxt.extend((w, v) for w in kids)
+        frontier = nxt
+    return vals
 
 
 class TestAgainstNeighborsReference:
     @pytest.mark.parametrize("p", [2, 3, 5])
     @pytest.mark.parametrize("radius", [1, 2, 3, 4])
-    @pytest.mark.parametrize("h", [1, 2])
-    def test_hecke_T(self, p, radius, h):
-        f = random_form(VertexForm, p, 6, radius, h, seed=radius)
+    def test_hecke_T(self, p, radius):
+        f = random_form(VertexForm, p, 6, radius, seed=radius)
         tf = hecke_T(f)
         assert residues(tf) == reference_T(f)
         # the shrunk domain shares the tables of f's ball but reads as a fresh ball
@@ -334,10 +310,9 @@ class TestAgainstNeighborsReference:
 
     @pytest.mark.parametrize("p", [2, 3, 5])
     @pytest.mark.parametrize("radius", [1, 2, 3, 4])
-    @pytest.mark.parametrize("h", [1, 2])
-    def test_hecke_U_and_U_squared(self, p, radius, h):
+    def test_hecke_U_and_U_squared(self, p, radius):
         k = 6
-        f = random_form(EdgeForm, p, k, radius, h, seed=radius)
+        f = random_form(EdgeForm, p, k, radius, seed=radius)
         uf = hecke_U(f)
         once = reference_U(residues(f), p, k)
         assert residues(uf) == once
@@ -347,21 +322,18 @@ class TestAgainstNeighborsReference:
     @pytest.mark.parametrize("p", [2, 3, 5])
     @pytest.mark.parametrize("radius", [1, 2, 3, 4])
     def test_local_eigen_extend(self, p, radius):
-        f = local_eigen_extend(p, 7, 1, radius, seed=11, h=2)
-        assert residues(f) == reference_eigen_extend(p, 7, 1, radius, 11, 2)
+        f = local_eigen_extend(p, 7, 1, radius, seed=11)
+        assert residues(f) == reference_eigen_extend(p, 7, 1, radius, 11)
 
     @pytest.mark.parametrize("p", [2, 3, 5])
     @pytest.mark.parametrize("radius", [1, 2, 3])
-    @pytest.mark.parametrize("h", [1, 2])
-    def test_hecke_U_on_a_partial_domain(self, p, radius, h):
+    def test_hecke_U_on_a_partial_domain(self, p, radius):
         # without the value on one edge out of the center, the edges into the
         # center that continue along it are skipped
         k = 6
-        f = random_form(EdgeForm, p, k, radius, h, seed=radius + 10)
+        f = random_form(EdgeForm, p, k, radius, seed=radius + 10)
         center = f.domain.center
-        gone = DirectedEdge(center, neighbors(center)[0])
-        for table in f.tables:
-            del table[gone]
+        del f.tables[0][DirectedEdge(center, neighbors(center)[0])]
         uf = hecke_U(f)
         once = reference_U(residues(f), p, k)
         assert residues(uf) == once
@@ -376,10 +348,9 @@ class TestAgainstNeighborsReference:
 
     @pytest.mark.parametrize("p", [2, 3])
     @pytest.mark.parametrize("radius", [1, 2, 3, 4])
-    @pytest.mark.parametrize("h", [1, 2])
-    def test_stabilize(self, p, radius, h):
+    def test_stabilize(self, p, radius):
         eig = EigenData.ordinary(p, 7, 1)
-        f = random_form(VertexForm, p, 7, radius, h, seed=radius + 20)
+        f = random_form(VertexForm, p, 7, radius, seed=radius + 20)
         assert residues(stabilize(f, eig)) == reference_stabilize(f, eig.alpha.residue)
         if radius >= 2:
             # on the shrunk ball that T leaves
@@ -387,34 +358,31 @@ class TestAgainstNeighborsReference:
             assert residues(stabilize(tf, eig)) == reference_stabilize(tf, eig.alpha.residue)
 
     @pytest.mark.parametrize("p", [2, 3])
-    @pytest.mark.parametrize("h", [1, 2])
-    def test_nu_invariant(self, p, h):
+    def test_nu_invariant(self, p):
         k = 6
         for c in range(k + 1):
             for seed in range(3):
-                f = random_form(VertexForm, p, k, 2, h, seed=seed)
+                f = random_form(VertexForm, p, k, 2, seed=seed)
                 # values congruent to 5 mod p^c
                 g = scale_form(f, p**c)
-                g = VertexForm(p, k, h, g.domain, tuple(
-                    {v: x + PrecisionInt(p, k, 5) for v, x in t.items()} for t in g.tables))
+                g = VertexForm(p, k, g.domain, (
+                    {v: x + PrecisionInt(p, k, 5) for v, x in g.tables[0].items()},))
                 assert nu_invariant(g) == reference_nu(g)
                 assert nu_invariant(f) == reference_nu(f)
                 phi = stabilize(g, EigenData.ordinary(p, k, 1))
                 assert nu_invariant(phi) == reference_nu(phi)
-        # constant but for one value off by p^c, at each point of each component
+        # constant but for one value off by p^c, at each point
         b = ball(origin(p), 1)
         for c in range(k):
-            for comp in range(h):
-                for w in b.vertices():
-                    f = VertexForm(p, k, h, b, tuple(
-                        {v: PrecisionInt(p, k, 7 + (p**c if (v, i) == (w, comp) else 0))
-                         for v in b.vertices()} for i in range(h)))
-                    assert nu_invariant(f) == reference_nu(f) == c
+            for w in b.vertices():
+                f = VertexForm(p, k, b, (
+                    {v: PrecisionInt(p, k, 7 + (p**c if v == w else 0)) for v in b.vertices()},))
+                assert nu_invariant(f) == reference_nu(f) == c
 
     @pytest.mark.parametrize("p", [2, 3])
     def test_entry_outside_the_ball_raises(self, p):
         k = 6
-        f = random_form(VertexForm, p, k, 2, 1, seed=1)
+        f = random_form(VertexForm, p, k, 2, seed=1)
         far = sphere(origin(p), 3)[0]
         f.tables[0][far] = PrecisionInt(p, k, 1)
         with pytest.raises(KeyError):
@@ -422,26 +390,26 @@ class TestAgainstNeighborsReference:
         with pytest.raises(KeyError):
             stabilize(f, EigenData.ordinary(p, k, 1))
         # a vertex of the full ball beyond the radius T shrank it to
-        tf = hecke_T(random_form(VertexForm, p, k, 2, 1, seed=2))
+        tf = hecke_T(random_form(VertexForm, p, k, 2, seed=2))
         tf.tables[0][Vertex(p, 0, 2, 0)] = PrecisionInt(p, k, 1)
         with pytest.raises(KeyError):
             hecke_T(tf)
         with pytest.raises(KeyError):
             stabilize(tf, EigenData.ordinary(p, k, 1))
-        g = random_form(EdgeForm, p, k, 2, 1, seed=3)
+        g = random_form(EdgeForm, p, k, 2, seed=3)
         g.tables[0][DirectedEdge(far, neighbors(far)[0])] = PrecisionInt(p, k, 1)
         with pytest.raises(KeyError):
             hecke_U(g)
         # an edge out of the boundary sphere leaves the ball too
         rim = f.domain.spheres[2][0]
         outward = next(w for w in neighbors(rim) if distance(origin(p), w) == 3)
-        g = random_form(EdgeForm, p, k, 2, 1, seed=4)
+        g = random_form(EdgeForm, p, k, 2, seed=4)
         g.tables[0][DirectedEdge(rim, outward)] = PrecisionInt(p, k, 1)
         with pytest.raises(KeyError):
             hecke_U(g)
         # and on the shrunk ball of a form T left, an edge of the full ball
         # beyond the radius
-        inner = hecke_T(random_form(VertexForm, p, k, 2, 1, seed=5))
+        inner = hecke_T(random_form(VertexForm, p, k, 2, seed=5))
         phi = stabilize(inner, EigenData.ordinary(p, k, 1))
         assert phi.domain.radius == 1
         inward = next(w for w in neighbors(rim) if distance(origin(p), w) == 1)
@@ -449,14 +417,8 @@ class TestAgainstNeighborsReference:
         with pytest.raises(KeyError):
             hecke_U(phi)
 
-    def test_components_on_different_edges_raise(self):
-        g = random_form(EdgeForm, 3, 5, 2, 2, seed=6)
-        del g.tables[1][next(iter(g.tables[1]))]
-        with pytest.raises(ValueError, match="different edges"):
-            hecke_U(g)
-
     def test_missing_vertex_value_raises(self):
-        f = random_form(VertexForm, 3, 5, 2, 1, seed=5)
+        f = random_form(VertexForm, 3, 5, 2, seed=5)
         del f.tables[0][f.domain.center]
         with pytest.raises(KeyError):
             hecke_T(f)

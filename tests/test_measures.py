@@ -48,12 +48,12 @@ def bumped(s, j, lbl, by):
 
 def constant_vertex_form(p, k, radius, c=1):
     b = ball(origin(p), radius)
-    return VertexForm(p, k, 1, b, ({v: PrecisionInt(p, k, c) for v in b.vertices()},))
+    return VertexForm(p, k, b, ({v: PrecisionInt(p, k, c) for v in b.vertices()},))
 
 
 def constant_edge_form(p, k, radius, c=1):
     b = ball(origin(p), radius)
-    return EdgeForm(p, k, 1, b, ({e: PrecisionInt(p, k, c) for e in b.directed_edges()},))
+    return EdgeForm(p, k, b, ({e: PrecisionInt(p, k, c) for e in b.directed_edges()},))
 
 
 class TestFromTree:
@@ -107,9 +107,9 @@ class TestFromTree:
         b = ball(Vertex(p, 1, 1, 1), 4)
         eig = EigenData.ordinary(p, k, 1)
         if mode == "vertex":
-            form = VertexForm(p, k, 1, b, ({v: PrecisionInt(p, k, 1) for v in b.vertices()},))
+            form = VertexForm(p, k, b, ({v: PrecisionInt(p, k, 1) for v in b.vertices()},))
         else:
-            form = EdgeForm(p, k, 1, b, ({e: PrecisionInt(p, k, 1)
+            form = EdgeForm(p, k, b, ({e: PrecisionInt(p, k, 1)
                                          for e in b.directed_edges()},))
         with pytest.raises(ValueError, match="origin"):
             from_tree(form, TORUS3, eig, 2)

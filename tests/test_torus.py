@@ -258,32 +258,30 @@ class TestCosetDecomposition:
             assert fc == (fa + fb) % 9
 
     @pytest.mark.parametrize("p,j", [(p, j) for p in (3, 5, 7) for j in range(6)]
-                             + [(11, j) for j in range(4)])
+                             + [(p, j) for p in (11, 13) for j in range(4)])
     def test_walk_matches_crt_power_split(self, p, j):
         torus = QuadraticTorus(p, "inert", default_nonresidue(p))
         assert coset_decomposition(torus, j) == reference_parts(torus, j)
 
     def test_walk_must_cover_the_labels(self, monkeypatch):
-        # a free generator of order 3 instead of 9 that passes the order check
-        # makes the walk repeat labels
+        # an order check that passes every candidate makes the first label
+        # (0 : 1), sqrt(d), give the torsion generator; its square is a
+        # scalar, so it has order 2 instead of 4 and the walk repeats labels
         from thetaforge import torus as torus_mod
 
-        real_pow, real_order = torus_mod._label_pow, torus_mod._element_order
-        monkeypatch.setattr(torus_mod, "_label_pow",
-                            lambda torus, j, a, e: real_pow(torus, j, a, 3 * e))
-        monkeypatch.setattr(torus_mod, "_element_order",
-                            lambda torus, j, a, bound: 9 if bound == 9
-                            else real_order(torus, j, a, bound))
+        monkeypatch.setattr(torus_mod, "_element_order", lambda torus, j, a, bound: bound - 1)
         with pytest.raises(InvariantViolation, match="exactly once"):
             coset_decomposition(inert(), 3)
 
 
 def reference_parts(torus, j):
-    """The per-label split by the rule coset_decomposition documents: the
-    torsion generator is the CRT torsion projection of the first label whose
-    projection has order p + 1, the free generator is (1 : p) raised to the
-    free CRT exponent, and each label's parts are the discrete logs of its
-    two projections, read off the powers of the generators."""
+    """The per-label split by CRT powers and brute-force orders: the torsion
+    generator is the CRT torsion projection of the first label whose
+    projection has order p + 1, the free generator is the CRT free
+    projection of (1 : p), and each label's parts are the discrete logs of
+    its two projections, read off the powers of the generators.  The free
+    projection of (1 : p) is (1 : p) itself, which coset_decomposition
+    takes without the power."""
     p = torus.p
     labels = coset_labels(torus, j)
     if j == 0:
@@ -302,6 +300,7 @@ def reference_parts(torus, j):
     tgen = next(x for x in (_label_pow(torus, j, lbl, alpha_t) for lbl in labels)
                 if order(x) == t_order)
     fgen = _label_pow(torus, j, _canonical_pair(p, j, 1, p), alpha_f)
+    assert fgen == _canonical_pair(p, j, 1, p)
     assert order(fgen) == f_order
     tlog = {_label_pow(torus, j, tgen, i): i for i in range(t_order)}
     flog = {_label_pow(torus, j, fgen, f): f for f in range(f_order)}
