@@ -289,11 +289,18 @@ def reference_eigen_extend(p, k, ap, radius, seed):
     return vals
 
 
+def draw_seed(base, draw):
+    """The seed of the draw-th independent random table for a case."""
+    return base + 100 * (draw - 1)
+
+
 class TestAgainstNeighborsReference:
+    # each case runs on two independent random tables (the draw axis)
     @pytest.mark.parametrize("p", [2, 3, 5])
     @pytest.mark.parametrize("radius", [1, 2, 3, 4])
-    def test_hecke_T(self, p, radius):
-        f = random_form(VertexForm, p, 6, radius, seed=radius)
+    @pytest.mark.parametrize("draw", [1, 2])
+    def test_hecke_T(self, p, radius, draw):
+        f = random_form(VertexForm, p, 6, radius, seed=draw_seed(radius, draw))
         tf = hecke_T(f)
         assert residues(tf) == reference_T(f)
         # the shrunk domain shares the tables of f's ball but reads as a fresh ball
@@ -310,9 +317,10 @@ class TestAgainstNeighborsReference:
 
     @pytest.mark.parametrize("p", [2, 3, 5])
     @pytest.mark.parametrize("radius", [1, 2, 3, 4])
-    def test_hecke_U_and_U_squared(self, p, radius):
+    @pytest.mark.parametrize("draw", [1, 2])
+    def test_hecke_U_and_U_squared(self, p, radius, draw):
         k = 6
-        f = random_form(EdgeForm, p, k, radius, seed=radius)
+        f = random_form(EdgeForm, p, k, radius, seed=draw_seed(radius, draw))
         uf = hecke_U(f)
         once = reference_U(residues(f), p, k)
         assert residues(uf) == once
@@ -327,11 +335,12 @@ class TestAgainstNeighborsReference:
 
     @pytest.mark.parametrize("p", [2, 3, 5])
     @pytest.mark.parametrize("radius", [1, 2, 3])
-    def test_hecke_U_on_a_partial_domain(self, p, radius):
+    @pytest.mark.parametrize("draw", [1, 2])
+    def test_hecke_U_on_a_partial_domain(self, p, radius, draw):
         # without the value on one edge out of the center, the edges into the
         # center that continue along it are skipped
         k = 6
-        f = random_form(EdgeForm, p, k, radius, seed=radius + 10)
+        f = random_form(EdgeForm, p, k, radius, seed=draw_seed(radius + 10, draw))
         center = f.domain.center
         del f.tables[0][DirectedEdge(center, neighbors(center)[0])]
         uf = hecke_U(f)
@@ -348,9 +357,10 @@ class TestAgainstNeighborsReference:
 
     @pytest.mark.parametrize("p", [2, 3])
     @pytest.mark.parametrize("radius", [1, 2, 3, 4])
-    def test_stabilize(self, p, radius):
+    @pytest.mark.parametrize("draw", [1, 2])
+    def test_stabilize(self, p, radius, draw):
         eig = EigenData.ordinary(p, 7, 1)
-        f = random_form(VertexForm, p, 7, radius, seed=radius + 20)
+        f = random_form(VertexForm, p, 7, radius, seed=draw_seed(radius + 20, draw))
         assert residues(stabilize(f, eig)) == reference_stabilize(f, eig.alpha.residue)
         if radius >= 2:
             # on the shrunk ball that T leaves
@@ -358,10 +368,11 @@ class TestAgainstNeighborsReference:
             assert residues(stabilize(tf, eig)) == reference_stabilize(tf, eig.alpha.residue)
 
     @pytest.mark.parametrize("p", [2, 3])
-    def test_nu_invariant(self, p):
+    @pytest.mark.parametrize("draw", [1, 2])
+    def test_nu_invariant(self, p, draw):
         k = 6
         for c in range(k + 1):
-            for seed in range(3):
+            for seed in range(3 * (draw - 1), 3 * draw):
                 f = random_form(VertexForm, p, k, 2, seed=seed)
                 # values congruent to 5 mod p^c
                 g = scale_form(f, p**c)
