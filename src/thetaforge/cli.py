@@ -17,7 +17,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from math import isqrt
 
 from . import groupring, serialize
 from .characters import FiniteOrderCharacter, HowardFamily, howard_check, specialize
@@ -27,7 +26,7 @@ from .measures import check_distribution, lp, synth_system, theta_level, theta_o
 from .padic import IntPolynomial, PrecisionInt
 from .torus import QuadraticTorus, base_sequence, orbit_table
 from .tree import Vertex, distance, geodesic_path, neighbors, origin, sphere, to_dot
-from .util import default_nonresidue, json_int
+from .util import default_nonresidue, is_prime, json_int
 
 # parameter name (also its config-file key): flag, type, default, choices
 PARAMS = {
@@ -68,7 +67,7 @@ def _fill(args) -> None:
             value = raw.get(key, default)
             setattr(args, key, None if value is None else typ(value))
     taken, p = set(args.params), getattr(args, "p", None)
-    if "p" in taken and (p < 2 or any(p % q == 0 for q in range(2, isqrt(p) + 1))):
+    if "p" in taken and not is_prime(p):
         raise ValueError(f"p = {p} is not prime")
     if "delta" in taken and args.delta < 1:
         raise ValueError("delta must be >= 1")

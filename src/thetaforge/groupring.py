@@ -36,7 +36,7 @@ from .padic import (
     IntPolynomial, _cyclotomic_divisor, _divide_monic, _packed_product, _taylor_shift,
     cyclotomic_sigma,
 )
-from .util import capped_val, json_int
+from .util import capped_val, json_int, prime_int
 
 
 @dataclass(frozen=True)
@@ -119,7 +119,8 @@ class GroupRingElement:
 
     @staticmethod
     def from_json(obj) -> "GroupRingElement":
-        p, k, n, delta = (json_int(obj[key]) for key in ("p", "k", "n", "delta"))
+        p = prime_int(obj["p"])
+        k, n, delta = (json_int(obj[key]) for key in ("k", "n", "delta"))
         # p >= 2, so (p^n)^delta > sys.maxsize once n delta reaches its bit length
         if n * delta >= sys.maxsize.bit_length() or (p**n) ** delta > sys.maxsize:
             raise ValueError(f"(Z/{p}^{n})^{delta} has more elements than sys.maxsize")

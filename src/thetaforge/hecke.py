@@ -5,7 +5,9 @@ the congruence-to-a-constant invariant.
 
 A form is one table of values on one stored ball: residues mod p^k wrapped
 as PrecisionInt, in a dict keyed by the ball's vertices or directed edges.
-Every kernel reads the table into a list indexed by the ball's vertex or
+Every kernel builds its output table in bulk with PrecisionInt.table, which
+checks the precision once per table rather than once per value.  Every
+kernel reads the table into a list indexed by the ball's vertex or
 edge ids and computes by index: a vertex's children are a contiguous id
 range, so the adjacency sum is a slice sum plus the parent's value, and the
 continuations of an edge are the child edges of its target (minus the edge
@@ -113,8 +115,7 @@ def hecke_T(f: VertexForm) -> VertexForm:
         sum(vals[lo:hi]) + vals[q]
         for lo, hi, q in zip(cs[1:n], cs[2:n + 1], par[1:n])
     ]
-    table = {v: PrecisionInt(p, k, t) for v, t in zip(inner.vertices(), sums)}
-    return VertexForm(p, k, inner, (table,))
+    return VertexForm(p, k, inner, (PrecisionInt.table(p, k, zip(inner.vertices(), sums)),))
 
 
 def hecke_U(f: EdgeForm) -> EdgeForm:
@@ -160,7 +161,7 @@ def hecke_U(f: EdgeForm) -> EdgeForm:
     sums = [0] * (2 * n - 2)
     sums[0::2] = child_sums[1:]
     sums[1::2] = [child_sums[s] - x + up[s] for s, x in zip(par[1:n], down[1:])]
-    table = {b.edges[e]: PrecisionInt(p, k, sums[e]) for e in defined}
+    table = PrecisionInt.table(p, k, ((b.edges[e], sums[e]) for e in defined))
     return EdgeForm(p, k, f.domain, (table,))
 
 
@@ -185,8 +186,7 @@ def stabilize(f0: VertexForm, eigen: EigenData) -> EdgeForm:
     # child c: (parent -> c) at 2c - 2, (c -> parent) at 2c - 1
     phi[0::2] = [vals[q] - alpha * x for q, x in zip(par[1:n], vals[1:])]
     phi[1::2] = [x - alpha * vals[q] for q, x in zip(par[1:n], vals[1:])]
-    table = {e: PrecisionInt(p, k, x) for e, x in zip(b.edges, phi)}
-    return EdgeForm(p, k, b, (table,))
+    return EdgeForm(p, k, b, (PrecisionInt.table(p, k, zip(b.edges, phi)),))
 
 
 def local_eigen_extend(p: int, k: int, ap: int, radius: int, seed: int) -> VertexForm:
@@ -212,14 +212,14 @@ def local_eigen_extend(p: int, k: int, ap: int, radius: int, seed: int) -> Verte
         drawn = [rng.randrange(mod) for _ in range(hi - lo)]
         vals[lo:hi] = drawn
         vals[hi] = (need - sum(drawn)) % mod
-    table = {v: PrecisionInt(p, k, c) for v, c in zip(b.vertices(), vals)}
-    return VertexForm(p, k, b, (table,))
+    return VertexForm(p, k, b, (PrecisionInt.table(p, k, zip(b.vertices(), vals)),))
 
 
 def scale_form(f, factor: int):
     """Multiply every value of a vertex or edge form by an integer."""
     (table,) = f.tables
-    return type(f)(f.p, f.k, f.domain, ({w: val * factor for w, val in table.items()},))
+    pairs = ((w, val.residue * factor) for w, val in table.items())
+    return type(f)(f.p, f.k, f.domain, (PrecisionInt.table(f.p, f.k, pairs),))
 
 
 def nu_invariant(f) -> int:

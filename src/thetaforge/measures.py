@@ -177,14 +177,18 @@ def from_tree(form, torus: QuadraticTorus, eigen: EigenData, n_max: int,
             continue
         point = tab.images if mode == "vertex" else {
             lbl: b.edges[2 * c - 2] for lbl, c in ids.items()}
-        if shift is not None:
-            s_lbl = _canonical_pair(torus.p, j, shift.x, shift.y)
-            point = {lbl: point[_label_mul(torus, j, lbl, s_lbl)] for lbl in tab.labels}
-        keys = {lbl: f"{lbl[0]}:{lbl[1]}" for lbl in tab.labels}
-        levels[j] = {keys[lbl]: values[point[lbl]].residue for lbl in tab.labels}
-        free[j] = {keys[lbl]: tab.split_parts[lbl][1] for lbl in tab.labels}
+        s_lbl = None if shift is None else _canonical_pair(torus.p, j, shift.x, shift.y)
+        keys, level, digits, fiber = {}, {}, {}, {}
+        for lbl in tab.labels:
+            key = keys[lbl] = f"{lbl[0]}:{lbl[1]}"
+            at = lbl if s_lbl is None else _label_mul(torus, j, lbl, s_lbl)
+            level[key] = values[point[at]].residue
+            digits[key] = tab.split_parts[lbl][1]
+            if j > start:
+                fiber[key] = above[tab.parents[lbl]]
+        levels[j], free[j] = level, digits
         if j > start:
-            fibers[j] = {keys[lbl]: above[tab.parents[lbl]] for lbl in tab.labels}
+            fibers[j] = fiber
         above = keys
     sys = CompatibleSystem(
         p, k, 1, mode, eigen, n_max, torus.p + 1, level_exp,

@@ -23,7 +23,7 @@ from .hecke import EdgeForm, EigenData, VertexForm
 from .measures import CompatibleSystem
 from .padic import PrecisionInt
 from .tree import DirectedEdge, Vertex
-from .util import json_int
+from .util import json_int, prime_int
 
 SCHEMA = "thetaforge/1"
 
@@ -131,12 +131,12 @@ def form_from_json(obj):
 
     if obj["kind"] not in ("vertex", "edge"):
         raise ValueError(f"unknown form kind {obj['kind']!r}")
-    p, k, h = (json_int(obj[key]) for key in ("p", "k", "h"))
+    p, k, h = prime_int(obj["p"]), json_int(obj["k"]), json_int(obj["h"])
     if h != 1:
         raise ValueError(f"a form carries one table of values, not h = {h}")
     center = Vertex.from_json(p, obj["center"])
     dom = ball(center, json_int(obj["radius"]))
-    table = {}
+    residues = {}
     for row in obj["entries"]:
         if obj["kind"] == "vertex":
             w = Vertex.from_json(p, row["w"])
@@ -147,12 +147,12 @@ def form_from_json(obj):
         # a ball is a subtree, so an edge with both ends in it is one of its edges
         if not all(x in dom.ids for x in ends):
             raise ValueError(f"form entry {row['w']} lies outside the ball")
-        if w in table:
+        if w in residues:
             raise ValueError(f"form entry {row['w']} repeats a point")
         (val,) = row["values"]
-        table[w] = PrecisionInt(p, k, json_int(val))
+        residues[w] = json_int(val)
     cls = VertexForm if obj["kind"] == "vertex" else EdgeForm
-    return cls(p, k, dom, (table,))
+    return cls(p, k, dom, (PrecisionInt.table(p, k, residues.items()),))
 
 
 def orbit_table_to_json(tab):
@@ -209,7 +209,7 @@ def _free_indices(digits: dict, p: int, e: int, delta: int, j: int) -> dict:
 
 @_payload_reader
 def system_from_json(obj) -> CompatibleSystem:
-    n_max, p, delta = json_int(obj["n_max"]), json_int(obj["p"]), json_int(obj["delta"])
+    n_max, p, delta = json_int(obj["n_max"]), prime_int(obj["p"]), json_int(obj["delta"])
     level_exp = tuple(json_int(e) for e in obj["level_exp"])
     levels = []
     fibers = []

@@ -172,7 +172,8 @@ def coset_decomposition(torus: QuadraticTorus, j: int) -> dict:
     tgen is the CRT torsion projection of the first label (in coset_labels
     order) whose projection has order p + 1; fgen is (1 : p), the class of
     1 + p sqrt(d), which lies in the free part already.  One walk over the
-    group fills the dict, one label multiplication per label.
+    group fills the dict, one label multiplication per label; the step by
+    fgen is written out inline.
     """
     p = torus.p
     if j == 0:
@@ -191,13 +192,18 @@ def coset_decomposition(torus: QuadraticTorus, j: int) -> dict:
             break
     if tgen is None:
         raise InvariantViolation("torsion part of the coset group must be cyclic")
-    fgen = _canonical_pair(p, j, 1, p)
+    mod, dp = p**j, torus.d * p
     parts, row = {}, ident
     for i in range(torsion_order):
-        acc = row
+        x, y = row
         for f in range(free_order):
-            parts[acc] = (i, f)
-            acc = _label_mul(torus, j, acc, fgen)
+            parts[x, y] = (i, f)
+            # times fgen = (1 : p), renormalized as _canonical_pair does
+            x, y = (x + dp * y) % mod, (p * x + y) % mod
+            if y % p:
+                x, y = x * pow(y, -1, mod) % mod, 1
+            else:
+                x, y = 1, y * pow(x, -1, mod) % mod
         row = _label_mul(torus, j, row, tgen)
     # every step is a canonical label and the walk takes as many steps as
     # there are labels, so it covers them exactly once iff it never repeats;

@@ -7,7 +7,10 @@ fields are equal.  Edges are ordered pairs of adjacent vertices.
 Vertices and edges are slotted and compute their hash once, at construction;
 the cached value is the one the field tuple would hash to, so dict and set
 order is that of plain frozen dataclasses.  Neighbours and distances are read
-off the exponents in closed form.  A ball is its id tables: it numbers its
+off the exponents in closed form.  A single edge checks that its ends are
+adjacent; ball() checks each tree edge once, with one distance() per
+undirected edge, and builds both of its directions from that one check
+(distance is symmetric).  A ball is its id tables: it numbers its
 vertices 0..N-1 in sphere order as it creates them, records each one's
 parent id and its contiguous child ids, and keeps its directed edges in one
 list: child c gives edge 2(c-1) = (parent -> c) and edge 2c-1 = (c -> parent).
@@ -71,6 +74,24 @@ class DirectedEdge:
 
     def __hash__(self):
         return self._hash
+
+    @staticmethod
+    def both_ways(v: Vertex, w: Vertex) -> tuple:
+        """(v -> w, w -> v), equal to DirectedEdge(v, w) and DirectedEdge(w, v)
+        but with one adjacency check for the pair: distance is symmetric, so
+        the check on (v, w) is the check on (w, v)."""
+        if distance(v, w) != 1:
+            raise ValueError("edge endpoints must be adjacent")
+        # fill the slots past the frozen __setattr__
+        cls = DirectedEdge
+        there, back = object.__new__(cls), object.__new__(cls)
+        cls.source.__set__(there, v)
+        cls.target.__set__(there, w)
+        cls._hash.__set__(there, hash((v, w)))
+        cls.source.__set__(back, w)
+        cls.target.__set__(back, v)
+        cls._hash.__set__(back, hash((w, v)))
+        return there, back
 
     def to_json(self):
         return {"source": self.source.to_json(), "target": self.target.to_json()}
@@ -168,7 +189,7 @@ def ball(v: Vertex, radius: int) -> Ball:
             verts += kids
             parents += [i] * len(kids)
             for w in kids:
-                edges += (DirectedEdge(x, w), DirectedEdge(w, x))
+                edges += DirectedEdge.both_ways(x, w)
         spheres.append(tuple(verts[first:]))
     # the boundary sphere has no children
     child_start += [len(verts)] * (len(verts) + 1 - len(child_start))

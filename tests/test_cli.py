@@ -4,6 +4,7 @@ import os
 import resource
 import subprocess
 import sys
+from math import isqrt
 
 import pytest
 
@@ -14,6 +15,7 @@ from thetaforge.groupring import delta_element, one, zero
 from thetaforge.hecke import EigenData, hecke_T, hecke_U, local_eigen_extend, stabilize
 from thetaforge.measures import check_distribution, from_tree, synth_system
 from thetaforge.torus import QuadraticTorus, TorusElement, orbit_table
+from thetaforge.util import PRIME_TEST_BOUND, is_prime
 
 
 def run(argv):
@@ -583,6 +585,68 @@ class TestFormsAndSystems:
         assert err["error"]["type"] == "ValueError"
 
 
+class TestNonPrimeArtifacts:
+    # the flags refuse a composite p; each artifact reader must refuse one too
+    # rather than compute in base p
+
+    def _refused(self, capsys, argv, tmp_path):
+        assert run(argv + ["--out", str(tmp_path)]) == 1
+        err = json.loads(capsys.readouterr().out.strip())["error"]
+        assert err["type"] == "ValueError" and "not prime" in err["detail"]
+
+    @pytest.mark.parametrize("p", [4, 9])
+    @pytest.mark.parametrize("command", ["nu", "stabilize"])
+    def test_form_reader(self, tmp_path, capsys, p, command):
+        # forms nu used to exit 0 with nu = 0
+        assert run(["forms", "eigen-extend", "--p", "3", "--k", "6", "--ap", "1",
+                    "--radius", "2", "--seed", "1", "--out", str(tmp_path)]) == 0
+        _, form_path = read_artifact_from_stdout(capsys)
+        obj = json.load(open(form_path))
+        obj["payload"]["p"] = p
+        bad_path = os.path.join(str(tmp_path), "bad.json")
+        json.dump(obj, open(bad_path, "w"))
+        extra = ["--ap", "1"] if command == "stabilize" else []
+        self._refused(capsys, ["forms", command, "--form", bad_path, *extra], tmp_path)
+
+    @pytest.mark.parametrize("p", [1, 4, 9])
+    def test_system_reader(self, tmp_path, capsys, p):
+        assert run(["synth", "--mode", "edge", "--ap", "1", "--p", "3", "--k", "6",
+                    "--n-max", "3", "--seed", "4", "--out", str(tmp_path)]) == 0
+        _, sys_path = read_artifact_from_stdout(capsys)
+        obj = json.load(open(sys_path))
+        obj["payload"]["p"] = p
+        bad_path = os.path.join(str(tmp_path), "bad.json")
+        json.dump(obj, open(bad_path, "w"))
+        self._refused(capsys, ["check-dist", "--system", bad_path], tmp_path)
+
+    @pytest.mark.parametrize("which", ["ap", "alpha"])
+    def test_eigenvalue_reader(self, tmp_path, capsys, which):
+        # the system's own p stays 3; only the eigenvalue's p is edited
+        assert run(["synth", "--mode", "edge", "--ap", "1", "--p", "3", "--k", "6",
+                    "--n-max", "3", "--seed", "4", "--out", str(tmp_path)]) == 0
+        _, sys_path = read_artifact_from_stdout(capsys)
+        obj = json.load(open(sys_path))
+        obj["payload"]["eigen"][which]["p"] = 9
+        bad_path = os.path.join(str(tmp_path), "bad.json")
+        json.dump(obj, open(bad_path, "w"))
+        self._refused(capsys, ["check-dist", "--system", bad_path], tmp_path)
+
+    @pytest.mark.parametrize("command", ["mu", "specialize"])
+    def test_group_ring_reader(self, tmp_path, capsys, command):
+        # mu used to exit 0 with mu and lambda taken in base 9
+        assert run(["synth", "--mode", "edge", "--ap", "1", "--p", "3", "--k", "6",
+                    "--n-max", "3", "--seed", "4", "--out", str(tmp_path)]) == 0
+        _, sys_path = read_artifact_from_stdout(capsys)
+        assert run(["lp", "--system", sys_path, "--level", "3", "--out", str(tmp_path)]) == 0
+        _, lp_path = read_artifact_from_stdout(capsys)
+        payload = serialize.read_artifact(lp_path)
+        payload["value"].update(p=9, n=3)
+        bad_path = serialize.write_artifact(str(tmp_path), "lp", payload)
+        extra = ["--character", json.dumps({"m": 1, "exponents": [1]})]
+        self._refused(capsys, [command, "--element", bad_path,
+                               *(extra if command == "specialize" else [])], tmp_path)
+
+
 class TestHowardScan:
     def _family_artifact(self, tmp_path, elements, labels):
         payload = {"labels": list(labels),
@@ -690,6 +754,38 @@ class TestConfigAndDeterminism:
         assert run(argv + ["--out", str(tmp_path)]) == 1
         err = json.loads(capsys.readouterr().out.strip())
         assert err["error"]["type"] == "ValueError"
+
+    def test_large_prime_flag_is_decided_at_once(self, tmp_path):
+        # trial division up to isqrt(p) did not finish within 20 s here
+        env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(thetaforge.__file__))}
+        # a prime, and a product of two primes near 10^9
+        for p, out in ((10**18 + 3, "1 vertices at distance 0"),
+                       ((10**9 + 7) * (10**9 + 9), "is not prime")):
+            done = subprocess.run(
+                [sys.executable, "-m", "thetaforge.cli", "tree", "sphere", "--p", str(p),
+                 "--r", "0", "--out", str(tmp_path)],
+                capture_output=True, text=True, timeout=20, env=env)
+            assert out in done.stdout, done.stdout + done.stderr
+            assert done.returncode == ("not prime" in out)
+
+    def test_is_prime_matches_trial_division(self):
+        assert [n for n in range(-3, 5000) if is_prime(n)] == [
+            n for n in range(2, 5000) if all(n % q for q in range(2, isqrt(n) + 1))]
+        # strong pseudoprimes to the first 1, 4, 9 and 12 prime bases, and
+        # squares and products of primes among and just past the bases
+        for n in (2047, 3215031751, 3825123056546413051, 318665857834031151167461,
+                  41 * 41, 37 * 41, 43 * 47, (10**9 + 7) * (10**9 + 9)):
+            assert not is_prime(n), n
+        for n in (2, 41, 43, 2**31 - 1, 2**61 - 1, 10**18 + 3):
+            assert is_prime(n), n
+        with pytest.raises(ValueError):
+            is_prime(PRIME_TEST_BOUND)
+
+    def test_prime_beyond_the_proven_range_is_refused(self, tmp_path, capsys):
+        assert run(["tree", "sphere", "--p", str(PRIME_TEST_BOUND + 2), "--r", "0",
+                    "--out", str(tmp_path)]) == 1
+        err = json.loads(capsys.readouterr().out.strip())["error"]
+        assert err["type"] == "ValueError" and "decided only below" in err["detail"]
 
     def test_p_two_stays_valid_for_tree_commands(self, tmp_path, capsys):
         assert run(["tree", "sphere", "--p", "2", "--r", "2", "--out", str(tmp_path)]) == 0

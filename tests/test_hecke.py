@@ -433,3 +433,45 @@ class TestAgainstNeighborsReference:
         del f.tables[0][f.domain.center]
         with pytest.raises(KeyError):
             hecke_T(f)
+
+
+def assert_table_of_single_values(f, expected):
+    """f's table is, value by value, the dict of PrecisionInt(p, k, r) over
+    the expected residues: equal, hashing alike, reduced, of f's (p, k)."""
+    (table,) = f.tables
+    single = {w: PrecisionInt(f.p, f.k, r) for w, r in expected.items()}
+    assert table == single
+    assert list(table) == list(single)
+    for w, x in table.items():
+        assert type(x) is PrecisionInt and (x.p, x.k) == (f.p, f.k)
+        assert 0 <= x.residue < f.p**f.k
+        assert hash(x) == hash(single[w])
+
+
+class TestBulkTables:
+    # the kernels build their tables with PrecisionInt.table; each must equal
+    # the table built one PrecisionInt at a time from the reference residues
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    @pytest.mark.parametrize("radius", [1, 2, 3])
+    @pytest.mark.parametrize("draw", [1, 2])
+    def test_kernel_tables_match_single_values(self, p, radius, draw):
+        k = 7
+        eig = EigenData.ordinary(p, k, 1)
+        f = random_form(VertexForm, p, k, radius, seed=draw_seed(radius + 30, draw))
+        assert_table_of_single_values(hecke_T(f), reference_T(f))
+        phi = stabilize(f, eig)
+        want = reference_stabilize(f, eig.alpha.residue)
+        assert_table_of_single_values(phi, {e: want[e] for e in phi.tables[0]})
+        g = random_form(EdgeForm, p, k, radius, seed=draw_seed(radius + 40, draw))
+        ug = hecke_U(g)
+        want = reference_U(residues(g), p, k)
+        assert_table_of_single_values(ug, {e: want[e] for e in ug.tables[0]})
+        extended = local_eigen_extend(p, k, 1, radius, seed=draw)
+        want = reference_eigen_extend(p, k, 1, radius, draw)
+        assert_table_of_single_values(extended, {v: want[v] for v in extended.tables[0]})
+        for h in (f, phi, g):
+            for factor in (0, 1, -1, p, p**k + 2, -(p ** (2 * k)) - 3):
+                scaled = scale_form(h, factor)
+                assert type(scaled) is type(h) and scaled.domain is h.domain
+                assert_table_of_single_values(
+                    scaled, {w: x.residue * factor for w, x in h.tables[0].items()})

@@ -62,6 +62,46 @@ class TestPrecisionInt:
         x = P(7, 4, 123)
         assert PrecisionInt.from_json(x.to_json()) == x
 
+    @pytest.mark.parametrize("p", [1, 4, 9, 0, -3])
+    def test_json_refuses_a_non_prime(self, p):
+        with pytest.raises(ValueError, match="not prime"):
+            PrecisionInt.from_json({"p": p, "k": 4, "residue": "5"})
+
+
+class TestPrecisionIntTable:
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    @pytest.mark.parametrize("k", [1, 3, 40])
+    def test_matches_single_values(self, p, k):
+        mod = p**k
+        rng = random.Random(p * 100 + k)
+        residues = [0, 1, -1, mod - 1, mod, mod + 1, -mod, -mod - 1, 7 * mod + 3,
+                    -(mod**2) + 5]
+        residues += [rng.randrange(-3 * mod, 3 * mod) for _ in range(30)]
+        table = PrecisionInt.table(p, k, enumerate(residues))
+        assert list(table) == list(range(len(residues)))
+        for i, r in enumerate(residues):
+            single = P(p, k, r)
+            x = table[i]
+            assert type(x) is PrecisionInt
+            assert x == single and single == x
+            assert hash(x) == hash(single)
+            assert (x.p, x.k, x.residue) == (p, k, r % mod)
+            assert 0 <= x.residue < mod
+        # the values work as dict keys and set members interchangeably
+        assert set(table.values()) == {P(p, k, r) for r in residues}
+
+    @pytest.mark.parametrize("pairs", [[], [("a", 1)]])
+    def test_zero_precision_is_refused(self, pairs):
+        with pytest.raises(ValueError, match="precision exponent must be >= 1"):
+            PrecisionInt.table(3, 0, pairs)
+        with pytest.raises(ValueError, match="precision exponent must be >= 1"):
+            P(3, 0, 1)
+
+    def test_values_stay_frozen(self):
+        (x,) = PrecisionInt.table(3, 2, [(0, 4)]).values()
+        with pytest.raises(AttributeError):
+            x.residue = 5
+
 
 class TestHenselUnitRoot:
     def test_derived_example_p5(self):

@@ -3,6 +3,7 @@ from dataclasses import replace
 
 import pytest
 
+from thetaforge import tree
 from thetaforge.errors import PrecisionExhausted
 from thetaforge.padic import PrecisionInt
 from thetaforge.tree import (
@@ -17,7 +18,7 @@ from thetaforge.tree import (
     to_dot,
 )
 from thetaforge.util import val_p
-from tree_oracle import basis_matrix, normal_form, normal_form_exact
+from tree_oracle import basis_matrix, normal_form, normal_form_exact, reference_neighbors
 
 
 def mat(p, k, entries):
@@ -288,6 +289,40 @@ class TestEdgesAndBall:
                 # their own, at or past size
                 beyond = [v for v in full.vertices() if distance(center, v) > b.radius]
                 assert all(full.ids[v] >= b.size for v in beyond)
+
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    @pytest.mark.parametrize("radius", range(5))
+    def test_ball_edges_are_lattice_neighbors(self, p, radius):
+        # ball() checks one direction of each tree edge and builds both from
+        # that check; every edge, either way, must join lattice neighbours by
+        # the oracle's normal form, with no call to distance()
+        for center in (origin(p), Vertex(p, 1, 1, 1)):
+            b = ball(center, radius)
+            oracle = {v: reference_neighbors(v) for v in b.vertices()}
+            edges = list(b.directed_edges())
+            assert len(edges) == 2 * (b.size - 1) == len(set(edges))
+            for e in edges:
+                assert e.target in oracle[e.source] and e.source in oracle[e.target]
+                # equal to, and hashing as, the edge built on its own
+                single = DirectedEdge(e.source, e.target)
+                assert e == single and hash(e) == hash(single)
+            for there, back in zip(edges[0::2], edges[1::2]):
+                assert (back.source, back.target) == (there.target, there.source)
+
+    def test_ball_refuses_a_non_adjacent_neighbor(self, monkeypatch):
+        # a neighbors() that hands back a vertex two steps away must make
+        # ball() raise at its one adjacency check per edge
+        real = tree.neighbors
+
+        def two_steps_out(v):
+            out = real(v)
+            far = next(w for w in real(out[0]) if w != v)
+            return [far] + out[1:]
+
+        monkeypatch.setattr(tree, "neighbors", two_steps_out)
+        assert distance(origin(3), two_steps_out(origin(3))[0]) == 2
+        with pytest.raises(ValueError, match="adjacent"):
+            ball(origin(3), 1)
 
     def test_dot_output(self):
         text = to_dot(origin(2), 1)
