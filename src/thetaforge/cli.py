@@ -218,11 +218,17 @@ def cmd_lp(args) -> int:
                  f"{l.kind} L-element at level {l.level}, mu = {mu}")
 
 
-def cmd_mu(args) -> int:
-    obj = serialize.read_artifact(args.element)
+def _read_element(path: str):
+    """The group-ring element of an artifact: its payload's "value" (a theta
+    or L-element artifact) or the payload itself."""
+    obj = serialize.read_artifact(path)
     if isinstance(obj, dict) and "value" in obj:
         obj = obj["value"]
-    x = serialize.groupring_from_json(obj)
+    return serialize.groupring_from_json(obj)
+
+
+def cmd_mu(args) -> int:
+    x = _read_element(args.element)
     mu = groupring.mu_invariant(x)
     payload = {"mu": mu}
     if x.delta == 1:
@@ -231,10 +237,7 @@ def cmd_mu(args) -> int:
 
 
 def cmd_specialize(args) -> int:
-    obj = serialize.read_artifact(args.element)
-    if isinstance(obj, dict) and "value" in obj:
-        obj = obj["value"]
-    x = serialize.groupring_from_json(obj)
+    x = _read_element(args.element)
     char = json.loads(args.character)
     m = char.get("m") if isinstance(char, dict) else None
     # the layer check comes before the character computes p^m

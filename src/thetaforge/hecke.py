@@ -3,16 +3,15 @@ operators (adjacency sum and non-backtracking transfer), the passage from a
 vertex eigenfunction to an edge eigenfunction, seeded eigen-extensions, and
 the congruence-to-a-constant invariant.
 
-A form is one table of values on one stored ball: residues mod p^k wrapped
-as PrecisionInt, in a dict keyed by the ball's vertices or directed edges.
-Every kernel builds its output table in bulk with PrecisionInt.table, which
-checks the precision once per table rather than once per value.  Every
-kernel reads the table into a list indexed by the ball's vertex or
-edge ids and computes by index: a vertex's children are a contiguous id
-range, so the adjacency sum is a slice sum plus the parent's value, and the
-continuations of an edge are the child edges of its target (minus the edge
-back) plus the target's parent edge, so the transfer sums are read off one
-sum per vertex.
+A form is one flat tuple of residues mod p^k on one stored ball, indexed by
+the ball's ids: by vertex id for a vertex form, and by edge id for an edge
+form, where child c gives 2c - 2 for (parent -> c) and 2c - 1 for
+(c -> parent).  A slot is None where a partial form, such as the transfer
+operator's output, has no value.  Every kernel computes on that tuple by
+index: a vertex's children are a contiguous id range, so the adjacency sum
+is a slice sum plus the parent's value, and the continuations of an edge are
+the child edges of its target (minus the edge back) plus the target's parent
+edge, so the transfer sums are read off one sum per vertex.
 """
 
 from __future__ import annotations
@@ -55,23 +54,51 @@ class EigenData:
 
 
 @dataclass(frozen=True)
-class VertexForm:
+class _Form:
+    """Residues mod p^k by the ids of a ball's points, None where there is no value."""
+
     p: int
     k: int
     domain: Ball
-    # a 1-tuple holding the dict Vertex -> PrecisionInt, because
-    # bench/child.py reads tables[0]; once the benchmark reads values through
-    # an accessor, one flat list by vertex id replaces it
-    tables: tuple
+    values: tuple
+
+    def __post_init__(self):
+        if self.k < 1:
+            raise ValueError("precision exponent must be >= 1")
+        if len(self.values) != self.slots():
+            raise ValueError(f"{type(self).__name__} on a ball of {self.domain.size} "
+                             f"vertices takes {self.slots()} values, not {len(self.values)}")
+
+    @property
+    def tables(self) -> tuple:
+        """The 1-tuple of the dict point -> PrecisionInt(p, k, r) over the
+        points with a value, in id order, built anew on each read.  This
+        read-only view exists for bench/child.py until ROADMAP item 1 moves
+        the benchmark off it; nothing in the package reads it."""
+        p, k = self.p, self.k
+        return ({w: PrecisionInt(p, k, r)
+                 for w, r in zip(self.points(), self.values) if r is not None},)
 
 
-@dataclass(frozen=True)
-class EdgeForm:
-    p: int
-    k: int
-    domain: Ball
-    # a 1-tuple holding the dict DirectedEdge -> PrecisionInt, as in VertexForm
-    tables: tuple
+class VertexForm(_Form):
+    """A form on the vertices of its ball, values[i] at vertex id i."""
+
+    def slots(self) -> int:
+        return self.domain.size
+
+    def points(self):
+        return self.domain.vertices()
+
+
+class EdgeForm(_Form):
+    """A form on the directed edges of its ball, values[e] at edge id e: child
+    c gives 2c - 2 for (parent -> c) and 2c - 1 for (c -> parent)."""
+
+    def slots(self) -> int:
+        return 2 * self.domain.size - 2
+
+    def points(self):
+        return self.domain.directed_edges()
 
 
 def _shrunk_ball(b: Ball) -> Ball:
@@ -80,25 +107,12 @@ def _shrunk_ball(b: Ball) -> Ball:
     return replace(b, radius=b.radius - 1, spheres=b.spheres[: b.radius])
 
 
-def _vertex_residues(f) -> list:
-    """The residues as a list indexed by vertex id.  Every vertex of the
-    ball carries a value, and a key outside it is a KeyError."""
-    b, (table,) = f.domain, f.tables
-    vals = [table[v].residue for v in b.vertices()]
-    if len(table) != b.size:    # every vertex has a value, so a key lies outside
-        raise KeyError(next(v for v in table if b.ids.get(v, b.size) >= b.size))
-    return vals
-
-
-def _edge_residues(f) -> list:
-    """The residues as a list indexed by edge id, None at an edge without a
-    value.  A key outside the ball is a KeyError."""
-    b, (table,) = f.domain, f.tables
-    edges = b.edges[: 2 * b.size - 2]
-    vals = [None if x is None else x.residue for x in map(table.get, edges)]
-    if len(table) != len(vals) - vals.count(None):
-        inside = set(edges)
-        raise KeyError(next(e for e in table if e not in inside))
+def _every_value(f: VertexForm) -> tuple:
+    """The values of a vertex form with one at every vertex; a vertex
+    without one is a KeyError."""
+    vals = f.values
+    if None in vals:
+        raise KeyError(list(f.points())[vals.index(None)])
     return vals
 
 
@@ -107,21 +121,21 @@ def hecke_T(f: VertexForm) -> VertexForm:
     if f.domain.radius < 1:
         raise EmptyDomain("adjacency sum needs radius >= 1")
     inner = _shrunk_ball(f.domain)
-    p, k, n = f.p, f.k, inner.size
+    mod, n = f.p**f.k, inner.size
     cs, par = f.domain.child_start, f.domain.parents
-    vals = _vertex_residues(f)
+    vals = _every_value(f)
     # the center has no parent
-    sums = [sum(vals[cs[0]:cs[1]])] + [
-        sum(vals[lo:hi]) + vals[q]
+    sums = [sum(vals[cs[0]:cs[1]]) % mod] + [
+        (sum(vals[lo:hi]) + vals[q]) % mod
         for lo, hi, q in zip(cs[1:n], cs[2:n + 1], par[1:n])
     ]
-    return VertexForm(p, k, inner, (PrecisionInt.table(p, k, zip(inner.vertices(), sums)),))
+    return VertexForm(f.p, f.k, inner, tuple(sums))
 
 
 def hecke_U(f: EdgeForm) -> EdgeForm:
     """(U f)(e) = sum of f over the p continuations of e (the edge back excluded).
 
-    Defined on the edges of the table whose p continuations all carry
+    Defined on the edges of the form whose p continuations all carry
     values, so repeated application keeps shrinking the edge set inward.
     Edges into the boundary sphere have no continuations inside the ball and
     are skipped.  The continuations of (s -> t) are the ball's edges leaving
@@ -132,7 +146,7 @@ def hecke_U(f: EdgeForm) -> EdgeForm:
     b = f.domain
     if b.radius < 1:
         raise EmptyDomain("transfer sum needs radius >= 1")
-    p, k, n = f.p, f.k, b.size
+    p, mod, n = f.p, f.p**f.k, b.size
     cs, par = b.child_start, b.parents
     inner = n - len(b.spheres[-1])      # ids 0..inner-1 are off the boundary sphere
     kids = [cs[i + 1] - cs[i] for i in range(inner)]
@@ -140,29 +154,25 @@ def hecke_U(f: EdgeForm) -> EdgeForm:
         if count != p + (i == 0):
             raise InvariantViolation(
                 f"vertex id {i} has {count + (i > 0)} neighbors in the ball, expected {p + 1}")
-    vals = _edge_residues(f)
+    vals = f.values
     # by child id c: whether (parent -> c) and (c -> parent) carry values;
     # id 0 pads the center, which has no parent edge
     has_down = [True] + [x is not None for x in vals[0::2]]
     has_up = [True] + [x is not None for x in vals[1::2]]
     missing = [count - sum(has_down[cs[i]:cs[i + 1]]) for i, count in enumerate(kids)]
-    defined = []
-    for c in range(1, n):
-        s = par[c]
-        if c < inner and has_down[c] and not missing[c]:
-            defined.append(2 * c - 2)
-        if has_up[c] and has_up[s] and missing[s] == (not has_down[c]):
-            defined.append(2 * c - 1)
-    if not defined:
-        raise EmptyDomain("no edge has all its continuations in the domain")
     down = [0] + [x or 0 for x in vals[0::2]]
     up = [0] + [x or 0 for x in vals[1::2]]
     child_sums = [sum(down[cs[i]:cs[i + 1]]) for i in range(inner)] + [0] * (n - inner)
-    sums = [0] * (2 * n - 2)
-    sums[0::2] = child_sums[1:]
-    sums[1::2] = [child_sums[s] - x + up[s] for s, x in zip(par[1:n], down[1:])]
-    table = PrecisionInt.table(p, k, ((b.edges[e], sums[e]) for e in defined))
-    return EdgeForm(p, k, f.domain, (table,))
+    out = [None] * (2 * n - 2)
+    for c in range(1, n):
+        s = par[c]
+        if c < inner and has_down[c] and not missing[c]:
+            out[2 * c - 2] = child_sums[c] % mod
+        if has_up[c] and has_up[s] and missing[s] == (not has_down[c]):
+            out[2 * c - 1] = (child_sums[s] - down[c] + up[s]) % mod
+    if out.count(None) == len(out):
+        raise EmptyDomain("no edge has all its continuations in the domain")
+    return EdgeForm(f.p, f.k, b, tuple(out))
 
 
 def stabilize(f0: VertexForm, eigen: EigenData) -> EdgeForm:
@@ -178,15 +188,14 @@ def stabilize(f0: VertexForm, eigen: EigenData) -> EdgeForm:
     p, k, alpha = f0.p, f0.k, eigen.alpha.residue
     if (eigen.alpha.p, eigen.alpha.k) != (p, k):
         raise ValueError("mixed (p, k) arithmetic is not defined")
-    b = f0.domain
+    b, mod = f0.domain, p**k
     n = b.size
     par = b.parents
-    vals = _vertex_residues(f0)
+    vals = _every_value(f0)
     phi = [0] * (2 * n - 2)
-    # child c: (parent -> c) at 2c - 2, (c -> parent) at 2c - 1
-    phi[0::2] = [vals[q] - alpha * x for q, x in zip(par[1:n], vals[1:])]
-    phi[1::2] = [x - alpha * vals[q] for q, x in zip(par[1:n], vals[1:])]
-    return EdgeForm(p, k, b, (PrecisionInt.table(p, k, zip(b.edges, phi)),))
+    phi[0::2] = [(vals[q] - alpha * x) % mod for q, x in zip(par[1:n], vals[1:])]
+    phi[1::2] = [(x - alpha * vals[q]) % mod for q, x in zip(par[1:n], vals[1:])]
+    return EdgeForm(p, k, b, tuple(phi))
 
 
 def local_eigen_extend(p: int, k: int, ap: int, radius: int, seed: int) -> VertexForm:
@@ -212,20 +221,20 @@ def local_eigen_extend(p: int, k: int, ap: int, radius: int, seed: int) -> Verte
         drawn = [rng.randrange(mod) for _ in range(hi - lo)]
         vals[lo:hi] = drawn
         vals[hi] = (need - sum(drawn)) % mod
-    return VertexForm(p, k, b, (PrecisionInt.table(p, k, zip(b.vertices(), vals)),))
+    return VertexForm(p, k, b, tuple(vals))
 
 
 def scale_form(f, factor: int):
     """Multiply every value of a vertex or edge form by an integer."""
-    (table,) = f.tables
-    pairs = ((w, val.residue * factor) for w, val in table.items())
-    return type(f)(f.p, f.k, f.domain, (PrecisionInt.table(f.p, f.k, pairs),))
+    mod = f.p**f.k
+    vals = tuple(None if x is None else x * factor % mod for x in f.values)
+    return type(f)(f.p, f.k, f.domain, vals)
 
 
 def nu_invariant(f) -> int:
     """Largest c <= k such that all values agree modulo p^c: the valuation
     of the gcd of p^k and their differences."""
-    values = [x.residue for x in f.tables[0].values()]
+    values = [x for x in f.values if x is not None]
     if not values:
         raise EmptyDomain("form has no values")
     base = values[0]

@@ -155,7 +155,7 @@ def from_tree(form, torus: QuadraticTorus, eigen: EigenData, n_max: int,
         if shift.k < n_max:
             raise PrecisionExhausted(f"shift known mod p^{shift.k} < p^{n_max}")
     p, k = form.p, form.k
-    values = form.tables[0]
+    values = form.values
     start = 0 if mode == "vertex" else 1
     levels: list = [None] * (n_max + 1)
     fibers: list = [None] * (n_max + 1)
@@ -164,10 +164,10 @@ def from_tree(form, torus: QuadraticTorus, eigen: EigenData, n_max: int,
     below = above = None        # vertex ids and keys of the labels one level down
     for j in range(n_max + 1):
         tab = orbit_table(torus, j, "vertex")
+        ids = {lbl: b.ids[w] for lbl, w in tab.images.items()}   # depth j <= radius
         if mode == "edge":
             # the image of e_j under h is the ball edge into h v_j, so its
             # source must be the parent label's image of v_(j-1)
-            ids = {lbl: b.ids[w] for lbl, w in tab.images.items()}   # depth j <= radius
             for lbl in tab.labels if j else ():
                 if b.parents[ids[lbl]] != below[tab.parents[lbl]]:
                     raise InvariantViolation(
@@ -175,17 +175,19 @@ def from_tree(form, torus: QuadraticTorus, eigen: EigenData, n_max: int,
             below = ids
         if j < start:
             continue
-        point = tab.images if mode == "vertex" else {
-            lbl: b.edges[2 * c - 2] for lbl, c in ids.items()}
+        # the edge into vertex c from its parent has edge id 2c - 2
+        slot = ids if mode == "vertex" else {lbl: 2 * c - 2 for lbl, c in ids.items()}
         s_lbl = None if shift is None else _canonical_pair(torus.p, j, shift.x, shift.y)
         keys, level, digits, fiber = {}, {}, {}, {}
         for lbl in tab.labels:
             key = keys[lbl] = f"{lbl[0]}:{lbl[1]}"
             at = lbl if s_lbl is None else _label_mul(torus, j, lbl, s_lbl)
-            level[key] = values[point[at]].residue
+            level[key] = values[slot[at]]
             digits[key] = tab.split_parts[lbl][1]
             if j > start:
                 fiber[key] = above[tab.parents[lbl]]
+        if None in level.values():
+            raise KeyError(f"the form has no value at an image of the level-{j} base point")
         levels[j], free[j] = level, digits
         if j > start:
             fibers[j] = fiber

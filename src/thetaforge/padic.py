@@ -38,10 +38,7 @@ from .util import capped_val, json_int, prime_int
 class PrecisionInt:
     """Residue in [0, p^k) with valuation semantics of the ring Z_p / p^k.
 
-    A single value checks k >= 1 and reduces its residue on construction.
-    A whole table of values at one (p, k), such as a form's, comes from
-    PrecisionInt.table, which checks k once per table and reduces each
-    residue once; its values are == to and hash as the single ones.
+    A value checks k >= 1 and reduces its residue on construction.
     """
 
     p: int
@@ -52,27 +49,6 @@ class PrecisionInt:
         if self.k < 1:
             raise ValueError("precision exponent must be >= 1")
         object.__setattr__(self, "residue", self.residue % self.p**self.k)
-
-    @staticmethod
-    def table(p: int, k: int, pairs) -> dict:
-        """The dict key -> PrecisionInt(p, k, r) over (key, r) in pairs.
-
-        k >= 1 is checked once, with the error a single value raises, and
-        each residue is reduced mod p^k once; the values are filled through
-        the slots, without a per-value __post_init__.
-        """
-        if k < 1:
-            raise ValueError("precision exponent must be >= 1")
-        mod = p**k
-        new, cls = object.__new__, PrecisionInt
-        set_p, set_k, set_r = cls.p.__set__, cls.k.__set__, cls.residue.__set__
-        out = {}
-        for key, r in pairs:
-            x = out[key] = new(cls)
-            set_p(x, p)
-            set_k(x, k)
-            set_r(x, r % mod)
-        return out
 
     @property
     def modulus(self) -> int:

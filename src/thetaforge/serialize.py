@@ -5,9 +5,12 @@ version; readers refuse unknown versions.  Artifact files are written under
 an output directory with content-hash names, so identical runs produce
 byte-identical files.
 
-A form carries one table of values.  Its artifact keeps the layout of the
-multi-component forms it replaced, "h": 1 and a one-element "values" list
-per entry, so form artifacts keep their bytes; a reader refuses any other h.
+A form is one flat tuple of residues by the ids of its ball's points.  Its
+artifact lists one entry per point with a value, by the point itself rather
+than its id, sorted by the point's exponents.  The artifact keeps the layout
+of the multi-component forms it replaced, "h": 1 and a one-element "values"
+list per entry, so form artifacts keep their bytes; a reader refuses any
+other h, and an entry whose "values" is not a list of one value.
 """
 
 from __future__ import annotations
@@ -105,18 +108,16 @@ def eigen_from_json(obj) -> EigenData:
 
 
 def form_to_json(f):
-    """One entry per evaluation point carrying its value."""
+    """One entry per point with a value, in the order of the point's exponents."""
     kind = "vertex" if isinstance(f, VertexForm) else "edge"
-    (table,) = f.tables
-    if kind == "vertex":
-        keys = sorted(table, key=lambda v: (v.a, v.b, v.u))
-    else:
-        keys = sorted(
-            table,
-            key=lambda e: (e.source.a, e.source.b, e.source.u,
-                           e.target.a, e.target.b, e.target.u),
-        )
-    entries = [{"w": w.to_json(), "values": [str(table[w].residue)]} for w in keys]
+
+    def exps(v):
+        return v.a, v.b, v.u
+
+    order = exps if kind == "vertex" else lambda e: exps(e.source) + exps(e.target)
+    pairs = sorted(((w, r) for w, r in zip(f.points(), f.values) if r is not None),
+                   key=lambda pair: order(pair[0]))
+    entries = [{"w": w.to_json(), "values": [str(r)]} for w, r in pairs]
     return {
         "p": f.p, "k": f.k, "h": 1, "kind": kind,
         "radius": f.domain.radius,
@@ -136,7 +137,7 @@ def form_from_json(obj):
         raise ValueError(f"a form carries one table of values, not h = {h}")
     center = Vertex.from_json(p, obj["center"])
     dom = ball(center, json_int(obj["radius"]))
-    residues = {}
+    residues, mod = {}, p**k
     for row in obj["entries"]:
         if obj["kind"] == "vertex":
             w = Vertex.from_json(p, row["w"])
@@ -149,10 +150,14 @@ def form_from_json(obj):
             raise ValueError(f"form entry {row['w']} lies outside the ball")
         if w in residues:
             raise ValueError(f"form entry {row['w']} repeats a point")
-        (val,) = row["values"]
-        residues[w] = json_int(val)
+        vals = row["values"]
+        if not (isinstance(vals, list) and len(vals) == 1):
+            raise ValueError(f"form entry {row['w']} must carry a list of one value, "
+                             f"not {vals!r}")
+        residues[w] = json_int(vals[0]) % mod
     cls = VertexForm if obj["kind"] == "vertex" else EdgeForm
-    return cls(p, k, dom, (PrecisionInt.table(p, k, residues.items()),))
+    points = dom.vertices() if cls is VertexForm else dom.directed_edges()
+    return cls(p, k, dom, tuple(map(residues.get, points)))
 
 
 def orbit_table_to_json(tab):

@@ -6,13 +6,13 @@ from thetaforge.hecke import EdgeForm, VertexForm
 
 def source_form(f0: VertexForm) -> EdgeForm:
     """Edge form e -> f0(source(e))."""
-    (table,) = f0.tables
-    out = {e: table[e.source] for e in f0.domain.directed_edges()}
-    return EdgeForm(f0.p, f0.k, f0.domain, (out,))
+    ids, vals = f0.domain.ids, f0.values
+    out = tuple(vals[ids[e.source]] for e in f0.domain.directed_edges())
+    return EdgeForm(f0.p, f0.k, f0.domain, out)
 
 
 def target_form(f0: VertexForm) -> EdgeForm:
     """Edge form e -> f0(target(e))."""
-    (table,) = f0.tables
-    out = {e: table[e.target] for e in f0.domain.directed_edges()}
-    return EdgeForm(f0.p, f0.k, f0.domain, (out,))
+    ids, vals = f0.domain.ids, f0.values
+    out = tuple(vals[ids[e.target]] for e in f0.domain.directed_edges())
+    return EdgeForm(f0.p, f0.k, f0.domain, out)

@@ -95,16 +95,17 @@ def test_03_stabilization_relation_chain():
             for seed in range(7):
                 f0 = local_eigen_extend(p, k, ap, radius, seed)
                 phi_s, phi_t = source_form(f0), target_form(f0)
-                u_s, u_t = hecke_U(phi_s), hecke_U(phi_t)
-                for e in u_s.tables[0]:
-                    assert u_s.tables[0][e] == phi_t.tables[0][e] * p
-                    assert u_t.tables[0][e] == phi_t.tables[0][e] * ap - phi_s.tables[0][e]
+                (s,), (t,) = phi_s.tables, phi_t.tables
+                (u_s,), (u_t,) = hecke_U(phi_s).tables, hecke_U(phi_t).tables
+                for e in u_s:
+                    assert u_s[e] == t[e] * p
+                    assert u_t[e] == t[e] * ap - s[e]
                 if ap % p != 0:
                     eig = EigenData.ordinary(p, k, ap)
                     phi = stabilize(f0, eig)
-                    u_phi = hecke_U(phi)
-                    for e in u_phi.tables[0]:
-                        assert u_phi.tables[0][e] == eig.alpha * phi.tables[0][e]
+                    (u_phi,), (ph,) = hecke_U(phi).tables, phi.tables
+                    for e in u_phi:
+                        assert u_phi[e] == eig.alpha * ph[e]
                 cases += 1
         assert cases == 21
 

@@ -150,9 +150,9 @@ class TestFormsAndSystems:
         _, edge_path = read_artifact_from_stdout(capsys)
         phi = serialize.form_from_json(serialize.read_artifact(edge_path, "form"))
         eig = EigenData.ordinary(3, 6, 1)
-        u_phi = hecke_U(phi)
-        for e in u_phi.tables[0]:
-            assert u_phi.tables[0][e] == eig.alpha * phi.tables[0][e]
+        (u_phi,), (ph,) = hecke_U(phi).tables, phi.tables
+        for e in u_phi:
+            assert u_phi[e] == eig.alpha * ph[e]
         assert run(["forms", "nu", "--form", form_path, "--out", str(tmp_path)]) == 0
         _, nu_path = read_artifact_from_stdout(capsys)
         assert "nu" in serialize.read_artifact(nu_path, "nu")
@@ -316,17 +316,23 @@ class TestFormsAndSystems:
         err = json.loads(capsys.readouterr().out.strip())
         assert err["error"]["type"] == "ValueError"
 
-    @pytest.mark.parametrize("damage,command", [
-        ("repeated", "stabilize"),      # the later value used to win
-        ("outside", "nu"),              # used to count the stray value
-        ("outside", "stabilize"),       # used to drop it
-        ("outside-edge", "nu"),
+    @pytest.mark.parametrize("damage,kind,command,detail", [
+        ("repeated", "vertex", "stabilize", "repeats a point"),   # the later value used to win
+        ("repeated", "vertex", "nu", "repeats a point"),
+        ("repeated", "edge", "nu", "repeats a point"),
+        ("outside", "vertex", "nu", "lies outside the ball"),     # used to count the stray value
+        ("outside", "vertex", "stabilize", "lies outside the ball"),  # used to drop it
+        ("outside", "edge", "nu", "lies outside the ball"),
+        ("not-adjacent", "edge", "nu", "adjacent"),
+        ("string-values", "vertex", "nu", "list of one value"),   # used to read "7" as 7
+        ("object-values", "vertex", "nu", "list of one value"),   # used to read {"7": 1} as 7
     ])
-    def test_stray_form_entry_is_a_typed_error(self, tmp_path, capsys, damage, command):
+    def test_stray_form_entry_is_a_typed_error(self, tmp_path, capsys, damage, kind, command,
+                                               detail):
         assert run(["forms", "eigen-extend", "--p", "3", "--k", "6", "--ap", "1",
                     "--radius", "2", "--seed", "2", "--out", str(tmp_path)]) == 0
         _, form_path = read_artifact_from_stdout(capsys)
-        if damage == "outside-edge":
+        if kind == "edge":
             assert run(["forms", "stabilize", "--form", form_path, "--ap", "1",
                         "--out", str(tmp_path)]) == 0
             _, form_path = read_artifact_from_stdout(capsys)
@@ -335,18 +341,25 @@ class TestFormsAndSystems:
         if damage == "repeated":
             entries.append({"w": entries[0]["w"],
                             "values": [str(int(entries[0]["values"][0]) + 1)]})
-        elif damage == "outside":
+        elif damage == "outside" and kind == "vertex":
             entries.append({"w": {"a": 5, "b": 0, "u": 0}, "values": ["1"]})
-        else:
+        elif damage == "outside":
             # (2,0,0) -> (3,0,0) runs from the boundary sphere out of the ball
             entries.append({"w": {"source": {"a": 2, "b": 0, "u": 0},
                                   "target": {"a": 3, "b": 0, "u": 0}}, "values": ["1"]})
+        elif damage == "not-adjacent":
+            # both ends lie in the ball, two steps apart
+            entries.append({"w": {"source": {"a": 0, "b": 0, "u": 0},
+                                  "target": {"a": 2, "b": 0, "u": 0}}, "values": ["1"]})
+        else:
+            entries[0]["values"] = "7" if damage == "string-values" else {"7": 1}
         bad_path = os.path.join(str(tmp_path), "bad.json")
         json.dump(obj, open(bad_path, "w"))
         extra = ["--ap", "1"] if command == "stabilize" else []
         assert run(["forms", command, "--form", bad_path, *extra, "--out", str(tmp_path)]) == 1
         err = json.loads(capsys.readouterr().out.strip())
         assert err["error"]["type"] == "ValueError"
+        assert detail in err["error"]["detail"]
 
     def test_specialize_and_mu(self, tmp_path, capsys):
         assert run(["synth", "--mode", "vertex", "--ap", "0", "--p", "3", "--k", "6",

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from thetaforge import serialize
 from thetaforge.errors import EmptyDomain, MissingEigenvalue
 from thetaforge.hecke import (
     EdgeForm,
@@ -15,20 +16,18 @@ from thetaforge.hecke import (
     stabilize,
 )
 from thetaforge.padic import PrecisionInt
-from thetaforge.tree import DirectedEdge, Vertex, ball, distance, neighbors, origin, sphere
+from thetaforge.tree import DirectedEdge, ball, distance, neighbors, origin
 from form_oracle import source_form, target_form
 
 
 def constant_vertex_form(p, k, radius, c=1):
     b = ball(origin(p), radius)
-    table = {v: PrecisionInt(p, k, c) for v in b.vertices()}
-    return VertexForm(p, k, b, (table,))
+    return VertexForm(p, k, b, (c,) * b.size)
 
 
 def constant_edge_form(p, k, radius, c=1):
     b = ball(origin(p), radius)
-    table = {e: PrecisionInt(p, k, c) for e in b.directed_edges()}
-    return EdgeForm(p, k, b, (table,))
+    return EdgeForm(p, k, b, (c,) * (2 * b.size - 2))
 
 
 class TestEigenData:
@@ -58,8 +57,8 @@ class TestHeckeT:
     def test_delta_becomes_sphere_indicator(self):
         p, k = 3, 5
         b = ball(origin(p), 2)
-        table = {v: PrecisionInt(p, k, 1 if v == origin(p) else 0) for v in b.vertices()}
-        tf = hecke_T(VertexForm(p, k, b, (table,)))
+        values = tuple(1 if v == origin(p) else 0 for v in b.vertices())
+        tf = hecke_T(VertexForm(p, k, b, values))
         for v, val in tf.tables[0].items():
             expected = 1 if v in b.spheres[1] else 0
             assert val.residue == expected
@@ -68,15 +67,14 @@ class TestHeckeT:
         rng = random.Random(0)
         p, k = 3, 6
         b = ball(origin(p), 2)
-        t1 = {v: PrecisionInt(p, k, rng.randrange(3**6)) for v in b.vertices()}
-        t2 = {v: PrecisionInt(p, k, rng.randrange(3**6)) for v in b.vertices()}
-        f1 = VertexForm(p, k, b, (t1,))
-        f2 = VertexForm(p, k, b, (t2,))
-        fsum = VertexForm(p, k, b, ({v: t1[v] + t2[v] for v in t1},))
-        lhs = hecke_T(fsum)
-        r1, r2 = hecke_T(f1), hecke_T(f2)
-        for v in lhs.tables[0]:
-            assert lhs.tables[0][v] == r1.tables[0][v] + r2.tables[0][v]
+        t1 = tuple(rng.randrange(3**6) for _ in range(b.size))
+        t2 = tuple(rng.randrange(3**6) for _ in range(b.size))
+        f1 = VertexForm(p, k, b, t1)
+        f2 = VertexForm(p, k, b, t2)
+        fsum = VertexForm(p, k, b, tuple((x + y) % 3**6 for x, y in zip(t1, t2)))
+        (lhs,), (r1,), (r2,) = (hecke_T(g).tables for g in (fsum, f1, f2))
+        for v in lhs:
+            assert lhs[v] == r1[v] + r2[v]
 
     def test_radius_zero_rejected(self):
         with pytest.raises(EmptyDomain):
@@ -98,15 +96,15 @@ class TestHeckeU:
         rng = random.Random(13)
         p, k = 3, 6
         b = ball(origin(p), 2)
-        edges = list(b.directed_edges())
-        t1 = {e: PrecisionInt(p, k, rng.randrange(3**6)) for e in edges}
-        t2 = {e: PrecisionInt(p, k, rng.randrange(3**6)) for e in edges}
-        fsum = EdgeForm(p, k, b, ({e: t1[e] + t2[e] for e in edges},))
-        lhs = hecke_U(fsum)
-        r1 = hecke_U(EdgeForm(p, k, b, (t1,)))
-        r2 = hecke_U(EdgeForm(p, k, b, (t2,)))
-        for e in lhs.tables[0]:
-            assert lhs.tables[0][e] == r1.tables[0][e] + r2.tables[0][e]
+        n = 2 * b.size - 2
+        t1 = tuple(rng.randrange(3**6) for _ in range(n))
+        t2 = tuple(rng.randrange(3**6) for _ in range(n))
+        fsum = EdgeForm(p, k, b, tuple((x + y) % 3**6 for x, y in zip(t1, t2)))
+        (lhs,) = hecke_U(fsum).tables
+        (r1,) = hecke_U(EdgeForm(p, k, b, t1)).tables
+        (r2,) = hecke_U(EdgeForm(p, k, b, t2)).tables
+        for e in lhs:
+            assert lhs[e] == r1[e] + r2[e]
 
     def test_single_edge_support_transposes(self):
         # U f supported on the p predecessors of the supported edge
@@ -114,8 +112,7 @@ class TestHeckeU:
         b = ball(origin(p), 2)
         edges = list(b.directed_edges())
         special = next(e for e in edges if e.source == origin(p))
-        table = {e: PrecisionInt(p, k, 1 if e == special else 0) for e in edges}
-        uf = hecke_U(EdgeForm(p, k, b, (table,)))
+        uf = hecke_U(EdgeForm(p, k, b, tuple(1 if e == special else 0 for e in edges)))
         support = 0
         for e, val in uf.tables[0].items():
             if val.residue:
@@ -147,21 +144,22 @@ class TestStabilize:
         for seed in range(3):
             f0 = local_eigen_extend(p, k, ap, radius, seed)
             phi_s, phi_t = source_form(f0), target_form(f0)
+            (s,), (t,) = phi_s.tables, phi_t.tables
             # (r1): U phi_s = q phi_t
-            u_s = hecke_U(phi_s)
-            for e in u_s.tables[0]:
-                assert u_s.tables[0][e] == phi_t.tables[0][e] * p
+            (u_s,) = hecke_U(phi_s).tables
+            for e in u_s:
+                assert u_s[e] == t[e] * p
             # (r2): U phi_t = a phi_t - phi_s
-            u_t = hecke_U(phi_t)
-            for e in u_t.tables[0]:
-                expected = phi_t.tables[0][e] * ap - phi_s.tables[0][e]
-                assert u_t.tables[0][e] == expected
+            (u_t,) = hecke_U(phi_t).tables
+            for e in u_t:
+                expected = t[e] * ap - s[e]
+                assert u_t[e] == expected
             # the stabilized form is a U-eigenvector with the unit root
             eig = EigenData.ordinary(p, k, ap)
             phi = stabilize(f0, eig)
-            u_phi = hecke_U(phi)
-            for e in u_phi.tables[0]:
-                assert u_phi.tables[0][e] == eig.alpha * phi.tables[0][e]
+            (u_phi,), (ph,) = hecke_U(phi).tables, phi.tables
+            for e in u_phi:
+                assert u_phi[e] == eig.alpha * ph[e]
 
     def test_alpha_squared_relation_drives_eigenvector(self):
         # alpha^2 = a alpha - q is what makes the chain close up
@@ -174,8 +172,9 @@ class TestLocalEigenExtend:
     def test_radius_one_single_constraint(self):
         p, k, ap = 3, 5, 2
         f = local_eigen_extend(p, k, ap, 1, seed=0)
-        total = sum(f.tables[0][w].residue for w in f.domain.spheres[1])
-        assert total % 3**5 == ap * f.tables[0][origin(p)].residue % 3**5
+        (t,) = f.tables
+        total = sum(t[w].residue for w in f.domain.spheres[1])
+        assert total % 3**5 == ap * t[origin(p)].residue % 3**5
 
     def test_supersingular_extension(self):
         f0 = local_eigen_extend(3, 6, 0, 3, seed=2)
@@ -187,9 +186,9 @@ class TestLocalEigenExtend:
         f2 = local_eigen_extend(3, 6, 1, 2, seed=1)
         assert f1.tables != f2.tables
         for f in (f1, f2):
-            tf = hecke_T(f)
-            for v in tf.tables[0]:
-                assert tf.tables[0][v] == f.tables[0][v] * 1
+            (tf,), (t,) = hecke_T(f).tables, f.tables
+            for v in tf:
+                assert tf[v] == t[v] * 1
 
 
 class TestNuInvariant:
@@ -199,26 +198,22 @@ class TestNuInvariant:
     def test_difference_of_p_squared(self):
         p, k = 3, 5
         b = ball(origin(p), 1)
-        verts = list(b.vertices())
-        table = {v: PrecisionInt(p, k, 9 if v == verts[0] else 0) for v in verts}
-        assert nu_invariant(VertexForm(p, k, b, (table,))) == 2
+        values = (9,) + (0,) * (b.size - 1)
+        assert nu_invariant(VertexForm(p, k, b, values)) == 2
 
     def test_three_values_derived(self):
         # values {1, 1+p, 5} at p = 3: min of val(3), val(4), val(1) = 0
         p, k = 3, 5
         b = ball(origin(p), 1)
-        verts = list(b.vertices())
-        vals = [1, 4, 5, 5, 5]
-        table = {v: PrecisionInt(p, k, vals[i]) for i, v in enumerate(verts)}
-        assert nu_invariant(VertexForm(p, k, b, (table,))) == 0
+        assert nu_invariant(VertexForm(p, k, b, (1, 4, 5, 5, 5))) == 0
 
     def test_shift_invariance_and_scaling(self):
         rng = random.Random(4)
         p, k = 3, 6
         b = ball(origin(p), 1)
-        table = {v: PrecisionInt(p, k, rng.randrange(3**6)) for v in b.vertices()}
-        f = VertexForm(p, k, b, (table,))
-        shifted = VertexForm(p, k, b, ({v: c + PrecisionInt(p, k, 17) for v, c in table.items()},))
+        values = tuple(rng.randrange(3**6) for _ in range(b.size))
+        f = VertexForm(p, k, b, values)
+        shifted = VertexForm(p, k, b, tuple((c + 17) % 3**6 for c in values))
         assert nu_invariant(shifted) == nu_invariant(f)
         assert nu_invariant(scale_form(f, p)) == min(k, nu_invariant(f) + 1)
 
@@ -230,8 +225,14 @@ class TestNuInvariant:
 def random_form(cls, p, k, radius, seed):
     rng = random.Random(seed)
     b = ball(origin(p), radius)
-    keys = list(b.vertices()) if cls is VertexForm else list(b.directed_edges())
-    return cls(p, k, b, ({w: PrecisionInt(p, k, rng.randrange(p**k)) for w in keys},))
+    n = b.size if cls is VertexForm else 2 * b.size - 2
+    return cls(p, k, b, tuple(rng.randrange(p**k) for _ in range(n)))
+
+
+def without(f, point):
+    """f with no value at one point of its ball."""
+    i = list(f.points()).index(point)
+    return type(f)(f.p, f.k, f.domain, f.values[:i] + (None,) + f.values[i + 1:])
 
 
 def residues(f):
@@ -342,7 +343,7 @@ class TestAgainstNeighborsReference:
         k = 6
         f = random_form(EdgeForm, p, k, radius, seed=draw_seed(radius + 10, draw))
         center = f.domain.center
-        del f.tables[0][DirectedEdge(center, neighbors(center)[0])]
+        f = without(f, DirectedEdge(center, neighbors(center)[0]))
         uf = hecke_U(f)
         once = reference_U(residues(f), p, k)
         assert residues(uf) == once
@@ -376,8 +377,7 @@ class TestAgainstNeighborsReference:
                 f = random_form(VertexForm, p, k, 2, seed=seed)
                 # values congruent to 5 mod p^c
                 g = scale_form(f, p**c)
-                g = VertexForm(p, k, g.domain, (
-                    {v: x + PrecisionInt(p, k, 5) for v, x in g.tables[0].items()},))
+                g = VertexForm(p, k, g.domain, tuple((x + 5) % p**k for x in g.values))
                 assert nu_invariant(g) == reference_nu(g)
                 assert nu_invariant(f) == reference_nu(f)
                 phi = stabilize(g, EigenData.ordinary(p, k, 1))
@@ -386,92 +386,84 @@ class TestAgainstNeighborsReference:
         b = ball(origin(p), 1)
         for c in range(k):
             for w in b.vertices():
-                f = VertexForm(p, k, b, (
-                    {v: PrecisionInt(p, k, 7 + (p**c if v == w else 0)) for v in b.vertices()},))
+                f = VertexForm(p, k, b, tuple(
+                    (7 + (p**c if v == w else 0)) % p**k for v in b.vertices()))
                 assert nu_invariant(f) == reference_nu(f) == c
 
     @pytest.mark.parametrize("p", [2, 3])
-    def test_entry_outside_the_ball_raises(self, p):
+    def test_wrong_number_of_values_raises(self, p):
+        # a form has one slot per vertex or edge id of its ball, so there is
+        # no slot for a value outside it
         k = 6
         f = random_form(VertexForm, p, k, 2, seed=1)
-        far = sphere(origin(p), 3)[0]
-        f.tables[0][far] = PrecisionInt(p, k, 1)
-        with pytest.raises(KeyError):
-            hecke_T(f)
-        with pytest.raises(KeyError):
-            stabilize(f, EigenData.ordinary(p, k, 1))
-        # a vertex of the full ball beyond the radius T shrank it to
         tf = hecke_T(random_form(VertexForm, p, k, 2, seed=2))
-        tf.tables[0][Vertex(p, 0, 2, 0)] = PrecisionInt(p, k, 1)
-        with pytest.raises(KeyError):
-            hecke_T(tf)
-        with pytest.raises(KeyError):
-            stabilize(tf, EigenData.ordinary(p, k, 1))
         g = random_form(EdgeForm, p, k, 2, seed=3)
-        g.tables[0][DirectedEdge(far, neighbors(far)[0])] = PrecisionInt(p, k, 1)
-        with pytest.raises(KeyError):
-            hecke_U(g)
-        # an edge out of the boundary sphere leaves the ball too
-        rim = f.domain.spheres[2][0]
-        outward = next(w for w in neighbors(rim) if distance(origin(p), w) == 3)
-        g = random_form(EdgeForm, p, k, 2, seed=4)
-        g.tables[0][DirectedEdge(rim, outward)] = PrecisionInt(p, k, 1)
-        with pytest.raises(KeyError):
-            hecke_U(g)
-        # and on the shrunk ball of a form T left, an edge of the full ball
-        # beyond the radius
-        inner = hecke_T(random_form(VertexForm, p, k, 2, seed=5))
-        phi = stabilize(inner, EigenData.ordinary(p, k, 1))
+        phi = stabilize(tf, EigenData.ordinary(p, k, 1))
         assert phi.domain.radius == 1
-        inward = next(w for w in neighbors(rim) if distance(origin(p), w) == 1)
-        phi.tables[0][DirectedEdge(rim, inward)] = PrecisionInt(p, k, 1)
-        with pytest.raises(KeyError):
-            hecke_U(phi)
+        for h in (f, tf, g, phi):
+            for values in (h.values + (1,), h.values[:-1], ()):
+                with pytest.raises(ValueError, match="values"):
+                    type(h)(p, k, h.domain, values)
+            with pytest.raises(ValueError, match="precision exponent must be >= 1"):
+                type(h)(p, 0, h.domain, h.values)
+        with pytest.raises(ValueError, match="precision exponent must be >= 1"):
+            local_eigen_extend(p, 0, 1, 2, seed=1)
 
     def test_missing_vertex_value_raises(self):
         f = random_form(VertexForm, 3, 5, 2, seed=5)
-        del f.tables[0][f.domain.center]
+        f = without(f, f.domain.center)
         with pytest.raises(KeyError):
             hecke_T(f)
+        with pytest.raises(KeyError):
+            stabilize(f, EigenData.ordinary(3, 5, 1))
 
 
-def assert_table_of_single_values(f, expected):
-    """f's table is, value by value, the dict of PrecisionInt(p, k, r) over
-    the expected residues: equal, hashing alike, reduced, of f's (p, k)."""
+def assert_view(f, expected):
+    """f.tables is the 1-tuple of the dict of PrecisionInt(p, k, r) over the
+    expected residues, keyed in the id order of f's ball, one key per slot
+    with a value."""
     (table,) = f.tables
-    single = {w: PrecisionInt(f.p, f.k, r) for w, r in expected.items()}
+    single = {w: PrecisionInt(f.p, f.k, expected[w]) for w in f.points() if w in expected}
+    assert len(single) == len(expected)
     assert table == single
     assert list(table) == list(single)
+    assert len(table) == len(f.values) - f.values.count(None)
+    # the stored residues are reduced, not only the view's values
+    assert all(r is None or 0 <= r < f.p**f.k for r in f.values)
     for w, x in table.items():
         assert type(x) is PrecisionInt and (x.p, x.k) == (f.p, f.k)
-        assert 0 <= x.residue < f.p**f.k
         assert hash(x) == hash(single[w])
 
 
-class TestBulkTables:
-    # the kernels build their tables with PrecisionInt.table; each must equal
-    # the table built one PrecisionInt at a time from the reference residues
+class TestTablesView:
+    # bench/child.py reads forms through the tables view; each kernel's view
+    # must equal the dict built from the reference residues
     @pytest.mark.parametrize("p", [2, 3, 5])
     @pytest.mark.parametrize("radius", [1, 2, 3])
     @pytest.mark.parametrize("draw", [1, 2])
-    def test_kernel_tables_match_single_values(self, p, radius, draw):
+    def test_view_matches_the_references(self, p, radius, draw):
         k = 7
         eig = EigenData.ordinary(p, k, 1)
         f = random_form(VertexForm, p, k, radius, seed=draw_seed(radius + 30, draw))
-        assert_table_of_single_values(hecke_T(f), reference_T(f))
+        tf = hecke_T(f)
+        assert_view(tf, reference_T(f))
         phi = stabilize(f, eig)
-        want = reference_stabilize(f, eig.alpha.residue)
-        assert_table_of_single_values(phi, {e: want[e] for e in phi.tables[0]})
+        assert_view(phi, reference_stabilize(f, eig.alpha.residue))
         g = random_form(EdgeForm, p, k, radius, seed=draw_seed(radius + 40, draw))
         ug = hecke_U(g)
-        want = reference_U(residues(g), p, k)
-        assert_table_of_single_values(ug, {e: want[e] for e in ug.tables[0]})
+        assert_view(ug, reference_U(residues(g), p, k))
+        center = g.domain.center
+        partial = without(g, DirectedEdge(center, neighbors(center)[0]))
+        up = hecke_U(partial)
+        assert_view(up, reference_U(residues(partial), p, k))
         extended = local_eigen_extend(p, k, 1, radius, seed=draw)
-        want = reference_eigen_extend(p, k, 1, radius, draw)
-        assert_table_of_single_values(extended, {v: want[v] for v in extended.tables[0]})
-        for h in (f, phi, g):
+        assert_view(extended, reference_eigen_extend(p, k, 1, radius, draw))
+        for h in (f, tf, phi, ug, up, extended):
+            back = serialize.form_from_json(serialize.form_to_json(h))
+            assert back == h
+            assert_view(back, residues(h))
+        for h in (f, phi, g, up):
             for factor in (0, 1, -1, p, p**k + 2, -(p ** (2 * k)) - 3):
                 scaled = scale_form(h, factor)
                 assert type(scaled) is type(h) and scaled.domain is h.domain
-                assert_table_of_single_values(
-                    scaled, {w: x.residue * factor for w, x in h.tables[0].items()})
+                assert_view(scaled, {w: x.residue * factor for w, x in h.tables[0].items()})

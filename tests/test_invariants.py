@@ -27,7 +27,7 @@ def test_hecke_u_needs_p_continuations(monkeypatch):
     real = tree.neighbors
     monkeypatch.setattr(tree, "neighbors", lambda v: real(v)[:-1])
     b = tree.ball(tree.origin(p), 2)
-    form = EdgeForm(p, k, b, ({e: PrecisionInt(p, k, 1) for e in b.directed_edges()},))
+    form = EdgeForm(p, k, b, (1,) * (2 * b.size - 2))
     with pytest.raises(InvariantViolation):
         hecke_U(form)
 

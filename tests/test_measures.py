@@ -16,6 +16,7 @@ from thetaforge.hecke import (
     EdgeForm,
     EigenData,
     VertexForm,
+    hecke_U,
     local_eigen_extend,
     scale_form,
     stabilize,
@@ -48,12 +49,12 @@ def bumped(s, j, lbl, by):
 
 def constant_vertex_form(p, k, radius, c=1):
     b = ball(origin(p), radius)
-    return VertexForm(p, k, b, ({v: PrecisionInt(p, k, c) for v in b.vertices()},))
+    return VertexForm(p, k, b, (c,) * b.size)
 
 
 def constant_edge_form(p, k, radius, c=1):
     b = ball(origin(p), radius)
-    return EdgeForm(p, k, b, ({e: PrecisionInt(p, k, c) for e in b.directed_edges()},))
+    return EdgeForm(p, k, b, (c,) * (2 * b.size - 2))
 
 
 class TestFromTree:
@@ -107,12 +108,20 @@ class TestFromTree:
         b = ball(Vertex(p, 1, 1, 1), 4)
         eig = EigenData.ordinary(p, k, 1)
         if mode == "vertex":
-            form = VertexForm(p, k, b, ({v: PrecisionInt(p, k, 1) for v in b.vertices()},))
+            form = VertexForm(p, k, b, (1,) * b.size)
         else:
-            form = EdgeForm(p, k, b, ({e: PrecisionInt(p, k, 1)
-                                         for e in b.directed_edges()},))
+            form = EdgeForm(p, k, b, (1,) * (2 * b.size - 2))
         with pytest.raises(ValueError, match="origin"):
             from_tree(form, TORUS3, eig, 2)
+
+    def test_missing_value_at_an_image_raises(self):
+        # U leaves no value on the edges into the boundary sphere, which
+        # level 3 reads on the radius-3 ball
+        p, k = 3, 6
+        eig = EigenData.ordinary(p, k, 1)
+        u_phi = hecke_U(stabilize(local_eigen_extend(p, k, 1, 3, seed=1), eig))
+        with pytest.raises(KeyError):
+            from_tree(u_phi, TORUS3, eig, 3)
 
     def test_small_ball_rejected(self):
         p, k = 3, 6

@@ -146,8 +146,9 @@ def reference_shifted_levels(form, torus, n_max: int, shift) -> list:
     mode = "vertex" if isinstance(form, VertexForm) else "edge"
     start = 0 if mode == "vertex" else 1
     levels = [None] * (n_max + 1)
+    (table,) = form.tables
     for j in range(start, n_max + 1):
         base = act(shift, verts[j] if mode == "vertex" else edges[j - 1])
         images = reference_orbit_images(torus, j, mode, base=base)
-        levels[j] = {f"{x}:{y}": form.tables[0][w].residue for (x, y), w in images.items()}
+        levels[j] = {f"{x}:{y}": table[w].residue for (x, y), w in images.items()}
     return levels
