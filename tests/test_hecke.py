@@ -467,3 +467,20 @@ class TestTablesView:
                 scaled = scale_form(h, factor)
                 assert type(scaled) is type(h) and scaled.domain is h.domain
                 assert_view(scaled, {w: x.residue * factor for w, x in h.tables[0].items()})
+
+    @pytest.mark.parametrize("form_type", [VertexForm, EdgeForm])
+    def test_forms_and_view_stay_frozen(self, form_type):
+        f = random_form(form_type, 3, 4, 2, seed=9)
+        before = residues(f)
+        with pytest.raises(AttributeError):
+            f.values = f.values[::-1]
+        with pytest.raises(TypeError):
+            f.values[0] = 1
+        (table,) = f.tables
+        w = next(iter(table))
+        with pytest.raises(AttributeError):
+            table[w].residue = 1
+        # the view is built anew on each read, so editing one read leaves f as it was
+        table.clear()
+        assert residues(f) == before
+        assert len(f.tables[0]) == len(f.values)

@@ -41,6 +41,32 @@ class TestPrecisionInt:
         with pytest.raises(ValueError, match="precision exponent must be >= 1"):
             P(3, 0, 1)
 
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    @pytest.mark.parametrize("k", [1, 3, 40])
+    def test_reduction_at_the_edges_of_the_range(self, p, k):
+        mod = p**k
+        rng = random.Random(p * 100 + k)
+        residues = [0, 1, -1, mod - 1, mod, mod + 1, -mod, -mod - 1, 7 * mod + 3,
+                    -(mod**2) + 5]
+        residues += [rng.randrange(-3 * mod, 3 * mod) for _ in range(30)]
+        for r in residues:
+            x = P(p, k, r)
+            assert (x.p, x.k, x.residue) == (p, k, r % mod)
+            assert 0 <= x.residue < mod
+            # every representative of the class is the same value
+            for other in (r + mod, r - 5 * mod, r % mod):
+                y = P(p, k, other)
+                assert x == y and y == x
+                assert hash(x) == hash(y)
+        # the values work as dict keys and set members interchangeably
+        assert {P(p, k, r) for r in residues} == {P(p, k, r % mod) for r in residues}
+
+    def test_values_stay_frozen(self):
+        x = P(3, 2, 4)
+        with pytest.raises(AttributeError):
+            x.residue = 5
+        assert x.residue == 4
+
     def test_valuation_semantics(self):
         assert P(3, 4, 18).valuation() == 2
         assert P(3, 4, 0).valuation() == 4  # zero to precision, never infinity
