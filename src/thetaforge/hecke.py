@@ -11,7 +11,8 @@ operator's output, has no value.  Every kernel computes on that tuple by
 index: a vertex's children are a contiguous id range, so the adjacency sum
 is a slice sum plus the parent's value, and the continuations of an edge are
 the child edges of its target (minus the edge back) plus the target's parent
-edge, so the transfer sums are read off one sum per vertex.
+edge, so the transfer sums are read off one sum per vertex.  The kernels
+read only the ball's arithmetic id tables and sizes, never its tree objects.
 """
 
 from __future__ import annotations
@@ -20,9 +21,9 @@ import math
 import random
 from dataclasses import dataclass, replace
 
-from .errors import EmptyDomain, InvariantViolation, MissingEigenvalue
+from .errors import EmptyDomain, MissingEigenvalue
 from .padic import PrecisionInt, hensel_unit_root
-from .tree import Ball, ball, origin
+from .tree import Ball, ball, ball_size, origin
 from .util import capped_val
 
 
@@ -104,7 +105,7 @@ class EdgeForm(_Form):
 def _shrunk_ball(b: Ball) -> Ball:
     if b.radius == 0:
         raise EmptyDomain("cannot shrink a radius-0 ball")
-    return replace(b, radius=b.radius - 1, spheres=b.spheres[: b.radius])
+    return replace(b, radius=b.radius - 1)
 
 
 def _every_value(f: VertexForm) -> tuple:
@@ -148,12 +149,8 @@ def hecke_U(f: EdgeForm) -> EdgeForm:
         raise EmptyDomain("transfer sum needs radius >= 1")
     p, mod, n = f.p, f.p**f.k, b.size
     cs, par = b.child_start, b.parents
-    inner = n - len(b.spheres[-1])      # ids 0..inner-1 are off the boundary sphere
+    inner = ball_size(p, b.radius - 1)  # ids 0..inner-1 are off the boundary sphere
     kids = [cs[i + 1] - cs[i] for i in range(inner)]
-    for i, count in enumerate(kids):
-        if count != p + (i == 0):
-            raise InvariantViolation(
-                f"vertex id {i} has {count + (i > 0)} neighbors in the ball, expected {p + 1}")
     vals = f.values
     # by child id c: whether (parent -> c) and (c -> parent) carry values;
     # id 0 pads the center, which has no parent edge
@@ -214,7 +211,7 @@ def local_eigen_extend(p: int, k: int, ap: int, radius: int, seed: int) -> Verte
     cs, par, n = b.child_start, b.parents, b.size
     rng = random.Random(seed * 1000003)
     vals = [rng.randrange(mod)] + [0] * (n - 1)
-    for v in range(n - len(b.spheres[radius])):
+    for v in range(ball_size(p, radius - 1)):
         # the center has no parent, which contributes 0
         need = a * vals[v] - (vals[par[v]] if v else 0)
         lo, hi = cs[v], cs[v + 1] - 1

@@ -13,8 +13,9 @@ tests it.
 
 from_tree reads a tower off a form on a ball centered at the origin, which
 the inert torus fixes: the image of the base vertex v_j under a label h is a
-ball vertex at depth j, and the image of the base edge e_j is the ball edge
-into h v_j, whose source is the parent label's image of v_(j-1).
+ball vertex at depth j, whose id torus.orbit_ids gives in closed form, and
+the image of the base edge e_j is the ball edge into h v_j, whose source is
+the parent label's image of v_(j-1).
 """
 
 from __future__ import annotations
@@ -32,11 +33,21 @@ from .errors import (
     NotOrdinary,
     NotSupersingular,
     PrecisionExhausted,
+    TransitivityViolation,
     UnsupportedDelta,
 )
 from .groupring import GroupRingElement, QuotientClass, _axis_map, divide_omega_tilde, star
 from .hecke import EigenData, VertexForm
-from .torus import QuadraticTorus, TorusElement, _canonical_pair, _label_mul, orbit_table
+from .torus import (
+    QuadraticTorus,
+    TorusElement,
+    _canonical_pair,
+    _label_mul,
+    _parent_labels,
+    coset_decomposition,
+    coset_labels,
+    orbit_ids,
+)
 from .tree import origin
 
 
@@ -133,12 +144,15 @@ class PadicLFunction:
 
 def from_tree(form, torus: QuadraticTorus, eigen: EigenData, n_max: int,
               shift: TorusElement | None = None) -> CompatibleSystem:
-    """Read a compatible system off the orbit tables: c_j(h) = form(h * w_j).
+    """Read a compatible system off the torus orbits: c_j(h) = form(h * w_j).
 
     The form must be a local eigen-extension (vertex mode) or a stabilized
     eigen edge form (edge mode) defined on a ball of radius >= n_max around
-    the origin.  With a shift s the base points are s * w_j; the torus is
-    commutative, so label h reads the standard orbit at the label h * s.
+    the origin.  Each label's value is read at the ball id of its image,
+    which orbit_ids gives in closed form: no tree object is built or looked
+    up, so the ball's object views stay unbuilt.  With a shift s the base
+    points are s * w_j; the torus is commutative, so label h reads the
+    standard orbit at the label h * s.
     """
     if torus.kind != "inert":
         raise ValueError("genuine systems are built for the inert kind")
@@ -163,35 +177,40 @@ def from_tree(form, torus: QuadraticTorus, eigen: EigenData, n_max: int,
     level_exp = tuple(max(j - 1, 0) for j in range(n_max + 1))
     below = above = None        # vertex ids and keys of the labels one level down
     for j in range(n_max + 1):
-        tab = orbit_table(torus, j, "vertex")
-        ids = {lbl: b.ids[w] for lbl, w in tab.images.items()}   # depth j <= radius
+        labels = coset_labels(torus, j)
+        ids = dict(zip(labels, orbit_ids(torus, j)))       # depth j <= radius
+        if len(set(ids.values())) != len(labels):
+            raise TransitivityViolation(f"two level-{j} cosets agree on the base point")
+        parents = _parent_labels(torus.p, j, labels)
         if mode == "edge":
             # the image of e_j under h is the ball edge into h v_j, so its
             # source must be the parent label's image of v_(j-1)
-            for lbl in tab.labels if j else ():
-                if b.parents[ids[lbl]] != below[tab.parents[lbl]]:
+            for lbl in labels if j else ():
+                if b.parents[ids[lbl]] != below[parents[lbl]]:
                     raise InvariantViolation(
                         f"the image of the level-{j} base edge under {lbl} is not a ball edge")
             below = ids
         if j < start:
             continue
+        if shift is None:
+            at = labels
+        else:
+            s_lbl = _canonical_pair(torus.p, j, shift.x, shift.y)
+            at = [_label_mul(torus, j, lbl, s_lbl) for lbl in labels]
         # the edge into vertex c from its parent has edge id 2c - 2
-        slot = ids if mode == "vertex" else {lbl: 2 * c - 2 for lbl, c in ids.items()}
-        s_lbl = None if shift is None else _canonical_pair(torus.p, j, shift.x, shift.y)
-        keys, level, digits, fiber = {}, {}, {}, {}
-        for lbl in tab.labels:
-            key = keys[lbl] = f"{lbl[0]}:{lbl[1]}"
-            at = lbl if s_lbl is None else _label_mul(torus, j, lbl, s_lbl)
-            level[key] = values[slot[at]]
-            digits[key] = tab.split_parts[lbl][1]
-            if j > start:
-                fiber[key] = above[tab.parents[lbl]]
-        if None in level.values():
+        if mode == "vertex":
+            level = [values[ids[lbl]] for lbl in at]
+        else:
+            level = [values[2 * ids[lbl] - 2] for lbl in at]
+        if None in level:
             raise KeyError(f"the form has no value at an image of the level-{j} base point")
-        levels[j], free[j] = level, digits
+        split_parts = coset_decomposition(torus, j)
+        keys = [f"{x}:{y}" for x, y in labels]
+        levels[j] = dict(zip(keys, level))
+        free[j] = dict(zip(keys, [split_parts[lbl][1] for lbl in labels]))
         if j > start:
-            fibers[j] = fiber
-        above = keys
+            fibers[j] = dict(zip(keys, [above[parents[lbl]] for lbl in labels]))
+        above = dict(zip(labels, keys))
     sys = CompatibleSystem(
         p, k, 1, mode, eigen, n_max, torus.p + 1, level_exp,
         tuple(levels), tuple(fibers), tuple(free),

@@ -14,6 +14,9 @@ p^j Z^2 + Z (d y, x), whose normal form is
   Vertex(p, 0, j, 0)                         if x = 0 mod p^j,
   Vertex(p, j - v, v, w^(-1) mod p^(j - v))  otherwise, x / (d y) = p^v w;
 and sends the edge (v_(j-1), v_j) to the pair of images of its endpoints.
+orbit_table builds those images as Vertex and DirectedEdge objects, for the
+CLI and for inspection; orbit_ids reads the same closed forms straight to
+the ids of a ball around the origin, with no object built, for from_tree.
 
 Split kind: only its base sequence, a branch off the standard apartment, is
 kept, for inspection.
@@ -24,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import InvariantViolation, TransitivityViolation
-from .tree import DirectedEdge, Vertex, origin
+from .tree import DirectedEdge, Vertex, digit_reversals, origin, origin_id_offset
 from .util import is_nonresidue, val_p
 
 
@@ -270,6 +273,41 @@ def _standard_images(torus: QuadraticTorus, j: int, mode: str, labels, parents) 
     return out
 
 
+def orbit_ids(torus: QuadraticTorus, j: int) -> list:
+    """The ids of the images of v_j under the level-j labels, in
+    coset_labels order, in any ball around the origin of radius >= j: the
+    closed forms of _standard_image read through origin_id_offset and
+    digit_reversals, with no Vertex built."""
+    if j == 0:
+        return [0]
+    p, d = torus.p, torus.d
+    mod = p**j
+    rev = digit_reversals(p, j)
+    # the labels (x : 1), x = p^v w with w a unit mod p^(j-v), go to
+    # Vertex(p, j - v, v, d w^(-1) mod p^(j-v)), whose j-digit reversal is
+    # p^v times its (j-v)-digit one; x = 0 goes to Vertex(p, 0, j, 0)
+    ids = [origin_id_offset(p, 0, j)] * mod
+    for v in range(j):
+        r, q = p ** (j - v), p**v
+        base = origin_id_offset(p, j - v, v)
+        for c in range(1, p):
+            ids[q * c::q * p] = [base + rev[d * pow(w, -1, r) % r] // q
+                                 for w in range(c, r, p)]
+    # the labels (1 : y), p | y, go to Vertex(p, j, 0, d y mod p^j)
+    first = origin_id_offset(p, j, 0)
+    return ids + [first + rev[d * y % mod] for y in range(0, mod, p)]
+
+
+def _parent_labels(p: int, j: int, labels) -> dict:
+    """label -> its projection to level j - 1 (none at level 0): the
+    canonical pair of the label mod p^(j-1), which is (1 : 0) at level 1 and
+    the pair of residues itself for (x : 1) and (1 : y) above it."""
+    if j <= 1:
+        return {lbl: (1, 0) for lbl in labels} if j else {}
+    m = p ** (j - 1)
+    return {(x, y): (x % m, y % m) for x, y in labels}
+
+
 def orbit_table(torus: QuadraticTorus, j: int, mode: str = "vertex",
                 base=None) -> OrbitTable:
     """Enumerate the level-j cosets, map the j-th base point through each,
@@ -291,10 +329,7 @@ def orbit_table(torus: QuadraticTorus, j: int, mode: str = "vertex",
     if base is not None and base != standard:
         raise ValueError(f"orbit tables start from the standard base point {standard}")
     labels = tuple(coset_labels(torus, j))
-    parents = {}
-    if j >= 1:
-        for lbl in labels:
-            parents[lbl] = _canonical_pair(torus.p, j - 1, *lbl)
+    parents = _parent_labels(torus.p, j, labels)
     acted = _standard_images(torus, j, mode, labels, parents)
     seen = {}
     for lbl, w in zip(labels, acted):

@@ -8,20 +8,27 @@ Vertices and edges are slotted and compute their hash once, at construction;
 the cached value is the one the field tuple would hash to, so dict and set
 order is that of plain frozen dataclasses.  Neighbours and distances are read
 off the exponents in closed form.  A single edge checks that its ends are
-adjacent; ball() checks each tree edge once, with one distance() per
+adjacent.
+
+A ball is its id tables: it numbers its vertices 0..N-1 in sphere order,
+records each one's parent id and its contiguous child ids, and child c owns
+the directed edges 2(c-1) = (parent -> c) and 2c-1 = (c -> parent).  The
+tree is (p+1)-regular, so the tables are the same for every center and
+ball() writes them down by arithmetic.  The Vertex and DirectedEdge objects
+(spheres, ids, the edge list) are built on first request by one walk out
+from the center, which checks each tree edge once, with one distance() per
 undirected edge, and builds both of its directions from that one check
-(distance is symmetric).  A ball is its id tables: it numbers its
-vertices 0..N-1 in sphere order as it creates them, records each one's
-parent id and its contiguous child ids, and keeps its directed edges in one
-list: child c gives edge 2(c-1) = (parent -> c) and edge 2c-1 = (c -> parent).
-A shrunk copy (a smaller radius around the same center) shares those tables,
-and its size bounds the ids that belong to it, so every directed_edges() call
-yields the same edge objects.
+(distance is symmetric).  A shrunk copy (a smaller radius around the same
+center) shares the tables and the objects, and its size bounds the ids that
+belong to it, so every directed_edges() call yields the same edge objects.
+Around the origin a vertex's id is also a closed form of its exponents
+(origin_id_offset plus digit_reversals), which the torus orbits read.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .errors import InvariantViolation
 from .util import json_int, val_p
@@ -136,31 +143,154 @@ def distance(v: Vertex, w: Vertex) -> int:
     return (v.a + v.b + w.a + w.b) - 2 * c
 
 
-@dataclass(frozen=True)
+def ball_size(p: int, r: int) -> int:
+    """The number of vertices within distance r >= 0 of a vertex: the
+    center, p + 1 at distance 1, and p times as many at each further one."""
+    return 1 + (p + 1) * (p**r - 1) // (p - 1)
+
+
+def digit_reversals(p: int, n: int) -> list:
+    """rev[u] for 0 <= u < p^n: the n base-p digits of u in reverse order,
+    rev[u] = u_0 p^(n-1) + u_1 p^(n-2) + ... + u_(n-1)."""
+    rev = [0]
+    for _ in range(n):
+        # u = hi p^(i-1) + lo, whose top digit hi is the reversal's lowest
+        rev = [r * p + hi for hi in range(p) for r in rev]
+    return rev
+
+
+def origin_id_offset(p: int, a: int, b: int) -> int:
+    """The id of Vertex(p, a, b, u) in a ball around the origin, minus
+    digit_reversals(p, a)[u].
+
+    A vertex's position in its sphere is the base-p number of the choices
+    along its path from the origin, read in neighbors() order without the
+    parent: the first step picks one of p + 1, each later one one of p.
+    From the origin, (1, 0, c) is choice c and (0, 1, 0) choice p; below
+    (a, b, u) with a > 0, (a + 1, b, u + c p^a) is choice c; below
+    (0, b, 0) with b > 0, (1, b, c) is choice c - 1 and (0, b + 1, 0)
+    choice p - 1.  So (a, 0, u) sits at the digit reversal of u, and
+    (a, b, u) with b > 0 at the digits p, p - 1 (b - 1 times), u_0 - 1,
+    u_1, ..., u_(a-1).
+    """
+    j = a + b
+    if j == 0:
+        return 0
+    first = ball_size(p, j - 1)         # the first id at distance j
+    if b == 0:
+        return first
+    # p, then p - 1 (b - 1 times), is p^b + p^(b-1) - 1; u_0 - 1 takes
+    # p^(a-1) off the digit reversal of u
+    return first + (p**b + p ** (b - 1) - 1) * p**a - (p ** (a - 1) if a else 0)
+
+
+def _tables(p: int, radius: int) -> tuple:
+    """(parents, child_start) of every radius-R ball of the (p+1)-regular
+    tree, in the sphere order of the ids: the center's p + 1 children are
+    ids 1..p+1, and each later vertex i off the boundary sphere has the p
+    children p i + 2 .. p i + p + 1."""
+    if radius == 0:
+        return (-1,), (1, 1)
+    n, inner = ball_size(p, radius), ball_size(p, radius - 1)
+    # each of 1 .. inner-1 repeated p times, in order
+    parents = (-1,) + (0,) * (p + 1) + tuple(sorted(list(range(1, inner)) * p))
+    # the boundary sphere has no children
+    child_start = (1,) + tuple(range(p + 2, n, p)) + (n,) * (n - inner + 1)
+    return parents, child_start
+
+
+class _TreeObjects:
+    """The Vertex and DirectedEdge objects behind one pair of id tables,
+    built on first request by one walk out from the center; a ball and its
+    shrunk copies share them as they share the tables.
+
+    The walk lists each vertex's neighbors() without its parent as its
+    children, checks that their count is the one the tables give, and
+    checks each tree edge once, with one distance() per undirected edge, as
+    it builds both of its directions (distance is symmetric)."""
+
+    def __init__(self, center: Vertex, radius: int, child_start: tuple):
+        self.center, self.radius, self.child_start = center, radius, child_start
+
+    @cached_property
+    def walk(self) -> tuple:
+        """(spheres, ids, edges) out to the radius the tables were built for."""
+        cs = self.child_start
+        verts, edges = [self.center], []
+        spheres = [(self.center,)]
+        for _ in range(self.radius):
+            first = len(verts)
+            for i in range(first - len(spheres[-1]), first):
+                x = verts[i]
+                par = edges[2 * i - 1].target if i else None
+                kids = [w for w in neighbors(x) if w != par]
+                if len(kids) != cs[i + 1] - cs[i]:
+                    raise InvariantViolation(
+                        f"{x} has {len(kids)} neighbors off its parent in the ball, "
+                        f"expected {cs[i + 1] - cs[i]}")
+                verts += kids
+                for w in kids:
+                    edges += DirectedEdge.both_ways(x, w)
+            spheres.append(tuple(verts[first:]))
+        ids = {w: i for i, w in enumerate(verts)}
+        return tuple(spheres), ids, tuple(edges)
+
+
+@dataclass(frozen=True, init=False)
 class Ball:
     """Distance-closed ball as breadth-first id tables.
 
-    ball() numbers the vertices in sphere order (the center is 0) and fills
-    the id tables once: each id's parent id (-1 at the center), the
-    contiguous child ids child_start[i] .. child_start[i+1] - 1 (in
-    neighbors() order minus the parent), and the directed edges, where child
-    c gives edges 2(c-1) = (parent -> c) and 2c-1 = (c -> parent).  A smaller
-    ball around the same center shares those tables, so only ids below size
-    belong to it.
+    The vertices are numbered in sphere order (the center is 0).  The id
+    tables are the same for every center, so ball() fills them by
+    arithmetic: each id's parent id (-1 at the center) and the contiguous
+    child ids child_start[i] .. child_start[i+1] - 1 (in neighbors() order
+    minus the parent); child c gives the directed edges 2(c-1) =
+    (parent -> c) and 2c-1 = (c -> parent).  A smaller ball around the same
+    center shares those tables, so only ids below size belong to it.
+
+    The tree objects are views built on first request: spheres, vertices(),
+    ids (vertex -> id) and the edges table (edge id -> DirectedEdge) with
+    directed_edges().  Shrunk copies share ids and edges with the ball they
+    came from.  spheres, when given, are the first radius + 1 spheres of
+    those views, as a copy made by dataclasses.replace passes them on.
     """
 
     center: Vertex
     radius: int
-    spheres: tuple          # spheres[j] = tuple of vertices at distance j
-    ids: dict = field(compare=False)            # vertex -> id
-    parents: tuple = field(compare=False)       # id -> parent id, -1 at the center
-    child_start: tuple = field(compare=False)   # id -> first child id; one entry past the last id
-    edges: tuple = field(compare=False)         # edge id -> DirectedEdge
+    parents: tuple = field(compare=False, repr=False)       # id -> parent id, -1 at the center
+    child_start: tuple = field(compare=False, repr=False)   # id -> first child id; one entry past the last id
+    _objects: _TreeObjects = field(compare=False, repr=False)
+
+    def __init__(self, center: Vertex, radius: int, parents: tuple, child_start: tuple,
+                 _objects: _TreeObjects | None = None, spheres: tuple | None = None):
+        for name, value in (("center", center), ("radius", radius), ("parents", parents),
+                            ("child_start", child_start)):
+            object.__setattr__(self, name, value)
+        if _objects is None:
+            _objects = _TreeObjects(center, radius, child_start)
+        object.__setattr__(self, "_objects", _objects)
+        if spheres is not None:
+            object.__setattr__(self, "spheres", tuple(spheres))
 
     @property
     def size(self) -> int:
         """The number of vertices, so their ids are 0..size-1."""
-        return sum(map(len, self.spheres))
+        return ball_size(self.center.p, self.radius)
+
+    @cached_property
+    def spheres(self) -> tuple:
+        """spheres[j] = tuple of vertices at distance j, in id order."""
+        return self._objects.walk[0][: self.radius + 1]
+
+    @property
+    def ids(self) -> dict:
+        """vertex -> id, over the ball the tables were built for."""
+        return self._objects.walk[1]
+
+    @property
+    def edges(self) -> tuple:
+        """edge id -> DirectedEdge, over the ball the tables were built for."""
+        return self._objects.walk[2]
 
     def vertices(self):
         """The vertices in id order."""
@@ -177,25 +307,7 @@ class Ball:
 def ball(v: Vertex, radius: int) -> Ball:
     if radius < 0:
         raise ValueError("radius must be nonnegative")
-    verts, parents, child_start, edges = [v], [-1], [], []
-    spheres = [(v,)]
-    for _ in range(radius):
-        first = len(verts)
-        for i in range(first - len(spheres[-1]), first):
-            x = verts[i]
-            par = edges[2 * i - 1].target if i else None
-            kids = [w for w in neighbors(x) if w != par]
-            child_start.append(len(verts))
-            verts += kids
-            parents += [i] * len(kids)
-            for w in kids:
-                edges += DirectedEdge.both_ways(x, w)
-        spheres.append(tuple(verts[first:]))
-    # the boundary sphere has no children
-    child_start += [len(verts)] * (len(verts) + 1 - len(child_start))
-    ids = {w: i for i, w in enumerate(verts)}
-    return Ball(v, radius, tuple(spheres), ids, tuple(parents), tuple(child_start),
-                tuple(edges))
+    return Ball(v, radius, *_tables(v.p, radius))
 
 
 def sphere(v: Vertex, r: int) -> list:

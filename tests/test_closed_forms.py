@@ -10,7 +10,15 @@ from thetaforge import torus as torus_mod
 from thetaforge.errors import PrecisionExhausted
 from thetaforge.hecke import EigenData, hecke_T, local_eigen_extend, stabilize
 from thetaforge.measures import from_tree
-from thetaforge.torus import QuadraticTorus, TorusElement, base_sequence, orbit_table
+from thetaforge.torus import (
+    QuadraticTorus,
+    TorusElement,
+    _canonical_pair,
+    _label_mul,
+    base_sequence,
+    orbit_ids,
+    orbit_table,
+)
 from thetaforge.tree import DirectedEdge, Vertex, ball, distance, neighbors, origin
 from thetaforge.util import default_nonresidue
 from tree_oracle import (
@@ -77,6 +85,42 @@ class TestOrbitImages:
             for mode in ("vertex", "edge") if j else ("vertex",):
                 tab = orbit_table(torus, j, mode)
                 assert tab.images == reference_orbit_images(torus, j, mode)
+
+    @pytest.mark.parametrize("p", [3, 5, 7])
+    def test_orbit_ids_are_the_ball_ids_of_the_images(self, p):
+        # the closed-form ids against the ball's own vertex -> id view of
+        # every orbit image, and the closed-form parent labels against
+        # canonical pairs
+        torus, depth = inert(p), 6
+        b = ball(origin(p), depth)
+        for j in range(depth + 1):
+            tab = orbit_table(torus, j)
+            assert orbit_ids(torus, j) == [b.ids[tab.images[lbl]] for lbl in tab.labels]
+            assert tab.parents == {lbl: _canonical_pair(p, j - 1, *lbl)
+                                   for lbl in tab.labels if j}
+
+    @pytest.mark.parametrize("mode", ["vertex", "edge"])
+    @pytest.mark.parametrize("p,n_max", [(3, 6), (5, 5), (7, 4)])
+    def test_from_tree_reads_the_images(self, mode, p, n_max):
+        # every level of from_tree, with and without a shift, against the
+        # form's value at the ball id of the orbit image of the label (times
+        # the shift), looked up through orbit_table and the ball's ids
+        k, torus = 7, inert(p)
+        eig = EigenData.ordinary(p, k, 1)
+        f0 = local_eigen_extend(p, k, 1, n_max, seed=p + n_max)
+        form = f0 if mode == "vertex" else stabilize(f0, eig)
+        b = form.domain
+        for shift in (None, TorusElement(torus, k, x=2, y=1), TorusElement(torus, k, x=1, y=p)):
+            s = from_tree(form, torus, eig, n_max, shift=shift)
+            for j in range(mode == "edge", n_max + 1):
+                tab = orbit_table(torus, j)
+                want = {}
+                for x, y in tab.labels:
+                    at = (x, y) if shift is None else _label_mul(
+                        torus, j, (x, y), _canonical_pair(p, j, shift.x, shift.y))
+                    c = b.ids[tab.images[at]]
+                    want[f"{x}:{y}"] = form.values[c if mode == "vertex" else 2 * c - 2]
+                assert s.levels[j] == want
 
     def test_non_standard_base_is_refused(self):
         with pytest.raises(ValueError):

@@ -1,13 +1,11 @@
 """Internal identity checks raise InvariantViolation (they are explicit
 raises, so they also fire under ``python -O``)."""
 
-from dataclasses import replace
-
 import pytest
 
 from thetaforge import measures, padic, torus, tree
 from thetaforge.errors import InvariantViolation
-from thetaforge.hecke import EdgeForm, EigenData, hecke_U, local_eigen_extend, stabilize
+from thetaforge.hecke import EigenData, local_eigen_extend, stabilize
 from thetaforge.padic import PrecisionInt, hensel_unit_root
 
 
@@ -20,16 +18,16 @@ def test_neighbors_must_be_distinct(monkeypatch):
         tree.neighbors(v)
 
 
-def test_hecke_u_needs_p_continuations(monkeypatch):
-    # hecke reads adjacency from the ball, so the broken neighbors() must be
-    # in place when the ball is built
-    p, k = 3, 4
+def test_ball_objects_need_p_plus_one_neighbors(monkeypatch):
+    # the id tables are arithmetic, so a broken neighbors() shows when the
+    # ball's tree objects are built on request: the walk finds fewer
+    # children than the tables give
     real = tree.neighbors
     monkeypatch.setattr(tree, "neighbors", lambda v: real(v)[:-1])
-    b = tree.ball(tree.origin(p), 2)
-    form = EdgeForm(p, k, b, (1,) * (2 * b.size - 2))
-    with pytest.raises(InvariantViolation):
-        hecke_U(form)
+    b = tree.ball(tree.origin(3), 2)
+    for view in (lambda: b.ids, lambda: list(b.vertices()), lambda: list(b.directed_edges())):
+        with pytest.raises(InvariantViolation, match="neighbors off its parent"):
+            view()
 
 
 def test_hensel_root_is_verified(monkeypatch):
@@ -47,20 +45,16 @@ def test_coset_group_structure_is_verified(monkeypatch):
 
 
 def test_orbit_edges_must_be_ball_edges(monkeypatch):
-    # from_tree reads the image of e_j as the ball edge into h v_j; give the
-    # level-2 labels the wrong parents, so that edge does not start at the
-    # parent label's image of v_1
-    real = torus.orbit_table
+    # from_tree reads the image of e_j as the ball edge into h v_j; hand the
+    # level-2 labels the ids of their neighbours in label order, so that edge
+    # does not start at the parent label's image of v_1
+    real = measures.orbit_ids
 
-    def rotated(t, j, mode="vertex"):
-        tab = real(t, j, mode)
-        if j != 2:
-            return tab
-        ups = sorted(set(tab.parents.values()))
-        turn = dict(zip(ups, ups[1:] + ups[:1]))
-        return replace(tab, parents={lbl: turn[up] for lbl, up in tab.parents.items()})
+    def rotated(t, j):
+        ids = real(t, j)
+        return ids if j != 2 else ids[1:] + ids[:1]
 
-    monkeypatch.setattr(measures, "orbit_table", rotated)
+    monkeypatch.setattr(measures, "orbit_ids", rotated)
     t = torus.QuadraticTorus(3, "inert", 2)
     eig = EigenData.ordinary(3, 6, 1)
     phi = stabilize(local_eigen_extend(3, 6, 1, 3, seed=1), eig)

@@ -123,6 +123,16 @@ class TestFromTree:
         with pytest.raises(KeyError):
             from_tree(u_phi, TORUS3, eig, 3)
 
+    def test_missing_vertex_value_at_an_image_raises(self):
+        # the level-3 orbit of v_3 is the whole sphere of radius 3, so a
+        # vertex form without a value at its last vertex misses an image
+        p, k = 3, 6
+        f0 = local_eigen_extend(p, k, 1, 3, seed=1)
+        partial = VertexForm(p, k, f0.domain, f0.values[:-1] + (None,))
+        eig = EigenData(ap=PrecisionInt(p, k, 1), alpha=None)
+        with pytest.raises(KeyError, match="level-3 base point"):
+            from_tree(partial, TORUS3, eig, 3)
+
     def test_small_ball_rejected(self):
         p, k = 3, 6
         eig = EigenData(ap=PrecisionInt(p, k, 4), alpha=None)

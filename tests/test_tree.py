@@ -10,20 +10,34 @@ from thetaforge.tree import (
     DirectedEdge,
     Vertex,
     ball,
+    ball_size,
+    digit_reversals,
     distance,
     geodesic_path,
     neighbors,
     origin,
+    origin_id_offset,
     sphere,
     to_dot,
 )
 from thetaforge.util import val_p
-from tree_oracle import basis_matrix, normal_form, normal_form_exact, reference_neighbors
+from tree_oracle import (
+    basis_matrix,
+    normal_form,
+    normal_form_exact,
+    reference_ball,
+    reference_neighbors,
+)
 
 
 def mat(p, k, entries):
     return [[PrecisionInt(p, k, entries[0]), PrecisionInt(p, k, entries[1])],
             [PrecisionInt(p, k, entries[2]), PrecisionInt(p, k, entries[3])]]
+
+
+def format_base(u, p, n):
+    """The n base-p digits of u, most significant first."""
+    return "".join(str(u // p**i % p) for i in reversed(range(n)))
 
 
 def all_vertices_at_distance(p, r):
@@ -310,8 +324,9 @@ class TestEdgesAndBall:
                 assert (back.source, back.target) == (there.target, there.source)
 
     def test_ball_refuses_a_non_adjacent_neighbor(self, monkeypatch):
-        # a neighbors() that hands back a vertex two steps away must make
-        # ball() raise at its one adjacency check per edge
+        # a neighbors() that hands back a vertex two steps away must make the
+        # ball's edge objects raise, when first requested, at their one
+        # adjacency check per edge
         real = tree.neighbors
 
         def two_steps_out(v):
@@ -321,8 +336,73 @@ class TestEdgesAndBall:
 
         monkeypatch.setattr(tree, "neighbors", two_steps_out)
         assert distance(origin(3), two_steps_out(origin(3))[0]) == 2
+        b = ball(origin(3), 1)
         with pytest.raises(ValueError, match="adjacent"):
-            ball(origin(3), 1)
+            list(b.directed_edges())
+
+    @pytest.mark.parametrize("p,radius", [(p, r) for p in (2, 3, 5, 7)
+                                          for r in range(7 if p < 5 else 5)])
+    def test_tables_and_views_match_the_eager_walk(self, p, radius):
+        # the arithmetic tables and the views built on request against the
+        # eager walk, for the ball and for every shrunk copy of it
+        for center in (origin(p), Vertex(p, 1, 1, 1)):
+            ref = reference_ball(center, radius)
+            b = ball(center, radius)
+            assert b.parents == ref.parents
+            assert b.child_start == ref.child_start
+            assert b.size == ball_size(p, radius) == len(ref.ids)
+            assert b.spheres == ref.spheres
+            assert list(b.ids.items()) == list(ref.ids.items())
+            assert b.edges == ref.edges
+            assert list(b.directed_edges()) == list(ref.edges)
+            assert list(b.vertices()) == list(ref.ids)
+            for r in range(radius):
+                shrunk = replace(b, radius=r)
+                assert shrunk == ball(center, r) and shrunk.size == ball_size(p, r)
+                assert shrunk.parents is b.parents and shrunk.child_start is b.child_start
+                assert shrunk.spheres == ref.spheres[: r + 1]
+                assert shrunk.ids is b.ids and shrunk.edges is b.edges
+                assert list(shrunk.directed_edges()) == list(ref.edges[: 2 * shrunk.size - 2])
+
+    def test_tables_build_no_tree_objects(self, monkeypatch):
+        # ball() and its tables call no neighbors(); the views call it on
+        # first request only, once for the ball and its shrunk copies
+        calls = []
+        real = tree.neighbors
+
+        def counted(v):
+            calls.append(v)
+            return real(v)
+
+        monkeypatch.setattr(tree, "neighbors", counted)
+        b = ball(origin(3), 3)
+        shrunk = replace(b, radius=1)
+        assert (b.size, len(b.parents), len(b.child_start), shrunk.size) == (53, 53, 54, 5)
+        assert calls == []
+        assert shrunk.spheres == (
+            (origin(3),), (Vertex(3, 1, 0, 0), Vertex(3, 1, 0, 1), Vertex(3, 1, 0, 2),
+                           Vertex(3, 0, 1, 0)))
+        # the walk went to the radius of the tables, the inner spheres once
+        assert len(calls) == b.size - len(b.spheres[3])
+        walked = len(calls)
+        assert b.edges is shrunk.edges and list(b.vertices())[:5] == list(shrunk.vertices())
+        assert len(calls) == walked
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 7])
+    def test_origin_ids_in_closed_form(self, p):
+        # the id of (a, b, u) around the origin is an offset plus the digit
+        # reversal of u, as the eager walk numbers it
+        radius = 6 if p < 5 else 4
+        ref = reference_ball(origin(p), radius)
+        revs = [digit_reversals(p, a) for a in range(radius + 1)]
+        assert [origin_id_offset(p, v.a, v.b) + revs[v.a][v.u] for v in ref.ids] == list(
+            range(len(ref.ids)))
+
+    def test_digit_reversals(self):
+        assert digit_reversals(3, 0) == [0]
+        assert digit_reversals(2, 3) == [0, 4, 2, 6, 1, 5, 3, 7]
+        rev = digit_reversals(5, 4)
+        assert all(rev[u] == int(format_base(u, 5, 4)[::-1], 5) for u in range(5**4))
 
     def test_dot_output(self):
         text = to_dot(origin(2), 1)

@@ -7,12 +7,19 @@ of an exact integer basis, the distance takes the valuations of all three
 entries of the relative matrix, and every orbit image normalizes the basis
 of a torus element's embedding matrix times the base point with `act`.
 They serve only to cross-check the closed forms.
+
+`reference_ball` is the eager walk `ball()` ran before its id tables were
+read off by arithmetic and its tree objects built on request: one pass out
+from the center that records every vertex, its parent and child ids and
+both directions of every edge as it meets them.
 """
+
+from dataclasses import dataclass
 
 from thetaforge.errors import InvariantViolation, PrecisionExhausted
 from thetaforge.hecke import VertexForm
 from thetaforge.torus import TorusElement, base_sequence, coset_labels
-from thetaforge.tree import DirectedEdge, Vertex
+from thetaforge.tree import DirectedEdge, Vertex, neighbors
 from thetaforge.util import val_p
 
 
@@ -152,3 +159,37 @@ def reference_shifted_levels(form, torus, n_max: int, shift) -> list:
         images = reference_orbit_images(torus, j, mode, base=base)
         levels[j] = {f"{x}:{y}": table[w].residue for (x, y), w in images.items()}
     return levels
+
+
+@dataclass(frozen=True)
+class ReferenceBall:
+    spheres: tuple          # spheres[j] = tuple of vertices at distance j
+    ids: dict               # vertex -> id
+    parents: tuple          # id -> parent id, -1 at the center
+    child_start: tuple      # id -> first child id; one entry past the last id
+    edges: tuple            # edge id -> DirectedEdge
+
+
+def reference_ball(v: Vertex, radius: int) -> ReferenceBall:
+    """The radius-R ball around v by one eager non-backtracking walk: each
+    vertex's children are its neighbors() minus its parent, numbered in
+    sphere order, and child c records edges 2(c-1) = (parent -> c) and
+    2c-1 = (c -> parent)."""
+    verts, parents, child_start, edges = [v], [-1], [], []
+    spheres = [(v,)]
+    for _ in range(radius):
+        first = len(verts)
+        for i in range(first - len(spheres[-1]), first):
+            x = verts[i]
+            par = edges[2 * i - 1].target if i else None
+            kids = [w for w in neighbors(x) if w != par]
+            child_start.append(len(verts))
+            verts += kids
+            parents += [i] * len(kids)
+            for w in kids:
+                edges += DirectedEdge.both_ways(x, w)
+        spheres.append(tuple(verts[first:]))
+    # the boundary sphere has no children
+    child_start += [len(verts)] * (len(verts) + 1 - len(child_start))
+    ids = {w: i for i, w in enumerate(verts)}
+    return ReferenceBall(tuple(spheres), ids, tuple(parents), tuple(child_start), tuple(edges))
