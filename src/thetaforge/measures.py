@@ -2,12 +2,17 @@
 their group-ring theta elements, ordinary normalization, plus/minus
 extraction for zero adjacency eigenvalue, and the product L-element.
 
-A system stores, per level, a table over opaque coset labels together with
-the fiber map to the previous level and the projection of each label to the
-free quotient (Z/p^m(level))^delta, as its flat index in the group ring.  The
-distribution checker needs only fibers; the theta pushforward needs only the
-free projections, and is one pass adding each coefficient at its index.
-One rule, _fiber_target, gives what each fiber sums to (alpha c_j on edges,
+A system stores each level as three tuples by label position: the residues,
+the position of each label's parent one level down, and the projection of
+each label to the free quotient (Z/p^m(level))^delta, as its flat index in
+the group ring.  Positions follow coset_labels for towers read off the tree
+and key order for synthetic ones; the label names ("x:y", "tau|d") are built
+from the position only where their text matters: labels(j), a distribution
+report, the synthesizer's draw order (parents by sorted name) and the
+serializer.  The distribution checker is one scatter-add of
+each level onto its parents' positions; the theta pushforward is one
+scatter-add onto the free indices, built once per level and system.  One
+rule, _fiber_targets, gives what each fiber sums to (alpha c_j on edges,
 a_p c_j - c_(j-1) on vertices); the synthesizer solves it and the checker
 tests it.
 
@@ -15,14 +20,15 @@ from_tree reads a tower off a form on a ball centered at the origin, which
 the inert torus fixes: the image of the base vertex v_j under a label h is a
 ball vertex at depth j, whose id torus.orbit_ids gives in closed form, and
 the image of the base edge e_j is the ball edge into h v_j, whose source is
-the parent label's image of v_(j-1).
+the parent label's image of v_(j-1).  Parent positions and free digits are
+arithmetic on label position (torus._parent_positions, and the walk of
+torus.coset_decomposition).
 """
 
 from __future__ import annotations
 
-import itertools
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from . import groupring
 from .errors import (
@@ -43,7 +49,8 @@ from .torus import (
     TorusElement,
     _canonical_pair,
     _label_mul,
-    _parent_labels,
+    _label_position,
+    _parent_positions,
     coset_decomposition,
     coset_labels,
     orbit_ids,
@@ -62,6 +69,25 @@ def _check_mode(mode: str, eigen: EigenData) -> None:
         raise ValueError("edge systems need the transfer eigenvalue")
 
 
+def level_labels(label_kind: str, p: int, delta: int, torsion: int, e: int, j: int) -> list:
+    """The names of the level-j labels, in position order.
+
+    "torus": "x:y" for the canonical pairs of coset_labels; "synth":
+    "tau|d_1,...,d_delta" for the torsion index tau < torsion (0 at level 0)
+    and the free digits d_i < p^e, outer axis first, in key order.
+    """
+    if label_kind == "torus":
+        if j == 0:
+            return ["1:0"]
+        mod = p**j
+        return [f"{x}:1" for x in range(mod)] + [f"1:{y}" for y in range(0, mod, p)]
+    # the digit strings in flat-index order, outer axis first
+    digits = list(map(str, range(p**e)))
+    for _ in range(delta - 1):
+        digits = [f"{a},{t}" for a in digits for t in range(p**e)]
+    return [f"{tau}|{d}" for tau in range(torsion if j else 1) for d in digits]
+
+
 @dataclass(frozen=True)
 class CompatibleSystem:
     p: int
@@ -72,9 +98,14 @@ class CompatibleSystem:
     n_max: int
     torsion: int
     level_exp: tuple            # m(j) per level j
-    levels: tuple               # levels[j]: dict label -> residue (None below start)
-    fibers: tuple               # fibers[j]: dict label_j -> label_{j-1}
-    free: tuple                 # free[j]: dict label -> flat group index
+    label_kind: str             # "torus" | "synth": what level_labels names the positions
+    levels: tuple               # levels[j]: tuple of residues by label position (None below start)
+    fibers: tuple               # fibers[j]: tuple of parent positions at level j - 1 (None at start)
+    free: tuple                 # free[j]: tuple of flat group indices by label position
+    # theta_level's memo, level -> ThetaElement: out of ==, hash and repr, and
+    # started empty by dataclasses.replace; the levels are tuples, so a
+    # system cannot change under it
+    _theta: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         _check_mode(self.mode, self.eigen)
@@ -83,14 +114,17 @@ class CompatibleSystem:
     def start_level(self) -> int:
         return 0 if self.mode == "vertex" else 1
 
-    def table(self, j: int) -> dict:
+    def table(self, j: int) -> tuple:
         t = self.levels[j]
         if t is None:
             raise ValueError(f"level {j} is not populated")
         return t
 
-    def labels(self, j: int):
-        return self.table(j).keys()
+    def labels(self, j: int) -> list:
+        """The names of the level-j labels, in the order of table(j)."""
+        self.table(j)
+        return level_labels(self.label_kind, self.p, self.delta, self.torsion,
+                            self.level_exp[j], j)
 
 
 @dataclass(frozen=True)
@@ -175,44 +209,40 @@ def from_tree(form, torus: QuadraticTorus, eigen: EigenData, n_max: int,
     fibers: list = [None] * (n_max + 1)
     free: list = [None] * (n_max + 1)
     level_exp = tuple(max(j - 1, 0) for j in range(n_max + 1))
-    below = above = None        # vertex ids and keys of the labels one level down
+    below = None                # ball ids of the labels one level down
     for j in range(n_max + 1):
-        labels = coset_labels(torus, j)
-        ids = dict(zip(labels, orbit_ids(torus, j)))       # depth j <= radius
-        if len(set(ids.values())) != len(labels):
+        ids = orbit_ids(torus, j)                           # depth j <= radius
+        if len(set(ids)) != len(ids):
             raise TransitivityViolation(f"two level-{j} cosets agree on the base point")
-        parents = _parent_labels(torus.p, j, labels)
+        up = _parent_positions(p, j)
         if mode == "edge":
             # the image of e_j under h is the ball edge into h v_j, so its
             # source must be the parent label's image of v_(j-1)
-            for lbl in labels if j else ():
-                if b.parents[ids[lbl]] != below[parents[lbl]]:
-                    raise InvariantViolation(
-                        f"the image of the level-{j} base edge under {lbl} is not a ball edge")
+            if j and [b.parents[c] for c in ids] != [below[u] for u in up]:
+                t = next(t for t, (c, u) in enumerate(zip(ids, up)) if b.parents[c] != below[u])
+                raise InvariantViolation(f"the image of the level-{j} base edge under "
+                                         f"{coset_labels(torus, j)[t]} is not a ball edge")
             below = ids
         if j < start:
             continue
-        if shift is None:
-            at = labels
-        else:
-            s_lbl = _canonical_pair(torus.p, j, shift.x, shift.y)
-            at = [_label_mul(torus, j, lbl, s_lbl) for lbl in labels]
+        if shift is not None and j:
+            s_lbl = _canonical_pair(p, j, shift.x, shift.y)
+            ids = [ids[_label_position(p, j, *_label_mul(torus, j, lbl, s_lbl))]
+                   for lbl in coset_labels(torus, j)]
         # the edge into vertex c from its parent has edge id 2c - 2
         if mode == "vertex":
-            level = [values[ids[lbl]] for lbl in at]
+            level = [values[c] for c in ids]
         else:
-            level = [values[2 * ids[lbl] - 2] for lbl in at]
+            level = [values[2 * c - 2] for c in ids]
         if None in level:
             raise KeyError(f"the form has no value at an image of the level-{j} base point")
-        split_parts = coset_decomposition(torus, j)
-        keys = [f"{x}:{y}" for x, y in labels]
-        levels[j] = dict(zip(keys, level))
-        free[j] = dict(zip(keys, [split_parts[lbl][1] for lbl in labels]))
+        levels[j] = tuple(level)
+        q = p ** level_exp[j]
+        free[j] = tuple(s % q for s in coset_decomposition(torus, j))
         if j > start:
-            fibers[j] = dict(zip(keys, [above[parents[lbl]] for lbl in labels]))
-        above = dict(zip(labels, keys))
+            fibers[j] = tuple(up)
     sys = CompatibleSystem(
-        p, k, 1, mode, eigen, n_max, torus.p + 1, level_exp,
+        p, k, 1, mode, eigen, n_max, p + 1, level_exp, "torus",
         tuple(levels), tuple(fibers), tuple(free),
     )
     report = check_distribution(sys)
@@ -261,42 +291,37 @@ def synth_system(p: int, k: int, mode: str, eigen: EigenData, n_max: int,
     levels: list = [None] * (n_max + 1)
     fibers: list = [None] * (n_max + 1)
     free: list = [None] * (n_max + 1)
-    keys: list = []             # keys[j][tau * p^(m(j) delta) + flat index]
-    for j in range(n_max + 1):
-        q = p ** level_exp[j]
-        # product() lists the digit tuples in flat-index order, outer axis first
-        digits = [",".join(map(str, d)) for d in itertools.product(range(q), repeat=delta)]
-        keys.append([f"{tau}|{d}" for tau in range(torsion if j else 1) for d in digits])
-        if j < start:
-            continue
-        size = len(digits)
-        free[j] = {key: i % size for i, key in enumerate(keys[j])}
+    for j in range(start, n_max + 1):
+        # the label tau|d is at position tau * p^(m(j) delta) + flat index of d
+        size = (p ** level_exp[j]) ** delta
+        free[j] = tuple(range(size)) * (torsion if j else 1)
         if j > start:
             # a label's parent keeps its torsion index (0 at level 0) and
             # reduces each free digit mod p^m(j-1)
-            q_down = p ** level_exp[j - 1]
+            q, q_down = p ** level_exp[j], p ** level_exp[j - 1]
             down = _axis_map(delta, q, lambda t: t % q_down, q_down)
-            above = keys[j - 1]
             step = q_down**delta if j > 1 else 0
-            fibers[j] = {key: above[i // size * step + down[i % size]]
-                         for i, key in enumerate(keys[j])}
-    # first populated level is free
-    levels[start] = {key: rng.randrange(mod) for key in keys[start]}
+            fibers[j] = tuple(tau * step + d for tau in range(torsion) for d in down)
+    # first populated level is free; then each fiber, its parents in sorted
+    # key order and its members in key order, draws all but its last member
+    levels[start] = tuple(rng.randrange(mod) for _ in free[start])
     for j in range(start, n_max):
-        by_parent: dict = {}
-        for key, parent_key in fibers[j + 1].items():
-            by_parent.setdefault(parent_key, []).append(key)
-        table = {}
-        for parent_key, members in sorted(by_parent.items()):
-            target = _fiber_target(mode, eigen, mod, levels, fibers, j, parent_key)
+        members: list = [[] for _ in levels[j]]
+        for t, parent in enumerate(fibers[j + 1]):
+            members[parent].append(t)
+        names = level_labels("synth", p, delta, torsion, level_exp[j], j)
+        targets = _fiber_targets(mode, eigen, mod, levels, fibers, j)
+        table = [0] * len(fibers[j + 1])
+        for parent in sorted(range(len(names)), key=names.__getitem__):
+            *drawn, last = members[parent]
             acc = 0
-            for key in members[:-1]:
-                table[key] = rng.randrange(mod)
-                acc = (acc + table[key]) % mod
-            table[members[-1]] = (target - acc) % mod
-        levels[j + 1] = table
+            for t in drawn:
+                table[t] = rng.randrange(mod)
+                acc += table[t]
+            table[last] = (targets[parent] - acc) % mod
+        levels[j + 1] = tuple(table)
     return CompatibleSystem(
-        p, k, delta, mode, eigen, n_max, torsion, level_exp,
+        p, k, delta, mode, eigen, n_max, torsion, level_exp, "synth",
         tuple(levels), tuple(fibers), tuple(free),
     )
 
@@ -305,33 +330,37 @@ def synth_system(p: int, k: int, mode: str, eigen: EigenData, n_max: int,
 # the exact distribution checker
 
 
-def _fiber_target(mode, eigen, mod, levels, fibers, j, key):
-    """What the level-(j+1) fiber over label key of level j sums to:
-    alpha c_j (edge) or a_p c_j - c_(j-1) (vertex, c_(-1) = 0), mod p^k."""
-    if mode == "edge":
-        return eigen.alpha.residue * levels[j][key] % mod
-    target = eigen.ap.residue * levels[j][key]
-    if j >= 1:
-        target -= levels[j - 1][fibers[j][key]]
-    return target % mod
+def _fiber_targets(mode, eigen, mod, levels, fibers, j) -> list:
+    """What each level-(j+1) fiber sums to, by the position of the level-j
+    label it lies over: alpha c_j (edge) or a_p c_j - c_(j-1) (vertex,
+    c_(-1) = 0), mod p^k."""
+    a = (eigen.alpha if mode == "edge" else eigen.ap).residue
+    if mode == "edge" or j == 0:
+        return [a * c % mod for c in levels[j]]
+    below = levels[j - 1]
+    return [(a * c - below[u]) % mod for c, u in zip(levels[j], fibers[j])]
 
 
 def check_distribution(sys: CompatibleSystem) -> DistributionReport:
-    """Recompute both sides of every applicable projection relation."""
+    """Recompute both sides of every applicable projection relation: each
+    level is added onto its parents' positions at once.  A failure is
+    reported at the least label, by name, of the lowest failing level, with
+    the relations checked counted as a walk in sorted name order would."""
     mod = sys.p**sys.k
-    start = sys.start_level
     checked = 0
-    for j in range(start, sys.n_max):
-        upper = j + 1
-        sums: dict = {key: 0 for key in sys.labels(j)}
-        for key, c in sys.table(upper).items():
-            sums[sys.fibers[upper][key]] = (sums[sys.fibers[upper][key]] + c) % mod
-        for key in sorted(sys.labels(j)):
-            lhs = sums[key]
-            rhs = _fiber_target(sys.mode, sys.eigen, mod, sys.levels, sys.fibers, j, key)
-            checked += 1
-            if lhs != rhs:
-                return DistributionReport(False, checked, (upper, key, lhs, rhs))
+    for j in range(sys.start_level, sys.n_max):
+        sums = [0] * len(sys.table(j))
+        for parent, c in zip(sys.fibers[j + 1], sys.table(j + 1)):
+            sums[parent] += c
+        lhs = [c % mod for c in sums]
+        rhs = _fiber_targets(sys.mode, sys.eigen, mod, sys.levels, sys.fibers, j)
+        if lhs != rhs:
+            names = sys.labels(j)
+            t = min((t for t, (a, b) in enumerate(zip(lhs, rhs)) if a != b),
+                    key=names.__getitem__)
+            checked += 1 + sum(name < names[t] for name in names)
+            return DistributionReport(False, checked, (j + 1, names[t], lhs[t], rhs[t]))
+        checked += len(rhs)
     return DistributionReport(True, checked, None)
 
 
@@ -345,15 +374,19 @@ def _check_level(sys: CompatibleSystem, n: int):
 
 
 def theta_level(sys: CompatibleSystem, n: int) -> ThetaElement:
-    """Pushforward of the level-n table to the free quotient group ring."""
-    _check_level(sys, n)
-    layer = sys.level_exp[n]
-    coeffs = [0] * (sys.p**layer) ** sys.delta
-    free = sys.free[n]
-    for key, c in sys.table(n).items():
-        coeffs[free[key]] += c
-    value = GroupRingElement(sys.p, sys.k, layer, sys.delta, tuple(coeffs))
-    return ThetaElement(n, value, 0)
+    """Pushforward of the level-n table to the free quotient group ring,
+    built on the first call for each level and returned as the same element
+    after."""
+    theta = sys._theta.get(n)
+    if theta is None:
+        _check_level(sys, n)
+        layer = sys.level_exp[n]
+        coeffs = [0] * (sys.p**layer) ** sys.delta
+        for i, c in zip(sys.free[n], sys.table(n)):
+            coeffs[i] += c
+        value = GroupRingElement(sys.p, sys.k, layer, sys.delta, tuple(coeffs))
+        theta = sys._theta[n] = ThetaElement(n, value, 0)
+    return theta
 
 
 def theta_ordinary(sys: CompatibleSystem, n: int) -> ThetaElement:

@@ -23,7 +23,7 @@ from collections import Counter
 
 from .groupring import GroupRingElement, digits_of, flat_index
 from .hecke import EdgeForm, EigenData, VertexForm
-from .measures import CompatibleSystem
+from .measures import CompatibleSystem, level_labels
 from .padic import PrecisionInt
 from .tree import DirectedEdge, Vertex
 from .util import json_int, prime_int
@@ -172,19 +172,26 @@ def orbit_table_to_json(tab):
 
 
 def system_to_json(s: CompatibleSystem):
+    """Each level as three objects keyed by label name, in sorted-key order:
+    the residues, the parent's name and the free digits."""
     levels = []
     fibers = []
     free = []
+    above = None
     for j in range(s.n_max + 1):
         if s.levels[j] is None:
             levels.append(None)
             fibers.append(None)
             free.append(None)
             continue
-        levels.append({lbl: str(c) for lbl, c in sorted(s.levels[j].items())})
-        fibers.append(dict(sorted(s.fibers[j].items())) if s.fibers[j] else None)
+        names = s.labels(j)
+        levels.append({lbl: str(c) for lbl, c in sorted(zip(names, s.levels[j]))})
+        fibers.append(dict(sorted(zip(names, map(above.__getitem__, s.fibers[j]))))
+                      if s.fibers[j] else None)
         q = s.p ** s.level_exp[j]
-        free.append({lbl: list(digits_of(i, q, s.delta)) for lbl, i in sorted(s.free[j].items())})
+        free.append({lbl: list(digits_of(i, q, s.delta))
+                     for lbl, i in sorted(zip(names, s.free[j]))})
+        above = names
     return {
         "p": s.p, "k": s.k, "delta": s.delta, "mode": s.mode,
         "eigen": eigen_to_json(s.eigen), "n_max": s.n_max,
@@ -193,59 +200,104 @@ def system_to_json(s: CompatibleSystem):
     }
 
 
-def _free_indices(digits: dict, p: int, e: int, delta: int, j: int) -> dict:
-    """The flat group index of each level-j label, refused unless the labels
-    cover (Z/p^e)^delta in fibers of equal size.  The label count is compared
-    with p^(e delta) first, so a huge e allocates nothing."""
-    count = len(digits)
-    # p >= 2, so p^(e delta) > count once e delta reaches count's bit length
+def _check_cover(count: int, p: int, e: int, delta: int, j: int) -> None:
+    """Refuse a level of count labels whose free quotient (Z/p^e)^delta has
+    more elements than that, comparing e delta with count's bit length first
+    (p >= 2), so a huge e allocates and computes nothing."""
     if e < 0 or e * delta >= count.bit_length():
         raise ValueError(f"level {j}: {count} labels cannot cover (Z/{p}^{e})^{delta}")
+
+
+def _level_names(kind: str, p: int, delta: int, torsion: int, e: int, j: int,
+                 count: int) -> list:
+    """The names of the level-j labels of a tower of this kind, refused
+    unless there are count of them; the count is compared before any name is
+    built, so a huge exponent or torsion order allocates nothing."""
+    if kind == "torus":
+        want = (p + 1) * p ** (j - 1) if j else 1
+    else:
+        _check_cover(count, p, e, delta, j)
+        want = (torsion if j else 1) * p ** (e * delta)
+    if want != count:
+        raise ValueError(f"level {j}: {count} labels, where a {kind} tower has {want}")
+    return level_labels(kind, p, delta, torsion, e, j)
+
+
+def _free_indices(digits: list, p: int, e: int, delta: int, j: int) -> tuple:
+    """The flat group index of each level-j label from its digit list,
+    refused unless the labels cover (Z/p^e)^delta in fibers of equal size."""
+    _check_cover(len(digits), p, e, delta, j)
     try:
-        free = {lbl: flat_index(tuple(d), p**e, delta) for lbl, d in digits.items()}
+        free = tuple(flat_index(tuple(d), p**e, delta) for d in digits)
     except ValueError as exc:
         raise ValueError(f"free digits at level {j}: {exc}") from exc
-    sizes = Counter(free.values())
+    sizes = Counter(free)
     if len(sizes) != p ** (e * delta) or len(set(sizes.values())) > 1:
         raise ValueError(f"level {j}: the free digits do not cover (Z/{p}^{e})^{delta} "
                          "in fibers of equal size")
     return free
 
 
+def _by_name(table, names: list, refusal: str) -> list:
+    """The values of a JSON object keyed by label name, in the order of
+    names; refused with the message refusal unless its keys are exactly the
+    names (names are distinct, so equal counts and every name found)."""
+    if not isinstance(table, dict) or len(table) != len(names):
+        raise ValueError(refusal)
+    try:
+        return list(map(table.__getitem__, names))
+    except KeyError:
+        raise ValueError(refusal) from None
+
+
 @_payload_reader
 def system_from_json(obj) -> CompatibleSystem:
+    """The system of an artifact, its objects keyed by label name put back
+    in label position.  The names are those of a torus tower ("x:y") or a
+    synthetic one ("tau|d"), told apart at the first populated level; every
+    level's residues, fibers and free digits must name exactly its labels."""
     n_max, p, delta = json_int(obj["n_max"]), prime_int(obj["p"]), json_int(obj["delta"])
     level_exp = tuple(json_int(e) for e in obj["level_exp"])
+    torsion, mode = json_int(obj["torsion"]), obj["mode"]
+    eigen = eigen_from_json(obj["eigen"])
+    start = 0 if mode == "vertex" else 1
+    kind = None
     levels = []
     fibers = []
     free = []
+    below: dict = {}            # label name -> position one level down
     for j in range(n_max + 1):
         lv = obj["levels"][j]
         if lv is None:
             levels.append(None)
             fibers.append(None)
             free.append(None)
+            below = {}
             continue
-        levels.append({lbl: json_int(c) for lbl, c in lv.items()})
-        fb = obj["fibers"][j]
-        fibers.append(dict(fb) if fb else None)
-        free.append(_free_indices(obj["free"][j], p, level_exp[j], delta, j))
-    s = CompatibleSystem(
-        p, json_int(obj["k"]), delta, obj["mode"],
-        eigen_from_json(obj["eigen"]), n_max, json_int(obj["torsion"]),
-        level_exp, tuple(levels), tuple(fibers), tuple(free),
+        kind = kind or ("torus" if ":" in next(iter(lv), "") else "synth")
+        names = _level_names(kind, p, delta, torsion, level_exp[j], j, len(lv))
+        values = _by_name(lv, names, f"level {j}: the labels are not those of a {kind} tower")
+        levels.append(tuple(map(json_int, values)))
+        digits = _by_name(obj["free"][j], names,
+                          f"level {j}: the free digits must label exactly the level-{j} labels")
+        free.append(_free_indices(digits, p, level_exp[j], delta, j))
+        if j > start:
+            # a fiber map from outside is checked here; from_tree and
+            # synth_system build consistent ones
+            up = _by_name(obj["fibers"][j], names,
+                          f"level {j}: the fibers must map exactly the level-{j} labels")
+            try:
+                fibers.append(tuple(map(below.__getitem__, up)))
+            except (KeyError, TypeError):
+                raise ValueError(f"level {j}: a fiber points outside the level-{j - 1} "
+                                 "labels") from None
+        else:
+            fibers.append(None)
+        below = dict(zip(names, range(len(names))))
+    return CompatibleSystem(
+        p, json_int(obj["k"]), delta, mode, eigen, n_max, torsion, level_exp, kind,
+        tuple(levels), tuple(fibers), tuple(free),
     )
-    # a fiber map from outside is checked here; from_tree and synth_system
-    # build consistent ones
-    for j in range(s.start_level + 1, n_max + 1):
-        if levels[j] is None:
-            continue
-        fb, below = fibers[j], levels[j - 1]
-        if fb is None or fb.keys() != levels[j].keys():
-            raise ValueError(f"level {j}: the fibers must map exactly the level-{j} labels")
-        if below is None or not below.keys() >= set(fb.values()):
-            raise ValueError(f"level {j}: a fiber points outside the level-{j - 1} labels")
-    return s
 
 
 @_payload_reader

@@ -3,7 +3,9 @@
 Inert kind: the units of the unramified quadratic extension modulo scalars,
 embedded by x + y*sqrt(d) -> [[x, d y], [y, x]].  The level-j coset space is
 the projective line over Z/p^j, enumerated by canonical representatives and
-decomposed as torsion x cyclic p-part for pushforward to group rings.
+decomposed as torsion x cyclic p-part for pushforward to group rings.  A
+label's position in that enumeration is arithmetic ((x : 1) at x, (1 : y) at
+p^j + y / p), so the decomposition and the parent map are lists by position.
 TorusElement and the coset labels share one group law: an element is stored
 as its canonical level-k label and multiplied with _label_mul.
 
@@ -167,20 +169,30 @@ def _crt_exponent(keep: int, kill: int) -> int:
     return kill * pow(kill, -1, keep)
 
 
-def coset_decomposition(torus: QuadraticTorus, j: int) -> dict:
-    """The level-j coset group split as torsion x cyclic p-part: the dict
-    sending each canonical label tgen^i * fgen^f to (i, f), its torsion index
-    and free digit, 0 <= i < p + 1 and 0 <= f < p^(j-1); level 0 is (1 : 0).
+def _label_position(p: int, j: int, x: int, y: int) -> int:
+    """The place of the canonical level-j label (x : y) in coset_labels:
+    (x : 1) is at x and (1 : y), p | y, at p^j + y / p."""
+    if j == 0:
+        return 0
+    return x if y % p else p**j + y // p
+
+
+def coset_decomposition(torus: QuadraticTorus, j: int) -> list:
+    """The level-j coset group split as torsion x cyclic p-part, by label
+    position: entry t is the step s = i p^(j-1) + f at which the walk
+    reaches the t-th label of coset_labels, which is tgen^i * fgen^f, with
+    torsion index 0 <= i < p + 1 and free digit 0 <= f < p^(j-1); level 0
+    is [0].
 
     tgen is the CRT torsion projection of the first label (in coset_labels
     order) whose projection has order p + 1; fgen is (1 : p), the class of
     1 + p sqrt(d), which lies in the free part already.  One walk over the
-    group fills the dict, one label multiplication per label; the step by
-    fgen is written out inline.
+    group fills the list, one label multiplication per label; the step by
+    fgen and the label's position are written out inline.
     """
     p = torus.p
     if j == 0:
-        return {(1, 0): (0, 0)}
+        return [0]
     torsion_order = p + 1
     free_order = p ** (j - 1)
     ident = _canonical_pair(p, j, 1, 0)
@@ -196,26 +208,31 @@ def coset_decomposition(torus: QuadraticTorus, j: int) -> dict:
     if tgen is None:
         raise InvariantViolation("torsion part of the coset group must be cyclic")
     mod, dp = p**j, torus.d * p
-    parts, row = {}, ident
-    for i in range(torsion_order):
+    steps, row, s = [-1] * len(labels), ident, 0
+    for _ in range(torsion_order):
         x, y = row
-        for f in range(free_order):
-            parts[x, y] = (i, f)
+        at = _label_position(p, j, x, y)
+        for _ in range(free_order):
+            steps[at] = s
+            s += 1
             # times fgen = (1 : p), renormalized as _canonical_pair does
             x, y = (x + dp * y) % mod, (p * x + y) % mod
             if y % p:
                 x, y = x * pow(y, -1, mod) % mod, 1
+                at = x
             else:
                 x, y = 1, y * pow(x, -1, mod) % mod
+                at = mod + y // p
         row = _label_mul(torus, j, row, tgen)
     # every step is a canonical label and the walk takes as many steps as
-    # there are labels, so it covers them exactly once iff it never repeats;
-    # a generator of short order repeats one
-    if len(parts) != len(labels):
+    # there are labels, so it covers them exactly once iff it never repeats
+    # one, iff no position is left unfilled; a generator of short order
+    # repeats one
+    if -1 in steps:
         raise InvariantViolation(
             f"torsion x free walk does not cover the level-{j} cosets exactly once"
         )
-    return parts
+    return steps
 
 
 @dataclass(frozen=True)
@@ -298,14 +315,15 @@ def orbit_ids(torus: QuadraticTorus, j: int) -> list:
     return ids + [first + rev[d * y % mod] for y in range(0, mod, p)]
 
 
-def _parent_labels(p: int, j: int, labels) -> dict:
-    """label -> its projection to level j - 1 (none at level 0): the
-    canonical pair of the label mod p^(j-1), which is (1 : 0) at level 1 and
-    the pair of residues itself for (x : 1) and (1 : y) above it."""
+def _parent_positions(p: int, j: int) -> list:
+    """The position at level j - 1 of the parent of each level-j label, in
+    coset_labels order (none at level 0): with m = p^(j-1), (x : 1) lies
+    over (x mod m : 1) at x mod m and (1 : y) over (1 : y mod m) at
+    m + (y mod m) / p; every level-1 label lies over (1 : 0)."""
     if j <= 1:
-        return {lbl: (1, 0) for lbl in labels} if j else {}
+        return [0] * (p + 1) if j else []
     m = p ** (j - 1)
-    return {(x, y): (x % m, y % m) for x, y in labels}
+    return list(range(m)) * p + list(range(m, m + m // p)) * p
 
 
 def orbit_table(torus: QuadraticTorus, j: int, mode: str = "vertex",
@@ -329,7 +347,8 @@ def orbit_table(torus: QuadraticTorus, j: int, mode: str = "vertex",
     if base is not None and base != standard:
         raise ValueError(f"orbit tables start from the standard base point {standard}")
     labels = tuple(coset_labels(torus, j))
-    parents = _parent_labels(torus.p, j, labels)
+    below = coset_labels(torus, j - 1) if j else []
+    parents = {lbl: below[t] for lbl, t in zip(labels, _parent_positions(torus.p, j))}
     acted = _standard_images(torus, j, mode, labels, parents)
     seen = {}
     for lbl, w in zip(labels, acted):
@@ -339,5 +358,6 @@ def orbit_table(torus: QuadraticTorus, j: int, mode: str = "vertex",
             )
         seen[w] = lbl
     images = dict(zip(labels, acted))
-    return OrbitTable(torus, j, mode, labels, images, parents,
-                      coset_decomposition(torus, j), max(j - 1, 0))
+    q = torus.p ** max(j - 1, 0)
+    split_parts = {lbl: divmod(s, q) for lbl, s in zip(labels, coset_decomposition(torus, j))}
+    return OrbitTable(torus, j, mode, labels, images, parents, split_parts, max(j - 1, 0))

@@ -44,10 +44,12 @@ from kernel_oracle import T, binomial_minus_one, poly_mul
 
 
 def bumped(s, j, lbl, by):
-    """s with its level-j coefficient at lbl raised by `by` mod p^k."""
-    table = dict(s.table(j))
-    table[lbl] = (table[lbl] + by) % s.p**s.k
-    return replace(s, levels=s.levels[:j] + (table,) + s.levels[j + 1:])
+    """s with its level-j coefficient at the label named lbl raised by `by`
+    mod p^k."""
+    table = list(s.table(j))
+    at = s.labels(j).index(lbl)
+    table[at] = (table[at] + by) % s.p**s.k
+    return replace(s, levels=s.levels[:j] + (tuple(table),) + s.levels[j + 1:])
 
 
 @contextmanager

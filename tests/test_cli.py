@@ -454,6 +454,23 @@ class TestFormsAndSystems:
             assert err["error"]["type"] == "ValueError"
 
 
+    def test_renamed_free_label_is_a_typed_error(self, tmp_path, capsys):
+        # a free-digit key that names no level-3 label used to pass
+        # check-dist, which reads no free digits, and end theta in a KeyError
+        assert run(["synth", "--mode", "edge", "--ap", "1", "--p", "3", "--k", "5",
+                    "--n-max", "3", "--seed", "1", "--out", str(tmp_path)]) == 0
+        _, sys_path = read_artifact_from_stdout(capsys)
+        obj = json.load(open(sys_path))
+        free = obj["payload"]["free"][3]
+        free["0|99"] = free.pop(sorted(free)[0])
+        bad_path = os.path.join(str(tmp_path), "bad.json")
+        json.dump(obj, open(bad_path, "w"))
+        for command in (["check-dist"], ["theta", "--level", "3"]):
+            assert run([*command, "--system", bad_path, "--out", str(tmp_path)]) == 1
+            err = json.loads(capsys.readouterr().out.strip())
+            assert err["error"] == {"type": "ValueError", "detail": "level 3: the free digits "
+                                    "must label exactly the level-3 labels"}
+
     @pytest.mark.parametrize("exp", [4, 40])
     def test_level_exp_off_the_tower_is_a_typed_error(self, tmp_path, capsys, exp):
         # level 3 has free quotient Z/9; read as Z/81 it used to give an
@@ -997,10 +1014,11 @@ class TestSerialization:
         obj = serialize.system_to_json(s)
         for j in (1, 2, 3):
             q = 3 ** s.level_exp[j]
-            for lbl, idx in s.free[j].items():
+            for lbl, idx in zip(s.labels(j), s.free[j]):
                 assert obj["free"][j][lbl] == [idx // q, idx % q]
                 assert 0 <= idx < q * q
-        assert obj["free"][3]["2|4,7"] == [4, 7] and s.free[3]["2|4,7"] == 4 * 9 + 7
+        at = s.labels(3).index("2|4,7")
+        assert obj["free"][3]["2|4,7"] == [4, 7] and s.free[3][at] == 4 * 9 + 7
         back = serialize.system_from_json(json.loads(json.dumps(obj)))
         assert back == s
         assert serialize.system_to_json(back) == obj
@@ -1009,6 +1027,22 @@ class TestSerialization:
             bad["free"][3]["2|4,7"] = damage
             with pytest.raises(ValueError, match="free digits at level 3|malformed system"):
                 serialize.system_from_json(bad)
+
+    def test_labels_must_be_the_towers_own(self):
+        # the reader puts each label back at its position, so a label the
+        # tower does not have is refused even when renamed everywhere at once
+        s = synth_system(3, 6, "edge", EigenData.ordinary(3, 6, 1), 2, seed=2)
+        obj = serialize.system_to_json(s)
+        for table in (obj["levels"][2], obj["fibers"][2], obj["free"][2]):
+            table["9|9"] = table.pop("0|0")
+        with pytest.raises(ValueError, match="level 2: the labels are not those of a synth"):
+            serialize.system_from_json(obj)
+        # a torsion order far beyond the label count is refused by the
+        # count, before any name is built
+        obj = serialize.system_to_json(s)
+        obj["torsion"] = 10**12
+        with pytest.raises(ValueError, match="level 1: 4 labels, where a synth tower has"):
+            serialize.system_from_json(obj)
 
     def test_genuine_system_roundtrip(self):
         torus = QuadraticTorus(3, "inert", 2)

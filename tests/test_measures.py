@@ -41,10 +41,12 @@ TORUS5 = QuadraticTorus(5, "inert", 2)
 
 
 def bumped(s, j, lbl, by):
-    """s with its level-j coefficient at lbl raised by `by` mod p^k."""
-    table = dict(s.table(j))
-    table[lbl] = (table[lbl] + by) % s.p**s.k
-    return replace(s, levels=s.levels[:j] + (table,) + s.levels[j + 1:])
+    """s with its level-j coefficient at the label named lbl raised by `by`
+    mod p^k."""
+    table = list(s.table(j))
+    at = s.labels(j).index(lbl)
+    table[at] = (table[at] + by) % s.p**s.k
+    return replace(s, levels=s.levels[:j] + (tuple(table),) + s.levels[j + 1:])
 
 
 def constant_vertex_form(p, k, radius, c=1):
@@ -179,8 +181,8 @@ class TestSynth:
 
         eig = EigenData.supersingular(3, 6)
         s = synth_system(3, 6, "vertex", eig, 3, seed=2)
-        sizes1 = Counter(s.fibers[1].values())
-        sizes2 = Counter(s.fibers[2].values())
+        sizes1 = Counter(s.fibers[1])
+        sizes2 = Counter(s.fibers[2])
         assert set(sizes1.values()) == {4}   # first layer: torsion q+1
         assert set(sizes2.values()) == {3}   # then p
 
@@ -211,7 +213,8 @@ class TestThetaLevel:
         s = synth_system(3, 6, "vertex", eig, 3, seed=1)
         th = theta_level(s, 0)
         assert th.value.n == 0
-        assert th.value.coeffs == (s.table(0)["0|0"],)
+        assert s.labels(0) == ["0|0"]
+        assert th.value.coeffs == s.table(0)
 
     def test_constant_edge_counts_torsion_cosets(self):
         p, k = 3, 6
@@ -256,7 +259,7 @@ class TestThetaOrdinary:
         s = synth_system(3, 8, "edge", eig, 3, seed=6)
         n = 3
         th = theta_ordinary(s, n)
-        total = sum(s.table(n).values())
+        total = sum(s.table(n))
         inv = pow(eig.alpha.inverse().residue, n, 3**8)
         assert th.value.augmentation() == total * inv % 3**8
 
@@ -281,7 +284,7 @@ class TestPmExtract:
         p, k, n = 3, 6, 4
         s = synth_system(p, k, "vertex", EigenData.supersingular(p, k), n,
                          level_map=level_map, seed=3)
-        label = sorted(s.levels[n])[0]
+        label = sorted(s.labels(n))[0]
         with pytest.raises(NotSupersingular):
             pm_extract(bumped(s, n, label, 1), n)
 
@@ -420,7 +423,7 @@ class TestMuEqualsTwoNu:
         eig = EigenData.ordinary(p, k, 2)
         s = synth_system(p, k, "edge", eig, 3, seed=33)
         s = replace(s, levels=tuple(
-            None if t is None else {lbl: c * p**nu % p**k for lbl, c in t.items()}
+            None if t is None else tuple(c * p**nu % p**k for c in t)
             for t in s.levels))
         assert check_distribution(s).ok
         assert gr.mu_invariant(lp(s, 3).value) == 2 * nu

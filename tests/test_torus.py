@@ -13,7 +13,9 @@ from thetaforge.torus import (
     filtration_order,
     orbit_table,
     _canonical_pair,
+    _label_position,
     _label_pow,
+    _parent_positions,
 )
 from thetaforge.tree import Vertex, distance, origin, sphere
 from thetaforge.util import default_nonresidue
@@ -232,11 +234,33 @@ class TestOrbitTable:
             assert _canonical_pair(torus.p, 1, *lbl) == par
 
 
+def split_parts(torus, j):
+    """label -> (torsion index, free digit), read off the walk steps that
+    coset_decomposition lists by label position."""
+    q = torus.p ** max(j - 1, 0)
+    return {lbl: divmod(s, q) for lbl, s in zip(coset_labels(torus, j),
+                                                 coset_decomposition(torus, j))}
+
+
+class TestLabelPositions:
+    @pytest.mark.parametrize("p,j", [(p, j) for p in (3, 5, 7) for j in range(5)])
+    def test_positions_and_parents_are_arithmetic(self, p, j):
+        torus = QuadraticTorus(p, "inert", default_nonresidue(p))
+        labels = coset_labels(torus, j)
+        assert [_label_position(p, j, *lbl) for lbl in labels] == list(range(len(labels)))
+        if j:
+            below = coset_labels(torus, j - 1)
+            assert ([below[t] for t in _parent_positions(p, j)]
+                    == [_canonical_pair(p, j - 1, x, y) for x, y in labels])
+        else:
+            assert _parent_positions(p, j) == []
+
+
 class TestCosetDecomposition:
     @pytest.mark.parametrize("p,d,j", [(3, 2, 1), (3, 2, 3), (5, 2, 2)])
     def test_split_parts_are_bijective(self, p, d, j):
         torus = QuadraticTorus(p, "inert", d)
-        dec = coset_decomposition(torus, j)
+        dec = split_parts(torus, j)
         parts = {dec[lbl] for lbl in coset_labels(torus, j)}
         assert len(parts) == filtration_order(torus, j)
         assert parts == {(t, f) for t in range(p + 1) for f in range(p ** (j - 1))}
@@ -246,7 +270,7 @@ class TestCosetDecomposition:
 
         torus = inert()
         j = 3
-        dec = coset_decomposition(torus, j)
+        dec = split_parts(torus, j)
         rng = random.Random(8)
         labels = coset_labels(torus, j)
         for _ in range(50):
@@ -261,7 +285,7 @@ class TestCosetDecomposition:
                              + [(p, j) for p in (11, 13) for j in range(4)])
     def test_walk_matches_crt_power_split(self, p, j):
         torus = QuadraticTorus(p, "inert", default_nonresidue(p))
-        assert coset_decomposition(torus, j) == reference_parts(torus, j)
+        assert split_parts(torus, j) == reference_parts(torus, j)
 
     def test_walk_must_cover_the_labels(self, monkeypatch):
         # an order check that passes every candidate makes the first label
