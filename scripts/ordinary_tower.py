@@ -57,7 +57,7 @@ def main():
 
     for m_cond in range(args.depth):
         rho = FiniteOrderCharacter(p, m_cond, 1, (1,))
-        rep = interpolation_shape(system, rho, args.depth, ell)
+        rep = interpolation_shape(system, rho, args.depth)
         e = rep.lhs.ramification
         print(f"conductor p^{m_cond}: product identity ok = {rep.ok}, "
               f"val rho(L) = {rep.lhs_valuation} (units 1/{e}) "

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 from .errors import ConductorTooLarge, NotOrdinary
 from .groupring import GroupRingElement, mu_invariant, poly_view, star
-from .measures import CompatibleSystem, PadicLFunction, _check_level, lp, theta_level
+from .measures import CompatibleSystem, lp, theta_level
 from .padic import CyclotomicValue, IntPolynomial, _divide_monic, _reduce_cyclotomic
 from .util import capped_val, json_int
 
@@ -121,20 +121,12 @@ class InterpolationReport:
 
 
 def interpolation_shape(sys: CompatibleSystem, rho: FiniteOrderCharacter,
-                        m: int, ell: PadicLFunction | None = None) -> InterpolationReport:
+                        m: int) -> InterpolationReport:
     """specialize(L, rho) = (period sum at rho) * (period sum at rho^(-1)),
     with the cyclotomic valuation of each side reported.  L is lp(sys, m),
-    built here unless the caller passes it as ell."""
-    if ell is None:
-        ell = lp(sys, m, "ordinary")
-    else:
-        _check_level(sys, m)
-        v = ell.value
-        got = (ell.kind, ell.level, v.p, v.k, v.n, v.delta)
-        want = ("ordinary", m, sys.p, sys.k, sys.level_exp[m], sys.delta)
-        if got != want:
-            raise ValueError(f"L-element (kind, level, p, k, n, delta) = {got}, "
-                             f"expected {want}")
+    built on the first call for (sys, m) and read from the system's memo
+    after, so checking the identity at c characters costs one L-element."""
+    ell = lp(sys, m, "ordinary")
     lhs = specialize(ell.value, rho)
     ps1 = period_sum(sys, rho, m)
     ps2 = period_sum(sys, rho.inverse(), m)

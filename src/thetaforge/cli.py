@@ -245,11 +245,11 @@ def cmd_specialize(args) -> int:
         raise ConductorTooLarge(f"conductor exponent {json_int(m)} exceeds layer {x.n}")
     rho = FiniteOrderCharacter.from_json(x.p, x.delta, char)
     val = specialize(x, rho)
+    units = val.valuation_units()
     payload = {"character": rho.to_json(), "value": val.to_json(),
-               "valuation_units": val.valuation_units(),
-               "ramification": val.ramification}
+               "valuation_units": units, "ramification": val.ramification}
     return _emit(args, "specialize", payload,
-                 f"specialized; valuation = {val.valuation_units()}/{val.ramification}")
+                 f"specialized; valuation = {units}/{val.ramification}")
 
 
 def cmd_howard_scan(args) -> int:

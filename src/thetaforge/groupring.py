@@ -16,6 +16,8 @@ The polynomial view identifies the generator of each cyclic factor with
 T_i + 1, so the layer-n ring in one variable is (Z/p^k)[T]/((T+1)^(p^n)-1).
 For delta = 1 it is the `padic` Taylor shift by +1; the image of an integer
 polynomial (`reduce_poly`) is the shift by -1 folded mod gamma^(p^n) - 1.
+The lambda invariant reads that view's first coefficient of least valuation
+without building it, as the `padic` content and root order at 1.
 
 Division by Omega~ works in the group-element basis, where the factor
 Sigma_{p^j}(gamma), the p^j-th cyclotomic polynomial in gamma, is monic with
@@ -30,11 +32,12 @@ from __future__ import annotations
 
 import sys
 from dataclasses import dataclass
+from math import gcd
 
 from .errors import NotDivisible, UnsupportedDelta
 from .padic import (
-    IntPolynomial, _cyclotomic_divisor, _divide_monic, _packed_product, _taylor_shift,
-    cyclotomic_sigma,
+    IntPolynomial, _content_and_order_at_one, _cyclotomic_divisor, _divide_monic,
+    _packed_product, _taylor_shift, cyclotomic_sigma,
 )
 from .util import capped_val, json_int, prime_int
 
@@ -233,16 +236,22 @@ def xi(x: GroupRingElement) -> GroupRingElement:
 
 
 def mu_invariant(x: GroupRingElement) -> int:
-    """Minimal coefficient valuation, capped at k for the zero element."""
-    return min((capped_val(c, x.p, x.k) for c in x.coeffs), default=x.k)
+    """Minimal coefficient valuation, capped at k for the zero element: the
+    valuation of the gcd of the coefficients and p^k."""
+    return capped_val(gcd(x.p**x.k, *x.coeffs), x.p, x.k)
 
 
 def lambda_invariant(x: GroupRingElement) -> int:
-    """Index of the first polynomial-view coefficient of minimal valuation."""
+    """Index of the first polynomial-view coefficient of minimal valuation.
+
+    The polynomial view is the Taylor shift by +1, so that index is the
+    order of gamma = 1 as a root of (coefficients / p^mu) mod p; with
+    gamma^(p^n) - 1 = (gamma - 1)^(p^n) mod p it is below p^n, and it is 0
+    for the zero element.
+    """
     if x.delta != 1:
         raise UnsupportedDelta("lambda invariant is defined for delta = 1")
-    poly = poly_view(x)
-    return min(range(len(poly)), key=lambda i: capped_val(poly[i], x.p, x.k))
+    return _content_and_order_at_one(x.coeffs, x.p, x.k)[1]
 
 
 # ---------------------------------------------------------------------------

@@ -11,10 +11,11 @@ from the position only where their text matters: labels(j), a distribution
 report, the synthesizer's draw order (parents by sorted name) and the
 serializer.  The distribution checker is one scatter-add of
 each level onto its parents' positions; the theta pushforward is one
-scatter-add onto the free indices, built once per level and system.  One
-rule, _fiber_targets, gives what each fiber sums to (alpha c_j on edges,
-a_p c_j - c_(j-1) on vertices); the synthesizer solves it and the checker
-tests it.
+scatter-add onto the free indices.  The raw and the normalized theta and
+the L-element are each built once per system and level, in the system's
+memo.  One rule, _fiber_targets, gives what each fiber sums to (alpha c_j
+on edges, a_p c_j - c_(j-1) on vertices); the synthesizer solves it and
+the checker tests it.
 
 from_tree reads a tower off a form on a ball centered at the origin, which
 the inert torus fixes: the image of the base vertex v_j under a label h is a
@@ -29,6 +30,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from functools import wraps
 
 from . import groupring
 from .errors import (
@@ -102,10 +104,11 @@ class CompatibleSystem:
     levels: tuple               # levels[j]: tuple of residues by label position (None below start)
     fibers: tuple               # fibers[j]: tuple of parent positions at level j - 1 (None at start)
     free: tuple                 # free[j]: tuple of flat group indices by label position
-    # theta_level's memo, level -> ThetaElement: out of ==, hash and repr, and
-    # started empty by dataclasses.replace; the levels are tuples, so a
-    # system cannot change under it
-    _theta: dict = field(default_factory=dict, init=False, compare=False, repr=False)
+    # the memo of theta_level, theta_ordinary and lp, (function name, *args)
+    # -> result, successful results only (_memoized): out of ==, hash and
+    # repr, and started empty by dataclasses.replace; the levels are
+    # tuples, so a system cannot change under it
+    _memo: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         _check_mode(self.mode, self.eigen)
@@ -373,24 +376,40 @@ def _check_level(sys: CompatibleSystem, n: int):
         raise ValueError(f"level {n} outside populated range")
 
 
+def _memoized(build):
+    """Build each (name, *args) result once per system: a success is stored
+    in sys._memo and returned as the same object after; a raise stores
+    nothing, so every later call raises again."""
+    @wraps(build)
+    def get(sys: CompatibleSystem, *args):
+        key = (build.__name__, *args)
+        out = sys._memo.get(key)
+        if out is None:
+            out = sys._memo[key] = build(sys, *args)
+        return out
+
+    return get
+
+
+@_memoized
 def theta_level(sys: CompatibleSystem, n: int) -> ThetaElement:
     """Pushforward of the level-n table to the free quotient group ring,
     built on the first call for each level and returned as the same element
     after."""
-    theta = sys._theta.get(n)
-    if theta is None:
-        _check_level(sys, n)
-        layer = sys.level_exp[n]
-        coeffs = [0] * (sys.p**layer) ** sys.delta
-        for i, c in zip(sys.free[n], sys.table(n)):
-            coeffs[i] += c
-        value = GroupRingElement(sys.p, sys.k, layer, sys.delta, tuple(coeffs))
-        theta = sys._theta[n] = ThetaElement(n, value, 0)
-    return theta
+    _check_level(sys, n)
+    layer = sys.level_exp[n]
+    coeffs = [0] * (sys.p**layer) ** sys.delta
+    for i, c in zip(sys.free[n], sys.table(n)):
+        coeffs[i] += c
+    value = GroupRingElement(sys.p, sys.k, layer, sys.delta, tuple(coeffs))
+    return ThetaElement(n, value, 0)
 
 
+@_memoized
 def theta_ordinary(sys: CompatibleSystem, n: int) -> ThetaElement:
-    """alpha^(-n) times the raw theta, with exact tower compatibility checked."""
+    """alpha^(-n) times the raw theta, with exact tower compatibility
+    checked, built once per system and level; a failed check raises again
+    on every call."""
     if sys.mode != "edge":
         raise NotOrdinary("ordinary normalization applies to edge systems")
     alpha = sys.eigen.alpha
@@ -461,7 +480,13 @@ def pm_project_class(cls: SignedThetaClass, target_layer: int) -> QuotientClass:
 
 
 def lp(sys: CompatibleSystem, n: int, kind: str = "ordinary") -> PadicLFunction:
-    """The product of the (normalized or signed) theta with its involution."""
+    """The product of the (normalized or signed) theta with its involution,
+    built once per system, level and kind."""
+    return _lp(sys, n, kind)
+
+
+@_memoized
+def _lp(sys: CompatibleSystem, n: int, kind: str) -> PadicLFunction:
     if kind == "ordinary":
         theta = theta_ordinary(sys, n)
         value = theta.value * star(theta.value)

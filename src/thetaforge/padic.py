@@ -1,6 +1,6 @@
 """Bounded-precision p-adic scalars, Hensel roots, the cyclotomic factors
 Sigma_{p^j}(T+1) as exact integer polynomials, cyclotomic ring values, and
-the three polynomial kernels the group rings share.
+the four polynomial kernels the group rings share.
 
 All arithmetic is exact modulo p^k.  The valuation of a residue that is zero
 to working precision is reported as k, never as infinity, so that valuations
@@ -19,16 +19,22 @@ The kernels work on coefficient lists, constant term first:
   doubling blocks with one packed product per level;
 - sparse monic long division (`_divide_monic`): quotient and remainder on
   division by a monic polynomial given by its few lower terms, such as the
-  p^j-th cyclotomic polynomial (`_cyclotomic_divisor`).
+  p^j-th cyclotomic polynomial (`_cyclotomic_divisor`);
+- the content and root order at 1 (`_content_and_order_at_one`): the least
+  coefficient valuation v, and the order of X = 1 as a root of the list
+  divided by p^v, mod p.  It is what the Taylor shift by 1 would say about
+  its first coefficient of least valuation, read without the shift.
 
 Cyclotomic ring values reduce by that division, multiply by the packed
-product and read valuations off the Taylor shift by 1.
+product and read valuations off the content and root order at 1.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import accumulate
+from math import gcd
 
 from .errors import InvariantViolation, NotOrdinary
 from .util import capped_val, json_int, prime_int
@@ -255,6 +261,47 @@ def _divide_monic(a, degree: int, lower, mod: int) -> tuple:
     return quot, [r % mod for r in a[:degree]]
 
 
+def _content_and_order_at_one(coeffs, p: int, k: int) -> tuple:
+    """(v, r) for a list a of residues mod p^k: v is the least valuation of
+    its entries, capped at k, and r is the order of X = 1 as a root of
+    f = (a / p^v) mod p, with r = 0 when v = k (the zero list).
+
+    The Taylor shift X -> X + 1 is unimodular over Z, so the shifted list
+    has the same least valuation v, and mod p its first entry of valuation
+    v sits at the root order of f at 1.  Mod p, X^(p^s) - 1 = (X - 1)^(p^s):
+    r is found digit by digit in base p by exact division by X^(p^s) - 1
+    over F_p, s going down from the largest power that divides.  A list
+    divides by X^M - 1 when each residue class of indices mod M sums to 0;
+    the quotient entries are the strided sums above each index.
+    """
+    v = capped_val(gcd(p**k, *coeffs), p, k)
+    if v == k:
+        return k, 0
+    scale = p**v
+    f = [a // scale % p for a in coeffs]
+    while not f[-1]:
+        f.pop()
+    if sum(f) % p:
+        return v, 0
+
+    def divides(step):
+        return step < len(f) and all(sum(f[c::step]) % p == 0 for c in range(step))
+
+    step = 1
+    while divides(step * p):
+        step *= p
+    r = 0
+    while step:
+        while divides(step):
+            q = [0] * (len(f) - step)
+            for c in range(step):
+                q[c::step] = list(accumulate(f[c + step::step][::-1]))[::-1]
+            f = [x % p for x in q]
+            r += step
+        step //= p
+    return v, r
+
+
 def _cyclotomic_divisor(p: int, j: int) -> tuple:
     """The p^j-th cyclotomic polynomial as (degree, lower terms) for
     _divide_monic: X - 1 for j = 0, else sum_{b<p} X^(b p^(j-1))."""
@@ -281,7 +328,8 @@ class CyclotomicValue:
 
     def __post_init__(self):
         phi = euler_phi_p_power(self.p, self.m)
-        coeffs = tuple(int(c) % self.p**self.k for c in self.coefficients)
+        mod = self.p**self.k
+        coeffs = tuple(int(c) % mod for c in self.coefficients)
         if len(coeffs) != phi:
             raise ValueError(f"expected {phi} coefficients, got {len(coeffs)}")
         object.__setattr__(self, "coefficients", coeffs)
@@ -328,16 +376,15 @@ class CyclotomicValue:
     def valuation_units(self) -> int:
         """Valuation in units of 1/e, capped at e*k ("zero to precision").
 
-        Computed as min_i (e*val(a_i) + i) over the pi-adic expansion
-        sum a_i pi^i obtained by rewriting the element in powers of zeta - 1;
-        the terms have pairwise distinct valuations so the minimum is exact.
+        In the pi-adic expansion sum a_i pi^i, pi = zeta - 1 and i < e, the
+        terms have pairwise distinct valuations e*val(a_i) + i, so the
+        valuation is e*v + r for the least val(a_i) = v and the first index
+        r that reaches it.  The a_i are the Taylor shift by 1 of the stored
+        coefficients (degree < e needs no further reduction), so v and r
+        are their content and root order at 1.
         """
-        e = self.ramification
-        # f(X) mod Phi -> f(Y + 1): the Taylor shift by 1; degree < e needs
-        # no further reduction
-        g = _taylor_shift(self.coefficients, 1, self.p**self.k)
-        return min((e * capped_val(gi, self.p, self.k) + i for i, gi in enumerate(g) if gi),
-                   default=e * self.k)
+        v, r = _content_and_order_at_one(self.coefficients, self.p, self.k)
+        return self.ramification * v + r
 
     def to_json(self):
         return {

@@ -4,16 +4,20 @@ These are the cyclotomic product, reduction and valuation, the Horner image
 of an integer polynomial in a layer ring, the Howard witness division, and
 the schoolbook integer-polynomial arithmetic that built Sigma_{p^j}(T+1) and
 the Omega products, all of which `thetaforge` used before it routed them
-through the three `padic` kernels (packed product, Taylor shift, sparse monic
-division) or read them off binomial rows.  They are quadratic in the ring
-degree and serve only to cross-check the kernels.
+through the `padic` kernels (packed product, Taylor shift, sparse monic
+division, content and root order at 1) or read them off binomial rows.  They
+are quadratic in the ring degree and serve only to cross-check the kernels.
+
+The cyclotomic valuation and the lambda invariant are also kept as the
+Taylor-shift reads `thetaforge` made before the content and root order at 1:
+shift the whole value by 1 mod p^k, then read one index.
 """
 
 from functools import lru_cache
 from math import comb
 
-from thetaforge.groupring import GroupRingElement
-from thetaforge.padic import CyclotomicValue, IntPolynomial, euler_phi_p_power
+from thetaforge.groupring import GroupRingElement, poly_view
+from thetaforge.padic import CyclotomicValue, IntPolynomial, _taylor_shift, euler_phi_p_power
 from thetaforge.util import capped_val
 
 
@@ -97,6 +101,21 @@ def reference_valuation_units(x: CyclotomicValue) -> int:
         if v < x.k:
             best = min(best, e * v + i)
     return best
+
+
+def taylor_valuation_units(x: CyclotomicValue) -> int:
+    """min_i (e*val(a_i) + i) over the Taylor shift by 1 of the value, capped
+    at e*k."""
+    e = x.ramification
+    g = _taylor_shift(x.coefficients, 1, x.p**x.k)
+    return min((e * capped_val(gi, x.p, x.k) + i for i, gi in enumerate(g) if gi),
+               default=e * x.k)
+
+
+def taylor_lambda_invariant(x: GroupRingElement) -> int:
+    """The first index of least valuation in the polynomial view (delta = 1)."""
+    poly = poly_view(x)
+    return min(range(len(poly)), key=lambda i: capped_val(poly[i], x.p, x.k))
 
 
 def reference_reduce_poly(poly: IntPolynomial, p: int, k: int, n: int) -> GroupRingElement:

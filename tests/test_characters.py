@@ -1,5 +1,4 @@
 import random
-from dataclasses import replace
 
 import pytest
 
@@ -208,30 +207,11 @@ class TestInterpolationShape:
             assert rep.rhs == period_sum(s, rho, n_max) * period_sum(s, rho.inverse(), n_max)
             assert rep.ok
 
-    def test_passed_l_element_gives_the_same_report(self):
-        s = ordinary_tower(seed=10, n_max=4)
-        ell = lp(s, 3)
-        for cond in range(3):
-            rho = FiniteOrderCharacter(3, cond, 1, (1,))
-            assert interpolation_shape(s, rho, 3, ell) == interpolation_shape(s, rho, 3)
-
-    def test_passed_l_element_must_be_the_level_m_ordinary_one(self):
+    def test_level_above_n_max_is_refused(self):
         s = ordinary_tower(seed=10, n_max=4)
         rho = FiniteOrderCharacter(3, 1, 1, (1,))
-        ell = lp(s, 3)
-        other_k = lp(ordinary_tower(seed=10, k=7, n_max=4), 3)
-        wrong = [
-            lp(s, 4),                               # another level
-            lp(s, 2),
-            replace(ell, kind="plus"),              # another kind
-            other_k,                                # level 3, another precision
-            replace(lp(s, 4), level=3),             # level 3 named, level-4 ring
-        ]
-        for bad in wrong:
-            with pytest.raises(ValueError):
-                interpolation_shape(s, rho, 3, bad)
         with pytest.raises(ValueError):
-            interpolation_shape(s, rho, 5, replace(ell, level=5))   # above n_max
+            interpolation_shape(s, rho, 5)
 
     def test_specialized_lp_depends_only_on_lp(self):
         from thetaforge.torus import TorusElement

@@ -1,7 +1,9 @@
-"""The three `padic` polynomial kernels against the quadratic loops they
-replaced (`tests/kernel_oracle.py`): cyclotomic products, reductions and
-valuations, the exact integer product, the image of an integer polynomial
-in a layer ring, and the Howard witness remainder."""
+"""The `padic` polynomial kernels against the quadratic loops and the
+Taylor-shift reads they replaced (`tests/kernel_oracle.py`): cyclotomic
+products, reductions and valuations, the exact integer product, the image
+of an integer polynomial in a layer ring, the Howard witness remainder, and
+the content and root order at 1 behind the lambda invariant and the
+cyclotomic valuation."""
 
 import random
 
@@ -18,12 +20,18 @@ from kernel_oracle import (
     reference_reduce_poly,
     reference_valuation_units,
     reference_zeta_power,
+    taylor_lambda_invariant,
+    taylor_valuation_units,
 )
 from thetaforge.characters import _poly_remainder_mod
-from thetaforge.groupring import omega_pm_poly, reduce_poly
-from thetaforge.padic import (
-    CyclotomicValue, IntPolynomial, _packed_product, _reduce_cyclotomic, euler_phi_p_power,
+from thetaforge.groupring import (
+    GroupRingElement, lambda_invariant, mu_invariant, omega_pm_poly, reduce_poly,
 )
+from thetaforge.padic import (
+    CyclotomicValue, IntPolynomial, _content_and_order_at_one, _packed_product,
+    _reduce_cyclotomic, euler_phi_p_power,
+)
+from thetaforge.util import capped_val
 
 PRIMES = (2, 3, 5, 7)
 # every conductor p^m <= 2187, m = 0 included
@@ -114,3 +122,99 @@ def test_witness_remainder_matches_long_division(p):
                 poly = [rng.randrange(mod) for _ in range(length)]
                 assert (_poly_remainder_mod(poly, witness, p, k0)
                         == reference_poly_remainder_mod(poly, witness, p, k0))
+
+
+# every layer and conductor p^n <= 6561, n = 0 included: n up to 8 at p = 3
+ROOT_LAYERS = [(p, n) for p in PRIMES for n in range(9) if p**n <= 6561]
+
+
+def _minus_one_power(t: int, size: int, mod: int) -> list:
+    """The coefficients of (X - 1)^t mod `mod`, folded onto `size` slots by
+    X^size = 1, or unfolded for size 0."""
+    out = [0] * (size or t + 1)
+    c = 1
+    for i in range(t + 1):
+        out[i % len(out)] += c * (-1) ** (t - i)
+        c = c * (t - i) // (i + 1)
+    return [a % mod for a in out]
+
+
+def _plain_values(p, k, length, rng):
+    """Lists of `length` entries mod p^k: zero, a multiple of p^(k-1), a
+    random list and a random list with a random power of p on each entry."""
+    mod = p**k
+    return [
+        [0] * length,
+        [p ** (k - 1) * rng.randrange(p) for _ in range(length)],
+        [rng.randrange(mod) for _ in range(length)],
+        [rng.randrange(mod) * p ** rng.randrange(k + 1) % mod for _ in range(length)],
+    ]
+
+
+def _exponents(e, size, rng):
+    """t near the ramification index e and the group order p^n, and one
+    random t below 2 p^n."""
+    near = {e - 1, e, e + 1, size - 1, size, size + 1, rng.randrange(2 * size)}
+    return sorted(t for t in near if t >= 0)
+
+
+# The Taylor-shift oracles cost as much as the reads they were, so (X - 1)^t
+# alone is checked against its closed form where it has one, and against
+# the oracle otherwise and, at t = e and t = p^n, times a random value and a
+# power of p.
+
+
+@pytest.mark.parametrize("p,n", ROOT_LAYERS)
+def test_lambda_and_mu_match_the_taylor_shift(p, n):
+    rng = random.Random(31 * p + n)
+    size, e = p**n, euler_phi_p_power(p, n)
+    for k in sorted({1, n + 2, 40}):
+        mod = p**k
+        values = [GroupRingElement(p, k, n, 1, tuple(c))
+                  for c in _plain_values(p, k, size, rng)]
+        rand = values[2]
+        for t in _exponents(e, size, rng):
+            power = GroupRingElement(p, k, n, 1, tuple(_minus_one_power(t, size, mod)))
+            if t < size:
+                # the polynomial view of (gamma - 1)^t is T^t
+                assert (mu_invariant(power), lambda_invariant(power)) == (0, t)
+            else:
+                values.append(power)
+            if t in (e, size):
+                values.append(power * rand * p ** rng.randrange(k))
+        for x in values:
+            v, r = _content_and_order_at_one(x.coeffs, p, k)
+            assert v == min(capped_val(c, p, k) for c in x.coeffs) == mu_invariant(x)
+            assert r == taylor_lambda_invariant(x) == lambda_invariant(x)
+
+
+@pytest.mark.parametrize("p,m", ROOT_LAYERS)
+def test_cyclotomic_valuation_matches_the_taylor_shift(p, m):
+    rng = random.Random(37 * p + m)
+    size, e = p**m, euler_phi_p_power(p, m)
+    for k in sorted({1, m + 2, 40}):
+        values = [CyclotomicValue(p, k, m, tuple(c)) for c in _plain_values(p, k, e, rng)]
+        rand = values[2]
+        for t in _exponents(e, size, rng):
+            power = _reduce_cyclotomic(_minus_one_power(t, 0, p**k), p, k, m)
+            if m > 0:
+                # zeta - 1 is a uniformizer
+                assert power.valuation_units() == min(t, e * k)
+            else:
+                values.append(power)
+            if t in (e, size):
+                values.append(power * rand * p ** rng.randrange(k))
+        for x in values:
+            assert x.valuation_units() == taylor_valuation_units(x)
+
+
+def test_content_and_order_at_one_edges():
+    # the zero list, at any length
+    for coeffs in ([0], [0] * 9):
+        assert _content_and_order_at_one(coeffs, 3, 5) == (5, 0)
+    # a unit constant; trailing zeros do not raise the degree
+    assert _content_and_order_at_one([1, 0, 0, 0], 3, 5) == (0, 0)
+    # 9 (X - 1)^3 (X + 1) mod 3^4: content 2, root order 3 at 1
+    assert _content_and_order_at_one([9 * c % 81 for c in (-1, 2, 0, -2, 1)], 3, 4) == (2, 3)
+    # X^9 - 1 = (X - 1)^9 mod 3: the root order is the whole degree
+    assert _content_and_order_at_one([80] + [0] * 8 + [1], 3, 4) == (0, 9)

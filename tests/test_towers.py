@@ -1,5 +1,5 @@
 """The positional tower against the dict-keyed one in tower_oracle.py, and
-the per-system theta memo."""
+the per-system memo of the raw and normalized thetas and the L-elements."""
 
 import json
 import random
@@ -8,8 +8,12 @@ from dataclasses import replace
 import pytest
 
 from thetaforge import serialize
+from thetaforge.characters import FiniteOrderCharacter, interpolation_shape, specialize
+from thetaforge.errors import CompatibilityViolation, NotOrdinary, NotSupersingular
 from thetaforge.hecke import EigenData, local_eigen_extend, stabilize
-from thetaforge.measures import check_distribution, from_tree, synth_system, theta_level
+from thetaforge.measures import (
+    check_distribution, from_tree, lp, synth_system, theta_level, theta_ordinary,
+)
 from thetaforge.torus import QuadraticTorus, TorusElement
 from thetaforge.util import default_nonresidue
 from tower_oracle import (
@@ -177,3 +181,93 @@ class TestThetaMemo:
                     per_level[j][0] = 0
         with pytest.raises(TypeError):
             s.levels[1] = ()
+
+
+class TestLElementMemo:
+    """theta_ordinary and lp are built once per system, level (and kind),
+    in the same memo as theta_level; a failure is never stored."""
+
+    def system(self):
+        return synth_system(3, 6, "edge", EigenData.ordinary(3, 6, 1), 4, seed=2)
+
+    def incompatible(self, s):
+        # one level-3 coefficient bumped: theta_3 no longer projects to theta_2
+        table = list(s.levels[3])
+        table[0] = (table[0] + 1) % 3**6
+        return replace(s, levels=s.levels[:3] + (tuple(table),) + s.levels[4:])
+
+    def test_repeated_reads_return_the_same_object(self):
+        s = self.system()
+        for n in range(1, 5):
+            assert theta_ordinary(s, n) is theta_ordinary(s, n)
+            assert lp(s, n) is lp(s, n) is lp(s, n, "ordinary")
+            # the L-element is built from the memoized normalized theta
+            assert lp(s, n).factor_value is theta_ordinary(s, n).value
+
+    def test_interpolation_shape_builds_one_l_element(self):
+        s = self.system()
+        conductors = range(s.level_exp[3] + 1)
+        reports = [interpolation_shape(s, FiniteOrderCharacter(3, m, 1, (1,)), 3)
+                   for m in conductors]
+        assert all(rep.ok for rep in reports)
+        assert sorted(key for key in s._memo if key[0] == "_lp") == [("_lp", 3, "ordinary")]
+        ell = lp(s, 3)
+        for m, rep in zip(conductors, reports):
+            assert rep.lhs == specialize(ell.value, FiniteOrderCharacter(3, m, 1, (1,)))
+
+    def test_replaced_system_starts_with_an_empty_memo(self):
+        s = self.system()
+        ell, th = lp(s, 3), theta_ordinary(s, 3)
+        same = replace(s)
+        assert same._memo == {}
+        assert lp(same, 3) == ell and lp(same, 3) is not ell
+        assert theta_ordinary(same, 3) == th and theta_ordinary(same, 3) is not th
+        assert lp(s, 3) is ell
+
+    def test_incompatible_system_raises_on_every_call(self):
+        s = self.system()
+        lp(s, 3)
+        bad = self.incompatible(s)
+        rho = FiniteOrderCharacter(3, 1, 1, (1,))
+        for _ in range(3):
+            with pytest.raises(CompatibilityViolation):
+                theta_ordinary(bad, 3)
+            with pytest.raises(CompatibilityViolation):
+                lp(bad, 3)
+            with pytest.raises(CompatibilityViolation):
+                interpolation_shape(bad, rho, 3)
+        # the raw thetas were built and kept; nothing above level 2 was judged
+        assert all(key[0] == "theta_level" for key in bad._memo)
+        # levels below the bumped one stay compatible
+        assert lp(bad, 2) == lp(s, 2)
+
+    def test_refusal_that_is_not_supersingular_is_never_stored(self):
+        p, k, n = 3, 6, 4
+        s = synth_system(p, k, "vertex", EigenData.supersingular(p, k), n, seed=3)
+        table = list(s.levels[n])
+        table[0] = (table[0] + 1) % p**k
+        bad = replace(s, levels=s.levels[:n] + (tuple(table),) + s.levels[n + 1:])
+        for _ in range(3):
+            with pytest.raises(NotSupersingular):
+                lp(bad, n, "plus" if n % 2 == 0 else "minus")
+            with pytest.raises(NotOrdinary):
+                lp(bad, n)
+        assert not any(key[0] == "_lp" for key in bad._memo)
+
+    def test_unknown_kind_is_refused_every_time(self):
+        s = self.system()
+        for _ in range(2):
+            with pytest.raises(ValueError):
+                lp(s, 3, "sideways")
+        assert s._memo == {}
+
+    def test_memo_stays_out_of_equality_repr_and_artifacts(self):
+        s, fresh = self.system(), self.system()
+        text = serialize.canonical_dumps(serialize.system_to_json(s))
+        for n in range(1, 5):
+            lp(s, n)
+        interpolation_shape(s, FiniteOrderCharacter(3, 2, 1, (1,)), 4)
+        assert s._memo and s == fresh and hash(s) == hash(fresh)
+        assert repr(s) == repr(fresh)
+        assert "_memo" not in repr(s) and "PadicLFunction" not in repr(s)
+        assert serialize.canonical_dumps(serialize.system_to_json(s)) == text
