@@ -8,9 +8,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import ConductorTooLarge, NotOrdinary
+from .errors import ConductorTooLarge
 from .groupring import GroupRingElement, mu_invariant, poly_view, star
-from .measures import CompatibleSystem, lp, theta_level
+from .measures import CompatibleSystem, lp, theta_ordinary
 from .padic import CyclotomicValue, IntPolynomial, _divide_monic, _reduce_cyclotomic
 from .util import capped_val, json_int
 
@@ -96,19 +96,11 @@ def star_identity_check(lam: GroupRingElement, rho: FiniteOrderCharacter) -> Sta
 
 
 def period_sum(sys: CompatibleSystem, rho: FiniteOrderCharacter, m: int) -> CyclotomicValue:
-    """alpha^(-m) sum over level-m labels of rho(free image) * coefficient,
-    that is, alpha^(-m) times the raw level-m theta element specialized at
-    rho."""
-    if sys.mode != "edge":
-        raise NotOrdinary("period sums are defined for ordinary edge systems")
-    if not sys.eigen.alpha.is_unit():
-        raise NotOrdinary("transfer eigenvalue is not a unit")
-    if rho.m > sys.level_exp[m]:
-        raise ConductorTooLarge(
-            f"conductor exponent {rho.m} exceeds free exponent {sys.level_exp[m]}"
-        )
-    scale = pow(sys.eigen.alpha.inverse().residue, m, sys.p**sys.k)
-    return specialize(theta_level(sys, m).value, rho) * scale
+    """alpha^(-m) sum over level-m labels of rho(free image) * coefficient:
+    the ordinary level-m theta element specialized at rho.  The mode, unit,
+    level and compatibility checks are theta_ordinary's, and the element is
+    read from the system's memo after the first call."""
+    return specialize(theta_ordinary(sys, m).value, rho)
 
 
 @dataclass(frozen=True)

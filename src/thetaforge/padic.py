@@ -83,9 +83,6 @@ class PrecisionInt:
     def __neg__(self):
         return PrecisionInt(self.p, self.k, -self.residue)
 
-    def __pow__(self, e: int):
-        return PrecisionInt(self.p, self.k, pow(self.residue, e, self.modulus))
-
     def valuation(self) -> int:
         """Largest c <= k with p^c | residue; k means zero to precision."""
         return capped_val(self.residue, self.p, self.k)

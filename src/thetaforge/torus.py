@@ -9,16 +9,12 @@ p^j + y / p), so the decomposition and the parent map are lists by position.
 TorusElement and the coset labels share one group law: an element is stored
 as its canonical level-k label and multiplied with _label_mul.
 
-Orbit tables on the standard base points are read off in closed form: the
-label (x : y) sends v_j = [[p^j, 0], [0, 1]] to the lattice
-p^j Z^2 + Z (d y, x), whose normal form is
-  Vertex(p, j, 0, d y x^(-1) mod p^j)        if x is a unit,
-  Vertex(p, 0, j, 0)                         if x = 0 mod p^j,
-  Vertex(p, j - v, v, w^(-1) mod p^(j - v))  otherwise, x / (d y) = p^v w;
-and sends the edge (v_(j-1), v_j) to the pair of images of its endpoints.
-orbit_table builds those images as Vertex and DirectedEdge objects, for the
-CLI and for inspection; orbit_ids reads the same closed forms straight to
-the ids of a ball around the origin, with no object built, for from_tree.
+Orbit images of the standard base points are read off in closed form, by
+blocks of label positions (_orbit_blocks), and the edge (v_(j-1), v_j) goes
+to the pair of images of its endpoints.  orbit_table builds those images as
+Vertex and DirectedEdge objects, for the CLI and for inspection; orbit_ids
+reads the same blocks straight to the ids of a ball around the origin, with
+no object built, for from_tree.
 
 Split kind: only its base sequence, a branch off the standard apartment, is
 kept, for inspection.
@@ -30,7 +26,7 @@ from dataclasses import dataclass
 
 from .errors import InvariantViolation, TransitivityViolation
 from .tree import DirectedEdge, Vertex, digit_reversals, origin, origin_id_offset
-from .util import is_nonresidue, val_p
+from .util import is_nonresidue
 
 
 @dataclass(frozen=True)
@@ -257,62 +253,52 @@ class OrbitTable:
             yield lbl, self.images[lbl]
 
 
-def _standard_image(p: int, d: int, j: int, x: int, y: int) -> Vertex:
-    """Image of v_j under the torus element x + y*sqrt(d), (x, y) primitive:
-    the normal form of p^j Z^2 + Z (d y, x), read off in closed form."""
+def _orbit_blocks(p: int, d: int, j: int):
+    """The images of v_j under the level-j labels, in blocks of label
+    positions: each block (a, b, us, at) sends the labels at the positions
+    at (a slice of coset_labels) to Vertex(p, a, b, u) for u in us.
+
+    The label (x : y) sends v_j = [[p^j, 0], [0, 1]] to the lattice
+    p^j Z^2 + Z (d y, x), whose normal form is
+      Vertex(p, 0, j, 0)                           if x = 0 mod p^j,
+      Vertex(p, j - v, v, d y w^(-1) mod p^(j-v))  if x = p^v w, w a unit,
+    so (x : 1), x = p^v w with w = c mod p, runs over the positions
+    p^v c, p^v (c + p), ... and (1 : y), p | y, over p^j + y / p.  At
+    level 0 the one label (1 : 0) fixes v_0, the origin.
+    """
     mod = p**j
-    x %= mod
-    if x % p:
-        return Vertex(p, j, 0, d * y * pow(x, -1, mod) % mod)
-    if x == 0:
-        return Vertex(p, 0, j, 0)
-    # 0 < v < j and y is a unit: (d y, x) spans the same line as (w^(-1), p^v)
-    v = val_p(x, p)
-    r = p ** (j - v)
-    return Vertex(p, j - v, v, d * y * pow(x // p**v, -1, r) % r)
-
-
-def _standard_images(torus: QuadraticTorus, j: int, mode: str, labels, parents) -> list:
-    """Images of the level-j base vertex or edge under each label."""
-    p, d = torus.p, torus.d
-    tip = [_standard_image(p, d, j, x, y) for x, y in labels]
-    if mode == "vertex":
-        return tip
-    # an edge's source is the parent label's image of v_(j-1)
-    below = {}
-    out = []
-    for lbl, t in zip(labels, tip):
-        par = parents[lbl]
-        src = below.get(par)
-        if src is None:
-            src = below[par] = _standard_image(p, d, j - 1, *par)
-        out.append(DirectedEdge(src, t))
-    return out
+    yield 0, j, [0], slice(0, 1)
+    for v in range(j):
+        r, q = p ** (j - v), p**v
+        for c in range(1, p):
+            us = [d * pow(w, -1, r) % r for w in range(c, r, p)]
+            yield j - v, v, us, slice(q * c, mod, q * p)
+    if j:
+        yield j, 0, [d * y % mod for y in range(0, mod, p)], slice(mod, mod + mod // p)
 
 
 def orbit_ids(torus: QuadraticTorus, j: int) -> list:
     """The ids of the images of v_j under the level-j labels, in
-    coset_labels order, in any ball around the origin of radius >= j: the
-    closed forms of _standard_image read through origin_id_offset and
-    digit_reversals, with no Vertex built."""
-    if j == 0:
-        return [0]
-    p, d = torus.p, torus.d
-    mod = p**j
+    coset_labels order, in any ball around the origin of radius >= j, with
+    no Vertex built: Vertex(p, a, b, u) has id origin_id_offset(p, a, b)
+    plus the a-digit reversal of u, which is its j-digit one over
+    p^(j - a)."""
+    p = torus.p
     rev = digit_reversals(p, j)
-    # the labels (x : 1), x = p^v w with w a unit mod p^(j-v), go to
-    # Vertex(p, j - v, v, d w^(-1) mod p^(j-v)), whose j-digit reversal is
-    # p^v times its (j-v)-digit one; x = 0 goes to Vertex(p, 0, j, 0)
-    ids = [origin_id_offset(p, 0, j)] * mod
-    for v in range(j):
-        r, q = p ** (j - v), p**v
-        base = origin_id_offset(p, j - v, v)
-        for c in range(1, p):
-            ids[q * c::q * p] = [base + rev[d * pow(w, -1, r) % r] // q
-                                 for w in range(c, r, p)]
-    # the labels (1 : y), p | y, go to Vertex(p, j, 0, d y mod p^j)
-    first = origin_id_offset(p, j, 0)
-    return ids + [first + rev[d * y % mod] for y in range(0, mod, p)]
+    ids = [0] * filtration_order(torus, j)
+    for a, b, us, at in _orbit_blocks(p, torus.d, j):
+        base, q = origin_id_offset(p, a, b), p ** (j - a)
+        ids[at] = [base + rev[u] // q for u in us]
+    return ids
+
+
+def _orbit_images(torus: QuadraticTorus, j: int) -> list:
+    """The images of v_j under the level-j labels, in coset_labels order."""
+    p = torus.p
+    out = [None] * filtration_order(torus, j)
+    for a, b, us, at in _orbit_blocks(p, torus.d, j):
+        out[at] = [Vertex(p, a, b, u) for u in us]
+    return out
 
 
 def _parent_positions(p: int, j: int) -> list:
@@ -347,9 +333,14 @@ def orbit_table(torus: QuadraticTorus, j: int, mode: str = "vertex",
     if base is not None and base != standard:
         raise ValueError(f"orbit tables start from the standard base point {standard}")
     labels = tuple(coset_labels(torus, j))
-    below = coset_labels(torus, j - 1) if j else []
-    parents = {lbl: below[t] for lbl, t in zip(labels, _parent_positions(torus.p, j))}
-    acted = _standard_images(torus, j, mode, labels, parents)
+    up = _parent_positions(torus.p, j)
+    lower = coset_labels(torus, j - 1) if j else []
+    parents = {lbl: lower[t] for lbl, t in zip(labels, up)}
+    acted = _orbit_images(torus, j)
+    if mode == "edge":
+        # an edge's source is the parent label's image of v_(j-1)
+        below = _orbit_images(torus, j - 1)
+        acted = [DirectedEdge(below[t], w) for t, w in zip(up, acted)]
     seen = {}
     for lbl, w in zip(labels, acted):
         if w in seen:

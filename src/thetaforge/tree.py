@@ -16,11 +16,11 @@ the directed edges 2(c-1) = (parent -> c) and 2c-1 = (c -> parent).  The
 tree is (p+1)-regular, so the tables are the same for every center and
 ball() writes them down by arithmetic.  The Vertex and DirectedEdge objects
 (spheres, ids, the edge list) are built on first request by one walk out
-from the center, which checks each tree edge once, with one distance() per
-undirected edge, and builds both of its directions from that one check
-(distance is symmetric).  A shrunk copy (a smaller radius around the same
-center) shares the tables and the objects, and its size bounds the ids that
-belong to it, so every directed_edges() call yields the same edge objects.
+from the center, which checks each vertex's child count against the tables
+and builds both directions of each tree edge.  A shrunk copy (a smaller
+radius around the same center) shares the tables and the objects, and its
+size bounds the ids that belong to it, so every directed_edges() call
+yields the same edge objects.
 Around the origin a vertex's id is also a closed form of its exponents
 (origin_id_offset plus digit_reversals), which the torus orbits read.
 """
@@ -81,24 +81,6 @@ class DirectedEdge:
 
     def __hash__(self):
         return self._hash
-
-    @staticmethod
-    def both_ways(v: Vertex, w: Vertex) -> tuple:
-        """(v -> w, w -> v), equal to DirectedEdge(v, w) and DirectedEdge(w, v)
-        but with one adjacency check for the pair: distance is symmetric, so
-        the check on (v, w) is the check on (w, v)."""
-        if distance(v, w) != 1:
-            raise ValueError("edge endpoints must be adjacent")
-        # fill the slots past the frozen __setattr__
-        cls = DirectedEdge
-        there, back = object.__new__(cls), object.__new__(cls)
-        cls.source.__set__(there, v)
-        cls.target.__set__(there, w)
-        cls._hash.__set__(there, hash((v, w)))
-        cls.source.__set__(back, w)
-        cls.target.__set__(back, v)
-        cls._hash.__set__(back, hash((w, v)))
-        return there, back
 
     def to_json(self):
         return {"source": self.source.to_json(), "target": self.target.to_json()}
@@ -206,8 +188,7 @@ class _TreeObjects:
 
     The walk lists each vertex's neighbors() without its parent as its
     children, checks that their count is the one the tables give, and
-    checks each tree edge once, with one distance() per undirected edge, as
-    it builds both of its directions (distance is symmetric)."""
+    builds both directions of each tree edge."""
 
     def __init__(self, center: Vertex, radius: int, child_start: tuple):
         self.center, self.radius, self.child_start = center, radius, child_start
@@ -230,13 +211,13 @@ class _TreeObjects:
                         f"expected {cs[i + 1] - cs[i]}")
                 verts += kids
                 for w in kids:
-                    edges += DirectedEdge.both_ways(x, w)
+                    edges += (DirectedEdge(x, w), DirectedEdge(w, x))
             spheres.append(tuple(verts[first:]))
         ids = {w: i for i, w in enumerate(verts)}
         return tuple(spheres), ids, tuple(edges)
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True)
 class Ball:
     """Distance-closed ball as breadth-first id tables.
 
@@ -250,27 +231,20 @@ class Ball:
 
     The tree objects are views built on first request: spheres, vertices(),
     ids (vertex -> id) and the edges table (edge id -> DirectedEdge) with
-    directed_edges().  Shrunk copies share ids and edges with the ball they
-    came from.  spheres, when given, are the first radius + 1 spheres of
-    those views, as a copy made by dataclasses.replace passes them on.
+    directed_edges().  Shrunk copies made by dataclasses.replace share ids
+    and edges with the ball they came from.
     """
 
     center: Vertex
     radius: int
     parents: tuple = field(compare=False, repr=False)       # id -> parent id, -1 at the center
     child_start: tuple = field(compare=False, repr=False)   # id -> first child id; one entry past the last id
-    _objects: _TreeObjects = field(compare=False, repr=False)
+    _objects: _TreeObjects | None = field(default=None, compare=False, repr=False)
 
-    def __init__(self, center: Vertex, radius: int, parents: tuple, child_start: tuple,
-                 _objects: _TreeObjects | None = None, spheres: tuple | None = None):
-        for name, value in (("center", center), ("radius", radius), ("parents", parents),
-                            ("child_start", child_start)):
-            object.__setattr__(self, name, value)
-        if _objects is None:
-            _objects = _TreeObjects(center, radius, child_start)
-        object.__setattr__(self, "_objects", _objects)
-        if spheres is not None:
-            object.__setattr__(self, "spheres", tuple(spheres))
+    def __post_init__(self):
+        if self._objects is None:
+            object.__setattr__(self, "_objects",
+                               _TreeObjects(self.center, self.radius, self.child_start))
 
     @property
     def size(self) -> int:

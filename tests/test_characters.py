@@ -129,6 +129,13 @@ class TestPeriodSum:
         with pytest.raises(ConductorTooLarge):
             period_sum(s, FiniteOrderCharacter(3, 2, 1, (1,)), 2)
 
+    def test_level_above_n_max_is_refused(self):
+        # the level check is theta_ordinary's: a ValueError, not an
+        # IndexError past the end of the tower
+        s = synth_system(3, 6, "edge", EigenData.ordinary(3, 6, 1), 3, seed=1)
+        with pytest.raises(ValueError, match="level 5 outside populated range"):
+            period_sum(s, FiniteOrderCharacter(3, 0, 1, (0,)), 5)
+
     def test_inverse_character_is_involution_route(self):
         # the inverse-character sum equals specializing the involuted theta
         s = ordinary_tower(seed=8)

@@ -1,10 +1,11 @@
-"""Internal identity checks raise InvariantViolation (they are explicit
-raises, so they also fire under ``python -O``)."""
+"""Internal identity checks raise InvariantViolation or, for the torus
+orbits, TransitivityViolation (they are explicit raises, so they also fire
+under ``python -O``)."""
 
 import pytest
 
 from thetaforge import measures, padic, torus, tree
-from thetaforge.errors import InvariantViolation
+from thetaforge.errors import InvariantViolation, TransitivityViolation
 from thetaforge.hecke import EigenData, local_eigen_extend, stabilize
 from thetaforge.padic import PrecisionInt, hensel_unit_root
 
@@ -42,6 +43,28 @@ def test_coset_group_structure_is_verified(monkeypatch):
     monkeypatch.setattr(torus, "_element_order", lambda *args: 0)
     with pytest.raises(InvariantViolation):
         torus.coset_decomposition(t, 2)
+
+
+def test_orbit_images_must_be_distinct(monkeypatch):
+    # orbit_table and from_tree both read the images off torus._orbit_blocks;
+    # send the level-2 labels (1 : 0) and (1 : 3) to the same vertex
+    real = torus._orbit_blocks
+
+    def repeated(p, d, j):
+        for a, b, us, at in real(p, d, j):
+            if j == 2 and at.start == p**j:
+                us = [us[0]] + us[:-1]
+            yield a, b, us, at
+
+    monkeypatch.setattr(torus, "_orbit_blocks", repeated)
+    t = torus.QuadraticTorus(3, "inert", 2)
+    eig = EigenData.ordinary(3, 6, 1)
+    f0 = local_eigen_extend(3, 6, 1, 3, seed=1)
+    with pytest.raises(TransitivityViolation, match="level 2"):
+        torus.orbit_table(t, 2)
+    for form in (f0, stabilize(f0, eig)):
+        with pytest.raises(TransitivityViolation, match="level-2"):
+            measures.from_tree(form, t, eig, 3)
 
 
 def test_orbit_edges_must_be_ball_edges(monkeypatch):

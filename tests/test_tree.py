@@ -251,7 +251,7 @@ class TestEdgesAndBall:
                 assert [e.target for e in out] == kids + ([] if par is None else [par])
             assert sphere(center, radius + 1)[0] not in b.ids
             # directed_edges() yields the recorded objects, also once shrunk
-            shrunk = replace(b, radius=radius - 1, spheres=b.spheres[:radius]) if radius else b
+            shrunk = replace(b, radius=radius - 1) if radius else b
             for c in (b, shrunk):
                 inside = []
                 for v in verts[1:c.size]:
@@ -271,7 +271,7 @@ class TestEdgesAndBall:
         # neighbors, and child c owns edges 2(c-1) = (parent -> c), 2c-1 = (c -> parent)
         for center in (origin(p), Vertex(p, 1, 1, 1)):
             full = ball(center, radius)
-            shrunk = replace(full, radius=radius - 1, spheres=full.spheres[:radius])
+            shrunk = replace(full, radius=radius - 1)
             for b in (full, shrunk) if radius else (full,):
                 verts = list(b.vertices())
                 assert b.size == len(verts) == len(set(verts))

@@ -187,7 +187,7 @@ def reference_ball(v: Vertex, radius: int) -> ReferenceBall:
             verts += kids
             parents += [i] * len(kids)
             for w in kids:
-                edges += DirectedEdge.both_ways(x, w)
+                edges += (DirectedEdge(x, w), DirectedEdge(w, x))
         spheres.append(tuple(verts[first:]))
     # the boundary sphere has no children
     child_start += [len(verts)] * (len(verts) + 1 - len(child_start))
