@@ -1,7 +1,6 @@
 """Finite-order characters of the layer groups, exact specialization of
-group-ring elements into cyclotomic rings, the involution identity, discrete
-period sums, the product identity for the L-element, and the family
-nontriviality scanner.
+group-ring elements into cyclotomic rings, discrete period sums, the product
+identity for the L-element, and the family nontriviality scanner.
 """
 
 from __future__ import annotations
@@ -9,10 +8,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import ConductorTooLarge
-from .groupring import GroupRingElement, mu_invariant, poly_view, star
-from .measures import CompatibleSystem, lp, theta_ordinary
+from .groupring import GroupRingElement, mu_invariant, poly_view
 from .padic import CyclotomicValue, IntPolynomial, _divide_monic, _reduce_cyclotomic
 from .util import capped_val, json_int
+
+# measures is imported by the two readers of systems, period_sum and
+# interpolation_shape, so specializing an element does not load it
+TYPE_CHECKING = False
+if TYPE_CHECKING:
+    from .measures import CompatibleSystem
 
 
 @dataclass(frozen=True)
@@ -81,25 +85,12 @@ def specialize(lam: GroupRingElement, rho: FiniteOrderCharacter) -> CyclotomicVa
     return _reduce_cyclotomic(raw, lam.p, lam.k, rho.m)
 
 
-@dataclass(frozen=True)
-class StarIdentityReport:
-    ok: bool
-    lhs: CyclotomicValue
-    rhs: CyclotomicValue
-
-
-def star_identity_check(lam: GroupRingElement, rho: FiniteOrderCharacter) -> StarIdentityReport:
-    """Specializing the involution equals specializing at the inverse character."""
-    lhs = specialize(star(lam), rho)
-    rhs = specialize(lam, rho.inverse())
-    return StarIdentityReport(lhs == rhs, lhs, rhs)
-
-
 def period_sum(sys: CompatibleSystem, rho: FiniteOrderCharacter, m: int) -> CyclotomicValue:
     """alpha^(-m) sum over level-m labels of rho(free image) * coefficient:
     the ordinary level-m theta element specialized at rho.  The mode, unit,
     level and compatibility checks are theta_ordinary's, and the element is
     read from the system's memo after the first call."""
+    from .measures import theta_ordinary
     return specialize(theta_ordinary(sys, m).value, rho)
 
 
@@ -118,6 +109,7 @@ def interpolation_shape(sys: CompatibleSystem, rho: FiniteOrderCharacter,
     with the cyclotomic valuation of each side reported.  L is lp(sys, m),
     built on the first call for (sys, m) and read from the system's memo
     after, so checking the identity at c characters costs one L-element."""
+    from .measures import lp
     ell = lp(sys, m, "ordinary")
     lhs = specialize(ell.value, rho)
     ps1 = period_sum(sys, rho, m)

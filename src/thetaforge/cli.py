@@ -10,6 +10,10 @@ base-seq those and --n-max; forms eigen-extend --p, --k and --seed; synth
 --p, --k, --delta, --n-max and --seed.  The other commands read p, k and
 delta from their input artifact.  A value comes from its flag, else the
 config file (keys p k delta n_max kind d seed out), else the default.
+
+Each handler imports the modules it runs, so a call loads only those; it
+calls serialize and groupring functions through their modules, so a patched
+module attribute is the one called.
 """
 
 from __future__ import annotations
@@ -18,14 +22,8 @@ import argparse
 import json
 import sys
 
-from . import groupring, serialize
-from .characters import FiniteOrderCharacter, HowardFamily, howard_check, specialize
+from . import serialize
 from .errors import ConductorTooLarge, ThetaForgeError
-from .hecke import EigenData, local_eigen_extend, nu_invariant, stabilize
-from .measures import check_distribution, lp, synth_system, theta_level, theta_ordinary
-from .padic import IntPolynomial, PrecisionInt
-from .torus import QuadraticTorus, base_sequence, orbit_table
-from .tree import Vertex, distance, geodesic_path, neighbors, origin, sphere, to_dot
 from .util import default_nonresidue, is_prime, json_int
 
 # parameter name (also its config-file key): flag, type, default, choices
@@ -80,7 +78,8 @@ def _fill(args) -> None:
         args.d = default_nonresidue(p)
 
 
-def _parse_vertex(p: int, text: str) -> Vertex:
+def _parse_vertex(p: int, text: str):
+    from .tree import Vertex
     a, b, u = (int(x) for x in text.split(","))
     return Vertex(p, a, b, u)
 
@@ -97,6 +96,7 @@ def _emit(args, kind: str, payload, summary: str) -> int:
 
 
 def cmd_tree(args) -> int:
+    from .tree import distance, geodesic_path, neighbors, origin, sphere, to_dot
     p = args.p
     if args.tree_cmd == "neighbors":
         v = _parse_vertex(p, args.vertex)
@@ -125,6 +125,7 @@ def cmd_tree(args) -> int:
 
 
 def cmd_torus(args) -> int:
+    from .torus import QuadraticTorus, base_sequence, orbit_table
     torus = QuadraticTorus(args.p, args.kind, args.d)
     if args.torus_cmd == "orbit":
         tab = orbit_table(torus, args.level, args.mode)
@@ -143,6 +144,7 @@ def cmd_torus(args) -> int:
 
 
 def cmd_forms(args) -> int:
+    from .hecke import EigenData, local_eigen_extend, nu_invariant, stabilize
     if args.forms_cmd == "eigen-extend":
         f = local_eigen_extend(args.p, args.k, args.ap, args.radius, args.seed)
         payload = serialize.form_to_json(f)
@@ -162,7 +164,9 @@ def cmd_forms(args) -> int:
     raise ValueError(args.forms_cmd)
 
 
-def _eigen_from_args(args) -> EigenData:
+def _eigen_from_args(args):
+    from .hecke import EigenData
+    from .padic import PrecisionInt
     if args.mode == "edge":
         if args.ap is not None:
             return EigenData.ordinary(args.p, args.k, args.ap)
@@ -175,6 +179,7 @@ def _eigen_from_args(args) -> EigenData:
 
 
 def cmd_synth(args) -> int:
+    from .measures import synth_system
     eig = _eigen_from_args(args)
     s = synth_system(args.p, args.k, args.mode, eig, args.n_max, delta=args.delta,
                      torsion=args.torsion, level_map=args.level_map, seed=args.seed)
@@ -184,6 +189,7 @@ def cmd_synth(args) -> int:
 
 
 def cmd_check_dist(args) -> int:
+    from .measures import check_distribution
     s = serialize.system_from_json(serialize.read_artifact(args.system, "system"))
     report = check_distribution(s)
     if not report.ok:
@@ -195,6 +201,8 @@ def cmd_check_dist(args) -> int:
 
 
 def cmd_theta(args) -> int:
+    from . import groupring
+    from .measures import theta_level, theta_ordinary
     s = serialize.system_from_json(serialize.read_artifact(args.system, "system"))
     if args.ordinary:
         th = theta_ordinary(s, args.level)
@@ -209,6 +217,8 @@ def cmd_theta(args) -> int:
 
 
 def cmd_lp(args) -> int:
+    from . import groupring
+    from .measures import lp
     s = serialize.system_from_json(serialize.read_artifact(args.system, "system"))
     l = lp(s, args.level, args.kind)
     payload = {"kind": l.kind, "level": l.level, "ideal": l.ideal_tag,
@@ -228,6 +238,7 @@ def _read_element(path: str):
 
 
 def cmd_mu(args) -> int:
+    from . import groupring
     x = _read_element(args.element)
     mu = groupring.mu_invariant(x)
     payload = {"mu": mu}
@@ -237,6 +248,7 @@ def cmd_mu(args) -> int:
 
 
 def cmd_specialize(args) -> int:
+    from .characters import FiniteOrderCharacter, specialize
     x = _read_element(args.element)
     char = json.loads(args.character)
     m = char.get("m") if isinstance(char, dict) else None
@@ -253,6 +265,8 @@ def cmd_specialize(args) -> int:
 
 
 def cmd_howard_scan(args) -> int:
+    from .characters import HowardFamily, howard_check
+    from .padic import IntPolynomial
     raw = serialize.read_artifact(args.family, "family")
     if not isinstance(raw, dict):
         raise ValueError("family payload must be a JSON object")

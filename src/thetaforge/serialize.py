@@ -21,12 +21,16 @@ import json
 import os
 from collections import Counter
 
-from .groupring import GroupRingElement, digits_of, flat_index
-from .hecke import EdgeForm, EigenData, VertexForm
-from .measures import CompatibleSystem, level_labels
-from .padic import PrecisionInt
-from .tree import DirectedEdge, Vertex
 from .util import json_int, prime_int
+
+# each payload type is imported by the reader or writer that builds it, so a
+# command loads only the modules of the artifacts it reads and writes; the
+# names below are for type checkers, without loading typing at start-up
+TYPE_CHECKING = False
+if TYPE_CHECKING:
+    from .groupring import GroupRingElement
+    from .hecke import EigenData
+    from .measures import CompatibleSystem
 
 SCHEMA = "thetaforge/1"
 
@@ -102,6 +106,8 @@ def eigen_to_json(e: EigenData):
 
 @_payload_reader
 def eigen_from_json(obj) -> EigenData:
+    from .hecke import EigenData
+    from .padic import PrecisionInt
     ap = None if obj["ap"] is None else PrecisionInt.from_json(obj["ap"])
     alpha = None if obj["alpha"] is None else PrecisionInt.from_json(obj["alpha"])
     return EigenData(ap=ap, alpha=alpha)
@@ -109,6 +115,7 @@ def eigen_from_json(obj) -> EigenData:
 
 def form_to_json(f):
     """One entry per point with a value, in the order of the point's exponents."""
+    from .hecke import VertexForm
     kind = "vertex" if isinstance(f, VertexForm) else "edge"
 
     def exps(v):
@@ -128,8 +135,8 @@ def form_to_json(f):
 
 @_payload_reader
 def form_from_json(obj):
-    from .tree import ball
-
+    from .hecke import EdgeForm, VertexForm
+    from .tree import DirectedEdge, Vertex, ball
     if obj["kind"] not in ("vertex", "edge"):
         raise ValueError(f"unknown form kind {obj['kind']!r}")
     p, k, h = prime_int(obj["p"]), json_int(obj["k"]), json_int(obj["h"])
@@ -174,6 +181,7 @@ def orbit_table_to_json(tab):
 def system_to_json(s: CompatibleSystem):
     """Each level as three objects keyed by label name, in sorted-key order:
     the residues, the parent's name and the free digits."""
+    from .groupring import digits_of
     levels = []
     fibers = []
     free = []
@@ -213,6 +221,7 @@ def _level_names(kind: str, p: int, delta: int, torsion: int, e: int, j: int,
     """The names of the level-j labels of a tower of this kind, refused
     unless there are count of them; the count is compared before any name is
     built, so a huge exponent or torsion order allocates nothing."""
+    from .measures import level_labels
     if kind == "torus":
         want = (p + 1) * p ** (j - 1) if j else 1
     else:
@@ -226,6 +235,7 @@ def _level_names(kind: str, p: int, delta: int, torsion: int, e: int, j: int,
 def _free_indices(digits: list, p: int, e: int, delta: int, j: int) -> tuple:
     """The flat group index of each level-j label from its digit list,
     refused unless the labels cover (Z/p^e)^delta in fibers of equal size."""
+    from .groupring import flat_index
     _check_cover(len(digits), p, e, delta, j)
     try:
         free = tuple(flat_index(tuple(d), p**e, delta) for d in digits)
@@ -256,6 +266,7 @@ def system_from_json(obj) -> CompatibleSystem:
     in label position.  The names are those of a torus tower ("x:y") or a
     synthetic one ("tau|d"), told apart at the first populated level; every
     level's residues, fibers and free digits must name exactly its labels."""
+    from .measures import CompatibleSystem
     n_max, p, delta = json_int(obj["n_max"]), prime_int(obj["p"]), json_int(obj["delta"])
     level_exp = tuple(json_int(e) for e in obj["level_exp"])
     torsion, mode = json_int(obj["torsion"]), obj["mode"]
@@ -302,4 +313,5 @@ def system_from_json(obj) -> CompatibleSystem:
 
 @_payload_reader
 def groupring_from_json(obj) -> GroupRingElement:
+    from .groupring import GroupRingElement
     return GroupRingElement.from_json(obj)

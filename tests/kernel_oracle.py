@@ -11,12 +11,17 @@ are quadratic in the ring degree and serve only to cross-check the kernels.
 The cyclotomic valuation and the lambda invariant are also kept as the
 Taylor-shift reads `thetaforge` made before the content and root order at 1:
 shift the whole value by 1 mod p^k, then read one index.
+
+The involution identity, specialize(star(x), rho) = specialize(x, rho^(-1)),
+is kept here as a check that only the tests run.
 """
 
+from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
 
-from thetaforge.groupring import GroupRingElement, poly_view
+from thetaforge.characters import FiniteOrderCharacter, specialize
+from thetaforge.groupring import GroupRingElement, poly_view, star
 from thetaforge.padic import CyclotomicValue, IntPolynomial, _taylor_shift, euler_phi_p_power
 from thetaforge.util import capped_val
 
@@ -229,3 +234,17 @@ def reference_zeta_power(p: int, k: int, m: int, e: int) -> CyclotomicValue:
     raw = [0] * (e % p**m) + [1]
     phi = euler_phi_p_power(p, m)
     return CyclotomicValue(p, k, m, reference_reduce_cyclotomic(raw, p, k, m, phi))
+
+
+@dataclass(frozen=True)
+class StarIdentityReport:
+    ok: bool
+    lhs: CyclotomicValue
+    rhs: CyclotomicValue
+
+
+def star_identity_check(lam: GroupRingElement, rho: FiniteOrderCharacter) -> StarIdentityReport:
+    """Specializing the involution equals specializing at the inverse character."""
+    lhs = specialize(star(lam), rho)
+    rhs = specialize(lam, rho.inverse())
+    return StarIdentityReport(lhs == rhs, lhs, rhs)

@@ -16,7 +16,6 @@ from thetaforge.characters import (
     howard_check,
     interpolation_shape,
     period_sum,
-    star_identity_check,
 )
 from thetaforge.hecke import (
     EigenData,
@@ -40,7 +39,7 @@ from thetaforge.padic import PrecisionInt, cyclotomic_sigma
 from thetaforge.torus import QuadraticTorus, TorusElement, filtration_order, orbit_table
 from thetaforge.tree import origin, sphere
 from form_oracle import source_form, target_form
-from kernel_oracle import T, binomial_minus_one, poly_mul
+from kernel_oracle import T, binomial_minus_one, poly_mul, star_identity_check
 
 
 def bumped(s, j, lbl, by):

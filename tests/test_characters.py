@@ -10,14 +10,13 @@ from thetaforge.characters import (
     interpolation_shape,
     period_sum,
     specialize,
-    star_identity_check,
 )
 from thetaforge.errors import ConductorTooLarge, NotOrdinary
 from thetaforge.hecke import EigenData, local_eigen_extend, stabilize
 from thetaforge.measures import from_tree, lp, pm_extract, synth_system, theta_ordinary
 from thetaforge.padic import CyclotomicValue, IntPolynomial, euler_phi_p_power
 from thetaforge.torus import QuadraticTorus
-from kernel_oracle import reference_zeta_power
+from kernel_oracle import reference_zeta_power, star_identity_check
 
 
 TORUS3 = QuadraticTorus(3, "inert", 2)

@@ -1,4 +1,5 @@
 import argparse
+import importlib
 import json
 import os
 import resource
@@ -1075,3 +1076,129 @@ class TestSerialization:
         digits = {r["h"][1] for r in payload["rows"]}
         assert taus == {0, 1, 2, 3}
         assert digits == {0, 1, 2}
+
+
+# Runs BODY in a fresh interpreter, then prints the thetaforge submodules it
+# loaded as a JSON list on the last line and exits with `code`.
+_LOADED = """import json, sys
+code = 0
+{}
+print(json.dumps(sorted(m.removeprefix("thetaforge.")
+                        for m in sys.modules if m.startswith("thetaforge."))))
+sys.exit(code)
+"""
+_RUN_CLI = "from thetaforge.cli import main\ncode = main(sys.argv[1:])"
+
+
+def loaded_submodules(body: str, *argv) -> set:
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(thetaforge.__file__))}
+    done = subprocess.run([sys.executable, "-c", _LOADED.format(body), *argv],
+                          capture_output=True, text=True, timeout=60, env=env)
+    assert done.returncode == 0, done.stdout + done.stderr
+    return set(json.loads(done.stdout.splitlines()[-1]))
+
+
+class TestLoadedModules:
+    """Each command loads only the modules it runs."""
+
+    def _artifact(self, capsys, argv, tmp_path) -> str:
+        assert run(argv + ["--out", str(tmp_path)]) == 0
+        return read_artifact_from_stdout(capsys)[1]
+
+    def _lp(self, capsys, tmp_path) -> str:
+        system = self._artifact(capsys, ["synth", "--mode", "edge", "--ap", "1", "--p", "3",
+                                         "--k", "6", "--n-max", "3", "--seed", "4"], tmp_path)
+        return self._artifact(capsys, ["lp", "--system", system, "--level", "3"], tmp_path)
+
+    def test_import_loads_no_submodule(self):
+        assert loaded_submodules("import thetaforge") == set()
+
+    def test_tree_sphere(self, tmp_path):
+        loaded = loaded_submodules(_RUN_CLI, "tree", "sphere", "--p", "3", "--r", "2",
+                                   "--out", str(tmp_path))
+        assert loaded == {"cli", "errors", "serialize", "tree", "util"}
+
+    def test_mu(self, tmp_path, capsys):
+        lp = self._lp(capsys, tmp_path)
+        loaded = loaded_submodules(_RUN_CLI, "mu", "--element", lp, "--out", str(tmp_path))
+        assert loaded == {"cli", "errors", "groupring", "padic", "serialize", "util"}
+
+    def test_forms(self, tmp_path, capsys):
+        form = self._artifact(capsys, ["forms", "eigen-extend", "--p", "3", "--k", "6",
+                                       "--ap", "1", "--radius", "2"], tmp_path)
+        for argv in (["forms", "eigen-extend", "--p", "3", "--k", "6", "--ap", "1",
+                      "--radius", "2"],
+                     ["forms", "stabilize", "--form", form, "--ap", "1"]):
+            loaded = loaded_submodules(_RUN_CLI, *argv, "--out", str(tmp_path))
+            assert "hecke" in loaded
+            assert not loaded & {"measures", "groupring", "torus", "characters"}, argv
+
+    def test_specialize(self, tmp_path, capsys):
+        lp = self._lp(capsys, tmp_path)
+        loaded = loaded_submodules(_RUN_CLI, "specialize", "--element", lp, "--character",
+                                   '{"m": 1, "exponents": [1]}', "--out", str(tmp_path))
+        assert "characters" in loaded
+        assert not loaded & {"measures", "hecke", "torus", "tree"}
+
+
+# every name the package exports, by home module
+EXPORTS = {
+    "errors": ("CompatibilityViolation", "ConductorTooLarge", "DistributionViolation",
+               "EmptyDomain", "InvariantViolation", "MissingEigenvalue", "NotDivisible",
+               "NotOrdinary", "NotSupersingular", "PrecisionExhausted", "ThetaForgeError",
+               "TransitivityViolation", "UnsupportedDelta"),
+    "padic": ("CyclotomicValue", "IntPolynomial", "PrecisionInt", "cyclotomic_sigma",
+              "hensel_unit_root"),
+    "tree": ("DirectedEdge", "Vertex", "ball", "distance", "geodesic_path", "neighbors",
+             "origin", "sphere"),
+    "torus": ("QuadraticTorus", "TorusElement", "base_sequence", "filtration_order",
+              "orbit_table"),
+    "groupring": ("GroupRingElement", "divide_omega_tilde", "mu_invariant", "project", "star",
+                  "xi"),
+    "hecke": ("EdgeForm", "EigenData", "VertexForm", "hecke_T", "hecke_U",
+              "local_eigen_extend", "nu_invariant", "stabilize"),
+    "measures": ("CompatibleSystem", "PadicLFunction", "ThetaElement", "check_distribution",
+                 "from_tree", "lp", "pm_extract", "synth_system", "theta_level",
+                 "theta_ordinary"),
+    "characters": ("FiniteOrderCharacter", "HowardFamily", "howard_check",
+                   "interpolation_shape", "period_sum", "specialize"),
+}
+EXPORTED = {name for names in EXPORTS.values() for name in names}
+
+
+class TestPackageNamespace:
+    def test_each_name_is_its_home_module_object(self):
+        for home, names in EXPORTS.items():
+            module = importlib.import_module(f"thetaforge.{home}")
+            for name in names:
+                assert getattr(thetaforge, name) is getattr(module, name), name
+
+    def test_dir_and_star_import_list_the_names(self):
+        assert EXPORTED <= set(dir(thetaforge))
+        scope = {}
+        exec("from thetaforge import *", scope)
+        assert set(scope) - {"__builtins__"} == EXPORTED
+
+    def test_unknown_name_is_an_attribute_error(self):
+        assert not hasattr(thetaforge, "no_such_name")
+        assert not hasattr(thetaforge, "star_identity_check")
+        with pytest.raises(AttributeError, match="no_such_name"):
+            thetaforge.no_such_name
+
+    def test_a_patched_attribute_is_returned(self, monkeypatch):
+        from thetaforge import measures
+
+        def patched(*args):
+            return None
+
+        monkeypatch.setattr(measures, "lp", patched)
+        assert thetaforge.lp is patched
+
+    def test_from_import_of_a_submodule(self):
+        from thetaforge import tree
+
+        assert tree is sys.modules["thetaforge.tree"]
+        # in a fresh process, where the lazy namespace has not loaded it yet
+        body = ("from thetaforge import tree\n"
+                "code = tree is not sys.modules['thetaforge.tree']")
+        assert loaded_submodules(body) == {"errors", "tree", "util"}
