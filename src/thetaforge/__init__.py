@@ -19,8 +19,7 @@ _HOME = {
         "NotSupersingular", "PrecisionExhausted", "ThetaForgeError", "TransitivityViolation",
         "UnsupportedDelta"), "errors"),
     **dict.fromkeys((
-        "CyclotomicValue", "IntPolynomial", "PrecisionInt", "cyclotomic_sigma",
-        "hensel_unit_root"), "padic"),
+        "CyclotomicValue", "PrecisionInt", "cyclotomic_sigma", "hensel_unit_root"), "padic"),
     **dict.fromkeys((
         "DirectedEdge", "Vertex", "ball", "distance", "geodesic_path", "neighbors", "origin",
         "sphere"), "tree"),

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 from .errors import ConductorTooLarge
 from .groupring import GroupRingElement, mu_invariant, poly_view
-from .padic import CyclotomicValue, IntPolynomial, _divide_monic, _reduce_cyclotomic
+from .padic import CyclotomicValue, _divide_monic, _reduce_cyclotomic
 from .util import capped_val, json_int
 
 # measures is imported by the two readers of systems, period_sum and
@@ -161,17 +161,22 @@ class HowardReport:
         }
 
 
-def _poly_remainder_mod(poly, witness: IntPolynomial, p: int, k0: int):
-    """Remainder of a coefficient list modulo a witness polynomial whose
-    leading coefficient is a unit, over Z/p^k0: the remainder on division by
-    the witness scaled to be monic."""
-    mod = p**k0
-    lead = witness.coefficients[-1]
-    if lead % p == 0:
+def _poly_remainder_mod(poly, witness, p: int, k0: int):
+    """Remainder of a coefficient list modulo a witness coefficient sequence
+    over Z/p^k0: the remainder on division by the witness scaled to be monic.
+    The witness's trailing zeros are dropped; a zero witness, or one whose
+    leading coefficient is not a unit, is a ValueError."""
+    coeffs = list(witness)
+    while coeffs and coeffs[-1] == 0:
+        coeffs.pop()
+    if not coeffs:
+        raise ValueError("witness polynomial must be nonzero")
+    if coeffs[-1] % p == 0:
         raise ValueError("witness polynomial needs a unit leading coefficient")
-    inv = pow(lead, -1, mod)
-    lower = tuple(enumerate(w * inv for w in witness.coefficients[:-1]))
-    return _divide_monic(poly, witness.degree, lower, mod)[1]
+    mod = p**k0
+    inv = pow(coeffs.pop(), -1, mod)
+    lower = tuple(enumerate(w * inv for w in coeffs))
+    return _divide_monic(poly, len(coeffs), lower, mod)[1]
 
 
 def howard_check(family: HowardFamily, prime_spec, k0: int) -> HowardReport:
@@ -179,13 +184,14 @@ def howard_check(family: HowardFamily, prime_spec, k0: int) -> HowardReport:
     height-one prime and p^k0.
 
     prime_spec: "augmentation" (image = total coefficient sum), "maximal"
-    (nontrivial iff the mu-invariant is < k0), or an IntPolynomial witness
-    with unit leading coefficient (delta = 1 only).
+    (nontrivial iff the mu-invariant is < k0), or a witness: a list or tuple
+    of integer coefficients, constant term first, with unit leading
+    coefficient once trailing zeros are dropped (delta = 1 only).
     """
     if k0 < 0:
         raise ValueError(f"precision k0 must be nonnegative, got {k0}")
-    if isinstance(prime_spec, IntPolynomial) and prime_spec.is_zero():
-        raise ValueError("witness polynomial must be nonzero")
+    if prime_spec not in ("augmentation", "maximal") and not isinstance(prime_spec, (list, tuple)):
+        raise ValueError("unknown prime specification")
     verdicts = []
     hits = []
     for label, elt in zip(family.labels, family.elements):
@@ -195,7 +201,7 @@ def howard_check(family: HowardFamily, prime_spec, k0: int) -> HowardReport:
         elif prime_spec == "maximal":
             val = mu_invariant(elt)
             nontrivial = val < k0
-        elif isinstance(prime_spec, IntPolynomial):
+        else:
             if elt.delta != 1:
                 raise ValueError("witness primes are supported for delta = 1")
             rem = _poly_remainder_mod(poly_view(elt), prime_spec, elt.p, min(k0, elt.k))
@@ -205,8 +211,6 @@ def howard_check(family: HowardFamily, prime_spec, k0: int) -> HowardReport:
                 default=min(k0, elt.k),
             )
             nontrivial = bool(nonzero)
-        else:
-            raise ValueError("unknown prime specification")
         verdicts.append((label, nontrivial, val))
         if nontrivial:
             hits.append(label)

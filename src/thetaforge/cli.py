@@ -266,7 +266,6 @@ def cmd_specialize(args) -> int:
 
 def cmd_howard_scan(args) -> int:
     from .characters import HowardFamily, howard_check
-    from .padic import IntPolynomial
     raw = serialize.read_artifact(args.family, "family")
     if not isinstance(raw, dict):
         raise ValueError("family payload must be a JSON object")
@@ -279,7 +278,10 @@ def cmd_howard_scan(args) -> int:
     if args.prime == "custom":
         if args.witness is None:
             raise ValueError("--prime custom needs a --witness coefficient list")
-        prime = IntPolynomial.from_json(json.loads(args.witness))
+        prime = json.loads(args.witness)
+        if not isinstance(prime, list):
+            raise ValueError(f"a witness is a JSON list of coefficients, got {prime!r}")
+        prime = [json_int(c) for c in prime]
     else:
         prime = args.prime
     report = howard_check(family, prime, args.k0)

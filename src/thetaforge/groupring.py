@@ -10,12 +10,14 @@ The involution and the layer maps gather or scatter over flat index maps
 every delta: the inner axes are spread to 2q - 1 slots, so a digit sum never
 carries into the next axis.  That kernel is the only product here: it is
 the exact product of nonnegative integer lists, reduced mod p^k in the ring
-and used as it is for the exact Omega~ and Omega^+/- polynomials in T.
+and used as it is for the exact Omega~ and Omega^+/- polynomials in T,
+which are integer coefficient tuples, constant term first.
 
 The polynomial view identifies the generator of each cyclic factor with
 T_i + 1, so the layer-n ring in one variable is (Z/p^k)[T]/((T+1)^(p^n)-1).
 For delta = 1 it is the `padic` Taylor shift by +1; the image of an integer
-polynomial (`reduce_poly`) is the shift by -1 folded mod gamma^(p^n) - 1.
+coefficient sequence (`reduce_poly`) is the shift by -1 folded mod
+gamma^(p^n) - 1.
 The lambda invariant reads that view's first coefficient of least valuation
 without building it, as the `padic` content and root order at 1.
 
@@ -36,8 +38,8 @@ from math import gcd
 
 from .errors import NotDivisible, UnsupportedDelta
 from .padic import (
-    IntPolynomial, _content_and_order_at_one, _cyclotomic_divisor, _divide_monic,
-    _packed_product, _taylor_shift, cyclotomic_sigma,
+    _content_and_order_at_one, _cyclotomic_divisor, _divide_monic, _packed_product,
+    _taylor_shift, cyclotomic_sigma,
 )
 from .util import capped_val, json_int, prime_int
 
@@ -67,12 +69,6 @@ class GroupRingElement:
     @property
     def group_size(self) -> int:
         return self.order**self.delta
-
-    def index(self, tup) -> int:
-        return flat_index(tup, self.order, self.delta)
-
-    def tuple_of(self, idx: int) -> tuple:
-        return digits_of(idx, self.order, self.delta)
 
     def _check(self, other):
         if (self.p, self.k, self.n, self.delta) != (other.p, other.k, other.n, other.delta):
@@ -116,7 +112,7 @@ class GroupRingElement:
         out = {}
         for idx, c in enumerate(self.coeffs):
             if c:
-                tup = self.tuple_of(idx)
+                tup = digits_of(idx, self.order, self.delta)
                 out["(" + ",".join(str(t) for t in tup) + ")"] = str(c)
         return {"p": self.p, "k": self.k, "n": self.n, "delta": self.delta, "coeffs": out}
 
@@ -127,11 +123,10 @@ class GroupRingElement:
         # p >= 2, so (p^n)^delta > sys.maxsize once n delta reaches its bit length
         if n * delta >= sys.maxsize.bit_length() or (p**n) ** delta > sys.maxsize:
             raise ValueError(f"(Z/{p}^{n})^{delta} has more elements than sys.maxsize")
-        elt = zero(p, k, n, delta)
-        coeffs = list(elt.coeffs)
+        coeffs = [0] * (p**n) ** delta
         seen = set()
         for key, val in obj["coeffs"].items():
-            idx = elt.index(tuple(int(s) for s in key.strip("()").split(",")))
+            idx = flat_index(tuple(int(s) for s in key.strip("()").split(",")), p**n, delta)
             if idx in seen:
                 raise ValueError(f"group element {key} given twice")
             seen.add(idx)
@@ -167,7 +162,7 @@ def one(p: int, k: int, n: int, delta: int = 1) -> GroupRingElement:
 
 def delta_element(p: int, k: int, n: int, tup) -> GroupRingElement:
     coeffs = [0] * (p**n) ** len(tup)
-    coeffs[zero(p, k, n, len(tup)).index(tuple(tup))] = 1
+    coeffs[flat_index(tup, p**n, len(tup))] = 1
     return GroupRingElement(p, k, n, len(tup), tuple(coeffs))
 
 
@@ -266,13 +261,13 @@ def poly_view(x: GroupRingElement) -> tuple:
     return tuple(_taylor_shift(x.coeffs, 1, x.p**x.k))
 
 
-def reduce_poly(poly: IntPolynomial, p: int, k: int, n: int) -> GroupRingElement:
-    """Image of an exact integer polynomial of any degree in the layer-n ring
+def reduce_poly(poly, p: int, k: int, n: int) -> GroupRingElement:
+    """Image of an integer coefficient sequence of any length in the layer-n ring
     (delta = 1): T -> generator - 1 is the Taylor shift by -1, then gamma^i
     folds onto gamma^(i mod p^n), as gamma^(p^n) = 1."""
     size = p**n
     out = [0] * size
-    for i, c in enumerate(_taylor_shift(poly.coefficients, -1, p**k)):
+    for i, c in enumerate(_taylor_shift(poly, -1, p**k)):
         out[i % size] += c
     return GroupRingElement(p, k, n, 1, tuple(out))
 
@@ -286,20 +281,20 @@ def _parity_levels(n: int, sign: int) -> range:
     return range(2 if sign > 0 else 1, n + 1, 2)
 
 
-def omega_tilde_poly(p: int, n: int, sign: int) -> IntPolynomial:
+def omega_tilde_poly(p: int, n: int, sign: int) -> tuple:
     """Product of Sigma_{p^j}(T+1) over j <= n of the given parity
-    (+1: even j, -1: odd j), as an exact integer polynomial: a fold of the
+    (+1: even j, -1: odd j), as an integer coefficient tuple: a fold of the
     exact packed product, as every factor has nonnegative coefficients.
     """
     acc = [1]
     for j in _parity_levels(n, sign):
-        acc = _packed_product(acc, cyclotomic_sigma(p, j).coefficients)
-    return IntPolynomial(tuple(acc))
+        acc = _packed_product(acc, cyclotomic_sigma(p, j))
+    return tuple(acc)
 
 
-def omega_pm_poly(p: int, n: int, sign: int) -> IntPolynomial:
+def omega_pm_poly(p: int, n: int, sign: int) -> tuple:
     """T * omega_tilde_poly(p, n, sign): its coefficients moved up one place."""
-    return IntPolynomial((0,) + omega_tilde_poly(p, n, sign).coefficients)
+    return (0,) + omega_tilde_poly(p, n, sign)
 
 
 # ---------------------------------------------------------------------------

@@ -45,19 +45,13 @@ from .errors import (
     UnsupportedDelta,
 )
 from .groupring import GroupRingElement, QuotientClass, _axis_map, divide_omega_tilde, star
-from .hecke import EigenData, VertexForm
-from .torus import (
-    QuadraticTorus,
-    TorusElement,
-    _canonical_pair,
-    _label_mul,
-    _label_position,
-    _parent_positions,
-    coset_decomposition,
-    coset_labels,
-    orbit_ids,
-)
-from .tree import origin
+
+# torus, tree and the form classes are imported by from_tree, their only
+# reader, so a synthetic system loads no torus
+TYPE_CHECKING = False
+if TYPE_CHECKING:
+    from .hecke import EigenData
+    from .torus import QuadraticTorus, TorusElement
 
 
 def _check_mode(mode: str, eigen: EigenData) -> None:
@@ -191,6 +185,12 @@ def from_tree(form, torus: QuadraticTorus, eigen: EigenData, n_max: int,
     points are s * w_j; the torus is commutative, so label h reads the
     standard orbit at the label h * s.
     """
+    from .hecke import VertexForm
+    from .torus import (
+        _canonical_pair, _label_mul, _label_position, _parent_positions, coset_decomposition,
+        coset_labels, orbit_ids,
+    )
+    from .tree import origin
     if torus.kind != "inert":
         raise ValueError("genuine systems are built for the inert kind")
     mode = "vertex" if isinstance(form, VertexForm) else "edge"

@@ -1,12 +1,14 @@
 """Bounded-precision p-adic scalars, Hensel roots, the cyclotomic factors
-Sigma_{p^j}(T+1) as exact integer polynomials, cyclotomic ring values, and
+Sigma_{p^j}(T+1) as integer coefficient tuples, cyclotomic ring values, and
 the four polynomial kernels the group rings share.
 
 All arithmetic is exact modulo p^k.  The valuation of a residue that is zero
 to working precision is reported as k, never as infinity, so that valuations
 stay totally ordered.
 
-The kernels work on coefficient lists, constant term first:
+A polynomial is a plain sequence of integer coefficients, constant term
+first: a tuple where it is returned, any sequence where it is read.  The
+kernels work on such lists:
 
 - the packed product (`_pack`, `_unpack`, `_packed_product`): the exact
   product of two lists of nonnegative integers.  The entries are laid out in
@@ -107,44 +109,10 @@ class PrecisionInt:
         return PrecisionInt(prime_int(obj["p"]), json_int(obj["k"]), json_int(obj["residue"]))
 
 
-@dataclass(frozen=True)
-class IntPolynomial:
-    """Exact integer polynomial, constant term first, trailing zeros stripped:
-    a coefficient record, with no arithmetic of its own.
-
-    The zero polynomial has degree -1 (a sentinel, not a valuation).
-    """
-
-    coefficients: tuple
-
-    def __post_init__(self):
-        coeffs = tuple(int(c) for c in self.coefficients)
-        while coeffs and coeffs[-1] == 0:
-            coeffs = coeffs[:-1]
-        object.__setattr__(self, "coefficients", coeffs)
-
-    @property
-    def degree(self) -> int:
-        return len(self.coefficients) - 1
-
-    def is_zero(self) -> bool:
-        return not self.coefficients
-
-    def to_json(self):
-        return [str(c) for c in self.coefficients]
-
-    @staticmethod
-    def from_json(obj) -> "IntPolynomial":
-        """Read a JSON list of integers or integer strings; any other shape,
-        a float or a bool included, is a ValueError."""
-        if not isinstance(obj, list):
-            raise ValueError(f"a polynomial is a JSON list of coefficients, got {obj!r}")
-        return IntPolynomial(tuple(json_int(c) for c in obj))
-
-
 @lru_cache(maxsize=None)
-def cyclotomic_sigma(p: int, j: int) -> IntPolynomial:
-    """The p^j-th cyclotomic polynomial evaluated at T+1, as a polynomial in T.
+def cyclotomic_sigma(p: int, j: int) -> tuple:
+    """The p^j-th cyclotomic polynomial evaluated at T+1, as the coefficient
+    tuple of a polynomial in T.
 
     Degree p^(j-1)(p-1).  It is sum_{b<p} (T+1)^(b p^(j-1)), so the
     coefficient of T^i is sum_{b<p} C(b p^(j-1), i), read off each binomial
@@ -159,7 +127,7 @@ def cyclotomic_sigma(p: int, j: int) -> IntPolynomial:
         for i in range(top + 1):
             out[i] += c
             c = c * (top - i) // (i + 1)
-    return IntPolynomial(tuple(out))
+    return tuple(out)
 
 
 def hensel_unit_root(a: PrecisionInt, q: int, k: int) -> PrecisionInt:

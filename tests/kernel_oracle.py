@@ -22,7 +22,7 @@ from math import comb
 
 from thetaforge.characters import FiniteOrderCharacter, specialize
 from thetaforge.groupring import GroupRingElement, poly_view, star
-from thetaforge.padic import CyclotomicValue, IntPolynomial, _taylor_shift, euler_phi_p_power
+from thetaforge.padic import CyclotomicValue, _taylor_shift, euler_phi_p_power
 from thetaforge.util import capped_val
 
 
@@ -123,63 +123,62 @@ def taylor_lambda_invariant(x: GroupRingElement) -> int:
     return min(range(len(poly)), key=lambda i: capped_val(poly[i], x.p, x.k))
 
 
-def reference_reduce_poly(poly: IntPolynomial, p: int, k: int, n: int) -> GroupRingElement:
+def reference_reduce_poly(poly, p: int, k: int, n: int) -> GroupRingElement:
     """Horner's rule with T -> generator - 1: acc <- acc * (gamma - 1) + c,
     where multiplying by gamma - 1 is a cyclic rotate-and-subtract."""
     mod = p**k
     acc = [0] * p**n
-    for c in reversed(poly.coefficients):
+    for c in reversed(poly):
         acc = [(a - b) % mod for a, b in zip(acc[-1:] + acc[:-1], acc)]
         acc[0] += c
     return GroupRingElement(p, k, n, 1, tuple(acc))
 
 
-def reference_poly_remainder_mod(poly, witness: IntPolynomial, p: int, k0: int):
-    """Remainder of a coefficient list modulo a witness polynomial whose
-    leading coefficient is a unit, over Z/p^k0."""
+def reference_poly_remainder_mod(poly, witness, p: int, k0: int):
+    """Remainder of a coefficient list modulo a witness coefficient sequence
+    whose last coefficient is a unit, over Z/p^k0."""
     mod = p**k0
-    lead = witness.coefficients[-1]
+    lead = witness[-1]
     if lead % p == 0:
         raise ValueError("witness polynomial needs a unit leading coefficient")
     inv = pow(lead, -1, mod)
     rem = [c % mod for c in poly]
-    d = witness.degree
+    d = len(witness) - 1
     for i in range(len(rem) - 1, d - 1, -1):
         c = rem[i]
         if c:
             q = c * inv % mod
-            for j, w in enumerate(witness.coefficients):
+            for j, w in enumerate(witness):
                 rem[i - d + j] = (rem[i - d + j] - q * w) % mod
     return rem[:d]
 
 
 # ---------------------------------------------------------------------------
-# schoolbook integer polynomials (IntPolynomial in, IntPolynomial out)
+# schoolbook integer polynomials: coefficient tuples, constant term first,
+# with no trailing zeros dropped (a product of lengths a and b has length
+# a + b - 1)
 
 
-def poly_add(a: IntPolynomial, b: IntPolynomial) -> IntPolynomial:
-    x, y = a.coefficients, b.coefficients
+def poly_add(x: tuple, y: tuple) -> tuple:
     n = max(len(x), len(y))
-    return IntPolynomial(tuple((x[i] if i < len(x) else 0) + (y[i] if i < len(y) else 0)
-                               for i in range(n)))
+    return tuple((x[i] if i < len(x) else 0) + (y[i] if i < len(y) else 0) for i in range(n))
 
 
-def poly_mul(a: IntPolynomial, b: IntPolynomial) -> IntPolynomial:
-    x, y = a.coefficients, b.coefficients
+def poly_mul(x: tuple, y: tuple) -> tuple:
     if not x or not y:
-        return IntPolynomial(())
+        return ()
     out = [0] * (len(x) + len(y) - 1)
     for i, ci in enumerate(x):
         if ci == 0:
             continue
         for j, cj in enumerate(y):
             out[i + j] += ci * cj
-    return IntPolynomial(tuple(out))
+    return tuple(out)
 
 
-def poly_pow(a: IntPolynomial, e: int) -> IntPolynomial:
+def poly_pow(a: tuple, e: int) -> tuple:
     """Square and multiply on poly_mul."""
-    result = IntPolynomial((1,))
+    result = ONE
     while e > 0:
         if e & 1:
             result = poly_mul(result, a)
@@ -188,24 +187,24 @@ def poly_pow(a: IntPolynomial, e: int) -> IntPolynomial:
     return result
 
 
-def poly_eval(a: IntPolynomial, x: int) -> int:
+def poly_eval(a, x: int) -> int:
     acc = 0
-    for c in reversed(a.coefficients):
+    for c in reversed(a):
         acc = acc * x + c
     return acc
 
 
-ONE = IntPolynomial((1,))
-T = IntPolynomial((0, 1))
+ONE = (1,)
+T = (0, 1)
 
 
-def binomial_minus_one(size: int) -> IntPolynomial:
+def binomial_minus_one(size: int) -> tuple:
     """(T+1)^size - 1, from math.comb."""
-    return IntPolynomial((0,) + tuple(comb(size, i) for i in range(1, size + 1)))
+    return (0,) + tuple(comb(size, i) for i in range(1, size + 1))
 
 
 @lru_cache(maxsize=None)
-def reference_cyclotomic_sigma(p: int, j: int) -> IntPolynomial:
+def reference_cyclotomic_sigma(p: int, j: int) -> tuple:
     """sum_{b<p} (T+1)^(b p^(j-1)), by schoolbook powers and products."""
     block = poly_pow(poly_add(T, ONE), p ** (j - 1))
     acc = total = ONE
@@ -215,7 +214,7 @@ def reference_cyclotomic_sigma(p: int, j: int) -> IntPolynomial:
     return total
 
 
-def reference_omega_tilde(p: int, n: int, sign: int) -> IntPolynomial:
+def reference_omega_tilde(p: int, n: int, sign: int) -> tuple:
     """Schoolbook product of the Sigma_{p^j}(T+1), j <= n of parity sign
     (+1: even j, -1: odd j)."""
     acc = ONE
@@ -224,7 +223,7 @@ def reference_omega_tilde(p: int, n: int, sign: int) -> IntPolynomial:
     return acc
 
 
-def reference_omega_pm(p: int, n: int, sign: int) -> IntPolynomial:
+def reference_omega_pm(p: int, n: int, sign: int) -> tuple:
     return poly_mul(T, reference_omega_tilde(p, n, sign))
 
 

@@ -14,7 +14,7 @@ from thetaforge.characters import (
 from thetaforge.errors import ConductorTooLarge, NotOrdinary
 from thetaforge.hecke import EigenData, local_eigen_extend, stabilize
 from thetaforge.measures import from_tree, lp, pm_extract, synth_system, theta_ordinary
-from thetaforge.padic import CyclotomicValue, IntPolynomial, euler_phi_p_power
+from thetaforge.padic import CyclotomicValue, euler_phi_p_power
 from thetaforge.torus import QuadraticTorus
 from kernel_oracle import reference_zeta_power, star_identity_check
 
@@ -151,10 +151,9 @@ def reference_period_sum(sys, rho, m):
     p, k = sys.p, sys.k
     acc = CyclotomicValue(p, k, rho.m, (0,) * euler_phi_p_power(p, rho.m))
     free_mod = p**rho.m
-    group = gr.zero(p, k, sys.level_exp[m], sys.delta)
     for _, c, i in sorted(zip(sys.labels(m), sys.table(m), sys.free[m])):
         if c:
-            digits = group.tuple_of(i)
+            digits = gr.digits_of(i, p ** sys.level_exp[m], sys.delta)
             e = sum(ei * (d % free_mod) for ei, d in zip(rho.exponents, digits))
             acc = acc + reference_zeta_power(p, k, rho.m, e) * c
     return acc * pow(sys.eigen.alpha.inverse().residue, m, p**k)
@@ -271,12 +270,25 @@ class TestHowardCheck:
 
     def test_custom_witness_prime(self):
         # witness T - 1 <-> evaluation at gamma = 2
-        lam = gr.reduce_poly(IntPolynomial((2, 1)), 3, 4, 1)   # poly T + 2
+        lam = gr.reduce_poly((2, 1), 3, 4, 1)   # poly T + 2
         fam = HowardFamily(("x",), (lam,))
-        witness = IntPolynomial((-1, 1))
+        witness = (-1, 1)
         rep = howard_check(fam, witness, 2)
         assert rep.passed                      # (T + 2) mod (T - 1) = 3 != 0
         assert not howard_check(fam, witness, 1).passed   # 3 == 0 mod 3^1
+
+    def test_witness_normalization(self):
+        # a list or tuple, trailing zeros dropped; a zero witness, a non-unit
+        # leading coefficient or any other specification is a ValueError
+        fam = HowardFamily(("x",), (gr.reduce_poly((2, 1), 3, 4, 1),))
+        assert howard_check(fam, [-1, 1, 0, 0], 2) == howard_check(fam, (-1, 1), 2)
+        for witness, match in (([], "nonzero"), ((0, 0), "nonzero"), ((1, 3, 0), "unit leading")):
+            with pytest.raises(ValueError, match=match):
+                howard_check(fam, witness, 2)
+        for spec in ("prime", 5, None):
+            for members in (fam, HowardFamily((), ())):   # an empty family too
+                with pytest.raises(ValueError, match="unknown prime"):
+                    howard_check(members, spec, 2)
 
     def test_distinct_labels_enforced(self):
         with pytest.raises(ValueError):

@@ -1140,6 +1140,18 @@ class TestLoadedModules:
         assert "characters" in loaded
         assert not loaded & {"measures", "hecke", "torus", "tree"}
 
+    def test_system_commands(self, tmp_path, capsys):
+        # measures imports torus inside from_tree, which no system command runs
+        synth = ["synth", "--mode", "edge", "--ap", "1", "--p", "3", "--k", "6",
+                 "--n-max", "3", "--seed", "4"]
+        system = self._artifact(capsys, synth, tmp_path)
+        for argv in (synth, ["check-dist", "--system", system],
+                     ["theta", "--system", system, "--level", "3", "--ordinary"],
+                     ["lp", "--system", system, "--level", "3"]):
+            loaded = loaded_submodules(_RUN_CLI, *argv, "--out", str(tmp_path))
+            assert "measures" in loaded
+            assert not loaded & {"torus", "characters"}, argv
+
 
 # every name the package exports, by home module
 EXPORTS = {
@@ -1147,8 +1159,7 @@ EXPORTS = {
                "EmptyDomain", "InvariantViolation", "MissingEigenvalue", "NotDivisible",
                "NotOrdinary", "NotSupersingular", "PrecisionExhausted", "ThetaForgeError",
                "TransitivityViolation", "UnsupportedDelta"),
-    "padic": ("CyclotomicValue", "IntPolynomial", "PrecisionInt", "cyclotomic_sigma",
-              "hensel_unit_root"),
+    "padic": ("CyclotomicValue", "PrecisionInt", "cyclotomic_sigma", "hensel_unit_root"),
     "tree": ("DirectedEdge", "Vertex", "ball", "distance", "geodesic_path", "neighbors",
              "origin", "sphere"),
     "torus": ("QuadraticTorus", "TorusElement", "base_sequence", "filtration_order",
@@ -1182,6 +1193,7 @@ class TestPackageNamespace:
     def test_unknown_name_is_an_attribute_error(self):
         assert not hasattr(thetaforge, "no_such_name")
         assert not hasattr(thetaforge, "star_identity_check")
+        assert not hasattr(thetaforge, "IntPolynomial")
         with pytest.raises(AttributeError, match="no_such_name"):
             thetaforge.no_such_name
 

@@ -71,13 +71,13 @@ def test_orbit_edges_must_be_ball_edges(monkeypatch):
     # from_tree reads the image of e_j as the ball edge into h v_j; hand the
     # level-2 labels the ids of their neighbours in label order, so that edge
     # does not start at the parent label's image of v_1
-    real = measures.orbit_ids
+    real = torus.orbit_ids
 
     def rotated(t, j):
         ids = real(t, j)
         return ids if j != 2 else ids[1:] + ids[:1]
 
-    monkeypatch.setattr(measures, "orbit_ids", rotated)
+    monkeypatch.setattr(torus, "orbit_ids", rotated)
     t = torus.QuadraticTorus(3, "inert", 2)
     eig = EigenData.ordinary(3, 6, 1)
     phi = stabilize(local_eigen_extend(3, 6, 1, 3, seed=1), eig)

@@ -28,7 +28,7 @@ from thetaforge.groupring import (
     GroupRingElement, lambda_invariant, mu_invariant, omega_pm_poly, reduce_poly,
 )
 from thetaforge.padic import (
-    CyclotomicValue, IntPolynomial, _content_and_order_at_one, _packed_product,
+    CyclotomicValue, _content_and_order_at_one, _packed_product,
     _reduce_cyclotomic, euler_phi_p_power,
 )
 from thetaforge.util import capped_val
@@ -84,7 +84,7 @@ _NONNEGATIVE = st.lists(
 def test_packed_product_is_exact_on_nonnegative_lists(a, b):
     out = _packed_product(a, b)
     assert len(out) == len(a) + len(b) - 1
-    assert IntPolynomial(tuple(out)) == poly_mul(IntPolynomial(tuple(a)), IntPolynomial(tuple(b)))
+    assert tuple(out) == poly_mul(tuple(a), tuple(b))
 
 
 @pytest.mark.parametrize("p", PRIMES)
@@ -96,9 +96,9 @@ def test_reduce_poly_matches_horner(p):
         for k in (n + 2, 20):
             mod = p**k
             polys = [
-                IntPolynomial(()),
+                (),
                 # negative coefficients, degree >= 2 p^n: the fold wraps twice
-                IntPolynomial(tuple(rng.randrange(-mod, mod) for _ in range(2 * p**n + 3))),
+                [rng.randrange(-mod, mod) for _ in range(2 * p**n + 3)],
                 binomial_minus_one(p**n),
                 omega_pm_poly(p, n, +1),
                 omega_pm_poly(p, n, -1),
@@ -116,7 +116,7 @@ def test_witness_remainder_matches_long_division(p):
             lower = [rng.randrange(-mod, mod) for _ in range(degree)]
             # a non-monic leading coefficient that is a unit mod p
             lead = rng.choice([u for u in range(2, 2 * p + 2) if u % p])
-            witness = IntPolynomial(tuple(lower) + (lead,))
+            witness = (*lower, lead)
             # dividends shorter than, as long as and longer than the witness
             for length in (0, max(degree - 1, 0), degree + 1, 4 * degree + 9):
                 poly = [rng.randrange(mod) for _ in range(length)]

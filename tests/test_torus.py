@@ -287,6 +287,21 @@ class TestCosetDecomposition:
         torus = QuadraticTorus(p, "inert", default_nonresidue(p))
         assert split_parts(torus, j) == reference_parts(torus, j)
 
+    @pytest.mark.parametrize("p,top", [(3, 6), (5, 4), (7, 4), (11, 3)])
+    def test_reduction_keeps_torsion_index_and_free_digit(self, p, top):
+        # tgen is the same pair (x : 1) at every level, so a label and its
+        # parent one level down share the torsion index, and the label's
+        # free digit mod p^(j-2) is the parent's free digit
+        torus = QuadraticTorus(p, "inert", default_nonresidue(p))
+        below = coset_decomposition(torus, 1)
+        for j in range(2, top + 1):
+            q, q_below = p ** (j - 1), p ** (j - 2)
+            steps = coset_decomposition(torus, j)
+            for s, t in zip(steps, _parent_positions(p, j)):
+                assert s // q == below[t] // q_below
+                assert s % q % q_below == below[t] % q_below
+            below = steps
+
     def test_walk_must_cover_the_labels(self, monkeypatch):
         # an order check that passes every candidate makes the first label
         # (0 : 1), sqrt(d), give the torsion generator; its square is a
