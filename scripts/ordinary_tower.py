@@ -14,8 +14,9 @@ import sys
 
 from thetaforge import groupring as gr
 from thetaforge.characters import FiniteOrderCharacter, interpolation_shape
-from thetaforge.hecke import EigenData, local_eigen_extend, nu_invariant, scale_form, stabilize
+from thetaforge.hecke import local_eigen_extend, nu_invariant, scale_form, stabilize
 from thetaforge.measures import check_distribution, from_tree, lp
+from thetaforge.padic import EigenData
 from thetaforge.torus import QuadraticTorus
 from thetaforge.util import default_nonresidue
 

@@ -13,7 +13,6 @@ import sys
 
 from thetaforge import groupring as gr
 from thetaforge.errors import NotDivisible
-from thetaforge.hecke import EigenData
 from thetaforge.measures import (
     check_distribution,
     pm_extract,
@@ -21,6 +20,7 @@ from thetaforge.measures import (
     synth_system,
     theta_level,
 )
+from thetaforge.padic import EigenData
 
 
 def main():

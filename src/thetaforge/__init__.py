@@ -19,7 +19,8 @@ _HOME = {
         "NotSupersingular", "PrecisionExhausted", "ThetaForgeError", "TransitivityViolation",
         "UnsupportedDelta"), "errors"),
     **dict.fromkeys((
-        "CyclotomicValue", "PrecisionInt", "cyclotomic_sigma", "hensel_unit_root"), "padic"),
+        "CyclotomicValue", "EigenData", "PrecisionInt", "cyclotomic_sigma",
+        "hensel_unit_root"), "padic"),
     **dict.fromkeys((
         "DirectedEdge", "Vertex", "ball", "distance", "geodesic_path", "neighbors", "origin",
         "sphere"), "tree"),
@@ -30,7 +31,7 @@ _HOME = {
         "GroupRingElement", "divide_omega_tilde", "mu_invariant", "project", "star",
         "xi"), "groupring"),
     **dict.fromkeys((
-        "EdgeForm", "EigenData", "VertexForm", "hecke_T", "hecke_U", "local_eigen_extend",
+        "EdgeForm", "VertexForm", "hecke_T", "hecke_U", "local_eigen_extend",
         "nu_invariant", "stabilize"), "hecke"),
     **dict.fromkeys((
         "CompatibleSystem", "PadicLFunction", "ThetaElement", "check_distribution",

@@ -144,7 +144,8 @@ def cmd_torus(args) -> int:
 
 
 def cmd_forms(args) -> int:
-    from .hecke import EigenData, local_eigen_extend, nu_invariant, stabilize
+    from .hecke import local_eigen_extend, nu_invariant, stabilize
+    from .padic import EigenData
     if args.forms_cmd == "eigen-extend":
         f = local_eigen_extend(args.p, args.k, args.ap, args.radius, args.seed)
         payload = serialize.form_to_json(f)
@@ -165,8 +166,7 @@ def cmd_forms(args) -> int:
 
 
 def _eigen_from_args(args):
-    from .hecke import EigenData
-    from .padic import PrecisionInt
+    from .padic import EigenData, PrecisionInt
     if args.mode == "edge":
         if args.ap is not None:
             return EigenData.ordinary(args.p, args.k, args.ap)

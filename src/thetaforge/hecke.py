@@ -9,10 +9,12 @@ form, where child c gives 2c - 2 for (parent -> c) and 2c - 1 for
 (c -> parent).  A slot is None where a partial form, such as the transfer
 operator's output, has no value.  Every kernel computes on that tuple by
 index: a vertex's children are a contiguous id range, so the adjacency sum
-is a slice sum plus the parent's value, and the continuations of an edge are
-the child edges of its target (minus the edge back) plus the target's parent
-edge, so the transfer sums are read off one sum per vertex.  The kernels
-read only the ball's arithmetic id tables and sizes, never its tree objects.
+is a difference of two prefix sums plus the parent's value, and the
+continuations of an edge are the child edges of its target (minus the edge
+back) plus the target's parent edge, so the transfer sums are read off one
+such difference per vertex.  The kernels read only the ball's arithmetic id
+tables and sizes, never its tree objects.  The eigenvalue pair EigenData
+lives in padic, so a system can hold one without loading this module.
 """
 
 from __future__ import annotations
@@ -20,38 +22,12 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, replace
+from itertools import accumulate
 
 from .errors import EmptyDomain, MissingEigenvalue
-from .padic import PrecisionInt, hensel_unit_root
+from .padic import EigenData, PrecisionInt
 from .tree import Ball, ball, ball_size, origin
 from .util import capped_val
-
-
-@dataclass(frozen=True)
-class EigenData:
-    """Adjacency eigenvalue a_p and/or transfer eigenvalue alpha_p.
-
-    When both are present they must satisfy alpha^2 - a*alpha + p = 0 mod p^k.
-    """
-
-    ap: PrecisionInt | None = None
-    alpha: PrecisionInt | None = None
-
-    def __post_init__(self):
-        if self.ap is not None and self.alpha is not None:
-            a, al = self.ap, self.alpha
-            q = PrecisionInt(al.p, al.k, al.p)
-            if not (al * al - a * al + q).is_zero():
-                raise ValueError("alpha is not a root of x^2 - a x + p")
-
-    @staticmethod
-    def ordinary(p: int, k: int, ap: int) -> "EigenData":
-        a = PrecisionInt(p, k, ap)
-        return EigenData(ap=a, alpha=hensel_unit_root(a, p, k))
-
-    @staticmethod
-    def supersingular(p: int, k: int) -> "EigenData":
-        return EigenData(ap=PrecisionInt(p, k, 0), alpha=None)
 
 
 @dataclass(frozen=True)
@@ -118,16 +94,20 @@ def _every_value(f: VertexForm) -> tuple:
 
 
 def hecke_T(f: VertexForm) -> VertexForm:
-    """(T f)(v) = sum of f over the p+1 neighbors of v, on the shrunken ball."""
+    """(T f)(v) = sum of f over the p+1 neighbors of v, on the shrunken ball:
+    the children of v are the id range child_start[v] .. child_start[v+1] - 1,
+    so their sum is a difference of two prefix sums of the values, plus the
+    parent's value off the center."""
     if f.domain.radius < 1:
         raise EmptyDomain("adjacency sum needs radius >= 1")
     inner = _shrunk_ball(f.domain)
     mod, n = f.p**f.k, inner.size
     cs, par = f.domain.child_start, f.domain.parents
     vals = _every_value(f)
+    acc = list(accumulate(vals, initial=0))
     # the center has no parent
-    sums = [sum(vals[cs[0]:cs[1]]) % mod] + [
-        (sum(vals[lo:hi]) + vals[q]) % mod
+    sums = [(acc[cs[1]] - acc[cs[0]]) % mod] + [
+        (acc[hi] - acc[lo] + vals[q]) % mod
         for lo, hi, q in zip(cs[1:n], cs[2:n + 1], par[1:n])
     ]
     return VertexForm(f.p, f.k, inner, tuple(sums))
@@ -142,7 +122,11 @@ def hecke_U(f: EdgeForm) -> EdgeForm:
     are skipped.  The continuations of (s -> t) are the ball's edges leaving
     t, minus (t -> s): with S(t) the sum over t's child edges, U is S(t) on
     (s -> t) when t is s's child, and S(t) - f(t -> s) + f(t -> parent(t))
-    when t is s's parent (no parent term at the center).
+    when t is s's parent (no parent term at the center).  The children of t
+    are a contiguous id range, so S(t) and the number of t's child edges
+    without a value are differences of two prefix sums by child id, and
+    each half of the output, the (parent -> c) and the (c -> parent) edges,
+    is one pass over the child ids.
     """
     b = f.domain
     if b.radius < 1:
@@ -150,23 +134,29 @@ def hecke_U(f: EdgeForm) -> EdgeForm:
     p, mod, n = f.p, f.p**f.k, b.size
     cs, par = b.child_start, b.parents
     inner = ball_size(p, b.radius - 1)  # ids 0..inner-1 are off the boundary sphere
-    kids = [cs[i + 1] - cs[i] for i in range(inner)]
     vals = f.values
-    # by child id c: whether (parent -> c) and (c -> parent) carry values;
-    # id 0 pads the center, which has no parent edge
-    has_down = [True] + [x is not None for x in vals[0::2]]
-    has_up = [True] + [x is not None for x in vals[1::2]]
-    missing = [count - sum(has_down[cs[i]:cs[i + 1]]) for i, count in enumerate(kids)]
+    # by child id c: the values of (parent -> c) and (c -> parent), 0 where
+    # there is none, and whether there is none; id 0 pads the center, which
+    # has no parent edge
     down = [0] + [x or 0 for x in vals[0::2]]
     up = [0] + [x or 0 for x in vals[1::2]]
-    child_sums = [sum(down[cs[i]:cs[i + 1]]) for i in range(inner)] + [0] * (n - inner)
+    no_down = [False] + [x is None for x in vals[0::2]]
+    no_up = [False] + [x is None for x in vals[1::2]]
+    # by vertex id i < inner: S(i) and its count of child edges without a value
+    acc, gap = list(accumulate(down, initial=0)), list(accumulate(no_down, initial=0))
+    lo, hi = cs[:inner], cs[1:inner + 1]
+    child_sums = [acc[h] - acc[l] for l, h in zip(lo, hi)]
+    missing = [gap[h] - gap[l] for l, h in zip(lo, hi)]
     out = [None] * (2 * n - 2)
-    for c in range(1, n):
-        s = par[c]
-        if c < inner and has_down[c] and not missing[c]:
-            out[2 * c - 2] = child_sums[c] % mod
-        if has_up[c] and has_up[s] and missing[s] == (not has_down[c]):
-            out[2 * c - 1] = (child_sums[s] - down[c] + up[s]) % mod
+    out[0:2 * inner - 2:2] = [
+        None if skip or miss else total % mod
+        for skip, miss, total in zip(no_down[1:inner], missing[1:], child_sums[1:])
+    ]
+    out[1::2] = [
+        None if no_up[c] or no_up[s] or missing[s] != no_down[c]
+        else (child_sums[s] - down[c] + up[s]) % mod
+        for c, s in zip(range(1, n), par[1:n])
+    ]
     if out.count(None) == len(out):
         raise EmptyDomain("no edge has all its continuations in the domain")
     return EdgeForm(f.p, f.k, b, tuple(out))

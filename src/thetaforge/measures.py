@@ -50,7 +50,7 @@ from .groupring import GroupRingElement, QuotientClass, _axis_map, divide_omega_
 # reader, so a synthetic system loads no torus
 TYPE_CHECKING = False
 if TYPE_CHECKING:
-    from .hecke import EigenData
+    from .padic import EigenData
     from .torus import QuadraticTorus, TorusElement
 
 
@@ -241,7 +241,7 @@ def from_tree(form, torus: QuadraticTorus, eigen: EigenData, n_max: int,
             raise KeyError(f"the form has no value at an image of the level-{j} base point")
         levels[j] = tuple(level)
         q = p ** level_exp[j]
-        free[j] = tuple(s % q for s in coset_decomposition(torus, j))
+        free[j] = tuple([s % q for s in coset_decomposition(torus, j)])
         if j > start:
             fibers[j] = tuple(up)
     sys = CompatibleSystem(

@@ -1,4 +1,5 @@
-"""Bounded-precision p-adic scalars, Hensel roots, the cyclotomic factors
+"""Bounded-precision p-adic scalars, Hensel roots, the eigenvalue pair
+(a_p, alpha) of a form or system, the cyclotomic factors
 Sigma_{p^j}(T+1) as integer coefficient tuples, cyclotomic ring values, and
 the four polynomial kernels the group rings share.
 
@@ -157,6 +158,33 @@ def hensel_unit_root(a: PrecisionInt, q: int, k: int) -> PrecisionInt:
     if root.residue % p != av % p:
         raise InvariantViolation(f"root {x} is not congruent to {av} mod {p}")
     return root
+
+
+@dataclass(frozen=True)
+class EigenData:
+    """Adjacency eigenvalue a_p and/or transfer eigenvalue alpha_p.
+
+    When both are present they must satisfy alpha^2 - a*alpha + p = 0 mod p^k.
+    """
+
+    ap: PrecisionInt | None = None
+    alpha: PrecisionInt | None = None
+
+    def __post_init__(self):
+        if self.ap is not None and self.alpha is not None:
+            a, al = self.ap, self.alpha
+            q = PrecisionInt(al.p, al.k, al.p)
+            if not (al * al - a * al + q).is_zero():
+                raise ValueError("alpha is not a root of x^2 - a x + p")
+
+    @staticmethod
+    def ordinary(p: int, k: int, ap: int) -> "EigenData":
+        a = PrecisionInt(p, k, ap)
+        return EigenData(ap=a, alpha=hensel_unit_root(a, p, k))
+
+    @staticmethod
+    def supersingular(p: int, k: int) -> "EigenData":
+        return EigenData(ap=PrecisionInt(p, k, 0), alpha=None)
 
 
 def euler_phi_p_power(p: int, m: int) -> int:

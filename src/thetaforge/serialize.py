@@ -29,8 +29,8 @@ from .util import json_int, prime_int
 TYPE_CHECKING = False
 if TYPE_CHECKING:
     from .groupring import GroupRingElement
-    from .hecke import EigenData
     from .measures import CompatibleSystem
+    from .padic import EigenData
 
 SCHEMA = "thetaforge/1"
 
@@ -106,8 +106,7 @@ def eigen_to_json(e: EigenData):
 
 @_payload_reader
 def eigen_from_json(obj) -> EigenData:
-    from .hecke import EigenData
-    from .padic import PrecisionInt
+    from .padic import EigenData, PrecisionInt
     ap = None if obj["ap"] is None else PrecisionInt.from_json(obj["ap"])
     alpha = None if obj["alpha"] is None else PrecisionInt.from_json(obj["alpha"])
     return EigenData(ap=ap, alpha=alpha)

@@ -14,7 +14,10 @@ blocks of label positions (_orbit_blocks), and the edge (v_(j-1), v_j) goes
 to the pair of images of its endpoints.  orbit_table builds those images as
 Vertex and DirectedEdge objects, for the CLI and for inspection; orbit_ids
 reads the same blocks straight to the ids of a ball around the origin, with
-no object built, for from_tree.
+no object built, for from_tree.  The orbit blocks and the coset walk read
+every unit inverse mod p^j off one table for the level (_unit_inverses),
+built from the powers of a generator of (Z/p^j)^x, so no label costs a
+modular inverse.
 
 Split kind: only its base sequence, a branch off the standard apartment, is
 kept, for inspection.
@@ -23,6 +26,7 @@ kept, for inspection.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate, chain, repeat
 
 from .errors import InvariantViolation, TransitivityViolation
 from .tree import DirectedEdge, Vertex, digit_reversals, origin, origin_id_offset
@@ -173,6 +177,32 @@ def _label_position(p: int, j: int, x: int, y: int) -> int:
     return x if y % p else p**j + y // p
 
 
+def _unit_inverses(p: int, j: int) -> list:
+    """inv[w] = w^(-1) mod p^j for every unit 0 < w < p^j, j >= 1, and 0
+    at the multiples of p; it also inverts w mod p^i, i <= j, as inv[w] mod
+    p^i.
+
+    For odd p, (Z/p^j)^x is cyclic, generated by a primitive root g mod p
+    (the least g whose p - 1 powers mod p are distinct) with g^(p-1) != 1
+    mod p^2, else by g + p.  So inv[g^e] = g^(-e) comes from the list of
+    powers of g: p^j multiplications, no inverse per entry.  At p = 2 the
+    group is not cyclic for j >= 3, and the table is refused.
+    """
+    if p == 2:
+        raise ValueError("unit inverse tables are built for odd p only")
+    mod = p**j
+    g = next(g for g in range(2, p) if len({pow(g, e, p) for e in range(1, p)}) == p - 1)
+    if pow(g, p - 1, p * p) == 1:
+        g += p
+    powers = list(accumulate(repeat(g, mod - mod // p - 1), lambda a, b: a * b % mod,
+                             initial=1))
+    inv = [0] * mod
+    # g^e and g^(-e) = g^(order - e), e = 0, 1, ..., order - 1
+    for w, w_inv in zip(powers, chain((1,), reversed(powers))):
+        inv[w] = w_inv
+    return inv
+
+
 def coset_decomposition(torus: QuadraticTorus, j: int) -> list:
     """The level-j coset group split as torsion x cyclic p-part, by label
     position: entry t is the step s = i p^(j-1) + f at which the walk
@@ -182,44 +212,47 @@ def coset_decomposition(torus: QuadraticTorus, j: int) -> list:
 
     tgen is the CRT torsion projection of the first label (in coset_labels
     order) whose projection has order p + 1; fgen is (1 : p), the class of
-    1 + p sqrt(d), which lies in the free part already.  One walk over the
-    group fills the list, one label multiplication per label; the step by
-    fgen and the label's position are written out inline.
+    1 + p sqrt(d), which lies in the free part already.  The walk runs by
+    rows.  It steps through the free part once, fgen^f = (1 : y_f) with
+    p | y_f, the identity row at positions p^j + y_f / p; each step
+    (1 : y)(1 : p) = (1 + d p y : y + p) reads the inverse of 1 + d p y = 1
+    mod p off the level's unit-inverse table.  Each torsion row tgen^i =
+    (x : 1), i > 0, then sends y_f to the position of (x : 1)(1 : y_f) =
+    (x + d y_f : 1 + x y_f), which is (x + d y_f) (1 + x y_f)^(-1) mod p^j,
+    one table read per label, since 1 + x y_f = 1 mod p.
     """
     p = torus.p
     if j == 0:
         return [0]
     torsion_order = p + 1
     free_order = p ** (j - 1)
-    ident = _canonical_pair(p, j, 1, 0)
+    mod, d = p**j, torus.d
     alpha_t = _crt_exponent(torsion_order, free_order)
-    labels = coset_labels(torus, j)
-    # torsion generator: first label whose torsion projection has full order
-    tgen = None
-    for lbl in labels:
-        cand = _label_pow(torus, j, lbl, alpha_t)
-        if _element_order(torus, j, cand, torsion_order + 1) == torsion_order:
-            tgen = cand
-            break
+    # torsion generator: first label, in coset_labels order, whose torsion
+    # projection has full order
+    labels = chain(zip(range(mod), repeat(1)), zip(repeat(1), range(0, mod, p)))
+    tgen = next((cand for cand in (_label_pow(torus, j, lbl, alpha_t) for lbl in labels)
+                 if _element_order(torus, j, cand, torsion_order + 1) == torsion_order), None)
     if tgen is None:
         raise InvariantViolation("torsion part of the coset group must be cyclic")
-    mod, dp = p**j, torus.d * p
-    steps, row, s = [-1] * len(labels), ident, 0
-    for _ in range(torsion_order):
-        x, y = row
-        at = _label_position(p, j, x, y)
-        for _ in range(free_order):
-            steps[at] = s
-            s += 1
-            # times fgen = (1 : p), renormalized as _canonical_pair does
-            x, y = (x + dp * y) % mod, (p * x + y) % mod
-            if y % p:
-                x, y = x * pow(y, -1, mod) % mod, 1
-                at = x
-            else:
-                x, y = 1, y * pow(x, -1, mod) % mod
-                at = mod + y // p
+    inv = _unit_inverses(p, j)
+    ys, y, dp = [0] * free_order, 0, d * p
+    for f in range(1, free_order):
+        y = ys[f] = (y + p) * inv[(1 + dp * y) % mod] % mod
+    steps = [-1] * (torsion_order * free_order)
+    for f, y in enumerate(ys):
+        steps[mod + y // p] = f
+    row = _canonical_pair(p, j, 1, 0)
+    for i in range(1, torsion_order):
         row = _label_mul(torus, j, row, tgen)
+        x, one = row
+        if one != 1:
+            # tgen has short order: this row is the free part again, whose
+            # labels the identity row holds, so some label stays unfilled
+            break
+        at = [(x + d * y) * inv[(1 + x * y) % mod] % mod for y in ys]
+        for s, t in enumerate(at, i * free_order):
+            steps[t] = s
     # every step is a canonical label and the walk takes as many steps as
     # there are labels, so it covers them exactly once iff it never repeats
     # one, iff no position is left unfilled; a generator of short order
@@ -264,17 +297,21 @@ def _orbit_blocks(p: int, d: int, j: int):
       Vertex(p, j - v, v, d y w^(-1) mod p^(j-v))  if x = p^v w, w a unit,
     so (x : 1), x = p^v w with w = c mod p, runs over the positions
     p^v c, p^v (c + p), ... and (1 : y), p | y, over p^j + y / p.  At
-    level 0 the one label (1 : 0) fixes v_0, the origin.
+    level 0 the one label (1 : 0) fixes v_0, the origin.  Each w^(-1) mod
+    p^(j-v) is the level's table entry inv[w] mod p^(j-v), so a block is
+    d inv[w] mod p^(j-v) over the slice inv[c : p^(j-v) : p].
     """
     mod = p**j
     yield 0, j, [0], slice(0, 1)
+    if not j:
+        return
+    inv = _unit_inverses(p, j)
     for v in range(j):
         r, q = p ** (j - v), p**v
         for c in range(1, p):
-            us = [d * pow(w, -1, r) % r for w in range(c, r, p)]
+            us = [d * w_inv % r for w_inv in inv[c:r:p]]
             yield j - v, v, us, slice(q * c, mod, q * p)
-    if j:
-        yield j, 0, [d * y % mod for y in range(0, mod, p)], slice(mod, mod + mod // p)
+    yield j, 0, [d * y % mod for y in range(0, mod, p)], slice(mod, mod + mod // p)
 
 
 def orbit_ids(torus: QuadraticTorus, j: int) -> list:

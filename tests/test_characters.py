@@ -12,9 +12,9 @@ from thetaforge.characters import (
     specialize,
 )
 from thetaforge.errors import ConductorTooLarge, NotOrdinary
-from thetaforge.hecke import EigenData, local_eigen_extend, stabilize
+from thetaforge.hecke import local_eigen_extend, stabilize
 from thetaforge.measures import from_tree, lp, pm_extract, synth_system, theta_ordinary
-from thetaforge.padic import CyclotomicValue, euler_phi_p_power
+from thetaforge.padic import CyclotomicValue, EigenData, euler_phi_p_power
 from thetaforge.torus import QuadraticTorus
 from kernel_oracle import reference_zeta_power, star_identity_check
 

@@ -13,8 +13,9 @@ import thetaforge
 from thetaforge import serialize
 from thetaforge.cli import build_parser, load_config, main
 from thetaforge.groupring import delta_element, one, zero
-from thetaforge.hecke import EigenData, hecke_T, hecke_U, local_eigen_extend, stabilize
+from thetaforge.hecke import hecke_T, hecke_U, local_eigen_extend, stabilize
 from thetaforge.measures import check_distribution, from_tree, synth_system
+from thetaforge.padic import EigenData
 from thetaforge.torus import QuadraticTorus, TorusElement, orbit_table
 from thetaforge.util import PRIME_TEST_BOUND, is_prime
 
@@ -1141,7 +1142,8 @@ class TestLoadedModules:
         assert not loaded & {"measures", "hecke", "torus", "tree"}
 
     def test_system_commands(self, tmp_path, capsys):
-        # measures imports torus inside from_tree, which no system command runs
+        # measures imports torus, hecke and tree inside from_tree, which no
+        # system command runs, and the system's EigenData lives in padic
         synth = ["synth", "--mode", "edge", "--ap", "1", "--p", "3", "--k", "6",
                  "--n-max", "3", "--seed", "4"]
         system = self._artifact(capsys, synth, tmp_path)
@@ -1150,7 +1152,7 @@ class TestLoadedModules:
                      ["lp", "--system", system, "--level", "3"]):
             loaded = loaded_submodules(_RUN_CLI, *argv, "--out", str(tmp_path))
             assert "measures" in loaded
-            assert not loaded & {"torus", "characters"}, argv
+            assert not loaded & {"torus", "hecke", "tree", "characters"}, argv
 
 
 # every name the package exports, by home module
@@ -1159,14 +1161,15 @@ EXPORTS = {
                "EmptyDomain", "InvariantViolation", "MissingEigenvalue", "NotDivisible",
                "NotOrdinary", "NotSupersingular", "PrecisionExhausted", "ThetaForgeError",
                "TransitivityViolation", "UnsupportedDelta"),
-    "padic": ("CyclotomicValue", "PrecisionInt", "cyclotomic_sigma", "hensel_unit_root"),
+    "padic": ("CyclotomicValue", "EigenData", "PrecisionInt", "cyclotomic_sigma",
+              "hensel_unit_root"),
     "tree": ("DirectedEdge", "Vertex", "ball", "distance", "geodesic_path", "neighbors",
              "origin", "sphere"),
     "torus": ("QuadraticTorus", "TorusElement", "base_sequence", "filtration_order",
               "orbit_table"),
     "groupring": ("GroupRingElement", "divide_omega_tilde", "mu_invariant", "project", "star",
                   "xi"),
-    "hecke": ("EdgeForm", "EigenData", "VertexForm", "hecke_T", "hecke_U",
+    "hecke": ("EdgeForm", "VertexForm", "hecke_T", "hecke_U",
               "local_eigen_extend", "nu_invariant", "stabilize"),
     "measures": ("CompatibleSystem", "PadicLFunction", "ThetaElement", "check_distribution",
                  "from_tree", "lp", "pm_extract", "synth_system", "theta_level",

@@ -8,8 +8,9 @@ import pytest
 
 from thetaforge import torus as torus_mod
 from thetaforge.errors import PrecisionExhausted
-from thetaforge.hecke import EigenData, hecke_T, local_eigen_extend, stabilize
+from thetaforge.hecke import hecke_T, local_eigen_extend, stabilize
 from thetaforge.measures import from_tree
+from thetaforge.padic import EigenData
 from thetaforge.torus import (
     QuadraticTorus,
     TorusElement,

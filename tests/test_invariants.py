@@ -6,8 +6,8 @@ import pytest
 
 from thetaforge import measures, padic, torus, tree
 from thetaforge.errors import InvariantViolation, TransitivityViolation
-from thetaforge.hecke import EigenData, local_eigen_extend, stabilize
-from thetaforge.padic import PrecisionInt, hensel_unit_root
+from thetaforge.hecke import local_eigen_extend, stabilize
+from thetaforge.padic import EigenData, PrecisionInt, hensel_unit_root
 
 
 def test_neighbors_must_be_distinct(monkeypatch):

@@ -18,8 +18,9 @@ import pytest
 
 from thetaforge.characters import FiniteOrderCharacter, specialize
 from thetaforge.groupring import GroupRingElement, mu_invariant, star
-from thetaforge.hecke import EigenData, local_eigen_extend, stabilize
+from thetaforge.hecke import local_eigen_extend, stabilize
 from thetaforge.measures import from_tree, theta_ordinary
+from thetaforge.padic import EigenData
 from thetaforge.torus import QuadraticTorus
 
 K = 8

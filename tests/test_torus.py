@@ -3,6 +3,7 @@ from collections import Counter
 
 import pytest
 
+from thetaforge import torus as torus_mod
 from thetaforge.errors import InvariantViolation
 from thetaforge.torus import (
     QuadraticTorus,
@@ -11,14 +12,17 @@ from thetaforge.torus import (
     coset_decomposition,
     coset_labels,
     filtration_order,
+    orbit_ids,
     orbit_table,
     _canonical_pair,
     _label_position,
     _label_pow,
     _parent_positions,
+    _unit_inverses,
 )
 from thetaforge.tree import Vertex, distance, origin, sphere
-from thetaforge.util import default_nonresidue
+from thetaforge.util import default_nonresidue, is_nonresidue
+from torus_oracle import pow_coset_decomposition, pow_orbit_ids
 from tree_oracle import act, normal_form_exact
 
 
@@ -311,6 +315,92 @@ class TestCosetDecomposition:
         monkeypatch.setattr(torus_mod, "_element_order", lambda torus, j, a, bound: bound - 1)
         with pytest.raises(InvariantViolation, match="exactly once"):
             coset_decomposition(inert(), 3)
+
+
+def nonresidue_tori(p):
+    """The inert torus for every non-residue d mod p, 0 < d < p."""
+    return [QuadraticTorus(p, "inert", d) for d in range(1, p) if is_nonresidue(d, p)]
+
+
+class TestUnitInverses:
+    @pytest.mark.parametrize("p,top", [(3, 7), (5, 5), (7, 4), (11, 3), (13, 3)])
+    def test_every_unit_against_pow(self, p, top):
+        for j in range(1, top + 1):
+            mod = p**j
+            inv = _unit_inverses(p, j)
+            assert len(inv) == mod
+            assert all(inv[w] == (pow(w, -1, mod) if w % p else 0) for w in range(mod))
+
+    @pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
+    def test_entries_reduce_to_lower_levels(self, p):
+        # the orbit blocks read w^(-1) mod p^i as inv[w] mod p^i
+        j = 3
+        inv = _unit_inverses(p, j)
+        for i in range(1, j + 1):
+            r = p**i
+            assert all(inv[w] % r == pow(w, -1, r) for w in range(1, r) if w % p)
+
+    def test_p2_is_refused(self):
+        # (Z/2^j)^x is not cyclic for j >= 3
+        for j in (1, 2, 3, 5):
+            with pytest.raises(ValueError, match="odd p"):
+                _unit_inverses(2, j)
+
+
+class TestAgainstPowOracle:
+    """The table-driven orbit ids and coset walk against the per-label pow
+    versions and the CRT reference, at every non-residue d mod p."""
+
+    @pytest.mark.parametrize("p,top", [(3, 6), (5, 4), (7, 3), (11, 3), (13, 2)])
+    def test_orbit_ids_and_walk(self, p, top):
+        for torus in nonresidue_tori(p):
+            for j in range(top + 1):
+                assert orbit_ids(torus, j) == pow_orbit_ids(torus, j), (torus.d, j)
+                assert coset_decomposition(torus, j) == pow_coset_decomposition(torus, j), (
+                    torus.d, j)
+
+    @pytest.mark.parametrize("p,top", [(3, 5), (5, 4), (7, 3), (11, 2), (13, 2)])
+    def test_walk_against_crt_reference(self, p, top):
+        for torus in nonresidue_tori(p):
+            for j in range(top + 1):
+                assert split_parts(torus, j) == reference_parts(torus, j), (torus.d, j)
+
+    def test_walk_and_blocks_take_no_inverse_per_label(self, monkeypatch):
+        # only the tgen search and the torsion rows invert (O(p log p^j)
+        # calls); the 2916 labels of p = 3, j = 7 take none
+        calls = []
+
+        def counting_pow(*args):
+            if len(args) == 3 and args[1] == -1:
+                calls.append(args)
+            return pow(*args)
+
+        monkeypatch.setattr(torus_mod, "pow", counting_pow, raising=False)
+        torus = inert()
+        orbit_ids(torus, 7)
+        assert calls == []
+        coset_decomposition(torus, 7)
+        assert 0 < len(calls) < 100
+
+    @pytest.mark.parametrize("shift", [1, -1])
+    def test_a_shifted_table_is_caught(self, monkeypatch, shift):
+        # the oracle comparisons see a table rotated by one entry
+        real = torus_mod._unit_inverses
+
+        def rotated(p, j):
+            inv = real(p, j)
+            return inv[shift:] + inv[:shift]
+
+        torus = QuadraticTorus(5, "inert", 2)
+        expected_ids = [pow_orbit_ids(torus, j) for j in range(1, 4)]
+        expected_steps = [pow_coset_decomposition(torus, j) for j in range(1, 4)]
+        monkeypatch.setattr(torus_mod, "_unit_inverses", rotated)
+        assert [orbit_ids(torus, j) for j in range(1, 4)] != expected_ids
+        try:
+            steps = [coset_decomposition(torus, j) for j in range(1, 4)]
+        except InvariantViolation:
+            return
+        assert steps != expected_steps
 
 
 def reference_parts(torus, j):

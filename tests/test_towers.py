@@ -10,10 +10,11 @@ import pytest
 from thetaforge import serialize
 from thetaforge.characters import FiniteOrderCharacter, interpolation_shape, specialize
 from thetaforge.errors import CompatibilityViolation, NotOrdinary, NotSupersingular
-from thetaforge.hecke import EigenData, local_eigen_extend, stabilize
+from thetaforge.hecke import local_eigen_extend, stabilize
 from thetaforge.measures import (
     check_distribution, from_tree, lp, synth_system, theta_level, theta_ordinary,
 )
+from thetaforge.padic import EigenData
 from thetaforge.torus import QuadraticTorus, TorusElement
 from thetaforge.util import default_nonresidue
 from tower_oracle import (

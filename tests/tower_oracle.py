@@ -23,8 +23,9 @@ from thetaforge.errors import (
     TransitivityViolation,
 )
 from thetaforge.groupring import GroupRingElement, _axis_map, digits_of
-from thetaforge.hecke import EigenData, VertexForm
+from thetaforge.hecke import VertexForm
 from thetaforge.measures import DistributionReport, ThetaElement, _check_level, _check_mode
+from thetaforge.padic import EigenData
 from thetaforge.serialize import eigen_to_json
 from thetaforge.torus import (
     QuadraticTorus,
