@@ -41,7 +41,12 @@ def main():
     nu = nu_invariant(f0)
     print(f"nu invariant of the input form: {nu}")
 
-    system = from_tree(stabilize(f0, eig), torus, eig, args.depth)
+    # each form is dropped once the next stage is built from it, so the
+    # vertex form is gone before from_tree and the edge form before lp
+    phi = stabilize(f0, eig)
+    del f0
+    system = from_tree(phi, torus, eig, args.depth)
+    del phi
     report = check_distribution(system)
     print(f"distribution relations: {report.relations_checked} checked, ok = {report.ok}")
     if not report.ok:

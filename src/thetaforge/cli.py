@@ -13,18 +13,22 @@ config file (keys p k delta n_max kind d seed out), else the default.
 
 Each handler imports the modules it runs, so a call loads only those; it
 calls serialize and groupring functions through their modules, so a patched
-module attribute is the one called.
+module attribute is the one called.  argparse is imported by build_parser,
+so a process that imports this module without parsing flags never loads it.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import sys
 
 from . import serialize
 from .errors import ConductorTooLarge, ThetaForgeError
 from .util import default_nonresidue, is_prime, json_int
+
+TYPE_CHECKING = False
+if TYPE_CHECKING:
+    import argparse
 
 # parameter name (also its config-file key): flag, type, default, choices
 PARAMS = {
@@ -306,6 +310,7 @@ def _leaf(subs, name, func, params=(), **kw):
 
 
 def build_parser() -> argparse.ArgumentParser:
+    import argparse
     ap = argparse.ArgumentParser(prog="thetaforge")
     subs = ap.add_subparsers(dest="cmd", required=True)
 

@@ -31,6 +31,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from functools import wraps
+from operator import ne
 
 from . import groupring
 from .errors import (
@@ -184,11 +185,16 @@ def from_tree(form, torus: QuadraticTorus, eigen: EigenData, n_max: int,
     up, so the ball's object views stay unbuilt.  With a shift s the base
     points are s * w_j; the torus is commutative, so label h reads the
     standard orbit at the label h * s.
+
+    Every level reads its unit inverses off one table built for the top
+    level, and the checks hold no per-label object beyond the level's ids:
+    transitivity marks the images in a byte per ball id, and the edge check
+    compares parents lazily.
     """
     from .hecke import VertexForm
     from .torus import (
-        _canonical_pair, _label_mul, _label_position, _parent_positions, coset_decomposition,
-        coset_labels, orbit_ids,
+        _canonical_pair, _coset_walk, _label_mul, _label_position, _orbit_ids,
+        _parent_positions, _unit_inverses, coset_labels,
     )
     from .tree import origin
     if torus.kind != "inert":
@@ -206,23 +212,33 @@ def from_tree(form, torus: QuadraticTorus, eigen: EigenData, n_max: int,
         if shift.k < n_max:
             raise PrecisionExhausted(f"shift known mod p^{shift.k} < p^{n_max}")
     p, k = form.p, form.k
-    values = form.values
+    values, parents = form.values, b.parents
     start = 0 if mode == "vertex" else 1
     levels: list = [None] * (n_max + 1)
     fibers: list = [None] * (n_max + 1)
     free: list = [None] * (n_max + 1)
     level_exp = tuple(max(j - 1, 0) for j in range(n_max + 1))
+    # one table for every level: inv[w] mod p^j inverts w mod p^j
+    inv = _unit_inverses(p, n_max)
     below = None                # ball ids of the labels one level down
     for j in range(n_max + 1):
-        ids = orbit_ids(torus, j)                           # depth j <= radius
-        if len(set(ids)) != len(ids):
+        if j >= start:
+            # the walk runs before the orbit ids, so its transients and the
+            # ids are never held together
+            free[j] = tuple(_coset_walk(torus, j, inv, list(range(p ** level_exp[j]))))
+        ids = _orbit_ids(torus, j, inv)                     # depth j <= radius
+        # one byte per ball id marks the images, with no per-id object
+        seen = bytearray(b.size)
+        for c in ids:
+            seen[c] = 1
+        if seen.count(1) != len(ids):
             raise TransitivityViolation(f"two level-{j} cosets agree on the base point")
-        up = _parent_positions(p, j)
+        up = tuple(_parent_positions(p, j))
         if mode == "edge":
             # the image of e_j under h is the ball edge into h v_j, so its
             # source must be the parent label's image of v_(j-1)
-            if j and [b.parents[c] for c in ids] != [below[u] for u in up]:
-                t = next(t for t, (c, u) in enumerate(zip(ids, up)) if b.parents[c] != below[u])
+            if j and any(map(ne, map(parents.__getitem__, ids), map(below.__getitem__, up))):
+                t = next(t for t, (c, u) in enumerate(zip(ids, up)) if parents[c] != below[u])
                 raise InvariantViolation(f"the image of the level-{j} base edge under "
                                          f"{coset_labels(torus, j)[t]} is not a ball edge")
             below = ids
@@ -234,16 +250,16 @@ def from_tree(form, torus: QuadraticTorus, eigen: EigenData, n_max: int,
                    for lbl in coset_labels(torus, j)]
         # the edge into vertex c from its parent has edge id 2c - 2
         if mode == "vertex":
-            level = [values[c] for c in ids]
+            levels[j] = tuple(map(values.__getitem__, ids))
         else:
-            level = [values[2 * c - 2] for c in ids]
-        if None in level:
+            levels[j] = tuple(values[2 * c - 2] for c in ids)
+        if None in levels[j]:
             raise KeyError(f"the form has no value at an image of the level-{j} base point")
-        levels[j] = tuple(level)
-        q = p ** level_exp[j]
-        free[j] = tuple([s % q for s in coset_decomposition(torus, j)])
         if j > start:
-            fibers[j] = tuple(up)
+            fibers[j] = up
+    # the top level's table and ids are the largest transients: drop them
+    # before the check allocates its own
+    del inv, ids, below
     sys = CompatibleSystem(
         p, k, 1, mode, eigen, n_max, p + 1, level_exp, "torus",
         tuple(levels), tuple(fibers), tuple(free),

@@ -16,7 +16,6 @@ other h, and an entry whose "values" is not a list of one value.
 from __future__ import annotations
 
 import functools
-import hashlib
 import json
 import os
 from collections import Counter
@@ -54,6 +53,9 @@ def open_envelope(obj, kind: str | None = None):
 
 
 def write_artifact(outdir: str, kind: str, payload) -> str:
+    # hashlib loads OpenSSL (about 3.6 MB of RSS), so only a process that
+    # writes an artifact imports it
+    import hashlib
     os.makedirs(outdir, exist_ok=True)
     text = canonical_dumps(envelope(kind, payload))
     digest = hashlib.sha256(text.encode()).hexdigest()[:16]

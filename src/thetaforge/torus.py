@@ -15,9 +15,10 @@ to the pair of images of its endpoints.  orbit_table builds those images as
 Vertex and DirectedEdge objects, for the CLI and for inspection; orbit_ids
 reads the same blocks straight to the ids of a ball around the origin, with
 no object built, for from_tree.  The orbit blocks and the coset walk read
-every unit inverse mod p^j off one table for the level (_unit_inverses),
-built from the powers of a generator of (Z/p^j)^x, so no label costs a
-modular inverse.
+every unit inverse mod p^j off one table (_unit_inverses), built from the
+powers of a generator of (Z/p^J)^x for some J >= j, so no label costs a
+modular inverse; from_tree builds one table, of its top level, for every
+level.
 
 Split kind: only its base sequence, a branch off the standard apartment, is
 kept, for inspection.
@@ -178,9 +179,9 @@ def _label_position(p: int, j: int, x: int, y: int) -> int:
 
 
 def _unit_inverses(p: int, j: int) -> list:
-    """inv[w] = w^(-1) mod p^j for every unit 0 < w < p^j, j >= 1, and 0
-    at the multiples of p; it also inverts w mod p^i, i <= j, as inv[w] mod
-    p^i.
+    """inv[w] = w^(-1) mod p^j for every unit 0 < w < p^j, and 0 at the
+    multiples of p ([0] at j = 0); it also inverts w mod p^i, i <= j, as
+    inv[w] mod p^i, so one table serves every level up to j.
 
     For odd p, (Z/p^j)^x is cyclic, generated by a primitive root g mod p
     (the least g whose p - 1 powers mod p are distinct) with g^(p-1) != 1
@@ -190,6 +191,8 @@ def _unit_inverses(p: int, j: int) -> list:
     """
     if p == 2:
         raise ValueError("unit inverse tables are built for odd p only")
+    if j == 0:
+        return [0]
     mod = p**j
     g = next(g for g in range(2, p) if len({pow(g, e, p) for e in range(1, p)}) == p - 1)
     if pow(g, p - 1, p * p) == 1:
@@ -221,11 +224,21 @@ def coset_decomposition(torus: QuadraticTorus, j: int) -> list:
     (x + d y_f : 1 + x y_f), which is (x + d y_f) (1 + x y_f)^(-1) mod p^j,
     one table read per label, since 1 + x y_f = 1 mod p.
     """
+    return _coset_walk(torus, j, _unit_inverses(torus.p, j))
+
+
+def _coset_walk(torus: QuadraticTorus, j: int, inv: list, digits: list | None = None) -> list:
+    """coset_decomposition with every inverse read off inv, a unit-inverse
+    table mod p^J for some J >= j.  Given the list digits = [0, 1, ...,
+    p^(j-1) - 1], entry t is the free digit digits[f] of the t-th label
+    instead of its step, so the entries share that list's int objects."""
     p = torus.p
-    if j == 0:
-        return [0]
     torsion_order = p + 1
-    free_order = p ** (j - 1)
+    free_order = p ** max(j - 1, 0)
+    # the entries row i writes, in the order of its free digits
+    rows = [digits or range(i * free_order, (i + 1) * free_order) for i in range(torsion_order)]
+    if j == 0:
+        return [rows[0][0]]
     mod, d = p**j, torus.d
     alpha_t = _crt_exponent(torsion_order, free_order)
     # torsion generator: first label, in coset_labels order, whose torsion
@@ -235,23 +248,22 @@ def coset_decomposition(torus: QuadraticTorus, j: int) -> list:
                  if _element_order(torus, j, cand, torsion_order + 1) == torsion_order), None)
     if tgen is None:
         raise InvariantViolation("torsion part of the coset group must be cyclic")
-    inv = _unit_inverses(p, j)
     ys, y, dp = [0] * free_order, 0, d * p
     for f in range(1, free_order):
         y = ys[f] = (y + p) * inv[(1 + dp * y) % mod] % mod
     steps = [-1] * (torsion_order * free_order)
-    for f, y in enumerate(ys):
-        steps[mod + y // p] = f
-    row = _canonical_pair(p, j, 1, 0)
+    for y, s in zip(ys, rows[0]):
+        steps[mod + y // p] = s
+    row_start = _canonical_pair(p, j, 1, 0)
     for i in range(1, torsion_order):
-        row = _label_mul(torus, j, row, tgen)
-        x, one = row
+        row_start = _label_mul(torus, j, row_start, tgen)
+        x, one = row_start
         if one != 1:
             # tgen has short order: this row is the free part again, whose
             # labels the identity row holds, so some label stays unfilled
             break
         at = [(x + d * y) * inv[(1 + x * y) % mod] % mod for y in ys]
-        for s, t in enumerate(at, i * free_order):
+        for t, s in zip(at, rows[i]):
             steps[t] = s
     # every step is a canonical label and the walk takes as many steps as
     # there are labels, so it covers them exactly once iff it never repeats
@@ -286,7 +298,7 @@ class OrbitTable:
             yield lbl, self.images[lbl]
 
 
-def _orbit_blocks(p: int, d: int, j: int):
+def _orbit_blocks(p: int, d: int, j: int, inv: list):
     """The images of v_j under the level-j labels, in blocks of label
     positions: each block (a, b, us, at) sends the labels at the positions
     at (a slice of coset_labels) to Vertex(p, a, b, u) for u in us.
@@ -298,14 +310,14 @@ def _orbit_blocks(p: int, d: int, j: int):
     so (x : 1), x = p^v w with w = c mod p, runs over the positions
     p^v c, p^v (c + p), ... and (1 : y), p | y, over p^j + y / p.  At
     level 0 the one label (1 : 0) fixes v_0, the origin.  Each w^(-1) mod
-    p^(j-v) is the level's table entry inv[w] mod p^(j-v), so a block is
-    d inv[w] mod p^(j-v) over the slice inv[c : p^(j-v) : p].
+    p^(j-v) is the entry inv[w] mod p^(j-v) of inv, a unit-inverse table
+    mod p^J for some J >= j, so a block is d inv[w] mod p^(j-v) over the
+    slice inv[c : p^(j-v) : p].
     """
     mod = p**j
     yield 0, j, [0], slice(0, 1)
     if not j:
         return
-    inv = _unit_inverses(p, j)
     for v in range(j):
         r, q = p ** (j - v), p**v
         for c in range(1, p):
@@ -320,20 +332,27 @@ def orbit_ids(torus: QuadraticTorus, j: int) -> list:
     no Vertex built: Vertex(p, a, b, u) has id origin_id_offset(p, a, b)
     plus the a-digit reversal of u, which is its j-digit one over
     p^(j - a)."""
+    return _orbit_ids(torus, j, _unit_inverses(torus.p, j))
+
+
+def _orbit_ids(torus: QuadraticTorus, j: int, inv: list) -> list:
+    """orbit_ids with its inverses read off inv, a unit-inverse table mod
+    p^J for some J >= j."""
     p = torus.p
     rev = digit_reversals(p, j)
     ids = [0] * filtration_order(torus, j)
-    for a, b, us, at in _orbit_blocks(p, torus.d, j):
+    for a, b, us, at in _orbit_blocks(p, torus.d, j, inv):
         base, q = origin_id_offset(p, a, b), p ** (j - a)
         ids[at] = [base + rev[u] // q for u in us]
     return ids
 
 
-def _orbit_images(torus: QuadraticTorus, j: int) -> list:
-    """The images of v_j under the level-j labels, in coset_labels order."""
+def _orbit_images(torus: QuadraticTorus, j: int, inv: list) -> list:
+    """The images of v_j under the level-j labels, in coset_labels order,
+    with inv as in _orbit_blocks."""
     p = torus.p
     out = [None] * filtration_order(torus, j)
-    for a, b, us, at in _orbit_blocks(p, torus.d, j):
+    for a, b, us, at in _orbit_blocks(p, torus.d, j, inv):
         out[at] = [Vertex(p, a, b, u) for u in us]
     return out
 
@@ -373,10 +392,12 @@ def orbit_table(torus: QuadraticTorus, j: int, mode: str = "vertex",
     up = _parent_positions(torus.p, j)
     lower = coset_labels(torus, j - 1) if j else []
     parents = {lbl: lower[t] for lbl, t in zip(labels, up)}
-    acted = _orbit_images(torus, j)
+    # one unit-inverse table for both levels of images and the walk
+    inv = _unit_inverses(torus.p, j)
+    acted = _orbit_images(torus, j, inv)
     if mode == "edge":
         # an edge's source is the parent label's image of v_(j-1)
-        below = _orbit_images(torus, j - 1)
+        below = _orbit_images(torus, j - 1, inv)
         acted = [DirectedEdge(below[t], w) for t, w in zip(up, acted)]
     seen = {}
     for lbl, w in zip(labels, acted):
@@ -387,5 +408,5 @@ def orbit_table(torus: QuadraticTorus, j: int, mode: str = "vertex",
         seen[w] = lbl
     images = dict(zip(labels, acted))
     q = torus.p ** max(j - 1, 0)
-    split_parts = {lbl: divmod(s, q) for lbl, s in zip(labels, coset_decomposition(torus, j))}
+    split_parts = {lbl: divmod(s, q) for lbl, s in zip(labels, _coset_walk(torus, j, inv))}
     return OrbitTable(torus, j, mode, labels, images, parents, split_parts, max(j - 1, 0))

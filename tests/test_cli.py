@@ -1091,12 +1091,30 @@ sys.exit(code)
 _RUN_CLI = "from thetaforge.cli import main\ncode = main(sys.argv[1:])"
 
 
-def loaded_submodules(body: str, *argv) -> set:
+# Runs BODY in a fresh interpreter, then prints which of hashlib and argparse
+# it loaded, beyond what the interpreter had loaded before BODY, as a JSON
+# list on the last line and exits with `code`.
+_STDLIB = """import json, sys
+code = 0
+before = set(sys.modules)
+{}
+print(json.dumps(sorted({{"hashlib", "argparse"}} & (set(sys.modules) - before))))
+sys.exit(code)
+"""
+
+
+def last_json_line(program: str, *argv):
+    """Run program in a fresh interpreter, which must exit 0, and read the
+    JSON on its last line of output."""
     env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(thetaforge.__file__))}
-    done = subprocess.run([sys.executable, "-c", _LOADED.format(body), *argv],
+    done = subprocess.run([sys.executable, "-c", program, *argv],
                           capture_output=True, text=True, timeout=60, env=env)
     assert done.returncode == 0, done.stdout + done.stderr
-    return set(json.loads(done.stdout.splitlines()[-1]))
+    return json.loads(done.stdout.splitlines()[-1])
+
+
+def loaded_submodules(body: str, *argv) -> set:
+    return set(last_json_line(_LOADED.format(body), *argv))
 
 
 class TestLoadedModules:
@@ -1153,6 +1171,27 @@ class TestLoadedModules:
             loaded = loaded_submodules(_RUN_CLI, *argv, "--out", str(tmp_path))
             assert "measures" in loaded
             assert not loaded & {"torus", "hecke", "tree", "characters"}, argv
+
+
+class TestStdlibLoads:
+    """A process loads hashlib (and with it OpenSSL) only when it writes an
+    artifact, and argparse only when it parses flags."""
+
+    def test_importing_serialize_and_cli_loads_neither(self):
+        assert last_json_line(_STDLIB.format("import thetaforge.serialize, thetaforge.cli")) == []
+
+    def test_reading_an_artifact_loads_neither(self, tmp_path, capsys):
+        assert run(["synth", "--mode", "edge", "--ap", "1", "--p", "3", "--k", "6",
+                    "--n-max", "3", "--seed", "4", "--out", str(tmp_path)]) == 0
+        path = read_artifact_from_stdout(capsys)[1]
+        body = "from thetaforge import serialize\nserialize.read_artifact(sys.argv[1], 'system')"
+        assert last_json_line(_STDLIB.format(body), path) == []
+
+    def test_a_command_loads_both_and_writes_the_pinned_name(self, tmp_path):
+        loaded = last_json_line(_STDLIB.format(_RUN_CLI), "tree", "dot", "--p", "3", "--r", "2",
+                                "--out", str(tmp_path))
+        assert loaded == ["argparse", "hashlib"]
+        assert os.listdir(tmp_path) == ["dot-288f53732f8b714f.json"]
 
 
 # every name the package exports, by home module

@@ -8,6 +8,7 @@ from thetaforge import measures, padic, torus, tree
 from thetaforge.errors import InvariantViolation, TransitivityViolation
 from thetaforge.hecke import local_eigen_extend, stabilize
 from thetaforge.padic import EigenData, PrecisionInt, hensel_unit_root
+from thetaforge.util import default_nonresidue
 
 
 def test_neighbors_must_be_distinct(monkeypatch):
@@ -45,39 +46,45 @@ def test_coset_group_structure_is_verified(monkeypatch):
         torus.coset_decomposition(t, 2)
 
 
-def test_orbit_images_must_be_distinct(monkeypatch):
+@pytest.mark.parametrize("p,level,depth", [(3, 2, 3), (3, 6, 6), (5, 4, 4)])
+def test_orbit_images_must_be_distinct(monkeypatch, p, level, depth):
     # orbit_table and from_tree both read the images off torus._orbit_blocks;
-    # send the level-2 labels (1 : 0) and (1 : 3) to the same vertex
+    # send the level labels (1 : 0) and (1 : p) to the same vertex, below the
+    # top level of from_tree's tower or at it, where a byte per ball id is
+    # what catches the repeat
+    k = 8
+    t = torus.QuadraticTorus(p, "inert", default_nonresidue(p))
+    eig = EigenData.ordinary(p, k, 1)
+    f0 = local_eigen_extend(p, k, 1, depth, seed=1)
+    phi = stabilize(f0, eig)
     real = torus._orbit_blocks
 
-    def repeated(p, d, j):
-        for a, b, us, at in real(p, d, j):
-            if j == 2 and at.start == p**j:
+    def repeated(p, d, j, inv):
+        for a, b, us, at in real(p, d, j, inv):
+            if j == level and at.start == p**j:
                 us = [us[0]] + us[:-1]
             yield a, b, us, at
 
     monkeypatch.setattr(torus, "_orbit_blocks", repeated)
-    t = torus.QuadraticTorus(3, "inert", 2)
-    eig = EigenData.ordinary(3, 6, 1)
-    f0 = local_eigen_extend(3, 6, 1, 3, seed=1)
-    with pytest.raises(TransitivityViolation, match="level 2"):
-        torus.orbit_table(t, 2)
-    for form in (f0, stabilize(f0, eig)):
-        with pytest.raises(TransitivityViolation, match="level-2"):
-            measures.from_tree(form, t, eig, 3)
+    with pytest.raises(TransitivityViolation, match=f"level {level}"):
+        torus.orbit_table(t, level)
+    for form in (f0, phi):
+        with pytest.raises(TransitivityViolation,
+                           match=f"two level-{level} cosets agree on the base point"):
+            measures.from_tree(form, t, eig, depth)
 
 
 def test_orbit_edges_must_be_ball_edges(monkeypatch):
     # from_tree reads the image of e_j as the ball edge into h v_j; hand the
     # level-2 labels the ids of their neighbours in label order, so that edge
     # does not start at the parent label's image of v_1
-    real = torus.orbit_ids
+    real = torus._orbit_ids
 
-    def rotated(t, j):
-        ids = real(t, j)
+    def rotated(t, j, inv):
+        ids = real(t, j, inv)
         return ids if j != 2 else ids[1:] + ids[:1]
 
-    monkeypatch.setattr(torus, "orbit_ids", rotated)
+    monkeypatch.setattr(torus, "_orbit_ids", rotated)
     t = torus.QuadraticTorus(3, "inert", 2)
     eig = EigenData.ordinary(3, 6, 1)
     phi = stabilize(local_eigen_extend(3, 6, 1, 3, seed=1), eig)

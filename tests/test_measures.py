@@ -141,6 +141,27 @@ class TestFromTree:
         with pytest.raises(PrecisionExhausted):
             from_tree(constant_vertex_form(p, k, 2), TORUS3, eig, 3)
 
+    @pytest.mark.parametrize("mode", ["vertex", "edge"])
+    def test_one_unit_inverse_table_per_call(self, monkeypatch, mode):
+        # the orbit ids and the coset walk of every level read the top
+        # level's table, so one call builds one table, of the top level
+        from thetaforge import torus as torus_mod
+
+        p, k, depth = 3, 7, 5
+        f0 = local_eigen_extend(p, k, 1, depth, seed=3)
+        eig = EigenData.ordinary(p, k, 1)
+        form = f0 if mode == "vertex" else stabilize(f0, eig)
+        expected = from_tree(form, TORUS3, eig, depth)
+        real, calls = torus_mod._unit_inverses, []
+
+        def counting(p, j):
+            calls.append(j)
+            return real(p, j)
+
+        monkeypatch.setattr(torus_mod, "_unit_inverses", counting)
+        assert from_tree(form, TORUS3, eig, depth) == expected
+        assert calls == [depth]
+
 
 class TestSynth:
     @pytest.mark.parametrize("mode", ["vertex", "edge"])
