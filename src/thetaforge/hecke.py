@@ -8,13 +8,13 @@ the ball's ids: by vertex id for a vertex form, and by edge id for an edge
 form, where child c gives 2c - 2 for (parent -> c) and 2c - 1 for
 (c -> parent).  A slot is None where a partial form, such as the transfer
 operator's output, has no value.  Every kernel computes on that tuple by
-index: a vertex's children are a contiguous id range, so the adjacency sum
-is a difference of two prefix sums plus the parent's value, and the
-continuations of an edge are the child edges of its target (minus the edge
-back) plus the target's parent edge, so the transfer sums are read off one
-such difference per vertex.  The kernels read only the ball's arithmetic id
-tables and sizes, never its tree objects.  The eigenvalue pair EigenData
-lives in padic, so a system can hold one without loading this module.
+index: the adjacency sum is a vertex's child sum (tree.child_sums) plus its
+parent's value (tree.parent_values), and the continuations of an edge are
+the child edges of its target (minus the edge back) plus the target's
+parent edge, so the transfer sums are read off one child sum per vertex.
+The kernels read ids by tree's rule and the ball's size, never its tree
+objects.  The eigenvalue pair EigenData lives in padic, so a system can
+hold one without loading this module.
 """
 
 from __future__ import annotations
@@ -22,11 +22,10 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, replace
-from itertools import accumulate
 
 from .errors import EmptyDomain, MissingEigenvalue
 from .padic import EigenData, PrecisionInt
-from .tree import Ball, ball, ball_size, origin
+from .tree import Ball, ball, ball_size, child_bounds, child_sums, origin, parent_values
 from .util import capped_val
 
 
@@ -78,12 +77,6 @@ class EdgeForm(_Form):
         return self.domain.directed_edges()
 
 
-def _shrunk_ball(b: Ball) -> Ball:
-    if b.radius == 0:
-        raise EmptyDomain("cannot shrink a radius-0 ball")
-    return replace(b, radius=b.radius - 1)
-
-
 def _every_value(f: VertexForm) -> tuple:
     """The values of a vertex form with one at every vertex; a vertex
     without one is a KeyError."""
@@ -95,22 +88,17 @@ def _every_value(f: VertexForm) -> tuple:
 
 def hecke_T(f: VertexForm) -> VertexForm:
     """(T f)(v) = sum of f over the p+1 neighbors of v, on the shrunken ball:
-    the children of v are the id range child_start[v] .. child_start[v+1] - 1,
-    so their sum is a difference of two prefix sums of the values, plus the
-    parent's value off the center."""
+    the sum over the children of v (child_sums), plus the parent's value
+    (parent_values) off the center."""
     if f.domain.radius < 1:
         raise EmptyDomain("adjacency sum needs radius >= 1")
-    inner = _shrunk_ball(f.domain)
-    mod, n = f.p**f.k, inner.size
-    cs, par = f.domain.child_start, f.domain.parents
+    inner = replace(f.domain, radius=f.domain.radius - 1)
+    p, mod, n = f.p, f.p**f.k, inner.size
     vals = _every_value(f)
-    acc = list(accumulate(vals, initial=0))
+    sums = child_sums(p, vals, n)
     # the center has no parent
-    sums = [(acc[cs[1]] - acc[cs[0]]) % mod] + [
-        (acc[hi] - acc[lo] + vals[q]) % mod
-        for lo, hi, q in zip(cs[1:n], cs[2:n + 1], par[1:n])
-    ]
-    return VertexForm(f.p, f.k, inner, tuple(sums))
+    out = [sums[0] % mod] + [(s + q) % mod for s, q in zip(sums[1:], parent_values(p, vals, n))]
+    return VertexForm(p, f.k, inner, tuple(out))
 
 
 def hecke_U(f: EdgeForm) -> EdgeForm:
@@ -122,17 +110,15 @@ def hecke_U(f: EdgeForm) -> EdgeForm:
     are skipped.  The continuations of (s -> t) are the ball's edges leaving
     t, minus (t -> s): with S(t) the sum over t's child edges, U is S(t) on
     (s -> t) when t is s's child, and S(t) - f(t -> s) + f(t -> parent(t))
-    when t is s's parent (no parent term at the center).  The children of t
-    are a contiguous id range, so S(t) and the number of t's child edges
-    without a value are differences of two prefix sums by child id, and
-    each half of the output, the (parent -> c) and the (c -> parent) edges,
-    is one pass over the child ids.
+    when t is s's parent (no parent term at the center).  S(t) and the
+    number of t's child edges without a value are child_sums by child id,
+    and each half of the output, the (parent -> c) and the (c -> parent)
+    edges, is one pass over the child ids.
     """
     b = f.domain
     if b.radius < 1:
         raise EmptyDomain("transfer sum needs radius >= 1")
     p, mod, n = f.p, f.p**f.k, b.size
-    cs, par = b.child_start, b.parents
     inner = ball_size(p, b.radius - 1)  # ids 0..inner-1 are off the boundary sphere
     vals = f.values
     # by child id c: the values of (parent -> c) and (c -> parent), 0 where
@@ -143,19 +129,16 @@ def hecke_U(f: EdgeForm) -> EdgeForm:
     no_down = [False] + [x is None for x in vals[0::2]]
     no_up = [False] + [x is None for x in vals[1::2]]
     # by vertex id i < inner: S(i) and its count of child edges without a value
-    acc, gap = list(accumulate(down, initial=0)), list(accumulate(no_down, initial=0))
-    lo, hi = cs[:inner], cs[1:inner + 1]
-    child_sums = [acc[h] - acc[l] for l, h in zip(lo, hi)]
-    missing = [gap[h] - gap[l] for l, h in zip(lo, hi)]
+    sums, missing = child_sums(p, down, inner), child_sums(p, no_down, inner)
     out = [None] * (2 * n - 2)
     out[0:2 * inner - 2:2] = [
         None if skip or miss else total % mod
-        for skip, miss, total in zip(no_down[1:inner], missing[1:], child_sums[1:])
+        for skip, miss, total in zip(no_down[1:inner], missing[1:], sums[1:])
     ]
     out[1::2] = [
         None if no_up[c] or no_up[s] or missing[s] != no_down[c]
-        else (child_sums[s] - down[c] + up[s]) % mod
-        for c, s in zip(range(1, n), par[1:n])
+        else (sums[s] - down[c] + up[s]) % mod
+        for c, s in zip(range(1, n), parent_values(p, range(n), n))
     ]
     if out.count(None) == len(out):
         raise EmptyDomain("no edge has all its continuations in the domain")
@@ -177,11 +160,11 @@ def stabilize(f0: VertexForm, eigen: EigenData) -> EdgeForm:
         raise ValueError("mixed (p, k) arithmetic is not defined")
     b, mod = f0.domain, p**k
     n = b.size
-    par = b.parents
     vals = _every_value(f0)
+    at_parent = parent_values(p, vals, n)   # by child id 1..n-1
     phi = [0] * (2 * n - 2)
-    phi[0::2] = [(vals[q] - alpha * x) % mod for q, x in zip(par[1:n], vals[1:])]
-    phi[1::2] = [(x - alpha * vals[q]) % mod for q, x in zip(par[1:n], vals[1:])]
+    phi[0::2] = [(q - alpha * x) % mod for q, x in zip(at_parent, vals[1:])]
+    phi[1::2] = [(x - alpha * q) % mod for q, x in zip(at_parent, vals[1:])]
     return EdgeForm(p, k, b, tuple(phi))
 
 
@@ -198,16 +181,17 @@ def local_eigen_extend(p: int, k: int, ap: int, radius: int, seed: int) -> Verte
     b = ball(origin(p), radius)
     mod = p**k
     a = ap % mod
-    cs, par, n = b.child_start, b.parents, b.size
+    n, inner = b.size, ball_size(p, radius - 1)
     rng = random.Random(seed * 1000003)
     vals = [rng.randrange(mod)] + [0] * (n - 1)
-    for v in range(ball_size(p, radius - 1)):
+    # by vertex id v < inner: the parent id q and the children lo .. hi - 1
+    par, cs = [None] + parent_values(p, range(inner), inner), child_bounds(p, inner)
+    for v, q, lo, hi in zip(range(inner), par, cs, cs[1:]):
         # the center has no parent, which contributes 0
-        need = a * vals[v] - (vals[par[v]] if v else 0)
-        lo, hi = cs[v], cs[v + 1] - 1
-        drawn = [rng.randrange(mod) for _ in range(hi - lo)]
-        vals[lo:hi] = drawn
-        vals[hi] = (need - sum(drawn)) % mod
+        need = a * vals[v] - (vals[q] if v else 0)
+        drawn = [rng.randrange(mod) for _ in range(hi - lo - 1)]
+        vals[lo:hi - 1] = drawn
+        vals[hi - 1] = (need - sum(drawn)) % mod
     return VertexForm(p, k, b, tuple(vals))
 
 

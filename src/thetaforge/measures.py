@@ -196,7 +196,7 @@ def from_tree(form, torus: QuadraticTorus, eigen: EigenData, n_max: int,
         _canonical_pair, _coset_walk, _label_mul, _label_position, _orbit_ids,
         _parent_positions, _unit_inverses, coset_labels,
     )
-    from .tree import origin
+    from .tree import origin, parent_ids
     if torus.kind != "inert":
         raise ValueError("genuine systems are built for the inert kind")
     mode = "vertex" if isinstance(form, VertexForm) else "edge"
@@ -212,7 +212,7 @@ def from_tree(form, torus: QuadraticTorus, eigen: EigenData, n_max: int,
         if shift.k < n_max:
             raise PrecisionExhausted(f"shift known mod p^{shift.k} < p^{n_max}")
     p, k = form.p, form.k
-    values, parents = form.values, b.parents
+    values = form.values
     start = 0 if mode == "vertex" else 1
     levels: list = [None] * (n_max + 1)
     fibers: list = [None] * (n_max + 1)
@@ -237,8 +237,8 @@ def from_tree(form, torus: QuadraticTorus, eigen: EigenData, n_max: int,
         if mode == "edge":
             # the image of e_j under h is the ball edge into h v_j, so its
             # source must be the parent label's image of v_(j-1)
-            if j and any(map(ne, map(parents.__getitem__, ids), map(below.__getitem__, up))):
-                t = next(t for t, (c, u) in enumerate(zip(ids, up)) if parents[c] != below[u])
+            if j and any(map(ne, parent_ids(p, ids), map(below.__getitem__, up))):
+                t = next(t for t, (q, u) in enumerate(zip(parent_ids(p, ids), up)) if q != below[u])
                 raise InvariantViolation(f"the image of the level-{j} base edge under "
                                          f"{coset_labels(torus, j)[t]} is not a ball edge")
             below = ids

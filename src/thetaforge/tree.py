@@ -10,25 +10,28 @@ order is that of plain frozen dataclasses.  Neighbours and distances are read
 off the exponents in closed form.  A single edge checks that its ends are
 adjacent.
 
-A ball is its id tables: it numbers its vertices 0..N-1 in sphere order,
-records each one's parent id and its contiguous child ids, and child c owns
-the directed edges 2(c-1) = (parent -> c) and 2c-1 = (c -> parent).  The
-tree is (p+1)-regular, so the tables are the same for every center and
-ball() writes them down by arithmetic.  The Vertex and DirectedEdge objects
-(spheres, ids, the edge list) are built on first request by one walk out
-from the center, which checks each vertex's child count against the tables
-and builds both directions of each tree edge.  A shrunk copy (a smaller
-radius around the same center) shares the tables and the objects, and its
-size bounds the ids that belong to it, so every directed_edges() call
-yields the same edge objects.
+A ball numbers its vertices 0..N-1 in sphere order, and child c owns the
+directed edges 2(c-1) = (parent -> c) and 2c-1 = (c -> parent).  The tree
+is (p+1)-regular, so one rule numbers every ball: the center's children
+are 1..p+1, and vertex i >= 1 has the children p i + 2 .. p i + p + 1.
+parent_ids, child_bounds, child_sums and parent_values state it as list
+operations.  A ball is its center and radius; the Vertex and DirectedEdge
+objects (spheres, ids, the edge list) are built on first request by one
+walk out from the center, which checks each vertex's child count against
+the rule and builds both directions of each tree edge.  A shrunk copy (a
+smaller radius around the same center) shares the objects, and its size
+bounds the ids that belong to it, so every directed_edges() call yields
+the same edge objects.
 Around the origin a vertex's id is also a closed form of its exponents
 (origin_id_offset plus digit_reversals), which the torus orbits read.
 """
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import islice
 
 from .errors import InvariantViolation
 from .util import json_int, val_p
@@ -166,68 +169,79 @@ def origin_id_offset(p: int, a: int, b: int) -> int:
     return first + (p**b + p ** (b - 1) - 1) * p**a - (p ** (a - 1) if a else 0)
 
 
-def _tables(p: int, radius: int) -> tuple:
-    """(parents, child_start) of every radius-R ball of the (p+1)-regular
-    tree, in the sphere order of the ids: the center's p + 1 children are
-    ids 1..p+1, and each later vertex i off the boundary sphere has the p
-    children p i + 2 .. p i + p + 1."""
-    if radius == 0:
-        return (-1,), (1, 1)
-    n, inner = ball_size(p, radius), ball_size(p, radius - 1)
-    # each of 1 .. inner-1 repeated p times, in order
-    parents = (-1,) + (0,) * (p + 1) + tuple(sorted(list(range(1, inner)) * p))
-    # the boundary sphere has no children
-    child_start = (1,) + tuple(range(p + 2, n, p)) + (n,) * (n - inner + 1)
-    return parents, child_start
+def parent_ids(p: int, cs):
+    """The parent id of each vertex id c >= 1 in cs, lazily."""
+    return ((c - 2) // p if c > p + 1 else 0 for c in cs)
+
+
+def child_bounds(p: int, m: int) -> list:
+    """bounds[0..m]: the children of vertex i < m are the ids
+    bounds[i] .. bounds[i+1] - 1."""
+    return [1, *range(p + 2, p * m + 3, p)]
+
+
+def child_sums(p: int, xs, m: int) -> list:
+    """The sum of xs over the children of each vertex i < m (m >= 1), where
+    xs runs over the vertex ids: past the center, the sums of p strided
+    slices, one per child position."""
+    rest = zip(*[xs[p + 2 + r : p * m + 2 : p] for r in range(p)])
+    return [sum(xs[1 : p + 2]), *map(sum, rest)]
+
+
+def parent_values(p: int, xs, n: int) -> list:
+    """xs[parent id of c] for c = 1..n-1 on a ball of n vertices, where xs
+    runs over the vertex ids: xs[0] p + 1 times, then each of xs[1],
+    xs[2], ... p times, by p strided slice assignments."""
+    out = [xs[0]] * (n - 1)
+    # one list of the later parents, shared by the p slices
+    rest = list(islice(xs, 1, (n - 1) // p))
+    for r in range(p):
+        out[p + 1 + r :: p] = rest
+    return out
 
 
 class _TreeObjects:
-    """The Vertex and DirectedEdge objects behind one pair of id tables,
-    built on first request by one walk out from the center; a ball and its
-    shrunk copies share them as they share the tables.
+    """The Vertex and DirectedEdge objects of one ball and its shrunk
+    copies, built on first request by one walk out from the center.  The
+    walk lists each vertex's neighbors() without its parent as its
+    children, checks their count against child_bounds, and builds both
+    directions of each tree edge."""
 
-    The walk lists each vertex's neighbors() without its parent as its
-    children, checks that their count is the one the tables give, and
-    builds both directions of each tree edge."""
-
-    def __init__(self, center: Vertex, radius: int, child_start: tuple):
-        self.center, self.radius, self.child_start = center, radius, child_start
+    def __init__(self, center: Vertex, radius: int):
+        self.center, self.radius = center, radius
 
     @cached_property
     def walk(self) -> tuple:
-        """(spheres, ids, edges) out to the radius the tables were built for."""
-        cs = self.child_start
-        verts, edges = [self.center], []
-        spheres = [(self.center,)]
-        for _ in range(self.radius):
-            first = len(verts)
-            for i in range(first - len(spheres[-1]), first):
-                x = verts[i]
-                par = edges[2 * i - 1].target if i else None
-                kids = [w for w in neighbors(x) if w != par]
-                if len(kids) != cs[i + 1] - cs[i]:
-                    raise InvariantViolation(
-                        f"{x} has {len(kids)} neighbors off its parent in the ball, "
-                        f"expected {cs[i + 1] - cs[i]}")
-                verts += kids
-                for w in kids:
-                    edges += (DirectedEdge(x, w), DirectedEdge(w, x))
-            spheres.append(tuple(verts[first:]))
+        """(spheres, ids, edges) out to the radius the objects were built for."""
+        p, r = self.center.p, self.radius
+        sizes = [0] + [ball_size(p, j) for j in range(r + 1)]
+        # the id-sized lists come first, so a ball too large for memory
+        # fails before any object is built
+        verts, edges = [self.center] * sizes[-1], [None] * (2 * sizes[-1] - 2)
+        bounds = child_bounds(p, sizes[-2])
+        for i, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
+            x = verts[i]
+            par = edges[2 * i - 1].target if i else None
+            kids = [w for w in neighbors(x) if w != par]
+            if len(kids) != hi - lo:
+                raise InvariantViolation(f"{x} has {len(kids)} neighbors off its "
+                                         f"parent in the ball, expected {hi - lo}")
+            verts[lo:hi] = kids
+            edges[2 * lo - 2 : 2 * hi - 2] = [
+                e for w in kids for e in (DirectedEdge(x, w), DirectedEdge(w, x))]
+        spheres = tuple(tuple(verts[a:b]) for a, b in zip(sizes[:-1], sizes[1:]))
         ids = {w: i for i, w in enumerate(verts)}
-        return tuple(spheres), ids, tuple(edges)
+        return spheres, ids, tuple(edges)
 
 
 @dataclass(frozen=True)
 class Ball:
-    """Distance-closed ball as breadth-first id tables.
-
-    The vertices are numbered in sphere order (the center is 0).  The id
-    tables are the same for every center, so ball() fills them by
-    arithmetic: each id's parent id (-1 at the center) and the contiguous
-    child ids child_start[i] .. child_start[i+1] - 1 (in neighbors() order
-    minus the parent); child c gives the directed edges 2(c-1) =
-    (parent -> c) and 2c-1 = (c -> parent).  A smaller ball around the same
-    center shares those tables, so only ids below size belong to it.
+    """Distance-closed ball, its vertices numbered in sphere order (the
+    center is 0) by the rule of parent_ids and child_bounds: the children of
+    a vertex are contiguous ids (in neighbors() order minus the parent),
+    and child c gives the directed edges 2(c-1) = (parent -> c) and
+    2c-1 = (c -> parent).  A smaller ball around the same center numbers
+    its vertices the same way, so only ids below size belong to it.
 
     The tree objects are views built on first request: spheres, vertices(),
     ids (vertex -> id) and the edges table (edge id -> DirectedEdge) with
@@ -237,14 +251,11 @@ class Ball:
 
     center: Vertex
     radius: int
-    parents: tuple = field(compare=False, repr=False)       # id -> parent id, -1 at the center
-    child_start: tuple = field(compare=False, repr=False)   # id -> first child id; one entry past the last id
     _objects: _TreeObjects | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         if self._objects is None:
-            object.__setattr__(self, "_objects",
-                               _TreeObjects(self.center, self.radius, self.child_start))
+            object.__setattr__(self, "_objects", _TreeObjects(self.center, self.radius))
 
     @property
     def size(self) -> int:
@@ -258,12 +269,12 @@ class Ball:
 
     @property
     def ids(self) -> dict:
-        """vertex -> id, over the ball the tables were built for."""
+        """vertex -> id, over the ball the objects were built for."""
         return self._objects.walk[1]
 
     @property
     def edges(self) -> tuple:
-        """edge id -> DirectedEdge, over the ball the tables were built for."""
+        """edge id -> DirectedEdge, over the ball the objects were built for."""
         return self._objects.walk[2]
 
     def vertices(self):
@@ -281,7 +292,10 @@ class Ball:
 def ball(v: Vertex, radius: int) -> Ball:
     if radius < 0:
         raise ValueError("radius must be nonnegative")
-    return Ball(v, radius, *_tables(v.p, radius))
+    # p >= 2, so the size passes 2^radius: no list could index such a ball
+    if radius >= sys.maxsize.bit_length() or ball_size(v.p, radius) > sys.maxsize:
+        raise ValueError(f"a radius-{radius} ball has more vertices than sys.maxsize")
+    return Ball(v, radius)
 
 
 def sphere(v: Vertex, r: int) -> list:

@@ -82,6 +82,31 @@ class TestTreeCommands:
         err = json.loads(capsys.readouterr().out.strip())
         assert err["error"]["type"] == "ValueError"
 
+    @pytest.mark.parametrize("argv,error", [
+        (["tree", "sphere", "--p", "3", "--r", "25"], "MemoryError"),
+        (["tree", "sphere", "--p", "3", "--r", "40"], "ValueError"),
+        (["forms", "nu", "--form", None], "ValueError"),
+    ])
+    def test_absurd_radius_is_refused_at_once(self, tmp_path, capsys, argv, error):
+        # a ball builds nothing until its objects are asked for; the walk
+        # then allocates its id-sized lists before any object, and ball()
+        # refuses a size past sys.maxsize.  A subprocess with a timeout fails
+        # the test instead of hanging it, under its own address-space cap
+        if None in argv:
+            assert run(["forms", "eigen-extend", "--p", "3", "--k", "6", "--ap", "1",
+                        "--radius", "2", "--seed", "1", "--out", str(tmp_path)]) == 0
+            _, path = read_artifact_from_stdout(capsys)
+            payload = serialize.read_artifact(path)
+            payload["radius"] = 40
+            argv = [*argv[:-1], serialize.write_artifact(str(tmp_path), "form", payload)]
+        env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(thetaforge.__file__))}
+        done = subprocess.run(
+            [sys.executable, "-m", "thetaforge.cli", *argv, "--out", str(tmp_path)],
+            capture_output=True, text=True, timeout=20, env=env, preexec_fn=_cap_address_space)
+        assert done.returncode == 1, done.stderr
+        assert "Traceback" not in done.stderr
+        assert json.loads(done.stdout.strip())["error"]["type"] == error
+
 
 class TestTorusCommands:
     def test_orbit(self, tmp_path, capsys):

@@ -16,7 +16,7 @@ from thetaforge.hecke import (
     stabilize,
 )
 from thetaforge.padic import PrecisionInt
-from thetaforge.tree import DirectedEdge, ball, distance, neighbors, origin
+from thetaforge.tree import DirectedEdge, ball, distance, neighbors, origin, parent_ids
 from form_oracle import source_form, target_form
 
 
@@ -304,16 +304,15 @@ class TestAgainstNeighborsReference:
         f = random_form(VertexForm, p, 6, radius, seed=draw_seed(radius, draw))
         tf = hecke_T(f)
         assert residues(tf) == reference_T(f)
-        # the shrunk domain shares the tables of f's ball but reads as a fresh ball
+        # the shrunk domain shares the objects of f's ball but reads as a fresh ball
         fresh = ball(origin(p), radius - 1)
         assert tf.domain == fresh
         assert list(tf.domain.directed_edges()) == list(fresh.directed_edges())
         assert tf.domain.size == fresh.size
         assert all(tf.domain.ids[v] == i for i, v in enumerate(fresh.vertices()))
-        assert tf.domain.parents[: fresh.size] == fresh.parents
-        # child ranges agree off the boundary sphere, which has none in fresh
-        inner = fresh.size - len(fresh.spheres[-1])
-        assert tf.domain.child_start[: inner + 1] == fresh.child_start[: inner + 1]
+        # the edge (parent -> c), id 2c - 2, leaves the parent id of the rule
+        parents = [tf.domain.ids[e.source] for e in tf.domain.edges[: 2 * fresh.size - 2 : 2]]
+        assert parents == list(parent_ids(p, range(1, fresh.size)))
         assert all(tf.domain.ids[v] >= tf.domain.size for v in f.domain.spheres[radius])
 
     @pytest.mark.parametrize("p", [2, 3, 5])

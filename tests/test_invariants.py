@@ -21,15 +21,18 @@ def test_neighbors_must_be_distinct(monkeypatch):
 
 
 def test_ball_objects_need_p_plus_one_neighbors(monkeypatch):
-    # the id tables are arithmetic, so a broken neighbors() shows when the
-    # ball's tree objects are built on request: the walk finds fewer
-    # children than the tables give
+    # the ids are arithmetic, so a broken neighbors() shows when the ball's
+    # tree objects are built on request: the walk finds one child fewer or
+    # one more than child_bounds gives
     real = tree.neighbors
-    monkeypatch.setattr(tree, "neighbors", lambda v: real(v)[:-1])
-    b = tree.ball(tree.origin(3), 2)
-    for view in (lambda: b.ids, lambda: list(b.vertices()), lambda: list(b.directed_edges())):
-        with pytest.raises(InvariantViolation, match="neighbors off its parent"):
-            view()
+    extra = tree.Vertex(3, 0, 2, 0)         # two steps from the origin
+    for broken in (lambda v: real(v)[:-1], lambda v: real(v) + [extra]):
+        monkeypatch.setattr(tree, "neighbors", broken)
+        b = tree.ball(tree.origin(3), 2)
+        for view in (lambda: b.ids, lambda: list(b.vertices()),
+                     lambda: list(b.directed_edges())):
+            with pytest.raises(InvariantViolation, match="neighbors off its parent"):
+                view()
 
 
 def test_hensel_root_is_verified(monkeypatch):

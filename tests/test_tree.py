@@ -11,12 +11,16 @@ from thetaforge.tree import (
     Vertex,
     ball,
     ball_size,
+    child_bounds,
+    child_sums,
     digit_reversals,
     distance,
     geodesic_path,
     neighbors,
     origin,
     origin_id_offset,
+    parent_ids,
+    parent_values,
     sphere,
     to_dot,
 )
@@ -232,19 +236,21 @@ class TestEdgesAndBall:
             for j, s in enumerate(b.spheres):
                 assert all(distance(center, v) == j for v in s)
             inner = b.size - len(b.spheres[-1])     # ids off the boundary sphere
+            cs = child_bounds(p, inner)
+            # the children of the inner ids are every id past the center
+            assert cs[-1] == b.size
+            parent = [None, *parent_ids(p, range(1, b.size))]
             for v in verts:
                 i = b.ids[v]
-                par = verts[b.parents[i]] if i else None
+                par = verts[parent[i]] if i else None
                 assert (par is None) == (v == center)
                 if par is not None:
                     assert par in neighbors(v) and distance(center, par) == distance(center, v) - 1
-                kid_ids = range(b.child_start[i], b.child_start[i + 1])
+                kid_ids = range(cs[i], cs[i + 1]) if i < inner else range(0)
                 kids = [verts[c] for c in kid_ids]
                 if i < inner:
                     assert kids == [w for w in neighbors(v) if w != par]
                     assert len(kids) + (par is not None) == p + 1
-                else:
-                    assert kids == []
                 # the edges leaving v: to each child, then to the parent
                 out = [b.edges[2 * c - 2] for c in kid_ids] + ([b.edges[2 * i - 1]] if i else [])
                 assert all(e.source is v for e in out)
@@ -255,7 +261,7 @@ class TestEdgesAndBall:
             for c in (b, shrunk):
                 inside = []
                 for v in verts[1:c.size]:
-                    par = verts[b.parents[b.ids[v]]]
+                    par = verts[parent[b.ids[v]]]
                     inside += [DirectedEdge(par, v), DirectedEdge(v, par)]
                 yielded = list(c.directed_edges())
                 assert yielded == inside
@@ -265,7 +271,7 @@ class TestEdgesAndBall:
     @pytest.mark.parametrize("p", [2, 3, 5])
     @pytest.mark.parametrize("radius", range(5))
     def test_ids_match_neighbors_and_distance(self, p, radius):
-        # the id tables against neighbors() and distance() alone: ids run in
+        # the id rule against neighbors() and distance() alone: ids run in
         # sphere order, each child's parent id is the neighbor one step
         # nearer, the children of a vertex are the contiguous ids of its other
         # neighbors, and child c owns edges 2(c-1) = (parent -> c), 2c-1 = (c -> parent)
@@ -279,22 +285,23 @@ class TestEdgesAndBall:
                     1 if j == 0 else (p + 1) * p ** (j - 1) for j in range(b.radius + 1)]
                 assert [distance(center, v) for v in verts] == sorted(
                     distance(center, v) for v in verts)
+                cs = child_bounds(p, b.size - len(b.spheres[-1]))
+                parent = [None, *parent_ids(p, range(1, b.size))]
                 for i, v in enumerate(verts):
                     d = distance(center, v)
                     assert b.ids[v] == i and v in b.spheres[d]
                     near = [w for w in neighbors(v) if distance(center, w) < d]
                     if i == 0:
-                        assert b.parents[0] == -1 and near == []
+                        assert near == []
                     else:
-                        assert [verts[b.parents[i]]] == near
+                        assert [verts[parent[i]]] == near
                     if d < b.radius:
                         kids = [w for w in neighbors(v) if distance(center, w) > d]
-                        assert verts[b.child_start[i]:b.child_start[i + 1]] == kids
-                        assert all(b.parents[c] == i
-                                   for c in range(b.child_start[i], b.child_start[i + 1]))
+                        assert verts[cs[i]:cs[i + 1]] == kids
+                        assert all(parent[c] == i for c in range(cs[i], cs[i + 1]))
                 expected = []
                 for c in range(1, b.size):
-                    par = verts[b.parents[c]]
+                    par = verts[parent[c]]
                     expected += [(par, verts[c]), (verts[c], par)]
                 edges = list(b.directed_edges())
                 assert [(e.source, e.target) for e in edges] == expected
@@ -342,15 +349,24 @@ class TestEdgesAndBall:
 
     @pytest.mark.parametrize("p,radius", [(p, r) for p in (2, 3, 5, 7)
                                           for r in range(7 if p < 5 else 5)])
-    def test_tables_and_views_match_the_eager_walk(self, p, radius):
-        # the arithmetic tables and the views built on request against the
-        # eager walk, for the ball and for every shrunk copy of it
+    def test_layout_and_views_match_the_eager_walk(self, p, radius):
+        # the id rule and the views built on request against the eager walk,
+        # for the ball and for every shrunk copy of it
+        rng = random.Random(radius)
         for center in (origin(p), Vertex(p, 1, 1, 1)):
             ref = reference_ball(center, radius)
             b = ball(center, radius)
-            assert b.parents == ref.parents
-            assert b.child_start == ref.child_start
-            assert b.size == ball_size(p, radius) == len(ref.ids)
+            n, inner = len(ref.ids), len(ref.ids) - len(ref.spheres[-1])
+            assert list(parent_ids(p, range(1, n))) == list(ref.parents[1:])
+            # the boundary sphere has no children, so the rule stops at inner
+            assert child_bounds(p, inner) == list(ref.child_start[: inner + 1])
+            assert ref.child_start[inner:] == (n,) * (n - inner + 1)
+            xs = [rng.randrange(p**6) for _ in range(n)]
+            assert parent_values(p, xs, n) == [xs[q] for q in ref.parents[1:]]
+            if inner:
+                assert child_sums(p, xs, inner) == [
+                    sum(xs[ref.child_start[i] : ref.child_start[i + 1]]) for i in range(inner)]
+            assert b.size == ball_size(p, radius) == n
             assert b.spheres == ref.spheres
             assert list(b.ids.items()) == list(ref.ids.items())
             assert b.edges == ref.edges
@@ -359,14 +375,15 @@ class TestEdgesAndBall:
             for r in range(radius):
                 shrunk = replace(b, radius=r)
                 assert shrunk == ball(center, r) and shrunk.size == ball_size(p, r)
-                assert shrunk.parents is b.parents and shrunk.child_start is b.child_start
+                m = shrunk.size
+                assert parent_values(p, range(m), m) == list(ref.parents[1:m])
                 assert shrunk.spheres == ref.spheres[: r + 1]
                 assert shrunk.ids is b.ids and shrunk.edges is b.edges
                 assert list(shrunk.directed_edges()) == list(ref.edges[: 2 * shrunk.size - 2])
 
-    def test_tables_build_no_tree_objects(self, monkeypatch):
-        # ball() and its tables call no neighbors(); the views call it on
-        # first request only, once for the ball and its shrunk copies
+    def test_ball_builds_no_tree_objects(self, monkeypatch):
+        # ball() calls no neighbors(); the views call it on first request
+        # only, once for the ball and its shrunk copies
         calls = []
         real = tree.neighbors
 
@@ -377,12 +394,12 @@ class TestEdgesAndBall:
         monkeypatch.setattr(tree, "neighbors", counted)
         b = ball(origin(3), 3)
         shrunk = replace(b, radius=1)
-        assert (b.size, len(b.parents), len(b.child_start), shrunk.size) == (53, 53, 54, 5)
+        assert (b.size, shrunk.size) == (53, 5)
         assert calls == []
         assert shrunk.spheres == (
             (origin(3),), (Vertex(3, 1, 0, 0), Vertex(3, 1, 0, 1), Vertex(3, 1, 0, 2),
                            Vertex(3, 0, 1, 0)))
-        # the walk went to the radius of the tables, the inner spheres once
+        # the walk went to the radius of the ball, the inner spheres once
         assert len(calls) == b.size - len(b.spheres[3])
         walked = len(calls)
         assert b.edges is shrunk.edges and list(b.vertices())[:5] == list(shrunk.vertices())

@@ -39,6 +39,7 @@ from thetaforge.torus import (
     orbit_ids,
 )
 from thetaforge.tree import origin
+from tree_oracle import reference_ball
 
 
 def _parent_labels(p: int, j: int, labels) -> dict:
@@ -110,6 +111,8 @@ def reference_from_tree(form, torus: QuadraticTorus, eigen: EigenData, n_max: in
             raise PrecisionExhausted(f"shift known mod p^{shift.k} < p^{n_max}")
     p, k = form.p, form.k
     values = form.values
+    # the parent ids by the eager walk, not by the ball under test
+    ball_parents = reference_ball(b.center, b.radius).parents if mode == "edge" else None
     start = 0 if mode == "vertex" else 1
     levels: list = [None] * (n_max + 1)
     fibers: list = [None] * (n_max + 1)
@@ -126,7 +129,7 @@ def reference_from_tree(form, torus: QuadraticTorus, eigen: EigenData, n_max: in
             # the image of e_j under h is the ball edge into h v_j, so its
             # source must be the parent label's image of v_(j-1)
             for lbl in labels if j else ():
-                if b.parents[ids[lbl]] != below[parents[lbl]]:
+                if ball_parents[ids[lbl]] != below[parents[lbl]]:
                     raise InvariantViolation(
                         f"the image of the level-{j} base edge under {lbl} is not a ball edge")
             below = ids
