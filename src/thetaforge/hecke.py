@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .errors import EmptyDomain, MissingEigenvalue
 from .padic import EigenData, PrecisionInt
@@ -92,7 +92,7 @@ def hecke_T(f: VertexForm) -> VertexForm:
     (parent_values) off the center."""
     if f.domain.radius < 1:
         raise EmptyDomain("adjacency sum needs radius >= 1")
-    inner = replace(f.domain, radius=f.domain.radius - 1)
+    inner = ball(f.domain.center, f.domain.radius - 1)
     p, mod, n = f.p, f.p**f.k, inner.size
     vals = _every_value(f)
     sums = child_sums(p, vals, n)

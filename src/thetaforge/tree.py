@@ -15,13 +15,11 @@ directed edges 2(c-1) = (parent -> c) and 2c-1 = (c -> parent).  The tree
 is (p+1)-regular, so one rule numbers every ball: the center's children
 are 1..p+1, and vertex i >= 1 has the children p i + 2 .. p i + p + 1.
 parent_ids, child_bounds, child_sums and parent_values state it as list
-operations.  A ball is its center and radius; the Vertex and DirectedEdge
-objects (spheres, ids, the edge list) are built on first request by one
-walk out from the center, which checks each vertex's child count against
-the rule and builds both directions of each tree edge.  A shrunk copy (a
-smaller radius around the same center) shares the objects, and its size
-bounds the ids that belong to it, so every directed_edges() call yields
-the same edge objects.
+operations.  A ball is its center and radius; its Vertex and DirectedEdge
+objects (spheres, ids, the edge list) are views of one vertex list, built
+on first request by one walk out from the center that checks each
+vertex's child count against the rule.  The edges pair each child with
+its parent by parent_values.
 Around the origin a vertex's id is also a closed form of its exponents
 (origin_id_offset plus digit_reversals), which the torus orbits read.
 """
@@ -200,62 +198,21 @@ def parent_values(p: int, xs, n: int) -> list:
     return out
 
 
-class _TreeObjects:
-    """The Vertex and DirectedEdge objects of one ball and its shrunk
-    copies, built on first request by one walk out from the center.  The
-    walk lists each vertex's neighbors() without its parent as its
-    children, checks their count against child_bounds, and builds both
-    directions of each tree edge."""
-
-    def __init__(self, center: Vertex, radius: int):
-        self.center, self.radius = center, radius
-
-    @cached_property
-    def walk(self) -> tuple:
-        """(spheres, ids, edges) out to the radius the objects were built for."""
-        p, r = self.center.p, self.radius
-        sizes = [0] + [ball_size(p, j) for j in range(r + 1)]
-        # the id-sized lists come first, so a ball too large for memory
-        # fails before any object is built
-        verts, edges = [self.center] * sizes[-1], [None] * (2 * sizes[-1] - 2)
-        bounds = child_bounds(p, sizes[-2])
-        for i, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
-            x = verts[i]
-            par = edges[2 * i - 1].target if i else None
-            kids = [w for w in neighbors(x) if w != par]
-            if len(kids) != hi - lo:
-                raise InvariantViolation(f"{x} has {len(kids)} neighbors off its "
-                                         f"parent in the ball, expected {hi - lo}")
-            verts[lo:hi] = kids
-            edges[2 * lo - 2 : 2 * hi - 2] = [
-                e for w in kids for e in (DirectedEdge(x, w), DirectedEdge(w, x))]
-        spheres = tuple(tuple(verts[a:b]) for a, b in zip(sizes[:-1], sizes[1:]))
-        ids = {w: i for i, w in enumerate(verts)}
-        return spheres, ids, tuple(edges)
-
-
 @dataclass(frozen=True)
 class Ball:
     """Distance-closed ball, its vertices numbered in sphere order (the
     center is 0) by the rule of parent_ids and child_bounds: the children of
     a vertex are contiguous ids (in neighbors() order minus the parent),
     and child c gives the directed edges 2(c-1) = (parent -> c) and
-    2c-1 = (c -> parent).  A smaller ball around the same center numbers
-    its vertices the same way, so only ids below size belong to it.
+    2c-1 = (c -> parent).
 
-    The tree objects are views built on first request: spheres, vertices(),
-    ids (vertex -> id) and the edges table (edge id -> DirectedEdge) with
-    directed_edges().  Shrunk copies made by dataclasses.replace share ids
-    and edges with the ball they came from.
+    The tree objects are views of the vertex list, built on first request:
+    spheres, vertices(), ids (vertex -> id) and the edges table (edge id ->
+    DirectedEdge) with directed_edges().
     """
 
     center: Vertex
     radius: int
-    _objects: _TreeObjects | None = field(default=None, compare=False, repr=False)
-
-    def __post_init__(self):
-        if self._objects is None:
-            object.__setattr__(self, "_objects", _TreeObjects(self.center, self.radius))
 
     @property
     def size(self) -> int:
@@ -263,30 +220,57 @@ class Ball:
         return ball_size(self.center.p, self.radius)
 
     @cached_property
+    def _verts(self) -> list:
+        """The vertices in id order, by one walk out from the center: the
+        children of each vertex are its neighbors() without its parent, and
+        their count is checked against child_bounds."""
+        p, n = self.center.p, self.size
+        m = ball_size(p, self.radius - 1) if self.radius else 0
+        # the id-sized list comes first, so a ball too large for memory
+        # fails before any object is built
+        verts = [self.center] * n
+        bounds = child_bounds(p, m)
+        parents = parent_ids(p, range(1, m))
+        for i, lo, hi in zip(range(m), bounds, bounds[1:]):
+            x = verts[i]
+            par = verts[next(parents)] if i else None
+            kids = [w for w in neighbors(x) if w != par]
+            if len(kids) != hi - lo:
+                raise InvariantViolation(f"{x} has {len(kids)} neighbors off its "
+                                         f"parent in the ball, expected {hi - lo}")
+            verts[lo:hi] = kids
+        return verts
+
+    @cached_property
     def spheres(self) -> tuple:
         """spheres[j] = tuple of vertices at distance j, in id order."""
-        return self._objects.walk[0][: self.radius + 1]
+        p, verts = self.center.p, self._verts
+        sizes = [0] + [ball_size(p, j) for j in range(self.radius + 1)]
+        return tuple(tuple(verts[a:b]) for a, b in zip(sizes, sizes[1:]))
 
-    @property
+    @cached_property
     def ids(self) -> dict:
-        """vertex -> id, over the ball the objects were built for."""
-        return self._objects.walk[1]
+        """vertex -> id."""
+        return {w: i for i, w in enumerate(self._verts)}
 
-    @property
+    @cached_property
     def edges(self) -> tuple:
-        """edge id -> DirectedEdge, over the ball the objects were built for."""
-        return self._objects.walk[2]
+        """edge id -> DirectedEdge: (parent -> c), then (c -> parent), for
+        each child c in id order."""
+        verts = self._verts
+        pars = parent_values(self.center.p, verts, len(verts))
+        return tuple(e for c, q in zip(islice(verts, 1, None), pars)
+                     for e in (DirectedEdge(q, c), DirectedEdge(c, q)))
 
     def vertices(self):
         """The vertices in id order."""
-        for s in self.spheres:
-            yield from s
+        yield from self._verts
 
     def directed_edges(self):
         """All oriented adjacent pairs inside the ball (tree edges, both ways),
         in id order: per sphere, each edge from a parent to a child and then
         its reverse."""
-        yield from self.edges[: 2 * self.size - 2]
+        yield from self.edges
 
 
 def ball(v: Vertex, radius: int) -> Ball:
@@ -329,7 +313,7 @@ def to_dot(center: Vertex, radius: int) -> str:
         return f'"{x.a},{x.b},{x.u}"'
 
     lines.append(f"  {name(center)} [shape=doublecircle];")
-    for e in b.edges[: 2 * b.size - 2 : 2]:
+    for e in b.edges[0::2]:
         lines.append(f"  {name(e.source)} -- {name(e.target)};")
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -176,6 +176,24 @@ def poly_mul(x: tuple, y: tuple) -> tuple:
     return tuple(out)
 
 
+def reference_divide_monic(a, divisor, mod: int) -> tuple:
+    """Schoolbook long division of a by a monic divisor (a coefficient
+    list, constant term first) over Z/mod: one leading term at a time, from
+    the top.  The quotient is empty when a is shorter than the divisor; the
+    remainder keeps min(len(a), deg divisor) coefficients."""
+    deg = len(divisor) - 1
+    assert divisor[-1] == 1
+    rem, quot = [x % mod for x in a], []
+    while len(rem) > deg:
+        c = rem.pop()
+        quot.append(c)
+        # subtract c X^shift times the divisor below its leading term
+        shift = len(rem) - deg
+        for e, d in enumerate(divisor[:-1]):
+            rem[shift + e] = (rem[shift + e] - c * d) % mod
+    return quot[::-1], rem
+
+
 def poly_pow(a: tuple, e: int) -> tuple:
     """Square and multiply on poly_mul."""
     result = ONE

@@ -29,8 +29,8 @@ def test_ball_objects_need_p_plus_one_neighbors(monkeypatch):
     for broken in (lambda v: real(v)[:-1], lambda v: real(v) + [extra]):
         monkeypatch.setattr(tree, "neighbors", broken)
         b = tree.ball(tree.origin(3), 2)
-        for view in (lambda: b.ids, lambda: list(b.vertices()),
-                     lambda: list(b.directed_edges())):
+        for view in (lambda: b.ids, lambda: list(b.vertices()), lambda: b.spheres,
+                     lambda: b.edges, lambda: list(b.directed_edges())):
             with pytest.raises(InvariantViolation, match="neighbors off its parent"):
                 view()
 

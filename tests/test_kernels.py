@@ -18,6 +18,8 @@ from kernel_oracle import (
     reference_poly_remainder_mod,
     reference_reduce_cyclotomic,
     reference_reduce_poly,
+    poly_add,
+    reference_divide_monic,
     reference_valuation_units,
     reference_zeta_power,
     taylor_lambda_invariant,
@@ -28,8 +30,8 @@ from thetaforge.groupring import (
     GroupRingElement, lambda_invariant, mu_invariant, omega_pm_poly, reduce_poly,
 )
 from thetaforge.padic import (
-    CyclotomicValue, _content_and_order_at_one, _packed_product,
-    _reduce_cyclotomic, euler_phi_p_power,
+    CyclotomicValue, _content_and_order_at_one, _cyclotomic_divisor, _divide_monic,
+    _packed_product, _reduce_cyclotomic, euler_phi_p_power,
 )
 from thetaforge.util import capped_val
 
@@ -105,6 +107,34 @@ def test_reduce_poly_matches_horner(p):
             ]
             for poly in polys:
                 assert reduce_poly(poly, p, k, n) == reference_reduce_poly(poly, p, k, n)
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_divide_monic_matches_schoolbook_division(p):
+    # quotient and remainder of the sparse kernel against one-term-at-a-time
+    # long division, on dividends shorter than, as long as and longer than
+    # the divisor; a shorter dividend has the empty quotient
+    rng = random.Random(p)
+    mod = p**5
+    divisors = [_cyclotomic_divisor(p, j) for j in range(3)]
+    for d in (1, 2, 5):
+        terms = rng.sample(range(d), rng.randint(1, d))
+        divisors.append((d, tuple((e, rng.randrange(-mod, mod)) for e in terms)))
+    for degree, lower in divisors:
+        divisor = [0] * degree + [1]
+        for e, c in lower:
+            divisor[e] += c
+        for size in sorted({0, degree - 1, degree, degree + 1, degree + 2, 3 * degree + 4}):
+            a = [rng.randrange(-mod, mod) for _ in range(size)]
+            quot, rem = _divide_monic(a, degree, lower, mod)
+            assert (quot, rem) == reference_divide_monic(a, divisor, mod)
+            assert len(quot) == max(len(a) - degree, 0)
+            assert len(rem) == min(len(a), degree)
+            if len(a) <= degree:
+                assert quot == [] and rem == [x % mod for x in a]
+            # a = quot * divisor + rem over Z/mod
+            back = poly_add(poly_mul(tuple(quot), tuple(divisor)), tuple(rem))
+            assert [x % mod for x in back] == [x % mod for x in a]
 
 
 @pytest.mark.parametrize("p", PRIMES)

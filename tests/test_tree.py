@@ -256,7 +256,8 @@ class TestEdgesAndBall:
                 assert all(e.source is v for e in out)
                 assert [e.target for e in out] == kids + ([] if par is None else [par])
             assert sphere(center, radius + 1)[0] not in b.ids
-            # directed_edges() yields the recorded objects, also once shrunk
+            # directed_edges() yields the edges of the rule, also once shrunk,
+            # as a fresh ball of that radius does
             shrunk = replace(b, radius=radius - 1) if radius else b
             for c in (b, shrunk):
                 inside = []
@@ -266,7 +267,7 @@ class TestEdgesAndBall:
                 yielded = list(c.directed_edges())
                 assert yielded == inside
                 assert len(yielded) == 2 * (len(list(c.vertices())) - 1)
-                assert {id(e) for e in yielded} <= {id(e) for e in b.edges}
+                assert yielded == list(ball(center, c.radius).directed_edges())
 
     @pytest.mark.parametrize("p", [2, 3, 5])
     @pytest.mark.parametrize("radius", range(5))
@@ -305,11 +306,13 @@ class TestEdgesAndBall:
                     expected += [(par, verts[c]), (verts[c], par)]
                 edges = list(b.directed_edges())
                 assert [(e.source, e.target) for e in edges] == expected
-                assert all(e is f for e, f in zip(edges, full.edges))
+                fresh = ball(center, b.radius)
+                assert edges == list(fresh.edges) and b.ids == fresh.ids
                 # the vertices of the full ball beyond the radius have ids of
-                # their own, at or past size
+                # their own, at or past size, and none in the smaller ball
                 beyond = [v for v in full.vertices() if distance(center, v) > b.radius]
                 assert all(full.ids[v] >= b.size for v in beyond)
+                assert not any(v in b.ids for v in beyond)
 
     @pytest.mark.parametrize("p", [2, 3, 5])
     @pytest.mark.parametrize("radius", range(5))
@@ -378,12 +381,13 @@ class TestEdgesAndBall:
                 m = shrunk.size
                 assert parent_values(p, range(m), m) == list(ref.parents[1:m])
                 assert shrunk.spheres == ref.spheres[: r + 1]
-                assert shrunk.ids is b.ids and shrunk.edges is b.edges
+                fresh = ball(center, r)
+                assert shrunk.ids == fresh.ids and shrunk.edges == fresh.edges
                 assert list(shrunk.directed_edges()) == list(ref.edges[: 2 * shrunk.size - 2])
 
     def test_ball_builds_no_tree_objects(self, monkeypatch):
         # ball() calls no neighbors(); the views call it on first request
-        # only, once for the ball and its shrunk copies
+        # only, once per ball, and a shrunk copy walks only its own radius
         calls = []
         real = tree.neighbors
 
@@ -399,11 +403,45 @@ class TestEdgesAndBall:
         assert shrunk.spheres == (
             (origin(3),), (Vertex(3, 1, 0, 0), Vertex(3, 1, 0, 1), Vertex(3, 1, 0, 2),
                            Vertex(3, 0, 1, 0)))
-        # the walk went to the radius of the ball, the inner spheres once
-        assert len(calls) == b.size - len(b.spheres[3])
+        # each walk went to the radius of its ball, its inner spheres once
+        assert len(calls) == 1
+        inner = b.size - len(b.spheres[3])
+        assert len(calls) == 1 + inner == 18
         walked = len(calls)
-        assert b.edges is shrunk.edges and list(b.vertices())[:5] == list(shrunk.vertices())
+        assert b.edges[:8] == shrunk.edges and list(b.vertices())[:5] == list(shrunk.vertices())
         assert len(calls) == walked
+        assert shrunk.edges == ball(origin(3), 1).edges
+
+    def test_vertex_views_build_no_edge(self, monkeypatch):
+        # sphere(), vertices(), spheres and ids read the vertex list alone;
+        # only the edge views construct DirectedEdge objects
+        built = []
+        real = tree.DirectedEdge
+
+        def counted(s, t):
+            built.append((s, t))
+            return real(s, t)
+
+        monkeypatch.setattr(tree, "DirectedEdge", counted)
+        assert len(sphere(origin(3), 4)) == 108
+        b = ball(Vertex(3, 1, 1, 1), 3)
+        assert len(list(b.vertices())) == len(b.ids) == sum(map(len, b.spheres)) == 53
+        assert built == []
+        assert len(list(b.directed_edges())) == len(built) == 104
+
+    @pytest.mark.parametrize("p,radius", [(2, 5), (3, 4), (5, 3)])
+    def test_shrunk_copies_describe_their_own_ball(self, p, radius):
+        # a copy made by dataclasses.replace lists exactly its own vertices
+        # and edges, whatever the ball it came from had built
+        for center in (origin(p), Vertex(p, 1, 1, 1)):
+            b = ball(center, radius)
+            assert len(b.ids) == b.size and len(b.edges) == 2 * b.size - 2
+            for r in range(radius + 1):
+                shrunk = replace(b, radius=r)
+                assert len(shrunk.ids) == shrunk.size == ball_size(p, r)
+                assert len(shrunk.edges) == 2 * shrunk.size - 2
+                assert len(list(shrunk.directed_edges())) == 2 * shrunk.size - 2
+                assert all(distance(center, v) <= r for v in shrunk.ids)
 
     @pytest.mark.parametrize("p", [2, 3, 5, 7])
     def test_origin_ids_in_closed_form(self, p):
