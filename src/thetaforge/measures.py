@@ -8,14 +8,13 @@ each label to the free quotient (Z/p^m(level))^delta, as its flat index in
 the group ring.  Positions follow coset_labels for towers read off the tree
 and key order for synthetic ones; the label names ("x:y", "tau|d") are built
 from the position only where their text matters: labels(j), a distribution
-report, the synthesizer's draw order (parents by sorted name) and the
-serializer.  The distribution checker is one scatter-add of
-each level onto its parents' positions; the theta pushforward is one
-scatter-add onto the free indices.  The raw and the normalized theta and
-the L-element are each built once per system and level, in the system's
-memo.  One rule, _fiber_targets, gives what each fiber sums to (alpha c_j
-on edges, a_p c_j - c_(j-1) on vertices); the synthesizer solves it and
-the checker tests it.
+report and the synthesizer's draw order (parents by sorted name).  The
+distribution checker is one scatter-add of each level onto its parents'
+positions; the theta pushforward is one scatter-add onto the free indices.
+The raw and the normalized theta and the L-element are each built once per
+system and level, in the system's memo.  One rule, _fiber_targets, gives
+what each fiber sums to (alpha c_j on edges, a_p c_j - c_(j-1) on
+vertices); the synthesizer solves it and the checker tests it.
 
 from_tree reads a tower off a form on a ball centered at the origin, which
 the inert torus fixes: the image of the base vertex v_j under a label h is a
@@ -66,6 +65,13 @@ def _check_mode(mode: str, eigen: EigenData) -> None:
         raise ValueError("edge systems need the transfer eigenvalue")
 
 
+def _check_label_kind(kind: str) -> None:
+    """A system's labels are named as a torus tower's or a synthetic one's."""
+    if kind not in ("torus", "synth"):
+        raise ValueError(f"unknown label kind {kind!r}: a system's labels are "
+                         "'torus' or 'synth'")
+
+
 def level_labels(label_kind: str, p: int, delta: int, torsion: int, e: int, j: int) -> list:
     """The names of the level-j labels, in position order.
 
@@ -107,6 +113,7 @@ class CompatibleSystem:
 
     def __post_init__(self):
         _check_mode(self.mode, self.eigen)
+        _check_label_kind(self.label_kind)
 
     @property
     def start_level(self) -> int:

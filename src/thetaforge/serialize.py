@@ -11,6 +11,9 @@ than its id, sorted by the point's exponents.  The artifact keeps the layout
 of the multi-component forms it replaced, "h": 1 and a one-element "values"
 list per entry, so form artifacts keep their bytes; a reader refuses any
 other h, and an entry whose "values" is not a list of one value.
+
+A system artifact is the system's header and, per level, its three tuples
+by label position (residues as decimal strings); no label is named.
 """
 
 from __future__ import annotations
@@ -180,134 +183,95 @@ def orbit_table_to_json(tab):
 
 
 def system_to_json(s: CompatibleSystem):
-    """Each level as three objects keyed by label name, in sorted-key order:
-    the residues, the parent's name and the free digits."""
-    from .groupring import digits_of
-    levels = []
-    fibers = []
-    free = []
-    above = None
-    for j in range(s.n_max + 1):
-        if s.levels[j] is None:
-            levels.append(None)
-            fibers.append(None)
-            free.append(None)
-            continue
-        names = s.labels(j)
-        levels.append({lbl: str(c) for lbl, c in sorted(zip(names, s.levels[j]))})
-        fibers.append(dict(sorted(zip(names, map(above.__getitem__, s.fibers[j]))))
-                      if s.fibers[j] else None)
-        q = s.p ** s.level_exp[j]
-        free.append({lbl: list(digits_of(i, q, s.delta))
-                     for lbl, i in sorted(zip(names, s.free[j]))})
-        above = names
+    """The header, then each level as three lists by label position: the
+    residues, the parent's position one level down and the flat free index."""
     return {
         "p": s.p, "k": s.k, "delta": s.delta, "mode": s.mode,
         "eigen": eigen_to_json(s.eigen), "n_max": s.n_max,
-        "torsion": s.torsion, "level_exp": list(s.level_exp),
-        "levels": levels, "fibers": fibers, "free": free,
+        "torsion": s.torsion, "level_exp": list(s.level_exp), "label_kind": s.label_kind,
+        "levels": [None if t is None else list(map(str, t)) for t in s.levels],
+        "fibers": [None if t is None else list(t) for t in s.fibers],
+        "free": [None if t is None else list(t) for t in s.free],
     }
 
 
-def _check_cover(count: int, p: int, e: int, delta: int, j: int) -> None:
-    """Refuse a level of count labels whose free quotient (Z/p^e)^delta has
-    more elements than that, comparing e delta with count's bit length first
-    (p >= 2), so a huge e allocates and computes nothing."""
+def _check_count(kind: str, p: int, delta: int, torsion: int, e: int, j: int,
+                 count: int) -> None:
+    """Refuse a level j of count labels unless they can cover its free
+    quotient (Z/p^e)^delta and a tower of this kind has that many; e delta
+    is compared with count's bit length first (p >= 2), so a huge e
+    computes nothing."""
     if e < 0 or e * delta >= count.bit_length():
         raise ValueError(f"level {j}: {count} labels cannot cover (Z/{p}^{e})^{delta}")
-
-
-def _level_names(kind: str, p: int, delta: int, torsion: int, e: int, j: int,
-                 count: int) -> list:
-    """The names of the level-j labels of a tower of this kind, refused
-    unless there are count of them; the count is compared before any name is
-    built, so a huge exponent or torsion order allocates nothing."""
-    from .measures import level_labels
     if kind == "torus":
         want = (p + 1) * p ** (j - 1) if j else 1
     else:
-        _check_cover(count, p, e, delta, j)
         want = (torsion if j else 1) * p ** (e * delta)
     if want != count:
         raise ValueError(f"level {j}: {count} labels, where a {kind} tower has {want}")
-    return level_labels(kind, p, delta, torsion, e, j)
 
 
-def _free_indices(digits: list, p: int, e: int, delta: int, j: int) -> tuple:
-    """The flat group index of each level-j label from its digit list,
-    refused unless the labels cover (Z/p^e)^delta in fibers of equal size."""
-    from .groupring import flat_index
-    _check_cover(len(digits), p, e, delta, j)
+def _positions(values, count: int, what: str, j: int) -> tuple:
+    """A level-j list of one integer per label position."""
+    if not isinstance(values, list) or len(values) != count:
+        raise ValueError(f"level {j}: the {what} must list the {count} level-{j} labels")
     try:
-        free = tuple(flat_index(tuple(d), p**e, delta) for d in digits)
+        return tuple(map(json_int, values))
     except ValueError as exc:
-        raise ValueError(f"free digits at level {j}: {exc}") from exc
+        raise ValueError(f"level {j}: the {what}: {exc}") from None
+
+
+def _free_indices(values, count: int, p: int, e: int, delta: int, j: int) -> tuple:
+    """The flat free index of each level-j label, refused unless the labels
+    cover (Z/p^e)^delta in fibers of equal size."""
+    free = _positions(values, count, "free indices", j)
+    size = p ** (e * delta)
     sizes = Counter(free)
-    if len(sizes) != p ** (e * delta) or len(set(sizes.values())) > 1:
-        raise ValueError(f"level {j}: the free digits do not cover (Z/{p}^{e})^{delta} "
+    if (len(sizes) != size or not all(0 <= i < size for i in sizes)
+            or len(set(sizes.values())) > 1):
+        raise ValueError(f"level {j}: the free indices do not cover (Z/{p}^{e})^{delta} "
                          "in fibers of equal size")
     return free
 
 
-def _by_name(table, names: list, refusal: str) -> list:
-    """The values of a JSON object keyed by label name, in the order of
-    names; refused with the message refusal unless its keys are exactly the
-    names (names are distinct, so equal counts and every name found)."""
-    if not isinstance(table, dict) or len(table) != len(names):
-        raise ValueError(refusal)
-    try:
-        return list(map(table.__getitem__, names))
-    except KeyError:
-        raise ValueError(refusal) from None
-
-
 @_payload_reader
 def system_from_json(obj) -> CompatibleSystem:
-    """The system of an artifact, its objects keyed by label name put back
-    in label position.  The names are those of a torus tower ("x:y") or a
-    synthetic one ("tau|d"), told apart at the first populated level; every
-    level's residues, fibers and free digits must name exactly its labels."""
-    from .measures import CompatibleSystem
+    """The system of an artifact, each level read back by label position.
+    A level must have as many labels as its tower, residues in [0, p^k),
+    parents inside the level below and free indices that cover
+    (Z/p^e)^delta in fibers of equal size."""
+    from .measures import CompatibleSystem, _check_label_kind
+    kind = obj.get("label_kind")
+    _check_label_kind(kind)
     n_max, p, delta = json_int(obj["n_max"]), prime_int(obj["p"]), json_int(obj["delta"])
+    k, torsion = json_int(obj["k"]), json_int(obj["torsion"])
     level_exp = tuple(json_int(e) for e in obj["level_exp"])
-    torsion, mode = json_int(obj["torsion"]), obj["mode"]
-    eigen = eigen_from_json(obj["eigen"])
+    mode, eigen = obj["mode"], eigen_from_json(obj["eigen"])
     start = 0 if mode == "vertex" else 1
-    kind = None
-    levels = []
-    fibers = []
-    free = []
-    below: dict = {}            # label name -> position one level down
+    mod = p**k
+    levels, fibers, free = [], [], []
     for j in range(n_max + 1):
         lv = obj["levels"][j]
-        if lv is None:
-            levels.append(None)
-            fibers.append(None)
-            free.append(None)
-            below = {}
-            continue
-        kind = kind or ("torus" if ":" in next(iter(lv), "") else "synth")
-        names = _level_names(kind, p, delta, torsion, level_exp[j], j, len(lv))
-        values = _by_name(lv, names, f"level {j}: the labels are not those of a {kind} tower")
-        levels.append(tuple(map(json_int, values)))
-        digits = _by_name(obj["free"][j], names,
-                          f"level {j}: the free digits must label exactly the level-{j} labels")
-        free.append(_free_indices(digits, p, level_exp[j], delta, j))
-        if j > start:
-            # a fiber map from outside is checked here; from_tree and
-            # synth_system build consistent ones
-            up = _by_name(obj["fibers"][j], names,
-                          f"level {j}: the fibers must map exactly the level-{j} labels")
-            try:
-                fibers.append(tuple(map(below.__getitem__, up)))
-            except (KeyError, TypeError):
-                raise ValueError(f"level {j}: a fiber points outside the level-{j - 1} "
-                                 "labels") from None
-        else:
-            fibers.append(None)
-        below = dict(zip(names, range(len(names))))
+        level = up = indices = None
+        if lv is not None:
+            count = len(lv)
+            _check_count(kind, p, delta, torsion, level_exp[j], j, count)
+            level = _positions(lv, count, "residues", j)
+            if min(level) < 0 or max(level) >= mod:
+                raise ValueError(f"level {j}: a residue lies outside [0, {p}^{k})")
+            indices = _free_indices(obj["free"][j], count, p, level_exp[j], delta, j)
+            if j > start:
+                # a fiber map from outside is checked here; from_tree and
+                # synth_system build consistent ones
+                up = _positions(obj["fibers"][j], count, "fibers", j)
+                if min(up) < 0 or max(up) >= len(levels[j - 1] or ()):
+                    raise ValueError(f"level {j}: a fiber points outside the "
+                                     f"level-{j - 1} labels")
+        levels.append(level)
+        fibers.append(up)
+        free.append(indices)
     return CompatibleSystem(
-        p, json_int(obj["k"]), delta, mode, eigen, n_max, torsion, level_exp, kind,
+        p, k, delta, mode, eigen, n_max, torsion, level_exp, kind,
         tuple(levels), tuple(fibers), tuple(free),
     )
 

@@ -5,6 +5,7 @@ import os
 import resource
 import subprocess
 import sys
+from dataclasses import replace
 from math import isqrt
 
 import pytest
@@ -33,6 +34,22 @@ def read_artifact_from_stdout(capsys):
 def _cap_address_space():
     """Limit the calling process to 1 GiB of address space."""
     resource.setrlimit(resource.RLIMIT_AS, (1 << 30, resource.getrlimit(resource.RLIMIT_AS)[1]))
+
+
+# a system artifact of the format that keyed each level by label name
+# (content hash adc6564d4d3e558b)
+NAME_KEYED_SYSTEM = (
+    '{"kind":"system","payload":{"delta":1,"eigen":{"alpha":null,"ap":{"k":6,"p":3,'
+    '"residue":"0"}},"fibers":[null,{"0|0":"0|0","1|0":"0|0","2|0":"0|0","3|0":"0|0"},'
+    '{"0|0":"0|0","0|1":"0|0","0|2":"0|0","1|0":"1|0","1|1":"1|0","1|2":"1|0","2|0":"2|0",'
+    '"2|1":"2|0","2|2":"2|0","3|0":"3|0","3|1":"3|0","3|2":"3|0"}],"free":[{"0|0":[0]},'
+    '{"0|0":[0],"1|0":[0],"2|0":[0],"3|0":[0]},{"0|0":[0],"0|1":[1],"0|2":[2],"1|0":[0],'
+    '"1|1":[1],"1|2":[2],"2|0":[0],"2|1":[1],"2|2":[2],"3|0":[0],"3|1":[1],"3|2":[2]}],'
+    '"k":6,"level_exp":[0,0,1],"levels":[{"0|0":"137"},{"0|0":"582","1|0":"64",'
+    '"2|0":"261","3|0":"551"},{"0|0":"120","0|1":"507","0|2":"694","1|0":"460",'
+    '"1|1":"483","1|2":"378","2|0":"667","2|1":"388","2|2":"266","3|0":"214","3|1":"96",'
+    '"3|2":"282"}],"mode":"vertex","n_max":2,"p":3,"torsion":4},"schema":"thetaforge/1"}\n'
+)
 
 
 def write_with_repeated_key(path, obj, table):
@@ -206,8 +223,7 @@ class TestFormsAndSystems:
         _, sys_path = read_artifact_from_stdout(capsys)
         obj = json.load(open(sys_path))
         level = obj["payload"]["levels"][2]
-        key = sorted(level)[0]
-        level[key] = str((int(level[key]) + 1) % 3**6)
+        level[0] = str((int(level[0]) + 1) % 3**6)
         bad_path = os.path.join(str(tmp_path), "bad.json")
         json.dump(obj, open(bad_path, "w"))
         assert run(["check-dist", "--system", bad_path, "--out", str(tmp_path)]) == 1
@@ -216,7 +232,8 @@ class TestFormsAndSystems:
         assert "layer" in err["error"]["detail"]["violation"]
 
     @pytest.mark.parametrize("damage", ["envelope-list", "levels-cut", "level-number",
-                                        "fibers-null", "fiber-parent", "fiber-missing"])
+                                        "fibers-null", "fiber-parent", "fiber-negative",
+                                        "fiber-missing"])
     def test_malformed_system_is_a_typed_error(self, tmp_path, capsys, damage):
         # fibers-null used to end check-dist in a TypeError and the other two
         # fiber damages in a bare KeyError; theta read all three
@@ -234,9 +251,12 @@ class TestFormsAndSystems:
         elif damage == "fibers-null":
             fibers[2] = None
         elif damage == "fiber-parent":
-            fibers[3][sorted(fibers[3])[0]] = "9|9"
+            # the first position past the 12 level-2 labels
+            fibers[3][0] = len(obj["payload"]["levels"][2])
+        elif damage == "fiber-negative":
+            fibers[3][0] = -1
         else:
-            del fibers[3][sorted(fibers[3])[0]]
+            del fibers[3][0]
         bad_path = os.path.join(str(tmp_path), "bad.json")
         json.dump(obj, open(bad_path, "w"))
         for command in (["check-dist"], ["theta", "--level", "3"]):
@@ -246,13 +266,15 @@ class TestFormsAndSystems:
             if damage.startswith("fiber"):
                 assert "level" in err["error"]["detail"]
 
-    def test_repeated_level_label_is_a_typed_error(self, tmp_path, capsys):
+    def test_repeated_system_key_is_a_typed_error(self, tmp_path, capsys):
+        # the payload's first key, "delta", given twice; a last-value-wins
+        # parser reads the artifact as the system it was
         assert run(["synth", "--mode", "vertex", "--ap", "0", "--p", "3", "--k", "6",
                     "--n-max", "3", "--seed", "1", "--out", str(tmp_path)]) == 0
         _, sys_path = read_artifact_from_stdout(capsys)
         obj = json.load(open(sys_path))
         bad_path = os.path.join(str(tmp_path), "bad.json")
-        write_with_repeated_key(bad_path, obj, obj["payload"]["levels"][2])
+        write_with_repeated_key(bad_path, obj, obj["payload"])
         assert run(["check-dist", "--system", bad_path, "--out", str(tmp_path)]) == 1
         err = json.loads(capsys.readouterr().out.strip())
         assert err["error"]["type"] == "ValueError"
@@ -469,10 +491,13 @@ class TestFormsAndSystems:
                     "--n-max", "4", "--delta", "2", "--seed", "3", "--out", str(tmp_path)]) == 0
         _, sys_path = read_artifact_from_stdout(capsys)
         good = json.load(open(sys_path))
-        for damage in ([0], [0, 0, 0], [0, 27]):
+        # a digit list where the flat index belongs, an index outside
+        # (Z/27)^2, and one that leaves index 0 a fiber short
+        for damage in ([0, 0], 27 * 27, -1, 1):
             obj = json.loads(json.dumps(good))
             free = obj["payload"]["free"][4]
-            free[sorted(free)[0]] = damage
+            assert free[0] == 0
+            free[0] = damage
             bad_path = os.path.join(str(tmp_path), "bad.json")
             json.dump(obj, open(bad_path, "w"))
             assert run(["theta", "--system", bad_path, "--level", "4", "--ordinary",
@@ -481,22 +506,64 @@ class TestFormsAndSystems:
             assert err["error"]["type"] == "ValueError"
 
 
-    def test_renamed_free_label_is_a_typed_error(self, tmp_path, capsys):
-        # a free-digit key that names no level-3 label used to pass
-        # check-dist, which reads no free digits, and end theta in a KeyError
+    @pytest.mark.parametrize("damage", ["short", "long", "null"])
+    def test_free_indices_off_the_level_are_a_typed_error(self, tmp_path, capsys, damage):
+        # check-dist reads no free index, yet refuses a free list that does
+        # not list the level's 36 labels, as theta does
         assert run(["synth", "--mode", "edge", "--ap", "1", "--p", "3", "--k", "5",
                     "--n-max", "3", "--seed", "1", "--out", str(tmp_path)]) == 0
         _, sys_path = read_artifact_from_stdout(capsys)
         obj = json.load(open(sys_path))
-        free = obj["payload"]["free"][3]
-        free["0|99"] = free.pop(sorted(free)[0])
+        free = obj["payload"]["free"]
+        if damage == "short":
+            free[3].pop()
+        elif damage == "long":
+            free[3].append(0)
+        else:
+            free[3] = None
         bad_path = os.path.join(str(tmp_path), "bad.json")
         json.dump(obj, open(bad_path, "w"))
         for command in (["check-dist"], ["theta", "--level", "3"]):
             assert run([*command, "--system", bad_path, "--out", str(tmp_path)]) == 1
             err = json.loads(capsys.readouterr().out.strip())
-            assert err["error"] == {"type": "ValueError", "detail": "level 3: the free digits "
-                                    "must label exactly the level-3 labels"}
+            assert err["error"] == {"type": "ValueError", "detail": "level 3: the free indices "
+                                    "must list the 36 level-3 labels"}
+
+    @pytest.mark.parametrize("residue", [3**6, -5, 10**40], ids=["raised", "negative", "huge"])
+    @pytest.mark.parametrize("command", [["check-dist"], ["theta", "--level", "3"],
+                                         ["lp", "--level", "3"]], ids=["check-dist", "theta", "lp"])
+    def test_residue_out_of_range_is_a_typed_error(self, tmp_path, capsys, residue, command):
+        # a level-3 residue raised by 3^6 used to read back as a system !=
+        # the one written, yet pass check-dist; -5 and 10^40 were written
+        # back as they were
+        assert run(["synth", "--mode", "edge", "--ap", "1", "--p", "3", "--k", "6",
+                    "--n-max", "3", "--seed", "4", "--out", str(tmp_path)]) == 0
+        _, sys_path = read_artifact_from_stdout(capsys)
+        obj = json.load(open(sys_path))
+        level = obj["payload"]["levels"][3]
+        level[0] = str(int(level[0]) + residue) if residue == 3**6 else str(residue)
+        bad_path = os.path.join(str(tmp_path), "bad.json")
+        json.dump(obj, open(bad_path, "w"))
+        assert run([*command, "--system", bad_path, "--out", str(tmp_path)]) == 1
+        err = json.loads(capsys.readouterr().out.strip())
+        assert err["error"] == {"type": "ValueError",
+                                "detail": "level 3: a residue lies outside [0, 3^6)"}
+
+    @pytest.mark.parametrize("label_kind", [None, "synth"])
+    def test_name_keyed_system_artifact_is_a_typed_error(self, tmp_path, capsys, label_kind):
+        # NAME_KEYED_SYSTEM was written by `synth --mode vertex --ap 0 --p 3
+        # --k 6 --n-max 2 --seed 1`; it carries no label kind, and given one
+        # its levels are objects, not lists
+        obj = json.loads(NAME_KEYED_SYSTEM)
+        if label_kind is not None:
+            obj["payload"]["label_kind"] = label_kind
+        bad_path = os.path.join(str(tmp_path), "old.json")
+        json.dump(obj, open(bad_path, "w"))
+        assert run(["check-dist", "--system", bad_path, "--out", str(tmp_path)]) == 1
+        err = json.loads(capsys.readouterr().out.strip())["error"]
+        assert err["type"] == "ValueError"
+        assert ("unknown label kind None" if label_kind is None
+                else "level 0: the residues must list the 1 level-0 labels") in err["detail"]
 
     @pytest.mark.parametrize("exp", [4, 40])
     def test_level_exp_off_the_tower_is_a_typed_error(self, tmp_path, capsys, exp):
@@ -524,7 +591,7 @@ class TestFormsAndSystems:
         _, sys_path = read_artifact_from_stdout(capsys)
         obj = json.load(open(sys_path))
         level = obj["payload"]["levels"][3]
-        level[sorted(level)[0]] = value
+        level[0] = value
         bad_path = os.path.join(str(tmp_path), "bad.json")
         json.dump(obj, open(bad_path, "w"))
         assert run(["theta", "--system", bad_path, "--level", "3",
@@ -966,8 +1033,10 @@ class TestConfigAndDeterminism:
             assert run([*argv, "--out", str(tmp_path)]) == 0
             return os.path.basename(read_artifact_from_stdout(capsys)[1])
 
-        system = str(tmp_path / emit("synth", "--mode", "edge", "--ap", "1", "--p", "3",
-                                     "--k", "11", "--n-max", "7", "--seed", "7"))
+        system_name = emit("synth", "--mode", "edge", "--ap", "1", "--p", "3",
+                           "--k", "11", "--n-max", "7", "--seed", "7")
+        assert system_name == "system-4d082687214d8b6c.json"
+        system = str(tmp_path / system_name)
         assert emit("theta", "--system", system, "--level", "7",
                     "--ordinary") == "theta-fbcf6c2a341b207e.json"
         lp_path = str(tmp_path / emit("lp", "--system", system, "--level", "7"))
@@ -998,9 +1067,9 @@ class TestConfigAndDeterminism:
 
 
     def test_pinned_genuine_system_artifact_names(self, tmp_path):
-        # content hashes of systems read off the tree, written when from_tree
-        # built edge orbit tables and free digit tuples; reading the orbits
-        # off the ball's ids and storing flat group indices must not change a byte
+        # content hashes of systems read off the tree, written when the system
+        # artifact became positional; reading the orbits off the ball's ids
+        # must not change a byte
         def name(system):
             # and each still reads back, level_exp checked against its tower
             assert serialize.system_from_json(serialize.system_to_json(system)) == system
@@ -1010,15 +1079,15 @@ class TestConfigAndDeterminism:
         torus = QuadraticTorus(3, "inert", 2)
         eig = EigenData.ordinary(3, 9, 1)
         edge = from_tree(stabilize(local_eigen_extend(3, 9, 1, 5, seed=4), eig), torus, eig, 5)
-        assert name(edge) == "system-5d94a832b0e06d56.json"
+        assert name(edge) == "system-2e28374b57216fc7.json"
         vertex = from_tree(local_eigen_extend(3, 9, 0, 5, seed=4), torus,
                            EigenData.supersingular(3, 9), 5)
-        assert name(vertex) == "system-b9c11ee487f5138a.json"
+        assert name(vertex) == "system-257d74356146bc7f.json"
         t5 = QuadraticTorus(5, "inert", 2)
         e5 = EigenData.ordinary(5, 7, 2)
         shifted = from_tree(stabilize(local_eigen_extend(5, 7, 2, 3, seed=1), e5), t5, e5, 3,
                             shift=TorusElement(t5, 7, x=2, y=1))
-        assert name(shifted) == "system-78b1a281fe99559c.json"
+        assert name(shifted) == "system-e2374bf4ca0cd1f5.json"
 
 
 class TestSerialization:
@@ -1029,55 +1098,99 @@ class TestSerialization:
         with pytest.raises(ValueError):
             serialize.read_artifact(str(path), "system")
 
-    def test_system_roundtrip(self):
-        s = synth_system(3, 6, "edge", EigenData.ordinary(3, 6, 1), 3, seed=2)
-        back = serialize.system_from_json(serialize.system_to_json(s))
+    @pytest.mark.parametrize("p,torsion", [(3, None), (3, 11), (5, 13), (11, None)])
+    @pytest.mark.parametrize("level_map", ["local", "full"])
+    @pytest.mark.parametrize("delta", [1, 2])
+    @pytest.mark.parametrize("mode", ["vertex", "edge"])
+    def test_system_roundtrip(self, mode, delta, level_map, p, torsion):
+        # each system reads back equal, and rewrites byte-identically
+        n_max = 3 if p == 3 else 2
+        if p == 11 and delta == 2 and level_map == "full":
+            n_max = 1           # level 2 would hold 12 * 11^4 labels
+        k = n_max + 2
+        eig = EigenData.ordinary(p, k, 1) if mode == "edge" else EigenData.supersingular(p, k)
+        s = synth_system(p, k, mode, eig, n_max, delta=delta, torsion=torsion,
+                         level_map=level_map, seed=p + delta)
+        text = serialize.canonical_dumps(serialize.system_to_json(s))
+        back = serialize.system_from_json(json.loads(text))
         assert back == s
         assert check_distribution(back).ok
+        assert serialize.canonical_dumps(serialize.system_to_json(back)) == text
 
     def test_delta_two_free_indices_roundtrip(self):
-        # flat group indices in memory, digit lists on the wire
+        # flat group indices in memory and on the wire, by label position
         s = synth_system(3, 7, "edge", EigenData.ordinary(3, 7, 1), 3, delta=2, seed=4)
         obj = serialize.system_to_json(s)
         for j in (1, 2, 3):
             q = 3 ** s.level_exp[j]
-            for lbl, idx in zip(s.labels(j), s.free[j]):
-                assert obj["free"][j][lbl] == [idx // q, idx % q]
-                assert 0 <= idx < q * q
+            assert obj["free"][j] == list(s.free[j])
+            assert all(0 <= idx < q * q for idx in s.free[j])
         at = s.labels(3).index("2|4,7")
-        assert obj["free"][3]["2|4,7"] == [4, 7] and s.free[3][at] == 4 * 9 + 7
+        assert obj["free"][3][at] == s.free[3][at] == 4 * 9 + 7
         back = serialize.system_from_json(json.loads(json.dumps(obj)))
         assert back == s
         assert serialize.system_to_json(back) == obj
-        for damage in ([9, 0], [0, -1], [1], [1, 2, 3], ["1", "2"]):
+        # an index outside (Z/9)^2, a negative one, one that leaves 4,7 a
+        # fiber short, a digit list, a digit string, a float and a bool
+        for damage in (81, -1, 4 * 9 + 8, [4, 7], "4,7", 43.0, True):
             bad = json.loads(json.dumps(obj))
-            bad["free"][3]["2|4,7"] = damage
-            with pytest.raises(ValueError, match="free digits at level 3|malformed system"):
+            bad["free"][3][at] = damage
+            with pytest.raises(ValueError, match="^level 3: the free indices"):
                 serialize.system_from_json(bad)
 
+    @pytest.mark.parametrize("residue", [3**6, -5, 10**40], ids=["raised", "negative", "huge"])
+    def test_residue_out_of_range_is_refused(self, residue):
+        # written and read back, a residue outside [0, p^k) used to give a
+        # system != the one written; raised by p^k, it passes the check
+        s = synth_system(3, 6, "edge", EigenData.ordinary(3, 6, 1), 3, seed=4)
+        table = list(s.levels[3])
+        table[0] = table[0] + residue if residue == 3**6 else residue
+        bad = replace(s, levels=s.levels[:3] + (tuple(table),))
+        assert check_distribution(bad).ok == (residue == 3**6)
+        with pytest.raises(ValueError, match=r"level 3: a residue lies outside \[0, 3\^6\)"):
+            serialize.system_from_json(serialize.system_to_json(bad))
+
     def test_labels_must_be_the_towers_own(self):
-        # the reader puts each label back at its position, so a label the
-        # tower does not have is refused even when renamed everywhere at once
+        # a level holds its tower's labels by position, so a label the tower
+        # does not have is refused even when added to all three lists at once
         s = synth_system(3, 6, "edge", EigenData.ordinary(3, 6, 1), 2, seed=2)
         obj = serialize.system_to_json(s)
         for table in (obj["levels"][2], obj["fibers"][2], obj["free"][2]):
-            table["9|9"] = table.pop("0|0")
-        with pytest.raises(ValueError, match="level 2: the labels are not those of a synth"):
+            table.append(table[0])
+        with pytest.raises(ValueError, match="level 2: 13 labels, where a synth tower has 12"):
             serialize.system_from_json(obj)
         # a torsion order far beyond the label count is refused by the
-        # count, before any name is built
+        # count, before p^(e delta) is computed
         obj = serialize.system_to_json(s)
         obj["torsion"] = 10**12
         with pytest.raises(ValueError, match="level 1: 4 labels, where a synth tower has"):
             serialize.system_from_json(obj)
+        # the label kind names the positions; an unknown one is the
+        # system's own refusal
+        for kind in ("banana", None, ["synth"]):
+            obj = serialize.system_to_json(s)
+            obj["label_kind"] = kind
+            with pytest.raises(ValueError, match="unknown label kind"):
+                serialize.system_from_json(obj)
+        with pytest.raises(ValueError, match="unknown label kind 'banana'"):
+            replace(s, label_kind="banana")
 
-    def test_genuine_system_roundtrip(self):
-        torus = QuadraticTorus(3, "inert", 2)
-        eig = EigenData.ordinary(3, 6, 1)
-        f0 = local_eigen_extend(3, 6, 1, 2, seed=3)
-        s = from_tree(stabilize(f0, eig), torus, eig, 2)
-        back = serialize.system_from_json(serialize.system_to_json(s))
+    @pytest.mark.parametrize("p,n_max", [(3, 4), (5, 3)])
+    @pytest.mark.parametrize("shifted", [False, True])
+    @pytest.mark.parametrize("mode", ["vertex", "edge"])
+    def test_genuine_system_roundtrip(self, mode, shifted, p, n_max):
+        k = n_max + 2
+        torus = QuadraticTorus(p, "inert", 2)
+        eig = EigenData.ordinary(p, k, 1)
+        f0 = local_eigen_extend(p, k, 1, n_max, seed=p)
+        form = f0 if mode == "vertex" else stabilize(f0, eig)
+        shift = TorusElement(torus, k, x=2, y=1) if shifted else None
+        s = from_tree(form, torus, eig, n_max, shift=shift)
+        assert s.label_kind == "torus"
+        text = serialize.canonical_dumps(serialize.system_to_json(s))
+        back = serialize.system_from_json(json.loads(text))
         assert back == s
+        assert serialize.canonical_dumps(serialize.system_to_json(back)) == text
 
     def test_form_roundtrip(self):
         f = local_eigen_extend(3, 5, 2, 2, seed=1)

@@ -7,9 +7,9 @@ names "x:y" (read off the tree) or "tau|d" (synthetic), the distribution
 check walks the labels in sorted name order, and theta adds one
 coefficient per label through the free-index dict.  `reference_decomposition`
 is the dict-filling walk `torus.coset_decomposition` ran then, and
-`reference_system_to_json` the serializer's writer; `_parent_labels` is
-the label-keyed parent map `torus` kept then.  They serve only to
-cross-check the positional tower.
+`_parent_labels` the label-keyed parent map `torus` kept then;
+`reference_system_to_json` writes the positional system artifact from the
+label-keyed dicts.  They serve only to cross-check the positional tower.
 """
 
 import itertools
@@ -22,7 +22,7 @@ from thetaforge.errors import (
     PrecisionExhausted,
     TransitivityViolation,
 )
-from thetaforge.groupring import GroupRingElement, _axis_map, digits_of
+from thetaforge.groupring import GroupRingElement, _axis_map
 from thetaforge.hecke import VertexForm
 from thetaforge.measures import DistributionReport, ThetaElement, _check_level, _check_mode
 from thetaforge.padic import EigenData
@@ -334,22 +334,28 @@ def reference_decomposition(torus: QuadraticTorus, j: int) -> dict:
 
 
 def reference_system_to_json(s: DictSystem):
-    levels = []
-    fibers = []
-    free = []
+    """The positional artifact of a dict-keyed system: each level's labels
+    in the key order of its free dict (position order in both reference
+    towers), their parents by position one level down."""
+    levels, fibers, free = [], [], []
+    at: dict = {}               # label name -> position, one level down
+    kind = None
     for j in range(s.n_max + 1):
         if s.levels[j] is None:
             levels.append(None)
             fibers.append(None)
             free.append(None)
+            at = {}
             continue
-        levels.append({lbl: str(c) for lbl, c in sorted(s.levels[j].items())})
-        fibers.append(dict(sorted(s.fibers[j].items())) if s.fibers[j] else None)
-        q = s.p ** s.level_exp[j]
-        free.append({lbl: list(digits_of(i, q, s.delta)) for lbl, i in sorted(s.free[j].items())})
+        names = list(s.free[j])
+        kind = kind or ("torus" if ":" in names[0] else "synth")
+        levels.append([str(s.levels[j][n]) for n in names])
+        fibers.append([at[s.fibers[j][n]] for n in names] if s.fibers[j] else None)
+        free.append([s.free[j][n] for n in names])
+        at = {n: i for i, n in enumerate(names)}
     return {
         "p": s.p, "k": s.k, "delta": s.delta, "mode": s.mode,
         "eigen": eigen_to_json(s.eigen), "n_max": s.n_max,
-        "torsion": s.torsion, "level_exp": list(s.level_exp),
+        "torsion": s.torsion, "level_exp": list(s.level_exp), "label_kind": kind,
         "levels": levels, "fibers": fibers, "free": free,
     }
