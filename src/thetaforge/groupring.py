@@ -124,13 +124,15 @@ class GroupRingElement:
         if n * delta >= sys.maxsize.bit_length() or (p**n) ** delta > sys.maxsize:
             raise ValueError(f"(Z/{p}^{n})^{delta} has more elements than sys.maxsize")
         coeffs = [0] * (p**n) ** delta
-        seen = set()
+        seen, mod = set(), p**k
         for key, val in obj["coeffs"].items():
             idx = flat_index(tuple(int(s) for s in key.strip("()").split(",")), p**n, delta)
             if idx in seen:
                 raise ValueError(f"group element {key} given twice")
             seen.add(idx)
-            coeffs[idx] = json_int(val)
+            if not 0 <= (c := json_int(val)) < mod:
+                raise ValueError(f"coefficient {val} of {key} lies outside [0, {p}^{k})")
+            coeffs[idx] = c
         return GroupRingElement(p, k, n, delta, tuple(coeffs))
 
 

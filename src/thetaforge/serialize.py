@@ -2,8 +2,8 @@
 
 Every artifact is wrapped in a self-describing envelope with a schema
 version; readers refuse unknown versions.  Artifact files are written under
-an output directory with content-hash names, so identical runs produce
-byte-identical files.
+an output directory, each named by its kind and the first 16 hex digits of
+SHA-256 of its bytes, so identical runs produce byte-identical files.
 
 A form is one flat tuple of residues by the ids of its ball's points.  Its
 artifact lists one entry per point with a value, by the point itself rather
@@ -55,16 +55,26 @@ def open_envelope(obj, kind: str | None = None):
     return obj["payload"]
 
 
+def _sha256_hex(data: bytes) -> str:
+    """Hex SHA-256 by the interpreter's built-in module (_sha2 on 3.12+,
+    _sha256 before), which loads no OpenSSL as hashlib does (about 3.5 MB)."""
+    try:
+        from _sha2 import sha256
+    except ImportError:
+        try:
+            from _sha256 import sha256
+        except ImportError:  # a CPython built without the module
+            from hashlib import sha256
+    return sha256(data).hexdigest()
+
+
 def write_artifact(outdir: str, kind: str, payload) -> str:
-    # hashlib loads OpenSSL (about 3.6 MB of RSS), so only a process that
-    # writes an artifact imports it
-    import hashlib
+    # binary mode: the file's bytes are exactly the bytes its name hashes
     os.makedirs(outdir, exist_ok=True)
-    text = canonical_dumps(envelope(kind, payload))
-    digest = hashlib.sha256(text.encode()).hexdigest()[:16]
-    path = os.path.join(outdir, f"{kind}-{digest}.json")
-    with open(path, "w") as fh:
-        fh.write(text)
+    data = canonical_dumps(envelope(kind, payload)).encode()
+    path = os.path.join(outdir, f"{kind}-{_sha256_hex(data)[:16]}.json")
+    with open(path, "wb") as fh:
+        fh.write(data)
     return path
 
 
@@ -165,7 +175,9 @@ def form_from_json(obj):
         if not (isinstance(vals, list) and len(vals) == 1):
             raise ValueError(f"form entry {row['w']} must carry a list of one value, "
                              f"not {vals!r}")
-        residues[w] = json_int(vals[0]) % mod
+        if not 0 <= (r := json_int(vals[0])) < mod:
+            raise ValueError(f"form entry {row['w']}: residue {vals[0]} lies outside [0, {p}^{k})")
+        residues[w] = r
     cls = VertexForm if obj["kind"] == "vertex" else EdgeForm
     points = dom.vertices() if cls is VertexForm else dom.directed_edges()
     return cls(p, k, dom, tuple(map(residues.get, points)))

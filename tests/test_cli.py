@@ -1,4 +1,5 @@
 import argparse
+import hashlib
 import importlib
 import json
 import os
@@ -375,6 +376,11 @@ class TestFormsAndSystems:
         ("not-adjacent", "edge", "nu", "adjacent"),
         ("string-values", "vertex", "nu", "list of one value"),   # used to read "7" as 7
         ("object-values", "vertex", "nu", "list of one value"),   # used to read {"7": 1} as 7
+        # residues outside [0, 3^6) used to be reduced without a word
+        ("residue=-5", "vertex", "nu", "outside [0, 3^6)"),
+        ("residue=732", "vertex", "nu", "outside [0, 3^6)"),
+        (f"residue={10**40}", "vertex", "nu", "outside [0, 3^6)"),
+        ("residue=732", "edge", "nu", "outside [0, 3^6)"),
     ])
     def test_stray_form_entry_is_a_typed_error(self, tmp_path, capsys, damage, kind, command,
                                                detail):
@@ -400,6 +406,8 @@ class TestFormsAndSystems:
             # both ends lie in the ball, two steps apart
             entries.append({"w": {"source": {"a": 0, "b": 0, "u": 0},
                                   "target": {"a": 2, "b": 0, "u": 0}}, "values": ["1"]})
+        elif damage.startswith("residue="):
+            entries[0]["values"] = [damage.removeprefix("residue=")]
         else:
             entries[0]["values"] = "7" if damage == "string-values" else {"7": 1}
         bad_path = os.path.join(str(tmp_path), "bad.json")
@@ -435,6 +443,25 @@ class TestFormsAndSystems:
         err = json.loads(capsys.readouterr().out.strip())
         assert err["error"]["type"] == "ValueError"
 
+
+    @pytest.mark.parametrize("value", ["-5", "732", str(10**40)], ids=["-5", "732", "10**40"])
+    def test_stray_theta_coefficient_is_a_typed_error(self, tmp_path, capsys, value):
+        # a coefficient outside [0, 3^6) used to be reduced without a word
+        assert run(["synth", "--mode", "vertex", "--ap", "0", "--p", "3", "--k", "6",
+                    "--n-max", "4", "--seed", "9", "--out", str(tmp_path)]) == 0
+        _, sys_path = read_artifact_from_stdout(capsys)
+        assert run(["theta", "--system", sys_path, "--level", "4",
+                    "--out", str(tmp_path)]) == 0
+        _, th_path = read_artifact_from_stdout(capsys)
+        obj = json.load(open(th_path))
+        coeffs = obj["payload"]["value"]["coeffs"]
+        coeffs[sorted(coeffs)[0]] = value
+        bad_path = os.path.join(str(tmp_path), "bad.json")
+        json.dump(obj, open(bad_path, "w"))
+        assert run(["mu", "--element", bad_path, "--out", str(tmp_path)]) == 1
+        err = json.loads(capsys.readouterr().out.strip())
+        assert err["error"]["type"] == "ValueError"
+        assert "outside [0, 3^6)" in err["error"]["detail"]
 
     @pytest.mark.parametrize("delta,coeffs", [(1, {"(0,1)": "1"}), (2, {"(2)": "1"}),
                                               (1, {"(1)": "5", "(4)": "7"}),
@@ -1229,14 +1256,14 @@ sys.exit(code)
 _RUN_CLI = "from thetaforge.cli import main\ncode = main(sys.argv[1:])"
 
 
-# Runs BODY in a fresh interpreter, then prints which of hashlib and argparse
-# it loaded, beyond what the interpreter had loaded before BODY, as a JSON
-# list on the last line and exits with `code`.
+# Runs BODY in a fresh interpreter, then prints which of hashlib, _hashlib
+# (OpenSSL) and argparse it loaded, beyond what the interpreter had loaded
+# before BODY, as a JSON list on the last line and exits with `code`.
 _STDLIB = """import json, sys
 code = 0
 before = set(sys.modules)
 {}
-print(json.dumps(sorted({{"hashlib", "argparse"}} & (set(sys.modules) - before))))
+print(json.dumps(sorted({{"hashlib", "_hashlib", "argparse"}} & (set(sys.modules) - before))))
 sys.exit(code)
 """
 
@@ -1312,8 +1339,9 @@ class TestLoadedModules:
 
 
 class TestStdlibLoads:
-    """A process loads hashlib (and with it OpenSSL) only when it writes an
-    artifact, and argparse only when it parses flags."""
+    """A process loads argparse only when it parses flags, and never hashlib
+    or OpenSSL: an artifact's name comes from the interpreter's built-in
+    SHA-256."""
 
     def test_importing_serialize_and_cli_loads_neither(self):
         assert last_json_line(_STDLIB.format("import thetaforge.serialize, thetaforge.cli")) == []
@@ -1328,8 +1356,51 @@ class TestStdlibLoads:
     def test_a_command_loads_both_and_writes_the_pinned_name(self, tmp_path):
         loaded = last_json_line(_STDLIB.format(_RUN_CLI), "tree", "dot", "--p", "3", "--r", "2",
                                 "--out", str(tmp_path))
-        assert loaded == ["argparse", "hashlib"]
+        assert loaded == ["argparse"]
         assert os.listdir(tmp_path) == ["dot-288f53732f8b714f.json"]
+
+
+class TestArtifactNames:
+    """An artifact is named by the first 16 hex digits of SHA-256 of its
+    bytes, with hashlib as the oracle."""
+
+    @pytest.mark.parametrize("data", [b"", b"thetaforge/1", b"0123456789abcdef" * (1 << 18)],
+                             ids=["empty", "short", "4MB"])
+    def test_helper_matches_hashlib(self, data):
+        assert serialize._sha256_hex(data) == hashlib.sha256(data).hexdigest()
+
+    def test_without_the_builtin_module_hashlib_names_the_same_file(self, tmp_path):
+        body = 'sys.modules["_sha2"] = sys.modules["_sha256"] = None\n' + _RUN_CLI
+        loaded = last_json_line(_STDLIB.format(body), "tree", "dot", "--p", "3", "--r", "2",
+                                "--out", str(tmp_path))
+        assert "hashlib" in loaded
+        assert os.listdir(tmp_path) == ["dot-288f53732f8b714f.json"]
+
+    def test_each_kind_of_a_chain_is_named_by_its_bytes(self, tmp_path, capsys):
+        out = str(tmp_path)
+
+        def call(*argv):
+            assert run([*argv, "--out", out]) == 0
+            return read_artifact_from_stdout(capsys)[1]
+
+        system = call("synth", "--mode", "edge", "--ap", "1", "--p", "3", "--k", "6",
+                      "--n-max", "3", "--seed", "1")
+        call("check-dist", "--system", system)
+        call("theta", "--system", system, "--level", "3", "--ordinary")
+        lp = call("lp", "--system", system, "--level", "3")
+        call("specialize", "--element", lp, "--character", '{"m": 1, "exponents": [1]}')
+        call("mu", "--element", lp)
+        form = call("forms", "eigen-extend", "--ap", "1", "--radius", "2", "--p", "3",
+                    "--k", "6", "--seed", "1")
+        call("forms", "stabilize", "--form", form, "--ap", "1")
+        call("tree", "sphere", "--r", "2", "--p", "3")
+        names = os.listdir(out)
+        assert {name.rsplit("-", 1)[0] for name in names} == {
+            "system", "check-dist", "theta", "lp", "specialize", "mu", "form", "sphere"}
+        for name in names:
+            with open(os.path.join(out, name), "rb") as fh:
+                digest = hashlib.sha256(fh.read()).hexdigest()
+            assert name.endswith(f"-{digest[:16]}.json"), name
 
 
 # every name the package exports, by home module

@@ -512,3 +512,18 @@ class TestGroupElementKeys:
     def test_from_json_refuses_malformed_keys(self, delta, coeffs):
         with pytest.raises(ValueError):
             GroupRingElement.from_json({"p": 3, "k": 4, "n": 1, "delta": delta, "coeffs": coeffs})
+
+    @pytest.mark.parametrize("value", ["-5", "-81", "81", "84", str(10**40), 81],
+                             ids=["-5", "-81", "81", "84", "10**40", "int-81"])
+    def test_from_json_refuses_values_outside_the_range(self, value):
+        # at k = 4 each used to be reduced mod 3^4 without a word
+        with pytest.raises(ValueError, match=r"outside \[0, 3\^4\)"):
+            GroupRingElement.from_json({"p": 3, "k": 4, "n": 1, "delta": 1,
+                                        "coeffs": {"(1)": value}})
+
+    def test_from_json_keeps_values_inside_the_range(self):
+        x = GroupRingElement.from_json({"p": 3, "k": 4, "n": 1, "delta": 1,
+                                        "coeffs": {"(0)": "0", "(1)": "80", "(2)": 7}})
+        assert x.coeffs == (0, 80, 7)
+        # the constructor still reduces for in-memory callers
+        assert GroupRingElement(3, 4, 1, 1, (-1, 81, 84)).coeffs == (80, 0, 3)
