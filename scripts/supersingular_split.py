@@ -1,6 +1,8 @@
 """Supersingular run: a zero-eigenvalue tower, the omega annihilation, the
 plus/minus extraction with signs, tower compatibility, and mu of the signed
-products.
+products.  The tower has the local level map, so it is a tree tower: level
+j has the (p + 1) p^(j-1) labels of the sphere of radius j, and its layer
+is j - 1.
 
 Usage: python scripts/supersingular_split.py [--p 3] [--k 6] [--depth 5]
 
@@ -32,8 +34,8 @@ def main():
     args = ap.parse_args()
 
     p, k = args.p, args.k
-    system = synth_system(p, k, "vertex", EigenData.supersingular(p, k),
-                          args.depth, level_map="full", seed=args.seed)
+    system = synth_system(p, k, "vertex", EigenData.supersingular(p, k), args.depth,
+                          seed=args.seed)
     failed = []
     dist_ok = check_distribution(system).ok
     print(f"p = {p}, k = {k}, depth = {args.depth}: distribution ok = {dist_ok}")

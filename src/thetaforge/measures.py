@@ -2,27 +2,34 @@
 their group-ring theta elements, ordinary normalization, plus/minus
 extraction for zero adjacency eigenvalue, and the product L-element.
 
-A system stores each level as three tuples by label position: the residues,
-the position of each label's parent one level down, and the projection of
-each label to the free quotient (Z/p^m(level))^delta, as its flat index in
-the group ring.  Positions follow coset_labels for towers read off the tree
-and key order for synthetic ones; the label names ("x:y", "tau|d") are built
-from the position only where their text matters: labels(j), a distribution
-report and the synthesizer's draw order (parents by sorted name).  The
-distribution checker is one scatter-add of each level onto its parents'
-positions; the theta pushforward is one scatter-add onto the free indices.
-The raw and the normalized theta and the L-element are each built once per
-system and level, in the system's memo.  One rule, _fiber_targets, gives
-what each fiber sums to (alpha c_j on edges, a_p c_j - c_(j-1) on
-vertices); the synthesizer solves it and the checker tests it.
+A system stores each level as one tuple of residues, by label position, in
+one layout given by rule from (p, delta, torsion, level_exp).  Level j >= 1
+is torsion blocks of (Z/p^m(j))^delta: the label "tau|d_1,...,d_delta" sits
+at tau * p^(m(j) delta) + the flat index of its free digits d (outer axis
+first), and level 0 is the one label "0|0".  A label's free index is its
+position mod p^(m(j) delta); its parent one level down keeps tau (0 at level
+0) and reduces each free digit mod p^m(j-1).  So each fiber lies in one
+torsion block, as strided slices along every axis: _fiber_sums adds each
+level onto the level below, _over repeats a level's entries at the labels
+over them, and the theta pushforward adds the torsion blocks.  No index
+list is stored or written; label names are built from the position only
+where their text matters: labels(j), a distribution report and the
+synthesizer's draw order (parents by sorted name).  The raw and the
+normalized theta and the L-element are each built once per system and
+level, in the system's memo.  One rule, _fiber_targets, gives what each
+fiber sums to (alpha c_j on edges, a_p c_j - c_(j-1) on vertices); the
+synthesizer solves it and the checker tests it.
 
 from_tree reads a tower off a form on a ball centered at the origin, which
 the inert torus fixes: the image of the base vertex v_j under a label h is a
 ball vertex at depth j, whose id torus.orbit_ids gives in closed form, and
 the image of the base edge e_j is the ball edge into h v_j, whose source is
-the parent label's image of v_(j-1).  Parent positions and free digits are
-arithmetic on label position (torus._parent_positions, and the walk of
-torus.coset_decomposition).
+the parent label's image of v_(j-1).  The coset walk writes the label h =
+tgen^i fgen^f as its step s = i p^(j-1) + f, and h's value goes to position
+s: that is the layout above at torsion p + 1, delta = 1 and the local level
+map, since tgen is the same pair at every level, so a label and its parent
+share i and reduce f.  A shift by tgen^a fgen^b is then a rotation of the
+step coordinates, (i, f) -> (i + a mod p + 1, f + b mod p^(j-1)).
 """
 
 from __future__ import annotations
@@ -30,6 +37,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from functools import wraps
+from itertools import chain
 from operator import ne
 
 from . import groupring
@@ -44,7 +52,7 @@ from .errors import (
     TransitivityViolation,
     UnsupportedDelta,
 )
-from .groupring import GroupRingElement, QuotientClass, _axis_map, divide_omega_tilde, star
+from .groupring import GroupRingElement, QuotientClass, divide_omega_tilde, star
 
 # torus, tree and the form classes are imported by from_tree, their only
 # reader, so a synthetic system loads no torus
@@ -65,30 +73,49 @@ def _check_mode(mode: str, eigen: EigenData) -> None:
         raise ValueError("edge systems need the transfer eigenvalue")
 
 
-def _check_label_kind(kind: str) -> None:
-    """A system's labels are named as a torus tower's or a synthetic one's."""
-    if kind not in ("torus", "synth"):
-        raise ValueError(f"unknown label kind {kind!r}: a system's labels are "
-                         "'torus' or 'synth'")
-
-
-def level_labels(label_kind: str, p: int, delta: int, torsion: int, e: int, j: int) -> list:
-    """The names of the level-j labels, in position order.
-
-    "torus": "x:y" for the canonical pairs of coset_labels; "synth":
+def level_labels(p: int, delta: int, torsion: int, e: int, j: int) -> list:
+    """The names of the level-j labels, in position order:
     "tau|d_1,...,d_delta" for the torsion index tau < torsion (0 at level 0)
-    and the free digits d_i < p^e, outer axis first, in key order.
-    """
-    if label_kind == "torus":
-        if j == 0:
-            return ["1:0"]
-        mod = p**j
-        return [f"{x}:1" for x in range(mod)] + [f"1:{y}" for y in range(0, mod, p)]
+    and the free digits d_i < p^e, outer axis first."""
     # the digit strings in flat-index order, outer axis first
     digits = list(map(str, range(p**e)))
     for _ in range(delta - 1):
         digits = [f"{a},{t}" for a in digits for t in range(p**e)]
     return [f"{tau}|{d}" for tau in range(torsion if j else 1) for d in digits]
+
+
+def _over(p: int, delta: int, torsion: int, level_exp: tuple, j: int, below) -> list:
+    """The level-(j-1) entries below, each repeated at the positions of the
+    level-j labels over it (j >= 1).  A label's parent keeps its torsion
+    block, and the one label of level 0 lies under every block; it reduces
+    each free digit mod p^m(j-1), so on each axis, inner first, every row
+    of the level below is repeated p^(m(j) - m(j-1)) times."""
+    q, q_down = p ** level_exp[j], p ** level_exp[j - 1]
+    out, size = list(below) * (torsion if j == 1 else 1), 1
+    for _ in range(delta):
+        row = q_down * size
+        out = list(chain.from_iterable(out[at:at + row] * (q // q_down)
+                                       for at in range(0, len(out), row)))
+        size *= q
+    return out
+
+
+def _fiber_sums(p: int, delta: int, level_exp: tuple, j: int, above) -> list:
+    """The level-(j+1) entries above summed over the fiber of each level-j
+    label: on each axis, inner first, a row's p^(m(j+1) - m(j)) chunks of
+    the lower length are added entrywise (the fiber of digit f is the
+    strided slice f, f + p^m(j), ...), inside each torsion block; at level 0
+    the blocks are added as well."""
+    q, q_down = p ** level_exp[j + 1], p ** level_exp[j]
+    out, size = list(above), 1
+    for _ in range(delta):
+        chunk = q_down * size
+        chunks = range(0, q * size, chunk)
+        out = list(chain.from_iterable(
+            map(sum, zip(*(out[at + c:at + c + chunk] for c in chunks)))
+            for at in range(0, len(out), q * size)))
+        size = chunk
+    return [sum(out)] if j == 0 else out
 
 
 @dataclass(frozen=True)
@@ -101,10 +128,7 @@ class CompatibleSystem:
     n_max: int
     torsion: int
     level_exp: tuple            # m(j) per level j
-    label_kind: str             # "torus" | "synth": what level_labels names the positions
     levels: tuple               # levels[j]: tuple of residues by label position (None below start)
-    fibers: tuple               # fibers[j]: tuple of parent positions at level j - 1 (None at start)
-    free: tuple                 # free[j]: tuple of flat group indices by label position
     # the memo of theta_level, theta_ordinary and lp, (function name, *args)
     # -> result, successful results only (_memoized): out of ==, hash and
     # repr, and started empty by dataclasses.replace; the levels are
@@ -113,7 +137,6 @@ class CompatibleSystem:
 
     def __post_init__(self):
         _check_mode(self.mode, self.eigen)
-        _check_label_kind(self.label_kind)
 
     @property
     def start_level(self) -> int:
@@ -128,8 +151,7 @@ class CompatibleSystem:
     def labels(self, j: int) -> list:
         """The names of the level-j labels, in the order of table(j)."""
         self.table(j)
-        return level_labels(self.label_kind, self.p, self.delta, self.torsion,
-                            self.level_exp[j], j)
+        return level_labels(self.p, self.delta, self.torsion, self.level_exp[j], j)
 
 
 @dataclass(frozen=True)
@@ -188,21 +210,19 @@ def from_tree(form, torus: QuadraticTorus, eigen: EigenData, n_max: int,
     The form must be a local eigen-extension (vertex mode) or a stabilized
     eigen edge form (edge mode) defined on a ball of radius >= n_max around
     the origin.  Each label's value is read at the ball id of its image,
-    which orbit_ids gives in closed form: no tree object is built or looked
-    up, so the ball's object views stay unbuilt.  With a shift s the base
-    points are s * w_j; the torus is commutative, so label h reads the
-    standard orbit at the label h * s.
+    which orbit_ids gives in closed form, and stored at the label's walk
+    step: no tree object is built or looked up, so the ball's object views
+    stay unbuilt.  With a shift s the base points are s * w_j; the torus is
+    commutative, so label h reads the standard orbit at the label h * s,
+    a rotation of each torsion row and of the rows.
 
     Every level reads its unit inverses off one table built for the top
     level, and the checks hold no per-label object beyond the level's ids:
     transitivity marks the images in a byte per ball id, and the edge check
-    compares parents lazily.
+    compares parents by the layout rule, lazily.
     """
     from .hecke import VertexForm
-    from .torus import (
-        _canonical_pair, _coset_walk, _label_mul, _label_position, _orbit_ids,
-        _parent_positions, _unit_inverses, coset_labels,
-    )
+    from .torus import _coset_walk, _orbit_ids, _step_of, _unit_inverses
     from .tree import origin, parent_ids
     if torus.kind != "inert":
         raise ValueError("genuine systems are built for the inert kind")
@@ -222,39 +242,42 @@ def from_tree(form, torus: QuadraticTorus, eigen: EigenData, n_max: int,
     values = form.values
     start = 0 if mode == "vertex" else 1
     levels: list = [None] * (n_max + 1)
-    fibers: list = [None] * (n_max + 1)
-    free: list = [None] * (n_max + 1)
     level_exp = tuple(max(j - 1, 0) for j in range(n_max + 1))
     # one table for every level: inv[w] mod p^j inverts w mod p^j
     inv = _unit_inverses(p, n_max)
-    below = None                # ball ids of the labels one level down
+    below = None                # ball ids of the level-(j-1) labels, by step
     for j in range(n_max + 1):
-        if j >= start:
-            # the walk runs before the orbit ids, so its transients and the
-            # ids are never held together
-            free[j] = tuple(_coset_walk(torus, j, inv, list(range(p ** level_exp[j]))))
-        ids = _orbit_ids(torus, j, inv)                     # depth j <= radius
+        # each label's image id, at the label's walk step
+        steps = _coset_walk(torus, j, inv)
+        turn = _step_of(torus, j, steps, shift.x, shift.y) if shift is not None and j else 0
+        ids = [0] * len(steps)
+        for s, c in zip(steps, _orbit_ids(torus, j, inv)):      # depth j <= radius
+            ids[s] = c
+        del steps
         # one byte per ball id marks the images, with no per-id object
         seen = bytearray(b.size)
         for c in ids:
             seen[c] = 1
         if seen.count(1) != len(ids):
             raise TransitivityViolation(f"two level-{j} cosets agree on the base point")
-        up = tuple(_parent_positions(p, j))
         if mode == "edge":
             # the image of e_j under h is the ball edge into h v_j, so its
             # source must be the parent label's image of v_(j-1)
-            if j and any(map(ne, parent_ids(p, ids), map(below.__getitem__, up))):
-                t = next(t for t, (q, u) in enumerate(zip(parent_ids(p, ids), up)) if q != below[u])
+            if j and any(map(ne, parent_ids(p, ids), _over(p, 1, p + 1, level_exp, j, below))):
+                over = _over(p, 1, p + 1, level_exp, j, below)
+                s = next(s for s, (a, u) in enumerate(zip(parent_ids(p, ids), over)) if a != u)
                 raise InvariantViolation(f"the image of the level-{j} base edge under "
-                                         f"{coset_labels(torus, j)[t]} is not a ball edge")
+                                         f"{level_labels(p, 1, p + 1, level_exp[j], j)[s]} "
+                                         "is not a ball edge")
             below = ids
         if j < start:
             continue
-        if shift is not None and j:
-            s_lbl = _canonical_pair(p, j, shift.x, shift.y)
-            ids = [ids[_label_position(p, j, *_label_mul(torus, j, lbl, s_lbl))]
-                   for lbl in coset_labels(torus, j)]
+        if turn:
+            q = p ** level_exp[j]
+            rows, turn = divmod(turn, q)
+            ids = list(chain.from_iterable(
+                ids[at + turn:at + q] + ids[at:at + turn]
+                for at in ((i + rows) % (p + 1) * q for i in range(p + 1))))
         # the edge into vertex c from its parent has edge id 2c - 2
         if mode == "vertex":
             levels[j] = tuple(map(values.__getitem__, ids))
@@ -262,15 +285,10 @@ def from_tree(form, torus: QuadraticTorus, eigen: EigenData, n_max: int,
             levels[j] = tuple(values[2 * c - 2] for c in ids)
         if None in levels[j]:
             raise KeyError(f"the form has no value at an image of the level-{j} base point")
-        if j > start:
-            fibers[j] = up
     # the top level's table and ids are the largest transients: drop them
     # before the check allocates its own
     del inv, ids, below
-    sys = CompatibleSystem(
-        p, k, 1, mode, eigen, n_max, p + 1, level_exp, "torus",
-        tuple(levels), tuple(fibers), tuple(free),
-    )
+    sys = CompatibleSystem(p, k, 1, mode, eigen, n_max, p + 1, level_exp, tuple(levels))
     report = check_distribution(sys)
     if not report.ok:
         raise DistributionViolation(f"distribution relations fail: {report.to_json()}")
@@ -313,31 +331,20 @@ def synth_system(p: int, k: int, mode: str, eigen: EigenData, n_max: int,
     start = 0 if mode == "vertex" else 1
     if n_max < start:
         raise ValueError(f"{mode} systems need n_max >= {start}")
+    shape = (p, delta, torsion, level_exp)
     rng = random.Random(seed)
     levels: list = [None] * (n_max + 1)
-    fibers: list = [None] * (n_max + 1)
-    free: list = [None] * (n_max + 1)
-    for j in range(start, n_max + 1):
-        # the label tau|d is at position tau * p^(m(j) delta) + flat index of d
-        size = (p ** level_exp[j]) ** delta
-        free[j] = tuple(range(size)) * (torsion if j else 1)
-        if j > start:
-            # a label's parent keeps its torsion index (0 at level 0) and
-            # reduces each free digit mod p^m(j-1)
-            q, q_down = p ** level_exp[j], p ** level_exp[j - 1]
-            down = _axis_map(delta, q, lambda t: t % q_down, q_down)
-            step = q_down**delta if j > 1 else 0
-            fibers[j] = tuple(tau * step + d for tau in range(torsion) for d in down)
     # first populated level is free; then each fiber, its parents in sorted
     # key order and its members in key order, draws all but its last member
-    levels[start] = tuple(rng.randrange(mod) for _ in free[start])
+    count = (torsion if start else 1) * p ** (level_exp[start] * delta)
+    levels[start] = tuple(rng.randrange(mod) for _ in range(count))
     for j in range(start, n_max):
         members: list = [[] for _ in levels[j]]
-        for t, parent in enumerate(fibers[j + 1]):
+        for t, parent in enumerate(_over(*shape, j + 1, range(len(levels[j])))):
             members[parent].append(t)
-        names = level_labels("synth", p, delta, torsion, level_exp[j], j)
-        targets = _fiber_targets(mode, eigen, mod, levels, fibers, j)
-        table = [0] * len(fibers[j + 1])
+        names = level_labels(p, delta, torsion, level_exp[j], j)
+        targets = _fiber_targets(mode, eigen, mod, levels, j, shape)
+        table = [0] * sum(map(len, members))
         for parent in sorted(range(len(names)), key=names.__getitem__):
             *drawn, last = members[parent]
             acc = 0
@@ -346,40 +353,35 @@ def synth_system(p: int, k: int, mode: str, eigen: EigenData, n_max: int,
                 acc += table[t]
             table[last] = (targets[parent] - acc) % mod
         levels[j + 1] = tuple(table)
-    return CompatibleSystem(
-        p, k, delta, mode, eigen, n_max, torsion, level_exp, "synth",
-        tuple(levels), tuple(fibers), tuple(free),
-    )
+    return CompatibleSystem(p, k, delta, mode, eigen, n_max, torsion, level_exp, tuple(levels))
 
 
 # ---------------------------------------------------------------------------
 # the exact distribution checker
 
 
-def _fiber_targets(mode, eigen, mod, levels, fibers, j) -> list:
+def _fiber_targets(mode, eigen, mod, levels, j, shape) -> list:
     """What each level-(j+1) fiber sums to, by the position of the level-j
     label it lies over: alpha c_j (edge) or a_p c_j - c_(j-1) (vertex,
-    c_(-1) = 0), mod p^k."""
+    c_(-1) = 0), mod p^k; shape is (p, delta, torsion, level_exp)."""
     a = (eigen.alpha if mode == "edge" else eigen.ap).residue
     if mode == "edge" or j == 0:
         return [a * c % mod for c in levels[j]]
-    below = levels[j - 1]
-    return [(a * c - below[u]) % mod for c, u in zip(levels[j], fibers[j])]
+    return [(a * c - b) % mod for c, b in zip(levels[j], _over(*shape, j, levels[j - 1]))]
 
 
 def check_distribution(sys: CompatibleSystem) -> DistributionReport:
     """Recompute both sides of every applicable projection relation: each
-    level is added onto its parents' positions at once.  A failure is
+    level's fibers are summed at once, by the layout rule.  A failure is
     reported at the least label, by name, of the lowest failing level, with
     the relations checked counted as a walk in sorted name order would."""
     mod = sys.p**sys.k
+    shape = (sys.p, sys.delta, sys.torsion, sys.level_exp)
     checked = 0
     for j in range(sys.start_level, sys.n_max):
-        sums = [0] * len(sys.table(j))
-        for parent, c in zip(sys.fibers[j + 1], sys.table(j + 1)):
-            sums[parent] += c
+        sums = _fiber_sums(sys.p, sys.delta, sys.level_exp, j, sys.table(j + 1))
         lhs = [c % mod for c in sums]
-        rhs = _fiber_targets(sys.mode, sys.eigen, mod, sys.levels, sys.fibers, j)
+        rhs = _fiber_targets(sys.mode, sys.eigen, mod, sys.levels, j, shape)
         if lhs != rhs:
             names = sys.labels(j)
             t = min((t for t, (a, b) in enumerate(zip(lhs, rhs)) if a != b),
@@ -416,14 +418,14 @@ def _memoized(build):
 
 @_memoized
 def theta_level(sys: CompatibleSystem, n: int) -> ThetaElement:
-    """Pushforward of the level-n table to the free quotient group ring,
-    built on the first call for each level and returned as the same element
-    after."""
+    """Pushforward of the level-n table to the free quotient group ring, the
+    sum of its torsion blocks, built on the first call for each level and
+    returned as the same element after."""
     _check_level(sys, n)
     layer = sys.level_exp[n]
-    coeffs = [0] * (sys.p**layer) ** sys.delta
-    for i, c in zip(sys.free[n], sys.table(n)):
-        coeffs[i] += c
+    table, size = sys.table(n), (sys.p**layer) ** sys.delta
+    # a label's free index is its position in its torsion block
+    coeffs = map(sum, zip(*(table[at:at + size] for at in range(0, len(table), size))))
     value = GroupRingElement(sys.p, sys.k, layer, sys.delta, tuple(coeffs))
     return ThetaElement(n, value, 0)
 

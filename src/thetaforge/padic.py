@@ -106,8 +106,13 @@ class PrecisionInt:
 
     @staticmethod
     def from_json(obj) -> "PrecisionInt":
-        """Read {"p", "k", "residue"}; a p that is not prime is a ValueError."""
-        return PrecisionInt(prime_int(obj["p"]), json_int(obj["k"]), json_int(obj["residue"]))
+        """Read {"p", "k", "residue"}; a p that is not prime, or a residue
+        outside [0, p^k), is a ValueError, where the constructor reduces."""
+        p, k, r = prime_int(obj["p"]), json_int(obj["k"]), json_int(obj["residue"])
+        value = PrecisionInt(p, k, r)
+        if value.residue != r:
+            raise ValueError(f"residue {r} lies outside [0, {p}^{k})")
+        return value
 
 
 @lru_cache(maxsize=None)

@@ -12,8 +12,14 @@ of the multi-component forms it replaced, "h": 1 and a one-element "values"
 list per entry, so form artifacts keep their bytes; a reader refuses any
 other h, and an entry whose "values" is not a list of one value.
 
-A system artifact is the system's header and, per level, its three tuples
-by label position (residues as decimal strings); no label is named.
+A system artifact is the system's header and, per level, its residues by
+label position, as decimal strings; no label is named and no index list is
+written.  The positions follow measures' layout rule, a function of the
+header's (p, delta, torsion, level_exp): level j >= 1 is torsion blocks of
+(Z/p^m(j))^delta, the label tau|d at tau * p^(m(j) delta) + the flat index
+of d, its free index that position mod p^(m(j) delta), and its parent the
+label tau|(d mod p^m(j-1)) one level down (0|0 at level 0).  So a reader
+checks the header and each level's count and range, and nothing else.
 """
 
 from __future__ import annotations
@@ -195,97 +201,79 @@ def orbit_table_to_json(tab):
 
 
 def system_to_json(s: CompatibleSystem):
-    """The header, then each level as three lists by label position: the
-    residues, the parent's position one level down and the flat free index."""
+    """The header, then each level's residues by label position."""
     return {
         "p": s.p, "k": s.k, "delta": s.delta, "mode": s.mode,
         "eigen": eigen_to_json(s.eigen), "n_max": s.n_max,
-        "torsion": s.torsion, "level_exp": list(s.level_exp), "label_kind": s.label_kind,
+        "torsion": s.torsion, "level_exp": list(s.level_exp),
         "levels": [None if t is None else list(map(str, t)) for t in s.levels],
-        "fibers": [None if t is None else list(t) for t in s.fibers],
-        "free": [None if t is None else list(t) for t in s.free],
     }
 
 
-def _check_count(kind: str, p: int, delta: int, torsion: int, e: int, j: int,
-                 count: int) -> None:
-    """Refuse a level j of count labels unless they can cover its free
-    quotient (Z/p^e)^delta and a tower of this kind has that many; e delta
-    is compared with count's bit length first (p >= 2), so a huge e
-    computes nothing."""
-    if e < 0 or e * delta >= count.bit_length():
+def _check_count(p: int, delta: int, torsion: int, e: int, j: int, count: int) -> None:
+    """Refuse a level j of count labels unless its tower has that many,
+    (torsion if j else 1) p^(e delta); e delta is compared with count's bit
+    length first (p >= 2), so a huge e delta computes nothing."""
+    if e * delta >= count.bit_length():
         raise ValueError(f"level {j}: {count} labels cannot cover (Z/{p}^{e})^{delta}")
-    if kind == "torus":
-        want = (p + 1) * p ** (j - 1) if j else 1
-    else:
-        want = (torsion if j else 1) * p ** (e * delta)
+    want = (torsion if j else 1) * p ** (e * delta)
     if want != count:
-        raise ValueError(f"level {j}: {count} labels, where a {kind} tower has {want}")
-
-
-def _positions(values, count: int, what: str, j: int) -> tuple:
-    """A level-j list of one integer per label position."""
-    if not isinstance(values, list) or len(values) != count:
-        raise ValueError(f"level {j}: the {what} must list the {count} level-{j} labels")
-    try:
-        return tuple(map(json_int, values))
-    except ValueError as exc:
-        raise ValueError(f"level {j}: the {what}: {exc}") from None
-
-
-def _free_indices(values, count: int, p: int, e: int, delta: int, j: int) -> tuple:
-    """The flat free index of each level-j label, refused unless the labels
-    cover (Z/p^e)^delta in fibers of equal size."""
-    free = _positions(values, count, "free indices", j)
-    size = p ** (e * delta)
-    sizes = Counter(free)
-    if (len(sizes) != size or not all(0 <= i < size for i in sizes)
-            or len(set(sizes.values())) > 1):
-        raise ValueError(f"level {j}: the free indices do not cover (Z/{p}^{e})^{delta} "
-                         "in fibers of equal size")
-    return free
+        raise ValueError(f"level {j}: {count} labels, where the tower has {want}")
 
 
 @_payload_reader
 def system_from_json(obj) -> CompatibleSystem:
     """The system of an artifact, each level read back by label position.
-    A level must have as many labels as its tower, residues in [0, p^k),
-    parents inside the level below and free indices that cover
-    (Z/p^e)^delta in fibers of equal size."""
-    from .measures import CompatibleSystem, _check_label_kind
-    kind = obj.get("label_kind")
-    _check_label_kind(kind)
+
+    The header must describe a tower of the layout rule: torsion >= 1 and
+    prime to p, delta >= 1, n_max at least the mode's first level, and
+    level_exp the local map (max(j - 1, 0)) or the full map (j).  From the
+    first level up, each level lists its tower's label count of residues in
+    [0, p^k); below it, a level is null.  A payload that still carries
+    label_kind, fibers or free is of the earlier layout, where a torus
+    tower kept its labels in coset_labels order, and is refused: read by
+    the rule, its residues would give another theta."""
+    from .measures import CompatibleSystem
+    stale = [key for key in ("label_kind", "fibers", "free") if key in obj]
+    if stale:
+        raise ValueError(f"a system payload with {', '.join(stale)} is of the earlier "
+                         "layout, whose torus labels were not in walk-step order")
     n_max, p, delta = json_int(obj["n_max"]), prime_int(obj["p"]), json_int(obj["delta"])
     k, torsion = json_int(obj["k"]), json_int(obj["torsion"])
-    level_exp = tuple(json_int(e) for e in obj["level_exp"])
     mode, eigen = obj["mode"], eigen_from_json(obj["eigen"])
     start = 0 if mode == "vertex" else 1
+    if torsion < 1 or torsion % p == 0:
+        raise ValueError(f"torsion order {torsion} must be >= 1 and prime to {p}")
+    if delta < 1:
+        raise ValueError(f"delta {delta} must be >= 1")
+    if n_max < start:
+        raise ValueError(f"n_max {n_max} lies below the {mode} tower's first level")
+    level_exp = tuple(json_int(e) for e in obj["level_exp"])
+    if level_exp not in (tuple(max(j - 1, 0) for j in range(len(level_exp))),
+                         tuple(range(len(level_exp)))) or len(level_exp) != n_max + 1:
+        raise ValueError(f"level_exp {list(level_exp)} is neither the local nor the full "
+                         f"level map of levels 0..{n_max}")
+    if not (isinstance(obj["levels"], list) and len(obj["levels"]) == n_max + 1):
+        raise ValueError(f"the levels must list levels 0..{n_max}")
     mod = p**k
-    levels, fibers, free = [], [], []
-    for j in range(n_max + 1):
-        lv = obj["levels"][j]
-        level = up = indices = None
-        if lv is not None:
-            count = len(lv)
-            _check_count(kind, p, delta, torsion, level_exp[j], j, count)
-            level = _positions(lv, count, "residues", j)
-            if min(level) < 0 or max(level) >= mod:
-                raise ValueError(f"level {j}: a residue lies outside [0, {p}^{k})")
-            indices = _free_indices(obj["free"][j], count, p, level_exp[j], delta, j)
-            if j > start:
-                # a fiber map from outside is checked here; from_tree and
-                # synth_system build consistent ones
-                up = _positions(obj["fibers"][j], count, "fibers", j)
-                if min(up) < 0 or max(up) >= len(levels[j - 1] or ()):
-                    raise ValueError(f"level {j}: a fiber points outside the "
-                                     f"level-{j - 1} labels")
+    levels = []
+    for j, lv in enumerate(obj["levels"]):
+        if j < start:
+            if lv is not None:
+                raise ValueError(f"level {j} lies below the {mode} tower's first level")
+            levels.append(None)
+            continue
+        if not isinstance(lv, list):
+            raise ValueError(f"level {j}: the residues must be a list, not {lv!r}")
+        _check_count(p, delta, torsion, level_exp[j], j, len(lv))
+        try:
+            level = tuple(map(json_int, lv))
+        except ValueError as exc:
+            raise ValueError(f"level {j}: the residues: {exc}") from None
+        if min(level) < 0 or max(level) >= mod:
+            raise ValueError(f"level {j}: a residue lies outside [0, {p}^{k})")
         levels.append(level)
-        fibers.append(up)
-        free.append(indices)
-    return CompatibleSystem(
-        p, k, delta, mode, eigen, n_max, torsion, level_exp, kind,
-        tuple(levels), tuple(fibers), tuple(free),
-    )
+    return CompatibleSystem(p, k, delta, mode, eigen, n_max, torsion, level_exp, tuple(levels))
 
 
 @_payload_reader

@@ -5,7 +5,9 @@ embedded by x + y*sqrt(d) -> [[x, d y], [y, x]].  The level-j coset space is
 the projective line over Z/p^j, enumerated by canonical representatives and
 decomposed as torsion x cyclic p-part for pushforward to group rings.  A
 label's position in that enumeration is arithmetic ((x : 1) at x, (1 : y) at
-p^j + y / p), so the decomposition and the parent map are lists by position.
+p^j + y / p), so the decomposition and the parent map are lists by position;
+a compatible system stores each label at its walk step instead, where both
+are a rule (see measures).
 TorusElement and the coset labels share one group law: an element is stored
 as its canonical level-k label and multiplied with _label_mul.
 
@@ -26,6 +28,7 @@ kept, for inspection.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from itertools import accumulate, chain, repeat
 
@@ -170,12 +173,13 @@ def _crt_exponent(keep: int, kill: int) -> int:
     return kill * pow(kill, -1, keep)
 
 
-def _label_position(p: int, j: int, x: int, y: int) -> int:
-    """The place of the canonical level-j label (x : y) in coset_labels:
-    (x : 1) is at x and (1 : y), p | y, at p^j + y / p."""
-    if j == 0:
-        return 0
-    return x if y % p else p**j + y // p
+def _step_of(torus: QuadraticTorus, j: int, steps, x: int, y: int) -> int:
+    """The walk step of the canonical level-j label (j >= 1) of the
+    primitive pair (x, y), read off steps, the level's walk by label
+    position: (x : 1) is at position x and (1 : y), p | y, at p^j + y / p."""
+    p = torus.p
+    x, y = _canonical_pair(p, j, x, y)
+    return steps[x if y % p else p**j + y // p]
 
 
 def _unit_inverses(p: int, j: int) -> list:
@@ -224,21 +228,18 @@ def coset_decomposition(torus: QuadraticTorus, j: int) -> list:
     (x + d y_f : 1 + x y_f), which is (x + d y_f) (1 + x y_f)^(-1) mod p^j,
     one table read per label, since 1 + x y_f = 1 mod p.
     """
-    return _coset_walk(torus, j, _unit_inverses(torus.p, j))
+    return list(_coset_walk(torus, j, _unit_inverses(torus.p, j)))
 
 
-def _coset_walk(torus: QuadraticTorus, j: int, inv: list, digits: list | None = None) -> list:
+def _coset_walk(torus: QuadraticTorus, j: int, inv: list) -> array:
     """coset_decomposition with every inverse read off inv, a unit-inverse
-    table mod p^J for some J >= j.  Given the list digits = [0, 1, ...,
-    p^(j-1) - 1], entry t is the free digit digits[f] of the t-th label
-    instead of its step, so the entries share that list's int objects."""
+    table mod p^J for some J >= j, as an array of machine ints: a step
+    holds no int object until it is read."""
+    if j == 0:
+        return array("q", [0])
     p = torus.p
     torsion_order = p + 1
-    free_order = p ** max(j - 1, 0)
-    # the entries row i writes, in the order of its free digits
-    rows = [digits or range(i * free_order, (i + 1) * free_order) for i in range(torsion_order)]
-    if j == 0:
-        return [rows[0][0]]
+    free_order = p ** (j - 1)
     mod, d = p**j, torus.d
     alpha_t = _crt_exponent(torsion_order, free_order)
     # torsion generator: first label, in coset_labels order, whose torsion
@@ -251,8 +252,9 @@ def _coset_walk(torus: QuadraticTorus, j: int, inv: list, digits: list | None = 
     ys, y, dp = [0] * free_order, 0, d * p
     for f in range(1, free_order):
         y = ys[f] = (y + p) * inv[(1 + dp * y) % mod] % mod
-    steps = [-1] * (torsion_order * free_order)
-    for y, s in zip(ys, rows[0]):
+    steps = array("q", [-1]) * (torsion_order * free_order)
+    # row i holds the steps i p^(j-1) + f, in the order of the free digits f
+    for s, y in enumerate(ys):
         steps[mod + y // p] = s
     row_start = _canonical_pair(p, j, 1, 0)
     for i in range(1, torsion_order):
@@ -263,7 +265,7 @@ def _coset_walk(torus: QuadraticTorus, j: int, inv: list, digits: list | None = 
             # labels the identity row holds, so some label stays unfilled
             break
         at = [(x + d * y) * inv[(1 + x * y) % mod] % mod for y in ys]
-        for t, s in zip(at, rows[i]):
+        for s, t in enumerate(at, i * free_order):
             steps[t] = s
     # every step is a canonical label and the walk takes as many steps as
     # there are labels, so it covers them exactly once iff it never repeats

@@ -151,9 +151,11 @@ def reference_period_sum(sys, rho, m):
     p, k = sys.p, sys.k
     acc = CyclotomicValue(p, k, rho.m, (0,) * euler_phi_p_power(p, rho.m))
     free_mod = p**rho.m
-    for _, c, i in sorted(zip(sys.labels(m), sys.table(m), sys.free[m])):
+    size = p ** (sys.level_exp[m] * sys.delta)
+    # a label's free index is its position in its torsion block
+    for _, c, t in sorted(zip(sys.labels(m), sys.table(m), range(len(sys.table(m))))):
         if c:
-            digits = gr.digits_of(i, p ** sys.level_exp[m], sys.delta)
+            digits = gr.digits_of(t % size, p ** sys.level_exp[m], sys.delta)
             e = sum(ei * (d % free_mod) for ei, d in zip(rho.exponents, digits))
             acc = acc + reference_zeta_power(p, k, rho.m, e) * c
     return acc * pow(sys.eigen.alpha.inverse().residue, m, p**k)

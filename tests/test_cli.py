@@ -16,7 +16,7 @@ from thetaforge import serialize
 from thetaforge.cli import build_parser, load_config, main
 from thetaforge.groupring import delta_element, one, zero
 from thetaforge.hecke import hecke_T, hecke_U, local_eigen_extend, stabilize
-from thetaforge.measures import check_distribution, from_tree, synth_system
+from thetaforge.measures import check_distribution, from_tree, synth_system, theta_level
 from thetaforge.padic import EigenData
 from thetaforge.torus import QuadraticTorus, TorusElement, orbit_table
 from thetaforge.util import PRIME_TEST_BOUND, is_prime
@@ -50,6 +50,20 @@ NAME_KEYED_SYSTEM = (
     '"2|0":"261","3|0":"551"},{"0|0":"120","0|1":"507","0|2":"694","1|0":"460",'
     '"1|1":"483","1|2":"378","2|0":"667","2|1":"388","2|2":"266","3|0":"214","3|1":"96",'
     '"3|2":"282"}],"mode":"vertex","n_max":2,"p":3,"torsion":4},"schema":"thetaforge/1"}\n'
+)
+
+
+# a system artifact of the format that kept, with each level's residues, the
+# parent positions and the free digits by label position, and a label kind
+# naming the positions: this torus tower's labels are in coset_labels order,
+# written by from_tree(local_eigen_extend(3, 4, 0, 2, seed=1), torus d = 2,
+# supersingular, depth 2) (content hash 18899bdb8ecfdd7c)
+LABEL_ORDER_SYSTEM = (
+    '{"kind":"system","payload":{"delta":1,"eigen":{"alpha":null,"ap":{"k":4,"p":3,'
+    '"residue":"0"}},"fibers":[null,[0,0,0,0],[0,1,2,0,1,2,0,1,2,3,3,3]],"free":[[0],'
+    '[0,0,0,0],[0,2,2,2,0,0,1,1,1,0,1,2]],"k":4,"label_kind":"torus","level_exp":[0,0,1],'
+    '"levels":[["66"],["34","22","66","40"],["71","18","59","7","55","72","18","23","46",'
+    '"65","9","22"]],"mode":"vertex","n_max":2,"p":3,"torsion":4},"schema":"thetaforge/1"}\n'
 )
 
 
@@ -233,38 +247,37 @@ class TestFormsAndSystems:
         assert "layer" in err["error"]["detail"]["violation"]
 
     @pytest.mark.parametrize("damage", ["envelope-list", "levels-cut", "level-number",
-                                        "fibers-null", "fiber-parent", "fiber-negative",
-                                        "fiber-missing"])
+                                        "level-null", "level-short", "level-long",
+                                        "level-text"])
     def test_malformed_system_is_a_typed_error(self, tmp_path, capsys, damage):
-        # fibers-null used to end check-dist in a TypeError and the other two
-        # fiber damages in a bare KeyError; theta read all three
+        # a level is read by its tower's label count alone: null, one label
+        # short or long, or a residue that is not an integer, it is refused
         assert run(["synth", "--mode", "vertex", "--ap", "0", "--p", "3", "--k", "6",
                     "--n-max", "3", "--seed", "1", "--out", str(tmp_path)]) == 0
         _, sys_path = read_artifact_from_stdout(capsys)
         obj = json.load(open(sys_path))
-        fibers = obj["payload"]["fibers"]
+        levels = obj["payload"]["levels"]
         if damage == "envelope-list":
             obj = []
         elif damage == "levels-cut":
-            obj["payload"]["levels"] = obj["payload"]["levels"][:2]
+            obj["payload"]["levels"] = levels[:2]
         elif damage == "level-number":
-            obj["payload"]["levels"][1] = 5
-        elif damage == "fibers-null":
-            fibers[2] = None
-        elif damage == "fiber-parent":
-            # the first position past the 12 level-2 labels
-            fibers[3][0] = len(obj["payload"]["levels"][2])
-        elif damage == "fiber-negative":
-            fibers[3][0] = -1
+            levels[1] = 5
+        elif damage == "level-null":
+            levels[2] = None
+        elif damage == "level-short":
+            levels[3].pop()
+        elif damage == "level-long":
+            levels[3].append("0")
         else:
-            del fibers[3][0]
+            levels[3][0] = "x"
         bad_path = os.path.join(str(tmp_path), "bad.json")
         json.dump(obj, open(bad_path, "w"))
         for command in (["check-dist"], ["theta", "--level", "3"]):
             assert run([*command, "--system", bad_path, "--out", str(tmp_path)]) == 1
             err = json.loads(capsys.readouterr().out.strip())
             assert err["error"]["type"] == "ValueError"
-            if damage.startswith("fiber"):
+            if damage.startswith("level"):
                 assert "level" in err["error"]["detail"]
 
     def test_repeated_system_key_is_a_typed_error(self, tmp_path, capsys):
@@ -513,74 +526,91 @@ class TestFormsAndSystems:
         if command == "specialize":
             assert err["detail"] == "conductor exponent 1000000000 exceeds layer 2"
 
-    def test_malformed_free_digits_are_a_typed_error(self, tmp_path, capsys):
-        assert run(["synth", "--mode", "edge", "--ap", "1", "--p", "3", "--k", "9",
-                    "--n-max", "4", "--delta", "2", "--seed", "3", "--out", str(tmp_path)]) == 0
-        _, sys_path = read_artifact_from_stdout(capsys)
-        good = json.load(open(sys_path))
-        # a digit list where the flat index belongs, an index outside
-        # (Z/27)^2, and one that leaves index 0 a fiber short
-        for damage in ([0, 0], 27 * 27, -1, 1):
-            obj = json.loads(json.dumps(good))
-            free = obj["payload"]["free"][4]
-            assert free[0] == 0
-            free[0] = damage
-            bad_path = os.path.join(str(tmp_path), "bad.json")
-            json.dump(obj, open(bad_path, "w"))
-            assert run(["theta", "--system", bad_path, "--level", "4", "--ordinary",
-                        "--out", str(tmp_path)]) == 1
-            err = json.loads(capsys.readouterr().out.strip())
-            assert err["error"]["type"] == "ValueError"
-
-
-    @pytest.mark.parametrize("damage", ["short", "long", "null"])
-    def test_free_indices_off_the_level_are_a_typed_error(self, tmp_path, capsys, damage):
-        # check-dist reads no free index, yet refuses a free list that does
-        # not list the level's 36 labels, as theta does
+    @pytest.mark.parametrize("edit,detail", [
+        ({"torsion": 0}, "torsion order 0 must be >= 1 and prime to 3"),
+        ({"torsion": -4}, "torsion order -4 must be >= 1 and prime to 3"),
+        ({"torsion": 6}, "torsion order 6 must be >= 1 and prime to 3"),
+        ({"delta": 0}, "delta 0 must be >= 1"),
+        ({"delta": -1}, "delta -1 must be >= 1"),
+        ({"level_exp": [0, 1, 1, 2]}, "level_exp [0, 1, 1, 2] is neither the local nor the full"),
+        ({"level_exp": [0, 0, 1]}, "level_exp [0, 0, 1] is neither the local nor the full"),
+        ({"n_max": 0}, "n_max 0 lies below the edge tower's first level"),
+        ({"free": [None, [0] * 4, [0, 1, 2] * 4, list(range(9)) * 4]}, "earlier layout"),
+        ({"fibers": None}, "with fibers is of the earlier layout"),
+        ({"label_kind": "synth"}, "with label_kind is of the earlier layout"),
+    ])
+    def test_header_off_the_rule_is_a_typed_error(self, tmp_path, capsys, edit, detail):
+        # the header alone fixes every position's parent and free index, so
+        # it must name a tower of the layout rule; the earlier layout's
+        # index lists are refused, not ignored
         assert run(["synth", "--mode", "edge", "--ap", "1", "--p", "3", "--k", "5",
                     "--n-max", "3", "--seed", "1", "--out", str(tmp_path)]) == 0
         _, sys_path = read_artifact_from_stdout(capsys)
         obj = json.load(open(sys_path))
-        free = obj["payload"]["free"]
-        if damage == "short":
-            free[3].pop()
-        elif damage == "long":
-            free[3].append(0)
-        else:
-            free[3] = None
+        obj["payload"].update(edit)
         bad_path = os.path.join(str(tmp_path), "bad.json")
         json.dump(obj, open(bad_path, "w"))
         for command in (["check-dist"], ["theta", "--level", "3"]):
             assert run([*command, "--system", bad_path, "--out", str(tmp_path)]) == 1
-            err = json.loads(capsys.readouterr().out.strip())
-            assert err["error"] == {"type": "ValueError", "detail": "level 3: the free indices "
-                                    "must list the 36 level-3 labels"}
+            err = json.loads(capsys.readouterr().out.strip())["error"]
+            assert err["type"] == "ValueError"
+            assert detail in err["detail"]
 
+    def test_label_order_system_artifact_is_a_typed_error(self, tmp_path, capsys):
+        # LABEL_ORDER_SYSTEM keeps a torus tower in coset_labels order; read
+        # by the layout rule without its lists, theta exits 0 with another
+        # element than the tower's, so the lists mark it and it is refused
+        torus, eig = QuadraticTorus(3, "inert", 2), EigenData.supersingular(3, 4)
+        tower = from_tree(local_eigen_extend(3, 4, 0, 2, seed=1), torus, eig, 2)
+        obj = json.loads(LABEL_ORDER_SYSTEM)
+        path = os.path.join(str(tmp_path), "old.json")
+        json.dump(obj, open(path, "w"))
+        for command in (["check-dist"], ["theta", "--level", "2"], ["lp", "--level", "2"]):
+            assert run([*command, "--system", path, "--out", str(tmp_path)]) == 1
+            err = json.loads(capsys.readouterr().out.strip())["error"]
+            assert err == {"type": "ValueError", "detail": (
+                "a system payload with label_kind, fibers, free is of the earlier layout, "
+                "whose torus labels were not in walk-step order")}
+        for key in ("label_kind", "fibers", "free"):
+            del obj["payload"][key]
+        stripped = serialize.system_from_json(obj["payload"])
+        assert sorted(stripped.levels[2]) == sorted(tower.levels[2])
+        assert theta_level(stripped, 2) != theta_level(tower, 2)
+
+    @pytest.mark.parametrize("field", ["level", "ap", "alpha"])
     @pytest.mark.parametrize("residue", [3**6, -5, 10**40], ids=["raised", "negative", "huge"])
     @pytest.mark.parametrize("command", [["check-dist"], ["theta", "--level", "3"],
                                          ["lp", "--level", "3"]], ids=["check-dist", "theta", "lp"])
-    def test_residue_out_of_range_is_a_typed_error(self, tmp_path, capsys, residue, command):
+    def test_residue_out_of_range_is_a_typed_error(self, tmp_path, capsys, residue, command,
+                                                   field):
         # a level-3 residue raised by 3^6 used to read back as a system !=
         # the one written, yet pass check-dist; -5 and 10^40 were written
-        # back as they were
+        # back as they were.  An eigenvalue's residue raised by 3^6 (a_p =
+        # 730 for 1) used to be reduced without a word, and every command
+        # exited 0
         assert run(["synth", "--mode", "edge", "--ap", "1", "--p", "3", "--k", "6",
                     "--n-max", "3", "--seed", "4", "--out", str(tmp_path)]) == 0
         _, sys_path = read_artifact_from_stdout(capsys)
         obj = json.load(open(sys_path))
-        level = obj["payload"]["levels"][3]
-        level[0] = str(int(level[0]) + residue) if residue == 3**6 else str(residue)
+        if field == "level":
+            table, at = obj["payload"]["levels"][3], 0
+        else:
+            table, at = obj["payload"]["eigen"][field], "residue"
+        bad = int(table[at]) + residue if residue == 3**6 else residue
+        table[at] = str(bad)
         bad_path = os.path.join(str(tmp_path), "bad.json")
         json.dump(obj, open(bad_path, "w"))
         assert run([*command, "--system", bad_path, "--out", str(tmp_path)]) == 1
         err = json.loads(capsys.readouterr().out.strip())
-        assert err["error"] == {"type": "ValueError",
-                                "detail": "level 3: a residue lies outside [0, 3^6)"}
+        detail = ("level 3: a residue lies outside [0, 3^6)" if field == "level"
+                  else f"residue {bad} lies outside [0, 3^6)")
+        assert err["error"] == {"type": "ValueError", "detail": detail}
 
     @pytest.mark.parametrize("label_kind", [None, "synth"])
     def test_name_keyed_system_artifact_is_a_typed_error(self, tmp_path, capsys, label_kind):
         # NAME_KEYED_SYSTEM was written by `synth --mode vertex --ap 0 --p 3
-        # --k 6 --n-max 2 --seed 1`; it carries no label kind, and given one
-        # its levels are objects, not lists
+        # --k 6 --n-max 2 --seed 1`; it carries fibers and free indices, with
+        # a label kind or without one
         obj = json.loads(NAME_KEYED_SYSTEM)
         if label_kind is not None:
             obj["payload"]["label_kind"] = label_kind
@@ -589,13 +619,13 @@ class TestFormsAndSystems:
         assert run(["check-dist", "--system", bad_path, "--out", str(tmp_path)]) == 1
         err = json.loads(capsys.readouterr().out.strip())["error"]
         assert err["type"] == "ValueError"
-        assert ("unknown label kind None" if label_kind is None
-                else "level 0: the residues must list the 1 level-0 labels") in err["detail"]
+        assert "is of the earlier layout" in err["detail"]
 
     @pytest.mark.parametrize("exp", [4, 40])
     def test_level_exp_off_the_tower_is_a_typed_error(self, tmp_path, capsys, exp):
         # level 3 has free quotient Z/9; read as Z/81 it used to give an
-        # 81-coefficient theta, and a huge exponent allocated p^exp of them
+        # 81-coefficient theta, and a huge exponent allocated p^exp of them.
+        # A level map is the local or the full one, so the header is refused
         assert run(["synth", "--mode", "edge", "--ap", "1", "--p", "3", "--k", "6",
                     "--n-max", "3", "--out", str(tmp_path)]) == 0
         _, sys_path = read_artifact_from_stdout(capsys)
@@ -607,8 +637,9 @@ class TestFormsAndSystems:
         assert run(["theta", "--system", bad_path, "--level", "3",
                     "--out", str(tmp_path)]) == 1
         err = json.loads(capsys.readouterr().out.strip())
-        assert err["error"]["type"] == "ValueError"
-        assert "level 3" in err["error"]["detail"]
+        assert err["error"] == {"type": "ValueError", "detail": (
+            f"level_exp [0, 0, 1, {exp}] is neither the local nor the full level map "
+            "of levels 0..3")}
 
     @pytest.mark.parametrize("value", [2.7, True])
     def test_non_integer_system_coefficient_is_a_typed_error(self, tmp_path, capsys, value):
@@ -1055,14 +1086,15 @@ class TestConfigAndDeterminism:
         # view summed a binomial table; the Taylor shift must not change a byte.
         # The specialize and howard artifacts were written when cyclotomic
         # values used a dense reduction table and a Pascal-row valuation, and
-        # the witness remainder its own long division.
+        # the witness remainder its own long division.  The system's name
+        # changed when its artifact lost its index lists; its residues did not
         def emit(*argv):
             assert run([*argv, "--out", str(tmp_path)]) == 0
             return os.path.basename(read_artifact_from_stdout(capsys)[1])
 
         system_name = emit("synth", "--mode", "edge", "--ap", "1", "--p", "3",
                            "--k", "11", "--n-max", "7", "--seed", "7")
-        assert system_name == "system-4d082687214d8b6c.json"
+        assert system_name == "system-a2ce3680ad7cbd68.json"
         system = str(tmp_path / system_name)
         assert emit("theta", "--system", system, "--level", "7",
                     "--ordinary") == "theta-fbcf6c2a341b207e.json"
@@ -1094,9 +1126,8 @@ class TestConfigAndDeterminism:
 
 
     def test_pinned_genuine_system_artifact_names(self, tmp_path):
-        # content hashes of systems read off the tree, written when the system
-        # artifact became positional; reading the orbits off the ball's ids
-        # must not change a byte
+        # content hashes of systems read off the tree, written when each label
+        # moved to its walk step and the artifact lost its index lists
         def name(system):
             # and each still reads back, level_exp checked against its tower
             assert serialize.system_from_json(serialize.system_to_json(system)) == system
@@ -1106,15 +1137,15 @@ class TestConfigAndDeterminism:
         torus = QuadraticTorus(3, "inert", 2)
         eig = EigenData.ordinary(3, 9, 1)
         edge = from_tree(stabilize(local_eigen_extend(3, 9, 1, 5, seed=4), eig), torus, eig, 5)
-        assert name(edge) == "system-2e28374b57216fc7.json"
+        assert name(edge) == "system-0f6369bdd5fd1b33.json"
         vertex = from_tree(local_eigen_extend(3, 9, 0, 5, seed=4), torus,
                            EigenData.supersingular(3, 9), 5)
-        assert name(vertex) == "system-257d74356146bc7f.json"
+        assert name(vertex) == "system-dcee21c784eb8951.json"
         t5 = QuadraticTorus(5, "inert", 2)
         e5 = EigenData.ordinary(5, 7, 2)
         shifted = from_tree(stabilize(local_eigen_extend(5, 7, 2, 3, seed=1), e5), t5, e5, 3,
                             shift=TorusElement(t5, 7, x=2, y=1))
-        assert name(shifted) == "system-e2374bf4ca0cd1f5.json"
+        assert name(shifted) == "system-f15901938ab03b80.json"
 
 
 class TestSerialization:
@@ -1144,26 +1175,23 @@ class TestSerialization:
         assert check_distribution(back).ok
         assert serialize.canonical_dumps(serialize.system_to_json(back)) == text
 
-    def test_delta_two_free_indices_roundtrip(self):
-        # flat group indices in memory and on the wire, by label position
+    def test_delta_two_positions_roundtrip(self):
+        # the label tau|d_1,d_2 sits at tau (p^m)^2 + d_1 p^m + d_2, and
+        # theta adds it at its flat free index d_1 p^m + d_2
         s = synth_system(3, 7, "edge", EigenData.ordinary(3, 7, 1), 3, delta=2, seed=4)
-        obj = serialize.system_to_json(s)
-        for j in (1, 2, 3):
-            q = 3 ** s.level_exp[j]
-            assert obj["free"][j] == list(s.free[j])
-            assert all(0 <= idx < q * q for idx in s.free[j])
         at = s.labels(3).index("2|4,7")
-        assert obj["free"][3][at] == s.free[3][at] == 4 * 9 + 7
+        assert at == 2 * 81 + 4 * 9 + 7
+        table = list(s.levels[3])
+        table[at] = (table[at] + 1) % 3**7
+        bumped = replace(s, levels=s.levels[:3] + (tuple(table),))
+        before, after = theta_level(s, 3).value.coeffs, theta_level(bumped, 3).value.coeffs
+        assert [i for i, (a, b) in enumerate(zip(before, after)) if a != b] == [4 * 9 + 7]
+        obj = serialize.system_to_json(s)
+        assert sorted(obj) == ["delta", "eigen", "k", "level_exp", "levels", "mode", "n_max",
+                               "p", "torsion"]
         back = serialize.system_from_json(json.loads(json.dumps(obj)))
         assert back == s
         assert serialize.system_to_json(back) == obj
-        # an index outside (Z/9)^2, a negative one, one that leaves 4,7 a
-        # fiber short, a digit list, a digit string, a float and a bool
-        for damage in (81, -1, 4 * 9 + 8, [4, 7], "4,7", 43.0, True):
-            bad = json.loads(json.dumps(obj))
-            bad["free"][3][at] = damage
-            with pytest.raises(ValueError, match="^level 3: the free indices"):
-                serialize.system_from_json(bad)
 
     @pytest.mark.parametrize("residue", [3**6, -5, 10**40], ids=["raised", "negative", "huge"])
     def test_residue_out_of_range_is_refused(self, residue):
@@ -1179,28 +1207,29 @@ class TestSerialization:
 
     def test_labels_must_be_the_towers_own(self):
         # a level holds its tower's labels by position, so a label the tower
-        # does not have is refused even when added to all three lists at once
+        # does not have is refused
         s = synth_system(3, 6, "edge", EigenData.ordinary(3, 6, 1), 2, seed=2)
         obj = serialize.system_to_json(s)
-        for table in (obj["levels"][2], obj["fibers"][2], obj["free"][2]):
-            table.append(table[0])
-        with pytest.raises(ValueError, match="level 2: 13 labels, where a synth tower has 12"):
+        obj["levels"][2].append(obj["levels"][2][0])
+        with pytest.raises(ValueError, match="level 2: 13 labels, where the tower has 12"):
             serialize.system_from_json(obj)
         # a torsion order far beyond the label count is refused by the
-        # count, before p^(e delta) is computed
+        # count, and a huge delta before p^(e delta) is computed
         obj = serialize.system_to_json(s)
         obj["torsion"] = 10**12
-        with pytest.raises(ValueError, match="level 1: 4 labels, where a synth tower has"):
+        with pytest.raises(ValueError, match="level 1: 4 labels, where the tower has"):
             serialize.system_from_json(obj)
-        # the label kind names the positions; an unknown one is the
-        # system's own refusal
-        for kind in ("banana", None, ["synth"]):
-            obj = serialize.system_to_json(s)
-            obj["label_kind"] = kind
-            with pytest.raises(ValueError, match="unknown label kind"):
-                serialize.system_from_json(obj)
-        with pytest.raises(ValueError, match="unknown label kind 'banana'"):
-            replace(s, label_kind="banana")
+        obj = serialize.system_to_json(s)
+        obj["delta"] = 10**12
+        with pytest.raises(ValueError, match=r"level 2: 12 labels cannot cover \(Z/3\^1\)"):
+            serialize.system_from_json(obj)
+        # an index list of the earlier layout is refused, whatever it holds
+        for key in ("label_kind", "fibers", "free"):
+            for value in ("synth", None, []):
+                obj = serialize.system_to_json(s)
+                obj[key] = value
+                with pytest.raises(ValueError, match=f"with {key} is of the earlier layout"):
+                    serialize.system_from_json(obj)
 
     @pytest.mark.parametrize("p,n_max", [(3, 4), (5, 3)])
     @pytest.mark.parametrize("shifted", [False, True])
@@ -1213,7 +1242,7 @@ class TestSerialization:
         form = f0 if mode == "vertex" else stabilize(f0, eig)
         shift = TorusElement(torus, k, x=2, y=1) if shifted else None
         s = from_tree(form, torus, eig, n_max, shift=shift)
-        assert s.label_kind == "torus"
+        assert s.labels(2)[:2] == ["0|0", "0|1"]
         text = serialize.canonical_dumps(serialize.system_to_json(s))
         back = serialize.system_from_json(json.loads(text))
         assert back == s

@@ -17,6 +17,8 @@ from thetaforge.torus import (
     _canonical_pair,
     _label_mul,
     base_sequence,
+    coset_decomposition,
+    coset_labels,
     orbit_ids,
     orbit_table,
 )
@@ -116,13 +118,14 @@ class TestOrbitImages:
             s = from_tree(form, torus, eig, n_max, shift=shift)
             for j in range(mode == "edge", n_max + 1):
                 tab = orbit_table(torus, j)
-                want = {}
-                for x, y in tab.labels:
+                # the label at position t is stored at its walk step
+                want = [None] * len(tab.labels)
+                for (x, y), step in zip(tab.labels, coset_decomposition(torus, j)):
                     at = (x, y) if shift is None else _label_mul(
                         torus, j, (x, y), _canonical_pair(p, j, shift.x, shift.y))
                     c = b.ids[tab.images[at]]
-                    want[f"{x}:{y}"] = form.values[c if mode == "vertex" else 2 * c - 2]
-                assert dict(zip(s.labels(j), s.levels[j])) == want
+                    want[step] = form.values[c if mode == "vertex" else 2 * c - 2]
+                assert list(s.levels[j]) == want
 
     def test_non_standard_base_is_refused(self):
         with pytest.raises(ValueError):
@@ -139,8 +142,14 @@ class TestOrbitImages:
         for x, y in ((1, p), (2, 1), (0, 1), (1, 0), (p + 1, 7 * p)):
             shift = TorusElement(torus, k, x=x, y=y)
             s = from_tree(form, torus, eig, n_max, shift=shift)
-            got = [None if t is None else dict(zip(s.labels(j), t)) for j, t in enumerate(s.levels)]
-            assert got == reference_shifted_levels(form, torus, n_max, shift)
+            # the reference keys each level by the label "x:y", read here
+            # at the label's walk step
+            want = [None if t is None else [None] * len(t) for t in s.levels]
+            for j, ref in enumerate(reference_shifted_levels(form, torus, n_max, shift)):
+                for (x, y), step in zip(coset_labels(torus, j), coset_decomposition(torus, j)):
+                    if ref is not None:
+                        want[j][step] = ref[f"{x}:{y}"]
+            assert [None if t is None else list(t) for t in s.levels] == want
 
 
     def test_standard_base_and_shift_do_not_call_act(self):

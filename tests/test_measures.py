@@ -22,6 +22,8 @@ from thetaforge.hecke import (
     stabilize,
 )
 from thetaforge.measures import (
+    _fiber_sums,
+    _over,
     check_distribution,
     from_tree,
     lp,
@@ -198,14 +200,17 @@ class TestSynth:
             synth_system(3, 5, "vertex", EigenData.supersingular(3, 5), 2, torsion=6)
 
     def test_fiber_profile_local_map(self):
-        from collections import Counter
-
+        # a fiber's size is the fiber sum of ones, by the layout rule
         eig = EigenData.supersingular(3, 6)
         s = synth_system(3, 6, "vertex", eig, 3, seed=2)
-        sizes1 = Counter(s.fibers[1])
-        sizes2 = Counter(s.fibers[2])
-        assert set(sizes1.values()) == {4}   # first layer: torsion q+1
-        assert set(sizes2.values()) == {3}   # then p
+        sizes = [_fiber_sums(3, 1, s.level_exp, j, [1] * len(s.table(j + 1))) for j in (0, 1, 2)]
+        assert sizes[0] == [4]              # first layer: torsion q+1
+        assert sizes[1] == [3] * 4          # then p
+        assert sizes[2] == [3] * 12
+        # and every label of the level below is its parent's once
+        for j in (1, 2, 3):
+            below = range(len(s.table(j - 1)))
+            assert sorted(set(_over(3, 1, 4, s.level_exp, j, below))) == list(below)
 
 
 class TestChecker:

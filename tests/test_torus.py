@@ -15,14 +15,14 @@ from thetaforge.torus import (
     orbit_ids,
     orbit_table,
     _canonical_pair,
-    _label_position,
     _label_pow,
     _parent_positions,
+    _step_of,
     _unit_inverses,
 )
 from thetaforge.tree import Vertex, distance, origin, sphere
 from thetaforge.util import default_nonresidue, is_nonresidue
-from torus_oracle import pow_coset_decomposition, pow_orbit_ids
+from torus_oracle import label_position, pow_coset_decomposition, pow_orbit_ids
 from tree_oracle import act, normal_form_exact
 
 
@@ -251,8 +251,13 @@ class TestLabelPositions:
     def test_positions_and_parents_are_arithmetic(self, p, j):
         torus = QuadraticTorus(p, "inert", default_nonresidue(p))
         labels = coset_labels(torus, j)
-        assert [_label_position(p, j, *lbl) for lbl in labels] == list(range(len(labels)))
+        assert [label_position(p, j, *lbl) for lbl in labels] == list(range(len(labels)))
         if j:
+            # _step_of reads a pair's step at its position, from any
+            # representative of the class
+            steps = coset_decomposition(torus, j)
+            assert [_step_of(torus, j, steps, x, y) for x, y in labels] == steps
+            assert [_step_of(torus, j, steps, 2 * x, 2 * y) for x, y in labels] == steps
             below = coset_labels(torus, j - 1)
             assert ([below[t] for t in _parent_positions(p, j)]
                     == [_canonical_pair(p, j - 1, x, y) for x, y in labels])

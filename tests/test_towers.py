@@ -1,5 +1,6 @@
-"""The positional tower against the dict-keyed one in tower_oracle.py, and
-the per-system memo of the raw and normalized thetas and the L-elements."""
+"""The positional tower against the dict-keyed one and the label-order one
+in tower_oracle.py, supersingular towers carried to the ball, and the
+per-system memo of the raw and normalized thetas and the L-elements."""
 
 import json
 import random
@@ -10,25 +11,29 @@ import pytest
 from thetaforge import serialize
 from thetaforge.characters import FiniteOrderCharacter, interpolation_shape, specialize
 from thetaforge.errors import CompatibilityViolation, NotOrdinary, NotSupersingular
-from thetaforge.hecke import local_eigen_extend, stabilize
+from thetaforge.hecke import hecke_T, local_eigen_extend, stabilize
 from thetaforge.measures import (
-    check_distribution, from_tree, lp, synth_system, theta_level, theta_ordinary,
+    _over, check_distribution, from_tree, lp, synth_system, theta_level, theta_ordinary,
 )
 from thetaforge.padic import EigenData
-from thetaforge.torus import QuadraticTorus, TorusElement
-from thetaforge.util import default_nonresidue
+from thetaforge.torus import QuadraticTorus, TorusElement, coset_decomposition
+from thetaforge.util import default_nonresidue, is_nonresidue
 from tower_oracle import (
+    label_order_from_tree,
     reference_check_distribution,
     reference_from_tree,
+    reference_stepped,
     reference_synth_system,
     reference_system_to_json,
     reference_theta_level,
+    to_ball,
 )
 
 
 def as_dicts(s):
     """The levels, fibers and free indices of a positional system keyed by
-    label name, as the dict-keyed system stores them."""
+    label name, as the dict-keyed system stores them; the fibers and free
+    indices come from the layout rule."""
     levels, fibers, free = [], [], []
     above = None
     for j, t in enumerate(s.levels):
@@ -38,10 +43,11 @@ def as_dicts(s):
             free.append(None)
             continue
         names = s.labels(j)
+        size = s.p ** (s.level_exp[j] * s.delta)
         levels.append(dict(zip(names, t)))
-        fibers.append(None if s.fibers[j] is None
-                      else {n: above[u] for n, u in zip(names, s.fibers[j])})
-        free.append(dict(zip(names, s.free[j])))
+        fibers.append(None if j == s.start_level else dict(zip(names, map(
+            above.__getitem__, _over(s.p, s.delta, s.torsion, s.level_exp, j, range(len(above)))))))
+        free.append({n: t % size for t, n in enumerate(names)})
         above = names
     return levels, fibers, free
 
@@ -94,19 +100,56 @@ def tree_form(p, k, mode, n_max):
     return (f0 if mode == "vertex" else stabilize(f0, eig)), eig
 
 
-class TestFromTreeAgainstDictTower:
+def by_step(table, steps):
+    """A level in coset_labels order, each entry moved to its label's walk step."""
+    out = [None] * len(table)
+    for c, s in zip(table, steps):
+        out[s] = c
+    return out
+
+
+class TestFromTreeAgainstOracles:
     @pytest.mark.parametrize("mode", ["vertex", "edge"])
-    @pytest.mark.parametrize("p,n_max", [(3, 5), (5, 4), (7, 3)])
+    @pytest.mark.parametrize("p,n_max", [(3, 5), (5, 4), (7, 3), (11, 3)])
     @pytest.mark.parametrize("shifted", [False, True])
     def test_same_tower(self, mode, p, n_max, shifted):
+        # the dict tower, renamed by the walk, and the coset_labels-order
+        # tower, moved by the walk, are both the positional system
         k = 7
         torus = QuadraticTorus(p, "inert", default_nonresidue(p))
         form, eig = tree_form(p, k, mode, n_max)
         shift = TorusElement(torus, k, x=2, y=1) if shifted else None
         s = from_tree(form, torus, eig, n_max, shift=shift)
-        ref = reference_from_tree(form, torus, eig, n_max, shift=shift)
+        ref = reference_stepped(reference_from_tree(form, torus, eig, n_max, shift=shift), torus)
         assert_same_tower(s, ref)
         assert_same_reports(s, ref, random.Random(p * n_max + shifted))
+        old = label_order_from_tree(form, torus, n_max, shift=shift)
+        below = None
+        for j in range(n_max + 1):
+            steps = coset_decomposition(torus, j)
+            if j >= s.start_level:
+                assert by_step(old.levels[j], steps) == list(s.levels[j])
+                q = p ** s.level_exp[j]
+                assert by_step(old.free[j], steps) == [t % q for t in range(len(steps))]
+            if old.fibers[j] is not None:
+                # the stored parent positions, by step, are the layout rule
+                assert (by_step([below[u] for u in old.fibers[j]], steps)
+                        == _over(p, 1, p + 1, s.level_exp, j, range(len(below))))
+            below = steps
+
+
+class TestSupersingularTowersAreTreeTowers:
+    @pytest.mark.parametrize("p,k,depth", [(3, 6, 5), (3, 9, 7), (5, 7, 4), (7, 6, 3)])
+    def test_carried_to_the_ball(self, p, k, depth):
+        # supersingular_split.py's tower: on the ball it is a T-eigenform of
+        # eigenvalue 0 on the interior, and from_tree reads it back equal
+        eig = EigenData.supersingular(p, k)
+        s = synth_system(p, k, "vertex", eig, depth)
+        for d in [d for d in range(2, p) if is_nonresidue(d, p)][:2]:
+            torus = QuadraticTorus(p, "inert", d)
+            form = to_ball(s.levels, torus, k)
+            assert set(hecke_T(form).values) == {0}
+            assert from_tree(form, torus, eig, depth) == s
 
 
 class TestSynthAgainstDictTower:
@@ -153,8 +196,8 @@ class TestThetaMemo:
         table[0] = (table[0] + 1) % 3**6
         bad = replace(s, levels=s.levels[:3] + (tuple(table),) + s.levels[4:])
         assert theta_level(bad, 3) != before
-        assert theta_level(bad, 3).value.coeffs[s.free[3][0]] == (
-            before.value.coeffs[s.free[3][0]] + 1) % 3**6
+        # position 0 has free index 0
+        assert theta_level(bad, 3).value.coeffs[0] == (before.value.coeffs[0] + 1) % 3**6
         assert theta_level(s, 3) is before
         # a replace that changes nothing still starts its memo empty
         same = replace(s)
@@ -174,12 +217,9 @@ class TestThetaMemo:
     def test_levels_cannot_be_edited_in_place(self):
         s = self.system()
         for j in range(s.start_level, s.n_max + 1):
-            for per_level in (s.levels, s.fibers, s.free):
-                if per_level[j] is None:
-                    continue
-                assert isinstance(per_level[j], tuple)
-                with pytest.raises(TypeError):
-                    per_level[j][0] = 0
+            assert isinstance(s.levels[j], tuple)
+            with pytest.raises(TypeError):
+                s.levels[j][0] = 0
         with pytest.raises(TypeError):
             s.levels[1] = ()
 

@@ -6,7 +6,9 @@ These are `torus._orbit_blocks`, `torus.orbit_ids` and
 one unit-inverse table per level: every orbit block inverts each unit w mod
 p^(j-v) with `pow`, and the walk steps by fgen = (1 : p) from every row
 start, renormalizing each step with `pow` as `_canonical_pair` does.  They
-serve only to cross-check the table-driven versions.
+serve only to cross-check the table-driven versions.  `label_position` is
+the arithmetic place of a canonical label in `coset_labels`, which `torus`
+no longer needs since systems store each label at its walk step.
 """
 
 from thetaforge.errors import InvariantViolation
@@ -17,11 +19,18 @@ from thetaforge.torus import (
     _element_order,
     _label_mul,
     _label_pow,
-    _label_position,
     coset_labels,
     filtration_order,
 )
 from thetaforge.tree import digit_reversals, origin_id_offset
+
+
+def label_position(p: int, j: int, x: int, y: int) -> int:
+    """The place of the canonical level-j label (x : y) in coset_labels:
+    (x : 1) is at x and (1 : y), p | y, at p^j + y / p."""
+    if j == 0:
+        return 0
+    return x if y % p else p**j + y // p
 
 
 def pow_orbit_blocks(p: int, d: int, j: int):
@@ -72,7 +81,7 @@ def pow_coset_decomposition(torus: QuadraticTorus, j: int) -> list:
     steps, row, s = [-1] * len(labels), ident, 0
     for _ in range(torsion_order):
         x, y = row
-        at = _label_position(p, j, x, y)
+        at = label_position(p, j, x, y)
         for _ in range(free_order):
             steps[at] = s
             s += 1

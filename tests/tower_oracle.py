@@ -1,4 +1,4 @@
-"""Dict-keyed towers, kept as a test oracle.
+"""Dict-keyed towers and the label-order tower, kept as test oracles.
 
 These are the system, `from_tree`, `synth_system`, `check_distribution` and
 `theta_level` that `thetaforge.measures` used before it stored each level as
@@ -8,8 +8,18 @@ check walks the labels in sorted name order, and theta adds one
 coefficient per label through the free-index dict.  `reference_decomposition`
 is the dict-filling walk `torus.coset_decomposition` ran then, and
 `_parent_labels` the label-keyed parent map `torus` kept then;
-`reference_system_to_json` writes the positional system artifact from the
-label-keyed dicts.  They serve only to cross-check the positional tower.
+`reference_stepped` renames a tree tower's labels "x:y" to "i|f", its
+torsion index and free digit, in walk-step order, the layout measures now
+uses; `reference_system_to_json` writes the positional system artifact from
+the dicts in key order.
+
+`label_order_from_tree` is `from_tree` as it ran before the layout rule:
+each level by position in `coset_labels` order, with a stored tuple of
+parent positions and one of free digits.  `to_ball` is the inverse of the
+rule's placement: it carries a tower of the rule's layout to the vertex form
+on the ball whose `from_tree` tower it is.
+
+They serve only to cross-check the positional tower.
 """
 
 import itertools
@@ -35,10 +45,13 @@ from thetaforge.torus import (
     _element_order,
     _label_mul,
     _label_pow,
+    _parent_positions,
+    coset_decomposition,
     coset_labels,
     orbit_ids,
 )
-from thetaforge.tree import origin
+from thetaforge.tree import ball, origin
+from torus_oracle import label_position
 from tree_oracle import reference_ball
 
 
@@ -333,29 +346,80 @@ def reference_decomposition(torus: QuadraticTorus, j: int) -> dict:
     return parts
 
 
-def reference_system_to_json(s: DictSystem):
-    """The positional artifact of a dict-keyed system: each level's labels
-    in the key order of its free dict (position order in both reference
-    towers), their parents by position one level down."""
+def reference_stepped(ref: DictSystem, torus: QuadraticTorus) -> DictSystem:
+    """A dict tower read off the tree, each label "x:y" renamed "i|f" by
+    reference_decomposition and the keys in walk-step order (i, f)."""
+    names = []
+    for j in range(ref.n_max + 1):
+        parts = sorted(reference_decomposition(torus, j).items(), key=lambda item: item[1])
+        names.append({f"{x}:{y}": f"{i}|{f}" for (x, y), (i, f) in parts})
     levels, fibers, free = [], [], []
-    at: dict = {}               # label name -> position, one level down
-    kind = None
-    for j in range(s.n_max + 1):
-        if s.levels[j] is None:
+    for j, table in enumerate(ref.levels):
+        if table is None:
             levels.append(None)
             fibers.append(None)
             free.append(None)
-            at = {}
             continue
-        names = list(s.free[j])
-        kind = kind or ("torus" if ":" in names[0] else "synth")
-        levels.append([str(s.levels[j][n]) for n in names])
-        fibers.append([at[s.fibers[j][n]] for n in names] if s.fibers[j] else None)
-        free.append([s.free[j][n] for n in names])
-        at = {n: i for i, n in enumerate(names)}
+        renamed = names[j].items()
+        levels.append({new: table[old] for old, new in renamed})
+        free.append({new: ref.free[j][old] for old, new in renamed})
+        fibers.append(ref.fibers[j] and {new: names[j - 1][ref.fibers[j][old]]
+                                         for old, new in renamed})
+    return DictSystem(ref.p, ref.k, ref.delta, ref.mode, ref.eigen, ref.n_max, ref.torsion,
+                      ref.level_exp, tuple(levels), tuple(fibers), tuple(free))
+
+
+def reference_system_to_json(s: DictSystem):
+    """The positional artifact of a dict-keyed system: the header and each
+    level's residues in the key order of its free dict (position order in
+    reference_synth_system and reference_stepped)."""
     return {
         "p": s.p, "k": s.k, "delta": s.delta, "mode": s.mode,
         "eigen": eigen_to_json(s.eigen), "n_max": s.n_max,
-        "torsion": s.torsion, "level_exp": list(s.level_exp), "label_kind": kind,
-        "levels": levels, "fibers": fibers, "free": free,
+        "torsion": s.torsion, "level_exp": list(s.level_exp),
+        "levels": [None if t is None else [str(t[key]) for key in free]
+                   for t, free in zip(s.levels, s.free)],
     }
+
+
+@dataclass(frozen=True)
+class LabelOrderTower:
+    levels: tuple               # levels[j]: residues in coset_labels order (None below start)
+    fibers: tuple               # fibers[j]: parent positions at level j - 1 (None at start)
+    free: tuple                 # free[j]: the free digit of each label
+
+
+def label_order_from_tree(form, torus: QuadraticTorus, n_max: int,
+                          shift: TorusElement | None = None) -> LabelOrderTower:
+    """The tower of from_tree with its labels in coset_labels order: the
+    label at position t reads the form at the ball id orbit_ids gives it
+    (or, shifted, the id of its product with the shift), its parent is
+    _parent_positions' entry and its free digit its walk step mod p^(j-1).
+    It runs none of from_tree's checks."""
+    p, mode = torus.p, "vertex" if isinstance(form, VertexForm) else "edge"
+    start = 0 if mode == "vertex" else 1
+    levels, fibers, free = ([None] * (n_max + 1) for _ in range(3))
+    for j in range(start, n_max + 1):
+        ids = orbit_ids(torus, j)
+        if shift is not None and j:
+            s_lbl = _canonical_pair(p, j, shift.x, shift.y)
+            ids = [ids[label_position(p, j, *_label_mul(torus, j, lbl, s_lbl))]
+                   for lbl in coset_labels(torus, j)]
+        levels[j] = tuple(form.values[c if mode == "vertex" else 2 * c - 2] for c in ids)
+        free[j] = tuple(s % p ** max(j - 1, 0) for s in coset_decomposition(torus, j))
+        if j > start:
+            fibers[j] = tuple(_parent_positions(p, j))
+    return LabelOrderTower(tuple(levels), tuple(fibers), tuple(free))
+
+
+def to_ball(levels, torus: QuadraticTorus, k: int) -> VertexForm:
+    """The vertex form on the ball of radius len(levels) - 1 around the
+    origin that holds, at the ball id of the image of v_j under each
+    level-j label, the tower's entry at the label's walk step."""
+    p, n = torus.p, len(levels) - 1
+    b = ball(origin(p), n)
+    values = [None] * b.size
+    for j, table in enumerate(levels):
+        for step, c in zip(coset_decomposition(torus, j), orbit_ids(torus, j)):
+            values[c] = table[step]
+    return VertexForm(p, k, b, tuple(values))
